@@ -5,134 +5,157 @@ classes, couples them to Gaussian bridge fields through grid projections and
 optimal transport, chains couplings over growing blocks into sequential
 strong approximations, and audits the explicit tail inequalities that govern
 each step. Everything is deterministic given a master seed.
+
+The public names below are loaded on first access (PEP 562), so that
+``import empbridge`` and the ``rates`` command do not pay for numpy and
+scipy; ``from empbridge import X`` works as with an eager import.
 """
 
-from .blocking import (
-    BlockingSchedule,
-    PathDiscrepancy,
-    br_divergence_ratio,
-    br_growth_ratio,
-    br_sandwich_ratio,
-    ms_bound,
-    path_envelope,
-    run_sequential,
-    s_of_N,
-    schedule_br,
-    schedule_vc,
-)
-from .bounds import (
-    BoundConstants,
-    BoundReport,
-    borell_tail,
-    br_modulus_bounds,
-    br_moment_bound,
-    check_condition_vc_n,
-    combined_tail_empirical,
-    combined_tail_gaussian,
-    error_budget,
-    fitted_constant,
-    gaussian_moment_bound,
-    regime_grid_bound,
-    talagrand_tail,
-    vc_modulus_bounds,
-    vc_moment_bound,
-)
-from .bridge import (
-    BridgeModel,
-    BridgeRealization,
-    ConditionalLaw,
-    build_bridge,
-    conditional_extend,
-    conditional_law,
-    covariance,
-    dudley_integral,
-    dudley_integral_quadrature,
-    entropy_integral_bound,
-    extend_from_law,
-    factorize,
-    mu_estimate,
-    sample_bridge,
-    sample_bridge_batch,
-)
-from .coupling import (
-    CouplingContext,
-    CouplingRealization,
-    EpsilonSelection,
-    TransportPlan,
-    ZaitsevParams,
-    construct_joint,
-    coupling_tail,
-    make_Y_sum,
-    ot_couple,
-    prepare_coupling,
-    select_delta_t,
-    select_epsilon_br,
-    select_epsilon_vc,
-    zaitsev_bound,
-    zaitsev_grid_tail,
-)
-from .distributions import Distribution, distribution_from_spec
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DegenerateFitError,
-    DivergentIntegralError,
-    DomainError,
-    InconsistentCovarianceError,
-    NotACovarianceError,
-    NumericError,
-    ScheduleInvalidError,
-    ShapeError,
-    UnsupportedOperationError,
-)
-from .experiments import (
-    ExperimentConfig,
-    RateFit,
-    ResultTable,
-    config_from_dict,
-    emit,
-    fit_rate,
-    load_config,
-    run_bounds_audit,
-    run_couple,
-    run_entropy,
-    run_gauss_approx,
-    run_strong_approx,
-)
-from .exponents import rate_br, rate_thm1, rate_thm2, rate_vc
-from .function_classes import (
-    BracketSet,
-    CoverCertificate,
-    EntropyRegime,
-    EntropyReport,
-    FunctionClass,
-    Grid,
-    bracketing_number,
-    bracketing_set,
-    build_grid,
-    class_from_spec,
-    covering_certificate,
-    covering_number_dP,
-    dP_distance,
-    dP_matrix,
-    fit_entropy,
-    fit_entropy_counts,
-    mean_vector,
-    net_radius,
-    second_moment_matrix,
-    uniform_covering_lower_bound,
-)
-from .quadrature import adaptive_simpson
-from .sampling import (
-    MomentEstimate,
-    PairSet,
-    SamplePath,
-    build_pairset,
-    draw_sample,
-    empirical_process,
-    mu_n_estimate,
-    sup_discrepancy,
-)
-from .seeds import SeedSpec, replication_seed
+import importlib
 
+_EXPORTS = {
+    "blocking": (
+        "BlockingSchedule",
+        "PathDiscrepancy",
+        "br_divergence_ratio",
+        "br_growth_ratio",
+        "br_sandwich_ratio",
+        "ms_bound",
+        "path_envelope",
+        "run_sequential",
+        "s_of_N",
+        "schedule_br",
+        "schedule_vc",
+    ),
+    "bounds": (
+        "BoundConstants",
+        "BoundReport",
+        "borell_tail",
+        "br_modulus_bounds",
+        "br_moment_bound",
+        "check_condition_vc_n",
+        "combined_tail_empirical",
+        "combined_tail_gaussian",
+        "error_budget",
+        "fitted_constant",
+        "gaussian_moment_bound",
+        "regime_grid_bound",
+        "talagrand_tail",
+        "vc_modulus_bounds",
+        "vc_moment_bound",
+    ),
+    "bridge": (
+        "BridgeModel",
+        "BridgeRealization",
+        "ConditionalLaw",
+        "build_bridge",
+        "conditional_law",
+        "covariance",
+        "dudley_integral",
+        "dudley_integral_quadrature",
+        "entropy_integral_bound",
+        "extend_from_law",
+        "factorize",
+        "mu_estimate",
+        "sample_bridge",
+        "sample_bridge_batch",
+    ),
+    "coupling": (
+        "CouplingContext",
+        "CouplingRealization",
+        "EpsilonSelection",
+        "TransportPlan",
+        "ZaitsevParams",
+        "construct_joint",
+        "coupling_tail",
+        "make_Y_sum",
+        "ot_couple",
+        "prepare_coupling",
+        "select_delta_t",
+        "select_epsilon_br",
+        "select_epsilon_vc",
+        "zaitsev_bound",
+        "zaitsev_grid_tail",
+    ),
+    "distributions": ("Distribution", "distribution_from_spec"),
+    "errors": (
+        "CapacityError",
+        "ConfigError",
+        "DegenerateFitError",
+        "DivergentIntegralError",
+        "DomainError",
+        "InconsistentCovarianceError",
+        "NotACovarianceError",
+        "NumericError",
+        "ScheduleInvalidError",
+        "ShapeError",
+        "UnsupportedOperationError",
+    ),
+    "experiments": (
+        "ExperimentConfig",
+        "RateFit",
+        "ResultTable",
+        "config_from_dict",
+        "emit",
+        "fit_rate",
+        "load_config",
+        "run_bounds_audit",
+        "run_couple",
+        "run_entropy",
+        "run_gauss_approx",
+        "run_strong_approx",
+    ),
+    "exponents": ("rate_br", "rate_thm1", "rate_thm2", "rate_vc"),
+    "function_classes": (
+        "BracketSet",
+        "CoverCertificate",
+        "EntropyRegime",
+        "EntropyReport",
+        "FunctionClass",
+        "Grid",
+        "bracketing_number",
+        "bracketing_set",
+        "build_grid",
+        "class_from_spec",
+        "covering_certificate",
+        "covering_number_dP",
+        "dP_distance",
+        "dP_matrix",
+        "fit_entropy",
+        "fit_entropy_counts",
+        "mean_vector",
+        "net_radius",
+        "second_moment_matrix",
+        "uniform_covering_lower_bound",
+    ),
+    "quadrature": ("adaptive_simpson",),
+    "sampling": (
+        "MomentEstimate",
+        "PairSet",
+        "SamplePath",
+        "build_pairset",
+        "draw_sample",
+        "empirical_process",
+        "mu_n_estimate",
+        "sup_discrepancy",
+    ),
+    "seeds": ("SeedSpec", "replication_seed"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Not cached, so a name rebound in its defining module is seen here too.
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -156,19 +156,6 @@ def extend_from_law(law: ConditionalLaw, grid_values, seed: SeedSpec, rep: int =
     return law.projector @ grid_values + law.L @ g
 
 
-def conditional_extend(
-    model: BridgeModel,
-    cross: np.ndarray,
-    marginal: np.ndarray,
-    grid_values,
-    seed: SeedSpec,
-    rep: int = 0,
-) -> np.ndarray:
-    """Draw new coordinates jointly consistent with the given grid values."""
-    law = conditional_law(model, cross, marginal)
-    return extend_from_law(law, grid_values, seed, rep)
-
-
 def mu_estimate(
     model: BridgeModel, pairset: PairSet, reps: int, seed: SeedSpec
 ) -> MomentEstimate:

@@ -33,6 +33,7 @@ from .bounds import (
 from .exponents import rate_vc
 from .blocking import path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
+    OT_EXACT_LIMIT,
     construct_joint,
     prepare_coupling,
     select_delta_t,
@@ -48,6 +49,7 @@ from .function_classes import (
     class_from_spec,
     covering_certificate,
     fit_entropy_counts,
+    regime_from_spec,
 )
 from .seeds import SeedSpec, replication_seed
 
@@ -96,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:
             raise ConfigError("replication count must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not self.n_grid:
+            raise ConfigError("n grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n grid must be strictly increasing")
         if self.format not in ("csv", "json"):
@@ -107,6 +113,12 @@ class ExperimentConfig:
             raise ConfigError("ot_batch entries must be >= 1")
         if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
             raise ConfigError("per-n ot_batch needs one entry per n_grid value")
+        if self.method not in ("exact", "greedy"):
+            raise ConfigError(f"unknown coupling method {self.method!r}")
+        if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
+            raise ConfigError(
+                f"ot_batch entries must be <= {OT_EXACT_LIMIT} with method 'exact'"
+            )
 
     def batch_for(self, i: int) -> int:
         """Transport batch size for the i-th n_grid entry."""
@@ -149,17 +161,7 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
     if "distribution" in spec:
         kwargs["dist"] = distribution_from_spec(spec["distribution"])
     if "selection" in spec:
-        sel = spec["selection"]
-        if sel.get("type") == "vc":
-            kwargs["selection"] = EntropyRegime(
-                "vc", c0=float(sel.get("c0", 1.0)), nu0=float(sel.get("nu0", 1.0))
-            )
-        elif sel.get("type") == "br":
-            kwargs["selection"] = EntropyRegime(
-                "br", b0=float(sel.get("b0", 1.0)), r0=float(sel.get("r0", 0.5))
-            )
-        else:
-            raise ConfigError(f"unknown selection type {sel.get('type')!r}")
+        kwargs["selection"] = regime_from_spec(spec["selection"], "selection")
     if "constants" in spec:
         try:
             kwargs["constants"] = BoundConstants(**spec["constants"])

@@ -187,6 +187,19 @@ class FunctionClass:
         cols = [self.evaluate_many(p, xs) for p in params]
         return np.column_stack(cols) if cols else np.zeros((len(xs), 0))
 
+    def column_sums(self, params, xs: np.ndarray) -> np.ndarray:
+        """sum_i f_theta(x_i) for each theta in params, shape (len(params),).
+
+        Interval indicators are counted on the sorted sample instead of
+        summing the n x len(params) matrix. The counts are integers, so they
+        equal the matrix column sums bit for bit.
+        """
+        if self.kind == "intervals":
+            thetas = np.asarray(params, dtype=float)
+            ordered = np.sort(np.asarray(xs, dtype=float))
+            return np.searchsorted(ordered, thetas, side="right").astype(float)
+        return self.evaluate_matrix(params, xs).sum(axis=0)
+
     def validate_theta(self, theta):
         if self.kind == "intervals":
             t = float(theta)
@@ -780,20 +793,23 @@ def uniform_covering_lower_bound(
     return worst
 
 
+def regime_from_spec(spec: dict, field: str) -> EntropyRegime:
+    """Build an EntropyRegime from a config object {"type": "vc"|"br", ...}."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config field {field!r} must be an object")
+    if spec.get("type") == "vc":
+        return EntropyRegime("vc", c0=float(spec.get("c0", 1.0)), nu0=float(spec.get("nu0", 1.0)))
+    if spec.get("type") == "br":
+        return EntropyRegime("br", b0=float(spec.get("b0", 1.0)), r0=float(spec.get("r0", 0.5)))
+    raise ConfigError(f"unknown {field} type {spec.get('type')!r}")
+
+
 def class_from_spec(spec: dict) -> FunctionClass:
     """Build a FunctionClass from a config dictionary."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("class spec must be a dict with a 'kind'")
     kind = spec["kind"]
-    regime = None
-    if "regime" in spec:
-        r = spec["regime"]
-        if r.get("type") == "vc":
-            regime = EntropyRegime("vc", c0=float(r.get("c0", 1.0)), nu0=float(r.get("nu0", 1.0)))
-        elif r.get("type") == "br":
-            regime = EntropyRegime("br", b0=float(r.get("b0", 1.0)), r0=float(r.get("r0", 0.5)))
-        else:
-            raise ConfigError(f"unknown regime type {r.get('type')!r}")
+    regime = regime_from_spec(spec["regime"], "regime") if "regime" in spec else None
     kwargs = dict(
         kind=kind,
         envelope=float(spec.get("M", 2.0)),

@@ -58,9 +58,9 @@ def empirical_process(
     params = list(params)
     if not params:
         raise DomainError("params must be nonempty")
-    vals = cls.evaluate_matrix(params, sample.points)
+    sums = cls.column_sums(params, sample.points)
     means = mean_vector(cls, P, params)
-    return (vals.sum(axis=0) - sample.n * means) / math.sqrt(sample.n)
+    return (sums - sample.n * means) / math.sqrt(sample.n)
 
 
 def sup_discrepancy(a, b) -> float:

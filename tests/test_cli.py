@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, flags, exit codes, and --check."""
 
 import json
+import subprocess
+import sys
 
 import pytest
+
+import empbridge
 
 from empbridge.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
@@ -34,6 +38,22 @@ def test_rates_default_prints_all_exponents(capsys):
         "theta = 1/18",
         "tau = 1/15",
     ]
+
+
+def test_rates_loads_neither_numpy_nor_scipy():
+    probe = (
+        "import sys, empbridge.cli as c; c.main(['rates']); "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().split("\n")[-1] == "[]"
+
+
+def test_every_exported_name_resolves():
+    for name in empbridge.__all__:
+        assert getattr(empbridge, name) is not None
+    with pytest.raises(AttributeError):
+        empbridge.conditional_extend
 
 
 def test_rates_polynomial_only(capsys):
@@ -252,3 +272,50 @@ def test_seed_flag_rejects_oversized_values(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["couple", "--seed", str(2**64)])
     assert exc.value.code == 2
+
+
+# -- malformed configs are rejected before any replication runs ---------------------
+
+
+def assert_config_error(capsys, tmp_path, command, spec, needle):
+    cfg = write_config(tmp_path, "bad.json", spec)
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("command", ["couple", "approx"])
+def test_empty_n_grid_is_a_config_error(capsys, tmp_path, command):
+    spec = {"kind": "gauss-approx", "n_grid": [], "ot_batch": 8}
+    assert_config_error(capsys, tmp_path, command, spec, "n grid must be nonempty")
+
+
+@pytest.mark.parametrize(
+    "field, extra",
+    [
+        ("selection", {"selection": "vc"}),
+        ("regime", {"class": {"kind": "intervals", "regime": "vc"}}),
+    ],
+)
+def test_non_object_regime_is_a_config_error(capsys, tmp_path, field, extra):
+    spec = dict({"kind": "gauss-approx", "n_grid": [64], "ot_batch": 8}, **extra)
+    assert_config_error(capsys, tmp_path, "approx", spec, f"{field!r} must be an object")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_config_seed_is_a_config_error(capsys, tmp_path, seed):
+    spec = {"kind": "gauss-approx", "n_grid": [64], "ot_batch": 8, "seed": seed}
+    assert_config_error(capsys, tmp_path, "approx", spec, "unsigned 64-bit")
+
+
+def test_unknown_method_is_a_config_error(capsys, tmp_path):
+    spec = {"kind": "gauss-approx", "n_grid": [64], "ot_batch": 8, "method": "sinkhorn"}
+    assert_config_error(capsys, tmp_path, "approx", spec, "unknown coupling method")
+
+
+@pytest.mark.parametrize("batch", [513, [64, 1024]])
+def test_oversized_exact_batch_is_a_config_error(capsys, tmp_path, batch):
+    spec = {"kind": "gauss-approx", "n_grid": [64, 128], "ot_batch": batch, "method": "exact"}
+    assert_config_error(capsys, tmp_path, "approx", spec, "ot_batch entries must be <= 512")

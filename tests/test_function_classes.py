@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empbridge import (
     CapacityError,
@@ -67,6 +69,64 @@ def test_out_of_domain_rejected(intervals):
         evaluate(intervals, 1.5, 0.3)
     with pytest.raises(DomainError):
         evaluate(intervals, 0.5, 1.3)
+
+
+# -- column sums ---------------------------------------------------------------
+
+COLUMN_SUM_LAWS = {
+    "uniform": Distribution("uniform"),
+    "beta": Distribution("beta", a=2.0, b=3.0),
+    "discrete": Distribution("discrete", atoms=(0.25, 0.5, 0.75), weights=(0.3, 0.5, 0.2)),
+}
+
+
+def assert_column_sums_match_matrix(cls, params, xs):
+    sums = cls.column_sums(params, xs)
+    assert sums.dtype == np.float64 and sums.shape == (len(params),)
+    assert np.array_equal(sums, cls.evaluate_matrix(params, xs).sum(axis=0))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    law=st.sampled_from(sorted(COLUMN_SUM_LAWS)),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_interval_column_sums_equal_matrix_sums(law, n, seed, data):
+    """Counting is bit-equal to summing the indicator matrix, ties included.
+
+    Parameters mix free values, the sample's own points and the discrete law's
+    atoms, in any order and with repeats.
+    """
+    xs = COLUMN_SUM_LAWS[law].draw(n, np.random.default_rng(seed))
+    theta = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from(xs.tolist()),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    )
+    params = data.draw(st.lists(theta, max_size=16))
+    assert_column_sums_match_matrix(FunctionClass("intervals"), params, xs)
+
+
+@pytest.mark.parametrize(
+    "params, xs",
+    [
+        ([], [0.3, 0.7]),
+        ([0.5], [0.5]),
+        ([0.75, 0.25, 0.75, 0.0, 1.0, 0.25], [0.25, 0.75, 0.5, 0.25, 0.75]),
+    ],
+)
+def test_interval_column_sums_edge_cases(params, xs):
+    assert_column_sums_match_matrix(FunctionClass("intervals"), params, np.array(xs))
+
+
+def test_column_sums_fall_back_to_matrix_sums():
+    rng = np.random.default_rng(3)
+    holder = FunctionClass("holder", envelope=1.0, mesh_size=6, knot_count=5)
+    assert_column_sums_match_matrix(holder, list(holder.mesh), rng.random(40))
+    rect = FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=9)
+    assert_column_sums_match_matrix(rect, list(rect.mesh), rng.random((40, 2)))
 
 
 # -- rectangles ----------------------------------------------------------------
