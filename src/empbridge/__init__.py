@@ -118,7 +118,6 @@ _EXPORTS = {
         "build_grid",
         "class_from_spec",
         "covering_certificate",
-        "covering_number_dP",
         "dP_distance",
         "dP_matrix",
         "fit_entropy",

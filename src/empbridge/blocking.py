@@ -287,6 +287,7 @@ def run_sequential(
     budget: int = 500_000,
     selector=None,
     tag_offset: int = 0,
+    contexts: dict[float, CouplingContext] | None = None,
 ) -> PathDiscrepancy:
     """Couple each block independently and track the path discrepancy.
 
@@ -294,6 +295,9 @@ def run_sequential(
     the running total and the block's coupled endpoint: a cumulative sum of
     i.i.d. mesh-covariance draws is bridged to zero and the pinned endpoint
     is added back linearly.
+
+    ``contexts`` maps block radii to coupling contexts prepared on the same
+    evaluation mesh (see ``block_radii``); radii it lacks are prepared here.
     """
     total = schedule.total
     if total > budget:
@@ -307,7 +311,7 @@ def run_sequential(
     k_eval = covariance(cls, P, list(eval_mesh))
     l_eval = factorize(k_eval).L
     mesh_means = mean_vector(cls, P, list(eval_mesh))
-    contexts: dict[float, CouplingContext] = {}
+    contexts = dict(contexts or {})
     emp_prefix = np.zeros(len(eval_mesh))
     gauss_prefix = np.zeros(len(eval_mesh))
     per_block = []
@@ -369,6 +373,12 @@ def run_sequential(
         tuple(per_block),
         tuple(block_running),
     )
+
+
+def block_radii(schedule: BlockingSchedule, selector) -> list:
+    """The distinct coupling radii of a schedule's nonempty blocks, in order."""
+    radii = (_block_epsilon(selector, n_k) for n_k in schedule.n if n_k >= 1)
+    return list(dict.fromkeys(radii))
 
 
 def _block_epsilon(regime, n_k: int) -> float:

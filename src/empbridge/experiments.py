@@ -31,7 +31,7 @@ from .bounds import (
     vc_moment_bound,
 )
 from .exponents import rate_vc
-from .blocking import path_envelope, run_sequential, schedule_br, schedule_vc
+from .blocking import block_radii, path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
     OT_EXACT_LIMIT,
     construct_joint,
@@ -119,6 +119,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"ot_batch entries must be <= {OT_EXACT_LIMIT} with method 'exact'"
             )
+        if self.kind == "strong-approx":
+            m = int(self.schedule.get("m", 48))
+            if m < 1:
+                raise ConfigError(f"schedule m must be >= 1, got {m}")
+            if self.method == "exact" and m > OT_EXACT_LIMIT:
+                raise ConfigError(
+                    f"schedule m must be <= {OT_EXACT_LIMIT} with method 'exact', got {m}"
+                )
 
     def batch_for(self, i: int) -> int:
         """Transport batch size for the i-th n_grid entry."""
@@ -343,11 +351,11 @@ def _label_note(config: ExperimentConfig) -> dict:
 
 
 class _StrongWorker:
-    def __init__(self, cls, dist, schedule, selector, m, method, mesh, master, offset):
-        self.args = (cls, dist, schedule, selector, m, method, mesh, master, offset)
+    def __init__(self, cls, dist, schedule, selector, m, method, mesh, master, offset, contexts):
+        self.args = (cls, dist, schedule, selector, m, method, mesh, master, offset, contexts)
 
     def __call__(self, rep):
-        cls, dist, schedule, selector, m, method, mesh, master, offset = self.args
+        cls, dist, schedule, selector, m, method, mesh, master, offset, contexts = self.args
         try:
             path = run_sequential(
                 cls,
@@ -359,6 +367,7 @@ class _StrongWorker:
                 eval_mesh=mesh,
                 selector=selector,
                 tag_offset=offset,
+                contexts=contexts,
             )
             return ("ok", path)
         except Exception as exc:
@@ -387,14 +396,21 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
     budget = int(config.schedule.get("budget", 500_000))
     mesh_size = int(config.schedule.get("eval_mesh_size", 9))
     mesh = _eval_mesh(config.cls, mesh_size)
+    schedules = []
+    for N in n_grid:
+        schedule = build_schedule(config, N)
+        if schedule.total > budget:
+            raise NumericError(f"schedule at N = {N} needs {schedule.total} samples")
+        schedules.append(schedule)
+    # One context per distinct block radius across the whole grid, shared by
+    # every replication, as run_gauss_approx shares one per n.
+    radii = dict.fromkeys(e for s in schedules for e in block_radii(s, config.selection))
+    contexts = {e: prepare_coupling(config.cls, config.dist, e, eval_mesh=mesh) for e in radii}
     rows = []
     failures: list[str] = []
     envelopes = {}
     run_id = 0
-    for i, N in enumerate(n_grid):
-        schedule = build_schedule(config, N)
-        if schedule.total > budget:
-            raise NumericError(f"schedule at N = {N} needs {schedule.total} samples")
+    for i, (N, schedule) in enumerate(zip(n_grid, schedules)):
         envelopes[str(N)] = path_envelope(schedule)
         worker = _StrongWorker(
             config.cls,
@@ -406,6 +422,7 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
             mesh,
             config.seed,
             10_000 * i,
+            contexts,
         )
         outcomes = _run_replicated(config, worker, config.reps)
         for rep, outcome in enumerate(outcomes):

@@ -19,6 +19,10 @@ used for the Gaussian field whenever means differ; both are computed from the
 same moment engine (mean vector and uncentered second-moment matrix) and are
 kept strictly apart.
 
+Holder classes are evaluated by one cell search per sample point, shared by
+every parameter, with np.interp's slopes and order of operations, so the
+matrix is bit-identical to one np.interp call per parameter.
+
 Grids (epsilon-nets), covering numbers, bracketing numbers, and entropy-model
 fits are all defined relative to a declared finite verification mesh of
 parameters, which makes every "covers" predicate decidable. Covering counts on
@@ -184,6 +188,8 @@ class FunctionClass:
             t = np.asarray(params, dtype=float)
             pts = xs if xs.ndim == 2 else xs[:, None]
             return np.all(pts[:, None, :] <= t[None, :, :], axis=2).astype(float)
+        if self.kind == "holder" and xs.ndim == 1 and len(params):
+            return _interp_matrix(self.knots, np.asarray(params, dtype=float), xs)
         cols = [self.evaluate_many(p, xs) for p in params]
         return np.column_stack(cols) if cols else np.zeros((len(xs), 0))
 
@@ -294,6 +300,29 @@ def _validate_member(form, param, dim, envelope):
             raise ConfigError("constant member exceeds the envelope")
 
 
+def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Column j is np.interp(xs, knots, vals[j]), bit for bit; shape (n, g).
+
+    One cell search per sample serves every parameter. Each cell value is
+    slope * (x - knot) + value, computed in np.interp's order of operations
+    with its slope expression, so finite inputs give the same bits. Points
+    on a knot or outside [knots[0], knots[-1]] take the knot value, as in
+    np.interp. The result is C-ordered (n, g), so its column sums add in the
+    same order as those of the column-stacked matrix.
+    """
+    pos = np.searchsorted(knots, xs, side="right") - 1
+    j = np.clip(pos, 0, len(knots) - 2)
+    slopes = (vals[:, 1:] - vals[:, :-1]) / (knots[1:] - knots[:-1])
+    out = np.take(np.ascontiguousarray(slopes.T), j, axis=0)
+    out *= (xs - knots[j])[:, None]
+    table = np.ascontiguousarray(vals.T)
+    out += np.take(table, j, axis=0)
+    fixed = (pos != j) | (xs == knots[j])
+    if fixed.any():
+        out[fixed] = table[np.clip(pos[fixed], 0, len(knots) - 1)]
+    return out
+
+
 def _member_eval(form, param, xs: np.ndarray) -> np.ndarray:
     if form == "interval":
         return (xs <= param).astype(float)
@@ -383,7 +412,7 @@ def second_moment_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndar
         if P.kind == "discrete":
             pts = P._atom_array()[:, 0]
             w = np.asarray(P.weights, float)
-            mat = np.column_stack([np.interp(pts, cls.knots, v) for v in vals])
+            mat = cls.evaluate_matrix(vals, pts)
             return mat.T @ (mat * w[:, None])
         out = np.empty((p, p))
         for i in range(p):
@@ -597,16 +626,6 @@ def covering_certificate(
     return CoverCertificate(len(kept), upper, False)
 
 
-def covering_number_dP(
-    cls: FunctionClass,
-    P: Distribution,
-    epsilon: float,
-    mesh=None,
-    exact_limit: int = 24,
-) -> int:
-    return covering_certificate(cls, P, epsilon, mesh, exact_limit).upper
-
-
 def _exact_cover_size(ball: np.ndarray) -> int:
     """Branch-and-bound minimal set cover over candidate rows of ``ball``."""
     n = ball.shape[0]
@@ -759,7 +778,7 @@ def fit_entropy_counts(epsilons, counts, model: str) -> EntropyReport:
 
 
 def fit_entropy(cls: FunctionClass, P: Distribution, epsilons) -> EntropyReport:
-    counts = [covering_number_dP(cls, P, e) for e in epsilons]
+    counts = [covering_certificate(cls, P, e).upper for e in epsilons]
     return fit_entropy_counts(epsilons, counts, cls.regime.kind)
 
 

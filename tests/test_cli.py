@@ -319,3 +319,16 @@ def test_unknown_method_is_a_config_error(capsys, tmp_path):
 def test_oversized_exact_batch_is_a_config_error(capsys, tmp_path, batch):
     spec = {"kind": "gauss-approx", "n_grid": [64, 128], "ot_batch": batch, "method": "exact"}
     assert_config_error(capsys, tmp_path, "approx", spec, "ot_batch entries must be <= 512")
+
+
+STRONG = {"kind": "strong-approx", "class": {"kind": "intervals", "mesh_size": 201}, "reps": 2}
+
+
+def test_nonpositive_strong_batch_is_a_config_error(capsys, tmp_path):
+    spec = dict(STRONG, schedule={"N_grid": [4], "m": 0})
+    assert_config_error(capsys, tmp_path, "strong", spec, "schedule m must be >= 1")
+
+
+def test_oversized_exact_strong_batch_is_a_config_error(capsys, tmp_path):
+    spec = dict(STRONG, method="exact", schedule={"N_grid": [4], "m": 600})
+    assert_config_error(capsys, tmp_path, "strong", spec, "schedule m must be <= 512")

@@ -285,6 +285,42 @@ def test_strong_approx_table():
     assert set(table.meta["envelope"]) == {"3", "4"}
 
 
+def test_strong_approx_prepares_each_radius_once(monkeypatch):
+    import empbridge.blocking as blocking
+    import empbridge.experiments as exp
+
+    radii = []
+    prepare = exp.prepare_coupling
+
+    def counted(cls, P, epsilon, **kw):
+        radii.append(epsilon)
+        return prepare(cls, P, epsilon, **kw)
+
+    def unexpected(*args, **kw):
+        raise AssertionError("a block radius was not prepared up front")
+
+    monkeypatch.setattr(exp, "prepare_coupling", counted)
+    monkeypatch.setattr(blocking, "prepare_coupling", unexpected)
+    cfg = ExperimentConfig(
+        kind="strong-approx",
+        reps=3,
+        seed=11,
+        schedule={"N_grid": [3, 4], "m": 4, "eval_mesh_size": 5},
+    )
+    table = run_strong_approx(cfg)
+    assert len(table.rows) == 6 and table.meta["failures"] == 0
+    assert len(radii) == len(set(radii)) >= 2
+
+
+def test_strong_schedule_batch_is_checked_at_config_time():
+    with pytest.raises(ConfigError, match="schedule m must be >= 1"):
+        ExperimentConfig(kind="strong-approx", schedule={"m": 0})
+    with pytest.raises(ConfigError, match="schedule m must be <= 512"):
+        ExperimentConfig(kind="strong-approx", schedule={"m": 513})
+    ExperimentConfig(kind="strong-approx", method="greedy", schedule={"m": 600})
+    ExperimentConfig(kind="gauss-approx", schedule={"m": 600})
+
+
 def test_build_schedule_defaults():
     vc = build_schedule(ExperimentConfig(kind="strong-approx"), 4)
     assert vc.regime == "vc" and vc.params["alpha"] == 5.0

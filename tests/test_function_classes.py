@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from empbridge import (
@@ -119,6 +119,41 @@ def test_interval_column_sums_equal_matrix_sums(law, n, seed, data):
 )
 def test_interval_column_sums_edge_cases(params, xs):
     assert_column_sums_match_matrix(FunctionClass("intervals"), params, np.array(xs))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    knot_count=st.integers(2, 12),
+    n=st.integers(1, 300),
+    g=st.integers(0, 9),
+    tie_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(knot_count=2, n=1, g=0, tie_share=1.0, seed=0)
+@example(knot_count=12, n=1, g=1, tie_share=1.0, seed=1)
+def test_holder_matrix_is_bit_equal_to_interp(knot_count, n, g, tie_share, seed):
+    """The cell-search kernel gives np.interp's bits, and so do its column sums.
+
+    Points are uniform on [0, 1] or, with probability ``tie_share``, taken
+    from a small pool that repeats: 0, 1, every knot, two points outside the
+    unit interval and three free values. Knot values include signed zeros.
+    """
+    cls = FunctionClass("holder", knot_count=knot_count)
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, 1.0, -0.25, 1.25], cls.knots, rng.random(3)])
+    xs = np.where(rng.random(n) < tie_share, rng.choice(pool, n), rng.random(n))
+    vals = rng.uniform(-1.0, 1.0, (g, knot_count))
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    params = [tuple(v) for v in vals]
+    want = np.column_stack([np.interp(xs, cls.knots, v) for v in vals]) if g else np.zeros((n, 0))
+    got = cls.evaluate_matrix(params, xs)
+    assert got.shape == (n, g) and got.flags.c_contiguous
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(cls.column_sums(params, xs)), bits(want.sum(axis=0)))
 
 
 def test_column_sums_fall_back_to_matrix_sums():

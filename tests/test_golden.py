@@ -60,6 +60,22 @@ CASES = {
         },
         "gauss-approx.csv",
     ),
+    # Large enough (n up to 4096, a 64-member mesh) that the Hoelder kernel's
+    # cell search and column sums are exercised at benchmark-like sizes.
+    "approx-holder-br": (
+        "approx",
+        {
+            "kind": "gauss-approx",
+            "class": {"kind": "holder"},
+            "distribution": {"kind": "uniform"},
+            "selection": {"type": "br", "b0": 0.1, "r0": 0.75},
+            "n_grid": [1024, 4096],
+            "reps": 2,
+            "ot_batch": 16,
+            "seed": SEED,
+        },
+        "gauss-approx.csv",
+    ),
     "strong-intervals": (
         "strong",
         {
@@ -87,9 +103,11 @@ CASES = {
 }
 
 
-# Recorded on the commit before the column-sum kernel, which kept every byte.
+# Recorded on the commit before the column-sum kernel, which kept every byte;
+# "approx-holder-br" was recorded before the Hoelder cell-search kernel.
 DIGESTS = {
     "approx-holder": "55f3cd0e9c4da6afdb0849ed3032267e470a4bac9b24715bd158a3722f94fb5a",
+    "approx-holder-br": "1c979d3ee344f104e63b7d19690bf414d4d9b82ec98e31afa93526cf8467a9f5",
     "approx-intervals-beta": "5a6e0965f495bf42ed870880f38da6059919ef0cfefd6d0751061d58022707d8",
     "approx-intervals-discrete": "ce6f30340ba112eaf8bc967c655b3583b7573d0b0d1bdd4df73e25d34b448bdc",
     "approx-intervals-uniform": "a57c61270cb0b6300a6bbadff84f5141db408185096a3498093d6b58859094a9",
