@@ -13,7 +13,8 @@ evaluation mesh, and the sup discrepancies on grid and mesh are recorded.
 Only the designated sample is evaluated point by point, since its per-summand
 bound is checked. The auxiliary batches and the mesh need column sums only,
 which ``FunctionClass.column_sums`` computes; for interval indicators it counts
-the sorted sample instead of building the n x g matrix.
+instead of building the n x g matrix: one comparison pass per center on short
+grids, one sort of the sample and a binary search per parameter on long ones.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -123,51 +124,21 @@ class TransportPlan:
 
 
 def ot_couple(source: np.ndarray, target: np.ndarray, method: str = "exact") -> TransportPlan:
-    """Pair batches by squared-Euclidean assignment, exact or greedy."""
+    """Pair batches by the exact minimum squared-Euclidean assignment."""
     source = np.atleast_2d(np.asarray(source, dtype=float))
     target = np.atleast_2d(np.asarray(target, dtype=float))
     if source.shape != target.shape:
         raise ShapeError(f"batch shapes differ: {source.shape} vs {target.shape}")
-    m = source.shape[0]
-    costs = cdist(source, target, metric="sqeuclidean")
-    if method == "exact":
-        if m > OT_EXACT_LIMIT:
-            raise CapacityError(f"exact assignment limited to {OT_EXACT_LIMIT} points, got {m}")
-        _, cols = linear_sum_assignment(costs)
-        assignment = cols.astype(int)
-    elif method == "greedy":
-        assignment = _greedy_assignment(costs)
-    else:
+    if method != "exact":
         raise ConfigError(f"unknown coupling method {method!r}")
+    m = source.shape[0]
+    if m > OT_EXACT_LIMIT:
+        raise CapacityError(f"exact assignment limited to {OT_EXACT_LIMIT} points, got {m}")
+    costs = cdist(source, target, metric="sqeuclidean")
+    _, cols = linear_sum_assignment(costs)
+    assignment = cols.astype(int)
     cost = float(costs[np.arange(m), assignment].mean())
     return TransportPlan(source, target, assignment, cost)
-
-
-def _greedy_assignment(costs: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor matching improved by pair swaps until stable."""
-    m = costs.shape[0]
-    assignment = np.full(m, -1, dtype=int)
-    used = np.zeros(m, dtype=bool)
-    for i in range(m):
-        row = np.where(used, np.inf, costs[i])
-        j = int(np.argmin(row))
-        assignment[i] = j
-        used[j] = True
-    for _ in range(64):
-        improved = False
-        for i in range(m - 1):
-            ai = assignment[i]
-            swap_gain = (
-                costs[i, ai] + costs[np.arange(i + 1, m), assignment[i + 1 :]]
-            ) - (costs[i, assignment[i + 1 :]] + costs[np.arange(i + 1, m), ai])
-            k = int(np.argmax(swap_gain))
-            if swap_gain[k] > 1e-15:
-                j = i + 1 + k
-                assignment[i], assignment[j] = assignment[j], assignment[i]
-                improved = True
-        if not improved:
-            break
-    return assignment
 
 
 def coupling_tail(plan: TransportPlan, delta: float, norm: str = "euclid") -> float:

@@ -41,13 +41,21 @@ from .coupling import (
     select_epsilon_vc,
 )
 from .distributions import Distribution, distribution_from_spec
-from .errors import ConfigError, DegenerateFitError, DomainError, NumericError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DegenerateFitError,
+    DomainError,
+    NumericError,
+    UnsupportedOperationError,
+)
 from .function_classes import (
     EntropyRegime,
     FunctionClass,
     bracketing_number,
     class_from_spec,
     covering_certificate,
+    dP_matrix,
     fit_entropy_counts,
     regime_from_spec,
 )
@@ -113,20 +121,16 @@ class ExperimentConfig:
             raise ConfigError("ot_batch entries must be >= 1")
         if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
             raise ConfigError("per-n ot_batch needs one entry per n_grid value")
-        if self.method not in ("exact", "greedy"):
+        if self.method != "exact":
             raise ConfigError(f"unknown coupling method {self.method!r}")
-        if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
-            raise ConfigError(
-                f"ot_batch entries must be <= {OT_EXACT_LIMIT} with method 'exact'"
-            )
+        if any(int(b) > OT_EXACT_LIMIT for b in batches):
+            raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
         if self.kind == "strong-approx":
             m = int(self.schedule.get("m", 48))
             if m < 1:
                 raise ConfigError(f"schedule m must be >= 1, got {m}")
-            if self.method == "exact" and m > OT_EXACT_LIMIT:
-                raise ConfigError(
-                    f"schedule m must be <= {OT_EXACT_LIMIT} with method 'exact', got {m}"
-                )
+            if m > OT_EXACT_LIMIT:
+                raise ConfigError(f"schedule m must be <= {OT_EXACT_LIMIT}, got {m}")
 
     def batch_for(self, i: int) -> int:
         """Transport batch size for the i-th n_grid entry."""
@@ -522,12 +526,15 @@ def run_entropy(config: ExperimentConfig) -> ResultTable:
     radii = tuple(float(e) for e in config.entropy.get("radii", (0.6, 0.45, 0.3, 0.2, 0.15)))
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("entropy radii must be strictly decreasing")
+    distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))
     rows = []
     for eps in radii:
-        cert = covering_certificate(config.cls, config.dist, eps)
+        cert = covering_certificate(config.cls, config.dist, eps, distances=distances)
         try:
             brack = bracketing_number(config.cls, config.dist, eps)
-        except Exception:
+        except (UnsupportedOperationError, CapacityError):
+            # Rectangles and finite classes have no brackets; a Hoelder
+            # bracketing can exceed its cell budget.
             brack = ""
         rows.append((eps, cert.lower, cert.upper, cert.exact, brack))
     meta: dict = {"kind": config.kind}

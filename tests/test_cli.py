@@ -332,3 +332,9 @@ def test_nonpositive_strong_batch_is_a_config_error(capsys, tmp_path):
 def test_oversized_exact_strong_batch_is_a_config_error(capsys, tmp_path):
     spec = dict(STRONG, method="exact", schedule={"N_grid": [4], "m": 600})
     assert_config_error(capsys, tmp_path, "strong", spec, "schedule m must be <= 512")
+
+
+def test_greedy_method_is_a_config_error(capsys, tmp_path):
+    # The greedy assignment was removed; exact is the only transport method.
+    spec = dict(STRONG, method="greedy", schedule={"N_grid": [4], "m": 600})
+    assert_config_error(capsys, tmp_path, "strong", spec, "unknown coupling method 'greedy'")

@@ -317,7 +317,8 @@ def test_strong_schedule_batch_is_checked_at_config_time():
         ExperimentConfig(kind="strong-approx", schedule={"m": 0})
     with pytest.raises(ConfigError, match="schedule m must be <= 512"):
         ExperimentConfig(kind="strong-approx", schedule={"m": 513})
-    ExperimentConfig(kind="strong-approx", method="greedy", schedule={"m": 600})
+    with pytest.raises(ConfigError, match="unknown coupling method 'greedy'"):
+        ExperimentConfig(kind="strong-approx", method="greedy", schedule={"m": 600})
     ExperimentConfig(kind="gauss-approx", schedule={"m": 600})
 
 
@@ -348,6 +349,24 @@ def test_entropy_table(uniform):
     assert "constants" in table.meta["fit"]
     with pytest.raises(ConfigError):
         run_entropy(ExperimentConfig(kind="entropy", entropy={"radii": [0.3, 0.4]}))
+
+
+def test_entropy_bracketing_absorbs_only_its_own_errors(monkeypatch):
+    import empbridge.experiments as exp
+
+    rect = ExperimentConfig(
+        kind="entropy",
+        cls=FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=16),
+        dist=Distribution("product-uniform", dim=2),
+    )
+    assert set(run_entropy(rect).column("bracketing")) == {""}
+
+    def broken(*args):
+        raise TypeError("bug inside the bracketing code")
+
+    monkeypatch.setattr(exp, "bracketing_number", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        run_entropy(ExperimentConfig(kind="entropy"))
 
 
 def test_couple_document():

@@ -32,7 +32,7 @@ from empbridge import (
     second_moment_matrix,
     uniform_covering_lower_bound,
 )
-from empbridge.function_classes import evaluate
+from empbridge.function_classes import _first_fit_packing, _greedy_cover, evaluate
 
 
 # -- indicators ---------------------------------------------------------------
@@ -89,7 +89,7 @@ def assert_column_sums_match_matrix(cls, params, xs):
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     law=st.sampled_from(sorted(COLUMN_SUM_LAWS)),
-    n=st.integers(1, 80),
+    n=st.one_of(st.integers(1, 80), st.integers(256, 4096)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
@@ -97,7 +97,10 @@ def test_interval_column_sums_equal_matrix_sums(law, n, seed, data):
     """Counting is bit-equal to summing the indicator matrix, ties included.
 
     Parameters mix free values, the sample's own points and the discrete law's
-    atoms, in any order and with repeats.
+    atoms, in any order and with repeats. Samples of 256 to 4096 points with
+    up to 16 parameters fall on both sides of the kernel rule: one comparison
+    pass per parameter up to floor(log2 n) - 7 parameters, the sorted sample
+    beyond.
     """
     xs = COLUMN_SUM_LAWS[law].draw(n, np.random.default_rng(seed))
     theta = st.one_of(
@@ -348,6 +351,84 @@ def test_exact_certificate_matches_brute_force(uniform):
         want = brute_force_min_cover(ball)
         assert cert.exact
         assert cert.lower == cert.upper == want
+
+
+def greedy_cover_reference(ball):
+    """The cover that recomputes every gain at every pick."""
+    uncovered = np.ones(ball.shape[1], dtype=bool)
+    picks = []
+    while uncovered.any():
+        gains = (ball & uncovered[None, :]).sum(axis=1)
+        c = int(np.argmax(gains))
+        if gains[c] == 0:
+            raise DomainError("mesh point not coverable by any candidate center")
+        picks.append(c)
+        uncovered &= ~ball[c]
+    return picks
+
+
+def first_fit_packing_reference(sep):
+    """The packing that tests each point against every point kept so far."""
+    kept = []
+    for i in range(len(sep)):
+        if all(sep[i, j] for j in kept):
+            kept.append(i)
+    return kept
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    density=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+    distinct_rows=st.integers(1, 8),
+    uncoverable=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_incremental_greedy_cover_matches_recompute_loop(
+    n, density, distinct_rows, uncoverable, seed
+):
+    """Same picks, lowest index first on tied gains, and the same error.
+
+    Rows are drawn from a few distinct patterns, so gains tie often. With
+    ``uncoverable`` one column is cleared, which no candidate then covers.
+    """
+    rng = np.random.default_rng(seed)
+    pool = rng.random((distinct_rows, n)) < density
+    ball = pool[rng.integers(0, distinct_rows, n)] | np.eye(n, dtype=bool)
+    if uncoverable:
+        ball[:, rng.integers(n)] = False
+    try:
+        want = greedy_cover_reference(ball)
+    except DomainError:
+        with pytest.raises(DomainError, match="not coverable"):
+            _greedy_cover(ball)
+    else:
+        assert _greedy_cover(ball) == want
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.sampled_from([0.1, 0.5, 0.8, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_fit_packing_matches_pairwise_loop(n, density, seed):
+    """The free-mask packing keeps the loop's points on an asymmetric relation.
+
+    Distances from matmuls need not be bitwise symmetric, so the packing must
+    read sep[k, i] (the later point first), as the loop does.
+    """
+    sep = np.random.default_rng(seed).random((n, n)) < density
+    assert _first_fit_packing(sep) == first_fit_packing_reference(sep)
+
+
+def test_certificate_reuses_given_distances(uniform):
+    cls = holder_class(mesh_size=40)
+    d = dP_matrix(cls, uniform, list(cls.mesh))
+    for eps in (0.3, 0.15):
+        assert covering_certificate(cls, uniform, eps, distances=d) == covering_certificate(
+            cls, uniform, eps
+        )
 
 
 def test_large_mesh_certificate_brackets_truth(uniform):

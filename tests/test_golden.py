@@ -100,11 +100,27 @@ CASES = {
         },
         "couple.json",
     ),
+    # The default ladder on the 1000-point interval mesh: greedy cover and
+    # first-fit packing at every radius, bracketing by the monotone chain.
+    "entropy-intervals": (
+        "entropy",
+        {"kind": "entropy", "seed": SEED},
+        "entropy.csv",
+    ),
+    # 64 Hoelder members: greedy cover and packing on a Gram matrix built by
+    # matmuls, which need not be bitwise symmetric.
+    "entropy-holder": (
+        "entropy",
+        {"kind": "entropy", "class": {"kind": "holder", "R": 2.0}, "seed": SEED},
+        "entropy.csv",
+    ),
 }
 
 
 # Recorded on the commit before the column-sum kernel, which kept every byte;
-# "approx-holder-br" was recorded before the Hoelder cell-search kernel.
+# "approx-holder-br" was recorded before the Hoelder cell-search kernel, and the
+# two "entropy-*" cases before the shared distance matrix, the incremental
+# greedy cover and the per-parameter interval counts.
 DIGESTS = {
     "approx-holder": "55f3cd0e9c4da6afdb0849ed3032267e470a4bac9b24715bd158a3722f94fb5a",
     "approx-holder-br": "1c979d3ee344f104e63b7d19690bf414d4d9b82ec98e31afa93526cf8467a9f5",
@@ -112,6 +128,8 @@ DIGESTS = {
     "approx-intervals-discrete": "ce6f30340ba112eaf8bc967c655b3583b7573d0b0d1bdd4df73e25d34b448bdc",
     "approx-intervals-uniform": "a57c61270cb0b6300a6bbadff84f5141db408185096a3498093d6b58859094a9",
     "couple-intervals": "87f15f9452208d1bb53d6d6685f1dff70c83f40dac4e8b59fa008b205b12c6f8",
+    "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
+    "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
     "strong-intervals": "57b0dd62fac04adb5762d59f1b01eeee7f2649271e5859931a584e72fccd74fa",
 }
 
