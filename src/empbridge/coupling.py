@@ -10,11 +10,14 @@ asserts. The designated realization (batch index 0) keeps its matched
 Gaussian vector, which is then extended by Gaussian conditioning to a wider
 evaluation mesh, and the sup discrepancies on grid and mesh are recorded.
 
-Only the designated sample is evaluated point by point, since its per-summand
-bound is checked. The auxiliary batches and the mesh need column sums only,
-which ``FunctionClass.column_sums`` computes; for interval indicators it counts
-instead of building the n x g matrix: one comparison pass per center on short
-grids, one sort of the sample and a binary search per parameter on long ones.
+Only the designated sample is drawn point by point and evaluated as a matrix,
+since its per-summand bound is checked; its mesh values are column sums
+(``FunctionClass.column_sums``). For interval indicators the grid Y-sum of a
+sample depends only on the multinomial counts of the g+1 cells that the sorted
+centers cut out (the grid reduction of Dudley and Philipp), so the m - 1
+auxiliary Y-sums are drawn as multinomial cell counts and turned into grid sums
+by a cumulative sum, with the same law as from full samples. Other classes
+draw and sum m - 1 full auxiliary samples.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -206,6 +209,34 @@ def select_delta_t(
 
 
 @dataclass(frozen=True, eq=False)
+class IntervalCells:
+    """The g+1 cells that interval grid centers cut out, with their masses.
+
+    Cell 0 is x <= c_(1), cell j is c_(j) < x <= c_(j+1) and cell g is
+    x > c_(g), for the centers sorted as c_(1) <= ... <= c_(g); ``order`` is
+    that sort's permutation of the grid order.
+    """
+
+    order: np.ndarray
+    masses: np.ndarray
+
+    def grid_sums(self, counts: np.ndarray) -> np.ndarray:
+        """Per-center counts sum_i 1{x_i <= c} from cell counts, in grid order."""
+        out = np.empty(counts.shape[:-1] + (len(self.order),))
+        out[..., self.order] = np.cumsum(counts[..., :-1], axis=-1)
+        return out
+
+
+def interval_cells(P: Distribution, centers) -> IntervalCells:
+    """Sort order and P-masses of the cells cut out by interval centers."""
+    thetas = np.asarray(centers, dtype=float)
+    order = np.argsort(thetas, kind="stable")
+    F = np.asarray(P.cdf(thetas[order]), dtype=float)
+    masses = np.clip(np.diff(np.concatenate([[0.0], F, [1.0]])), 0.0, None)
+    return IntervalCells(order, masses)
+
+
+@dataclass(frozen=True, eq=False)
 class CouplingContext:
     """Reusable per-(grid, mesh) state shared across replications."""
 
@@ -217,6 +248,7 @@ class CouplingContext:
     law: ConditionalLaw
     mesh_means: np.ndarray
     grid_means: np.ndarray
+    cells: IntervalCells | None = None  # interval classes only
 
 
 def prepare_coupling(
@@ -243,6 +275,7 @@ def prepare_coupling(
         law,
         mean_vector(cls, P, list(mesh)),
         mean_vector(cls, P, list(grid.centers)),
+        interval_cells(P, grid.centers) if cls.kind == "intervals" else None,
     )
 
 
@@ -292,6 +325,11 @@ def construct_joint(
 ) -> CouplingRealization:
     """Run one full coupling realization.
 
+    The designated sample (batch 0) comes from the ``sample`` phase at index
+    0. The m - 1 auxiliary Y-sums of an interval class are one multinomial
+    draw of cell counts from the ``cells`` phase; any other class draws m - 1
+    full samples from the ``sample`` phase at indices 1..m-1.
+
     ``tag`` namespaces the random streams so several couplings (for example
     blocks of a sequential construction) can share one seed spec.
     ``keep_sample`` retains the designated sample and the extended Gaussian
@@ -304,23 +342,23 @@ def construct_joint(
     grid, model = context.grid, context.model
     centers = list(grid.centers)
     g = grid.size
-    y_batch = np.empty((m, g))
-    designated = None
-    for b in range(m):
-        x = P.draw(n, seed.rng("sample", tag, b))
-        if b == 0:
-            designated = x
-            vals = cls.evaluate_matrix(centers, x)
-            sums = vals.sum(axis=0)
-            norms = np.sqrt(((vals - context.grid_means[None, :]) ** 2).sum(axis=1) / n)
-            limit = cls.envelope * math.sqrt(g / n)
-            if norms.max(initial=0.0) > limit + 1e-12:
-                raise NumericError(
-                    f"summand norm {norms.max():.6g} exceeds the bound {limit:.6g}"
-                )
-        else:
-            sums = cls.column_sums(centers, x)
-        y_batch[b] = (sums - n * context.grid_means) / math.sqrt(n)
+    designated = P.draw(n, seed.rng("sample", tag, 0))
+    vals = cls.evaluate_matrix(centers, designated)
+    norms = np.sqrt(((vals - context.grid_means[None, :]) ** 2).sum(axis=1) / n)
+    limit = cls.envelope * math.sqrt(g / n)
+    if norms.max(initial=0.0) > limit + 1e-12:
+        raise NumericError(
+            f"summand norm {norms.max():.6g} exceeds the bound {limit:.6g}"
+        )
+    sums = np.empty((m, g))
+    sums[0] = vals.sum(axis=0)
+    if context.cells is not None:
+        counts = seed.rng("cells", tag).multinomial(n, context.cells.masses, size=m - 1)
+        sums[1:] = context.cells.grid_sums(counts)
+    else:
+        for b in range(1, m):
+            sums[b] = cls.column_sums(centers, P.draw(n, seed.rng("sample", tag, b)))
+    y_batch = (sums - n * context.grid_means) / math.sqrt(n)
     z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch, method)
     z0 = z_batch[plan.assignment[0]]

@@ -3,8 +3,9 @@
 A single JSON config describes one experiment (kind, class, distribution,
 selection regime, grids, replication count, master seed, constant overrides,
 output). Replications are independent tasks keyed by (master seed,
-replication index); a failed replication is counted, never fatal, unless
-failures exceed one percent. Reduction is by replication index, so results
+replication index); a replication that fails numerically or on a capacity
+budget is counted, never fatal, unless failures exceed one percent, while any
+other exception ends the run. Reduction is by replication index, so results
 are identical for any worker count, and all file output is byte-stable:
 floats are written with shortest round-trip representation and JSON keys are
 sorted.
@@ -77,6 +78,10 @@ ENTROPY_HEADER = ("epsilon", "cover_lower", "cover_upper", "exact", "bracketing"
 
 KINDS = ("gauss-approx", "strong-approx", "bounds-audit", "entropy", "couple")
 
+# The failures one replication may have without ending the run; programming
+# and config errors propagate.
+REPLICATION_ERRORS = (NumericError, CapacityError, np.linalg.LinAlgError)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -125,12 +130,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown coupling method {self.method!r}")
         if any(int(b) > OT_EXACT_LIMIT for b in batches):
             raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
+        if self.eval_mesh_size < 1:
+            raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
         if self.kind == "strong-approx":
             m = int(self.schedule.get("m", 48))
             if m < 1:
                 raise ConfigError(f"schedule m must be >= 1, got {m}")
             if m > OT_EXACT_LIMIT:
                 raise ConfigError(f"schedule m must be <= {OT_EXACT_LIMIT}, got {m}")
+            mesh_size = int(self.schedule.get("eval_mesh_size", 9))
+            if mesh_size < 1:
+                raise ConfigError(f"schedule eval_mesh_size must be >= 1, got {mesh_size}")
 
     def batch_for(self, i: int) -> int:
         """Transport batch size for the i-th n_grid entry."""
@@ -290,7 +300,7 @@ def _couple_one(cls, dist, ctx, n, eps, batch, method, master, rep):
             cls, dist, n, eps, batch, seed, method=method, context=ctx
         )
         return ("ok", real.sup_grid, real.sup_mesh, real.transport_cost)
-    except Exception as exc:  # isolated per replication
+    except REPLICATION_ERRORS as exc:
         return ("error", f"{type(exc).__name__}: {exc}")
 
 
@@ -316,8 +326,9 @@ class _CoupleWorker:
 def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
     """Replicated grid couplings across the n grid.
 
-    One row per (n, replication); failures are isolated and counted, and the
-    run aborts only if more than one percent of replications fail.
+    One row per (n, replication); numeric and capacity failures are isolated
+    and counted, and the run aborts only if more than one percent of
+    replications fail.
     """
     rows = []
     failures: list[str] = []
@@ -374,7 +385,7 @@ class _StrongWorker:
                 contexts=contexts,
             )
             return ("ok", path)
-        except Exception as exc:
+        except REPLICATION_ERRORS as exc:
             return ("error", f"{type(exc).__name__}: {exc}")
 
 

@@ -197,17 +197,13 @@ class FunctionClass:
         """sum_i f_theta(x_i) for each theta in params, shape (len(params),).
 
         Interval indicators are counted instead of summing the n x g matrix
-        (g = len(params)). For g <= floor(log2 n) - 7, one comparison pass
-        per parameter is cheaper than sorting the sample; longer lists share
-        one sort and a binary search per parameter. The rule was fitted to
-        timings of both kernels for g = 1..24 and n = 128..65536. The counts
-        are integers, so both kernels give the matrix column sums bit for bit.
+        (g = len(params)): one sort of the sample and a binary search per
+        parameter. The counts are integers, so they equal the matrix column
+        sums bit for bit.
         """
         if self.kind == "intervals":
             thetas = np.asarray(params, dtype=float)
             xs = np.asarray(xs, dtype=float)
-            if len(thetas) <= len(xs).bit_length() - 8:
-                return np.array([np.count_nonzero(xs <= t) for t in thetas], dtype=float)
             return np.searchsorted(np.sort(xs), thetas, side="right").astype(float)
         return self.evaluate_matrix(params, xs).sum(axis=0)
 

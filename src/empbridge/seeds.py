@@ -31,6 +31,7 @@ PHASES = {
     "fill": 6,
     "mesh": 7,
     "holdout": 8,
+    "cells": 9,
 }
 
 

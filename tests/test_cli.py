@@ -338,3 +338,15 @@ def test_greedy_method_is_a_config_error(capsys, tmp_path):
     # The greedy assignment was removed; exact is the only transport method.
     spec = dict(STRONG, method="greedy", schedule={"N_grid": [4], "m": 600})
     assert_config_error(capsys, tmp_path, "strong", spec, "unknown coupling method 'greedy'")
+
+
+@pytest.mark.parametrize("size", [0, -4])
+def test_nonpositive_eval_mesh_size_is_a_config_error(capsys, tmp_path, size):
+    spec = {"kind": "gauss-approx", "n_grid": [64], "ot_batch": 8, "eval_mesh_size": size}
+    assert_config_error(capsys, tmp_path, "approx", spec, "eval_mesh_size must be >= 1")
+
+
+@pytest.mark.parametrize("size", [0, -4])
+def test_nonpositive_strong_eval_mesh_size_is_a_config_error(capsys, tmp_path, size):
+    spec = dict(STRONG, schedule={"N_grid": [4], "m": 8, "eval_mesh_size": size})
+    assert_config_error(capsys, tmp_path, "strong", spec, "schedule eval_mesh_size must be >= 1")

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empbridge import (
+    Distribution,
+    FunctionClass,
     CapacityError,
     ConfigError,
     DomainError,
@@ -27,6 +31,7 @@ from empbridge import (
     zaitsev_bound,
     zaitsev_grid_tail,
 )
+from empbridge.coupling import interval_cells
 from empbridge.function_classes import build_grid
 
 
@@ -250,3 +255,101 @@ def test_construct_joint_validation(intervals, uniform, seed):
         construct_joint(intervals, uniform, 64, 0.5, 0, seed)
     with pytest.raises(CapacityError):
         construct_joint(intervals, uniform, 8, 0.5, 600, seed)
+
+
+# -- interval cell counts ------------------------------------------------------------
+
+CELL_LAWS = {
+    "uniform": Distribution("uniform"),
+    "beta": Distribution("beta", a=2.0, b=3.0),
+    "discrete": Distribution("discrete", atoms=(0.25, 0.5, 0.75), weights=(0.3, 0.5, 0.2)),
+}
+
+
+def own_cell_counts(centers, xs):
+    """How many points fall in each cell c_(j) < x <= c_(j+1) of the sorted centers."""
+    edges = np.sort(np.asarray(centers, dtype=float))
+    lower = np.concatenate([[-np.inf], edges])
+    upper = np.concatenate([edges, [np.inf]])
+    return ((xs[:, None] > lower) & (xs[:, None] <= upper)).sum(axis=0)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    law=st.sampled_from(sorted(CELL_LAWS)),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cell_counts_give_the_column_sums(law, n, seed, data):
+    """Grid sums from a sample's own cell counts equal its column sums bit for bit.
+
+    Centers mix free values, the sample's own points, the discrete law's atoms
+    and the ends 0 and 1, unsorted and with repeats.
+    """
+    P = CELL_LAWS[law]
+    xs = P.draw(n, np.random.default_rng(seed))
+    center = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from(xs.tolist()),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    )
+    centers = data.draw(st.lists(center, max_size=16))
+    cells = interval_cells(P, centers)
+    counts = own_cell_counts(centers, xs)
+    assert counts.sum() == n
+    assert cells.masses.shape == (len(centers) + 1,) and (cells.masses >= 0).all()
+    assert math.isclose(cells.masses.sum(), 1.0, abs_tol=1e-12)
+    want = bits(FunctionClass("intervals").column_sums(centers, xs))
+    assert np.array_equal(bits(cells.grid_sums(counts)), want)
+    assert np.array_equal(bits(cells.grid_sums(np.stack([counts, counts]))[1]), want)
+
+
+@pytest.mark.parametrize("law", sorted(CELL_LAWS))
+def test_auxiliary_y_sums_have_the_grid_law(monkeypatch, intervals, law):
+    """The m - 1 auxiliary Y-sums are centered with covariance K (Monte Carlo).
+
+    Eight realizations with batch 512 give 4088 auxiliary Y-sums at n = 256.
+    Each coordinate has variance at most 1/4, so the standard error is about
+    0.008 for a mean and 0.006 for a covariance entry; the tolerances are 0.04
+    and 0.03.
+    """
+    import empbridge.coupling as coupling
+
+    batches = []
+    real_ot = coupling.ot_couple
+
+    def spy(source, target, method="exact"):
+        batches.append(source[1:].copy())
+        return real_ot(source, target, method)
+
+    monkeypatch.setattr(coupling, "ot_couple", spy)
+    P, n = CELL_LAWS[law], 256
+    ctx = prepare_coupling(intervals, P, 0.4)
+    for stream in range(8):
+        construct_joint(intervals, P, n, 0.4, 512, SeedSpec(97, stream), context=ctx)
+    y = np.concatenate(batches)
+    assert y.shape == (8 * 511, ctx.grid.size)
+    # The sums behind the Y-sums are counts: rebuilt cell counts are
+    # nonnegative integers and every row sums to n.
+    sums = y * math.sqrt(n) + n * ctx.grid_means
+    assert np.allclose(sums, np.round(sums), atol=1e-8)
+    ordered = np.round(sums[:, ctx.cells.order])
+    zeros, full = np.zeros((len(y), 1)), np.full((len(y), 1), float(n))
+    counts = np.diff(np.hstack([zeros, ordered, full]), axis=1)
+    assert (counts >= 0).all() and (counts.sum(axis=1) == n).all()
+    assert np.abs(y.mean(axis=0)).max() < 0.04
+    assert np.abs(np.cov(y, rowvar=False) - ctx.grid.gram).max() < 0.03
+
+
+def test_designated_sample_keeps_its_stream(intervals, uniform, seed):
+    real = construct_joint(intervals, uniform, 128, 0.45, 16, seed, tag=3, keep_sample=True)
+    x = uniform.draw(128, seed.rng("sample", 3, 0))
+    assert np.array_equal(real.sample.points, x)
+    alpha = empirical_process(real.sample, intervals, uniform, list(real.grid.centers))
+    assert np.allclose(real.y_sum, alpha, atol=1e-12)
+

@@ -236,7 +236,7 @@ def test_gauss_approx_isolates_rare_failures(monkeypatch):
 
     def flaky(cls, dist, n, eps, m, seed, **kw):
         if seed.stream == 37:
-            raise ValueError("planted failure")
+            raise NumericError("planted failure")
         return real(cls, dist, n, eps, m, seed, **kw)
 
     monkeypatch.setattr(exp, "construct_joint", flaky)
@@ -253,11 +253,32 @@ def test_gauss_approx_aborts_on_widespread_failure(monkeypatch):
     import empbridge.experiments as exp
 
     def broken(*args, **kw):
-        raise ValueError("planted failure")
+        raise NumericError("planted failure")
 
     monkeypatch.setattr(exp, "construct_joint", broken)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="8 of 8 replications failed"):
         run_gauss_approx(small_config(n_grid=(64,), reps=8))
+
+
+def planted_bug(*args, **kw):
+    raise TypeError("planted bug")
+
+
+def test_gauss_approx_replications_do_not_absorb_bugs(monkeypatch):
+    import empbridge.experiments as exp
+
+    monkeypatch.setattr(exp, "construct_joint", planted_bug)
+    with pytest.raises(TypeError, match="planted bug"):
+        run_gauss_approx(small_config(n_grid=(64,), reps=8))
+
+
+def test_strong_approx_replications_do_not_absorb_bugs(monkeypatch):
+    import empbridge.experiments as exp
+
+    monkeypatch.setattr(exp, "run_sequential", planted_bug)
+    cfg = ExperimentConfig(kind="strong-approx", reps=2, schedule={"N_grid": [3], "m": 4})
+    with pytest.raises(TypeError, match="planted bug"):
+        run_strong_approx(cfg)
 
 
 def test_strong_approx_table():
@@ -320,6 +341,15 @@ def test_strong_schedule_batch_is_checked_at_config_time():
     with pytest.raises(ConfigError, match="unknown coupling method 'greedy'"):
         ExperimentConfig(kind="strong-approx", method="greedy", schedule={"m": 600})
     ExperimentConfig(kind="gauss-approx", schedule={"m": 600})
+
+
+def test_eval_mesh_sizes_are_checked_at_config_time():
+    with pytest.raises(ConfigError, match="eval_mesh_size must be >= 1, got 0"):
+        ExperimentConfig(eval_mesh_size=0)
+    with pytest.raises(ConfigError, match="schedule eval_mesh_size must be >= 1, got 0"):
+        ExperimentConfig(kind="strong-approx", schedule={"eval_mesh_size": 0})
+    # Only strong runs read the schedule block.
+    ExperimentConfig(kind="gauss-approx", schedule={"eval_mesh_size": 0})
 
 
 def test_build_schedule_defaults():

@@ -97,10 +97,8 @@ def test_interval_column_sums_equal_matrix_sums(law, n, seed, data):
     """Counting is bit-equal to summing the indicator matrix, ties included.
 
     Parameters mix free values, the sample's own points and the discrete law's
-    atoms, in any order and with repeats. Samples of 256 to 4096 points with
-    up to 16 parameters fall on both sides of the kernel rule: one comparison
-    pass per parameter up to floor(log2 n) - 7 parameters, the sorted sample
-    beyond.
+    atoms, in any order and with repeats, on samples of 1 to 80 and of 256 to
+    4096 points.
     """
     xs = COLUMN_SUM_LAWS[law].draw(n, np.random.default_rng(seed))
     theta = st.one_of(

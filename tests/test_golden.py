@@ -117,20 +117,23 @@ CASES = {
 }
 
 
-# Recorded on the commit before the column-sum kernel, which kept every byte;
-# "approx-holder-br" was recorded before the Hoelder cell-search kernel, and the
-# two "entropy-*" cases before the shared distance matrix, the incremental
-# greedy cover and the per-parameter interval counts.
+# "approx-holder" was recorded on the commit before the column-sum kernel,
+# which kept every byte; "approx-holder-br" before the Hoelder cell-search
+# kernel; the two "entropy-*" cases before the shared distance matrix, the
+# incremental greedy cover and the per-parameter interval counts. The five
+# interval coupling cases were re-recorded when interval classes began to draw
+# their auxiliary transport batches as multinomial cell counts from the
+# "cells" seed phase (same law, new streams).
 DIGESTS = {
     "approx-holder": "55f3cd0e9c4da6afdb0849ed3032267e470a4bac9b24715bd158a3722f94fb5a",
     "approx-holder-br": "1c979d3ee344f104e63b7d19690bf414d4d9b82ec98e31afa93526cf8467a9f5",
-    "approx-intervals-beta": "5a6e0965f495bf42ed870880f38da6059919ef0cfefd6d0751061d58022707d8",
-    "approx-intervals-discrete": "ce6f30340ba112eaf8bc967c655b3583b7573d0b0d1bdd4df73e25d34b448bdc",
-    "approx-intervals-uniform": "a57c61270cb0b6300a6bbadff84f5141db408185096a3498093d6b58859094a9",
-    "couple-intervals": "87f15f9452208d1bb53d6d6685f1dff70c83f40dac4e8b59fa008b205b12c6f8",
+    "approx-intervals-beta": "04bb3fce7ab669a538aa731b646a1d1369ab36e9d8a59005cd152b1bb4520288",
+    "approx-intervals-discrete": "1f2358f67539b64dba6454b4080d055e883999a5972fa8d9ef8824e97af2288c",
+    "approx-intervals-uniform": "b4145d0f97d05bc81c37ef197314f0bd2f7b59aef62095a07c76a34c7e269cc0",
+    "couple-intervals": "67693798318462d4163765e281bad7e3da75cd39a32dc4c4f21525c03e478d36",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
-    "strong-intervals": "57b0dd62fac04adb5762d59f1b01eeee7f2649271e5859931a584e72fccd74fa",
+    "strong-intervals": "d1c114a2c34fb549a4430e232c09361f913b7b11a25f44714714f671a537e0b0",
 }
 
 

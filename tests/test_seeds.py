@@ -31,7 +31,7 @@ def test_same_phase_and_index_reproduces_exactly(seed):
 def test_phases_produce_distinct_streams(seed):
     draws = {
         phase: seed.rng(phase, 0).random(8).tobytes()
-        for phase in ("sample", "rademacher", "gauss", "target", "extend", "fill")
+        for phase in ("sample", "rademacher", "gauss", "target", "extend", "fill", "cells")
     }
     assert len(set(draws.values())) == len(draws)
 
