@@ -17,7 +17,9 @@ sample depends only on the multinomial counts of the g+1 cells that the sorted
 centers cut out (the grid reduction of Dudley and Philipp), so the m - 1
 auxiliary Y-sums are drawn as multinomial cell counts and turned into grid sums
 by a cumulative sum, with the same law as from full samples. Other classes
-draw and sum m - 1 full auxiliary samples.
+draw m - 1 full auxiliary samples and reduce each to its column sums without
+evaluating it point by point where the class allows: a one-dimensional Hoelder
+sum needs only the count and offset sum of each knot cell.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the

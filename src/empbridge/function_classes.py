@@ -21,7 +21,8 @@ kept strictly apart.
 
 Holder classes are evaluated by one cell search per sample point, shared by
 every parameter, with np.interp's slopes and order of operations, so the
-matrix is bit-identical to one np.interp call per parameter.
+matrix is bit-identical to one np.interp call per parameter. Their column sums
+skip the matrix: they need only each knot cell's point count and offset sum.
 
 Grids (epsilon-nets), covering numbers, bracketing numbers, and entropy-model
 fits are all defined relative to a declared finite verification mesh of
@@ -196,15 +197,22 @@ class FunctionClass:
     def column_sums(self, params, xs: np.ndarray) -> np.ndarray:
         """sum_i f_theta(x_i) for each theta in params, shape (len(params),).
 
-        Interval indicators are counted instead of summing the n x g matrix
-        (g = len(params)): one sort of the sample and a binary search per
-        parameter. The counts are integers, so they equal the matrix column
-        sums bit for bit.
+        Neither indicator intervals nor one-dimensional Hoelder members build
+        the n x g matrix (g = len(params)). Interval indicators are counted:
+        one sort of the sample and a binary search per parameter; the counts
+        are integers, so they equal the matrix column sums bit for bit. A
+        Hoelder member is linear on each knot cell, so its sum needs only each
+        cell's point count and sum of offsets from the cell's left knot (see
+        ``_interp_column_sums``); that adds in another order than the matrix
+        sum, so the two agree to rounding, not bit for bit. Other classes sum
+        the matrix.
         """
+        xs = np.asarray(xs, dtype=float)
         if self.kind == "intervals":
             thetas = np.asarray(params, dtype=float)
-            xs = np.asarray(xs, dtype=float)
             return np.searchsorted(np.sort(xs), thetas, side="right").astype(float)
+        if self.kind == "holder" and xs.ndim == 1 and len(params):
+            return _interp_column_sums(self.knots, np.asarray(params, dtype=float), xs)
         return self.evaluate_matrix(params, xs).sum(axis=0)
 
     def validate_theta(self, theta):
@@ -301,6 +309,29 @@ def _validate_member(form, param, dim, envelope):
             raise ConfigError("constant member exceeds the envelope")
 
 
+def _knot_cells(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """np.searchsorted(knots, xs, side="right") - 1 for knots = np.linspace(0, 1, K).
+
+    Equally spaced knots give the cell as floor(x k), k = K - 1, with no
+    binary search over the knots. Each knot lies within 2^-52 of i / k and
+    x k is rounded by at most k 2^-53, so the floor can be wrong only when
+    x k falls within k 2^-51 of an integer. Those few points (and points on
+    a knot, outside [0, 1] or NaN) are searched exactly, so the result is
+    exact: -1 left of 0, K - 1 at or right of 1 and for NaN, which sorts
+    last.
+    """
+    k = len(knots) - 1
+    tol = k * 2.0**-48  # 8 times the rounding bound above
+    v = np.fmin(np.maximum(xs * k, -1.0), k)  # np.maximum keeps NaN, np.fmin sends it to k
+    cell = np.floor(v)
+    frac = v - cell
+    near = (frac < tol) | (frac > 1.0 - tol)
+    pos = cell.astype(np.intp)
+    if near.any():
+        pos[near] = np.searchsorted(knots, xs[near], side="right") - 1
+    return pos
+
+
 def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Column j is np.interp(xs, knots, vals[j]), bit for bit; shape (n, g).
 
@@ -311,7 +342,7 @@ def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.nd
     np.interp. The result is C-ordered (n, g), so its column sums add in the
     same order as those of the column-stacked matrix.
     """
-    pos = np.searchsorted(knots, xs, side="right") - 1
+    pos = _knot_cells(knots, xs)
     j = np.clip(pos, 0, len(knots) - 2)
     slopes = (vals[:, 1:] - vals[:, :-1]) / (knots[1:] - knots[:-1])
     out = np.take(np.ascontiguousarray(slopes.T), j, axis=0)
@@ -322,6 +353,26 @@ def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.nd
     if fixed.any():
         out[fixed] = table[np.clip(pos[fixed], 0, len(knots) - 1)]
     return out
+
+
+def _interp_column_sums(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Column sums of ``_interp_matrix(knots, vals, xs)`` without the matrix.
+
+    On knot cell j member v is v[j] + slope_j (x - knots[j]), so its sum over
+    the points of the cell is v[j] C_j + slope_j D_j, with C_j the points'
+    count and D_j the sum of their offsets x - knots[j]. Clipping the points
+    to [knots[0], knots[-1]] first gives the knot value to points outside, as
+    np.interp does: they land on an end knot with offset 0. A point on a knot
+    has offset 0 too, and a point at the last knot counts in the last entry of
+    C, which no cell extends. The sums equal the matrix column sums up to
+    rounding.
+    """
+    x = np.clip(xs, knots[0], knots[-1])
+    pos = _knot_cells(knots, x)
+    counts = np.bincount(pos, minlength=len(knots))
+    offsets = np.bincount(pos, weights=x - knots[pos], minlength=len(knots))
+    slopes = (vals[:, 1:] - vals[:, :-1]) / (knots[1:] - knots[:-1])
+    return vals @ counts + slopes @ offsets[:-1]
 
 
 def _member_eval(form, param, xs: np.ndarray) -> np.ndarray:

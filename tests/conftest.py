@@ -1,10 +1,28 @@
-"""Shared fixtures: a uniform law, a small interval class, and a fixed seed."""
+"""Shared fixtures: a uniform law, a small interval class, a fixed seed, and
+the environment for child interpreters."""
+
+import os
+from pathlib import Path
 
 import pytest
 
+import empbridge
 from empbridge import Distribution, FunctionClass, SeedSpec
 
 MASTER_SEED = 20260815
+
+# The directory that holds the imported empbridge package (``src`` in a
+# checkout). pytest's ``pythonpath`` setting reaches only the pytest process,
+# so child interpreters get it on their PYTHONPATH.
+PACKAGE_ROOT = str(Path(empbridge.__file__).resolve().parent.parent)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """os.environ with the package root first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

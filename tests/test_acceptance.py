@@ -58,12 +58,13 @@ def interval_class(mesh_size=201):
     return FunctionClass("intervals", envelope=1.0, mesh_size=mesh_size)
 
 
-def test_criterion_1_exact_rate_fractions():
+def test_criterion_1_exact_rate_fractions(child_env):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "empbridge.cli", "rates"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     elapsed = time.perf_counter() - start
     expected = [

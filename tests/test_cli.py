@@ -40,12 +40,14 @@ def test_rates_default_prints_all_exponents(capsys):
     ]
 
 
-def test_rates_loads_neither_numpy_nor_scipy():
+def test_rates_loads_neither_numpy_nor_scipy(child_env):
     probe = (
         "import sys, empbridge.cli as c; c.main(['rates']); "
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=child_env
+    )
     assert proc.stdout.strip().split("\n")[-1] == "[]"
 
 

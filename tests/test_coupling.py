@@ -111,6 +111,30 @@ def test_exact_matching_equals_sorted_one_dimensional(seed):
     assert np.array_equal(plan.assignment, monotone)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 64),
+    levels=st.integers(1, 40),
+)
+def test_exact_matching_pairs_sorted_batches_with_ties(data, m, levels):
+    """For g = 1 the exact assignment pairs the sorted source with the sorted
+    target: as a multiset of pairs, whatever the ties.
+
+    Values are multiples of 1/4 from ``levels`` levels, so ties are frequent
+    and every cost is exact in floating point: a crossing pair always costs
+    at least 1/8 more than its uncrossed swap, and the comparison can be
+    exact.
+    """
+    value = st.integers(0, levels - 1).map(lambda k: k / 4.0 - levels / 8.0)
+    src = np.array(data.draw(st.lists(value, min_size=m, max_size=m)))[:, None]
+    tgt = np.array(data.draw(st.lists(value, min_size=m, max_size=m)))[:, None]
+    plan = ot_couple(src, tgt)
+    pairs = sorted(zip(src[:, 0], tgt[plan.assignment, 0]))
+    assert pairs == list(zip(np.sort(src[:, 0]), np.sort(tgt[:, 0])))
+    assert plan.cost == float(((np.sort(src[:, 0]) - np.sort(tgt[:, 0])) ** 2).mean())
+
+
 def test_coupling_tail_counts_exceedances():
     src = np.array([[0.0], [0.0], [0.0], [0.0]])
     tgt = np.array([[0.1], [0.2], [0.3], [0.4]])

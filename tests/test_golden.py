@@ -1,23 +1,57 @@
 """Golden output bytes: small fixed-seed runs must reproduce pinned digests.
 
 Refactors and speed-ups must keep the output bytes of an unchanged config and
-seed. Each case runs one CLI command in-process, writes its table (or JSON
-document) to a temporary directory, and compares the SHA-256 of the file with
-the digest recorded before the change. A change that is meant to alter the
-random streams must add a new seed phase and re-record these digests, saying
-so in CHANGES.md.
+seed. Each case runs one CLI command in a child interpreter with one BLAS
+thread, writes its table (or JSON document) to a temporary directory, and
+compares the SHA-256 of the file, or of the listed CSV columns, with the
+digest recorded before the change. Output bytes depend on the BLAS thread
+count (a multithreaded eigendecomposition can round differently), so every
+case pins it, whatever the suite itself was launched with. A change that is
+meant to alter the random streams must add a new seed phase and re-record
+these digests, saying so in CHANGES.md.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
-from empbridge.cli import EXIT_OK, main
+from empbridge.cli import EXIT_OK
+
+BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 SEED = 20260815
 INTERVALS = {"kind": "intervals", "M": 1.0, "mesh_size": 201}
 APPROX = {"kind": "gauss-approx", "n_grid": [64, 256], "reps": 3, "ot_batch": 16, "seed": SEED}
+APPROX_HOLDER = {
+    "kind": "gauss-approx",
+    "class": {"kind": "holder", "M": 1.0, "s": 1.0, "R": 1.0, "knots": 5, "mesh_size": 24},
+    "distribution": {"kind": "uniform"},
+    "selection": {"type": "br", "b0": 0.2, "r0": 0.5},
+    "n_grid": [64, 256],
+    "reps": 2,
+    "ot_batch": 8,
+    "eval_mesh_size": 24,
+    "seed": SEED,
+}
+# Large enough (n up to 4096, a 64-member mesh) that the Hoelder kernel's
+# cell search and column sums are exercised at benchmark-like sizes.
+APPROX_HOLDER_BR = {
+    "kind": "gauss-approx",
+    "class": {"kind": "holder"},
+    "distribution": {"kind": "uniform"},
+    "selection": {"type": "br", "b0": 0.1, "r0": 0.75},
+    "n_grid": [1024, 4096],
+    "reps": 2,
+    "ot_batch": 16,
+    "seed": SEED,
+}
+# The gauss-approx columns that the order of a column sum's additions leaves
+# alone: sup_grid takes the designated sample's matrix sum, and the auxiliary
+# batch sums only choose the transport assignment.
+GRID_COLUMNS = ("n", "rep", "seed", "epsilon", "delta", "t", "sup_grid")
 
 CASES = {
     "approx-intervals-uniform": (
@@ -45,37 +79,10 @@ CASES = {
         ),
         "gauss-approx.csv",
     ),
-    "approx-holder": (
-        "approx",
-        {
-            "kind": "gauss-approx",
-            "class": {"kind": "holder", "M": 1.0, "s": 1.0, "R": 1.0, "knots": 5, "mesh_size": 24},
-            "distribution": {"kind": "uniform"},
-            "selection": {"type": "br", "b0": 0.2, "r0": 0.5},
-            "n_grid": [64, 256],
-            "reps": 2,
-            "ot_batch": 8,
-            "eval_mesh_size": 24,
-            "seed": SEED,
-        },
-        "gauss-approx.csv",
-    ),
-    # Large enough (n up to 4096, a 64-member mesh) that the Hoelder kernel's
-    # cell search and column sums are exercised at benchmark-like sizes.
-    "approx-holder-br": (
-        "approx",
-        {
-            "kind": "gauss-approx",
-            "class": {"kind": "holder"},
-            "distribution": {"kind": "uniform"},
-            "selection": {"type": "br", "b0": 0.1, "r0": 0.75},
-            "n_grid": [1024, 4096],
-            "reps": 2,
-            "ot_batch": 16,
-            "seed": SEED,
-        },
-        "gauss-approx.csv",
-    ),
+    "approx-holder": ("approx", APPROX_HOLDER, "gauss-approx.csv"),
+    "approx-holder-br": ("approx", APPROX_HOLDER_BR, "gauss-approx.csv"),
+    "approx-holder-sup-grid": ("approx", APPROX_HOLDER, "gauss-approx.csv", GRID_COLUMNS),
+    "approx-holder-br-sup-grid": ("approx", APPROX_HOLDER_BR, "gauss-approx.csv", GRID_COLUMNS),
     "strong-intervals": (
         "strong",
         {
@@ -117,19 +124,26 @@ CASES = {
 }
 
 
-# "approx-holder" was recorded on the commit before the column-sum kernel,
-# which kept every byte; "approx-holder-br" before the Hoelder cell-search
-# kernel; the two "entropy-*" cases before the shared distance matrix, the
-# incremental greedy cover and the per-parameter interval counts. The five
+# The two "entropy-*" cases were recorded before the shared distance matrix,
+# the incremental greedy cover and the per-parameter interval counts. The five
 # interval coupling cases were re-recorded when interval classes began to draw
 # their auxiliary transport batches as multinomial cell counts from the
-# "cells" seed phase (same law, new streams).
+# "cells" seed phase (same law, new streams). "approx-intervals-uniform" and
+# "approx-intervals-beta" were re-recorded again when the cases were pinned to
+# one BLAS thread: one sup_mesh each differs in its last digit between one and
+# two threads. The two "*-sup-grid" digests were recorded before Hoelder
+# column sums moved to per-knot-cell statistics, and still hold after it; the
+# full "approx-holder" and "approx-holder-br" digests were re-recorded then,
+# because sup_mesh and transport_cost add the same values in another order
+# (same draws, no new seed phase; relative changes below 1e-13).
 DIGESTS = {
-    "approx-holder": "55f3cd0e9c4da6afdb0849ed3032267e470a4bac9b24715bd158a3722f94fb5a",
-    "approx-holder-br": "1c979d3ee344f104e63b7d19690bf414d4d9b82ec98e31afa93526cf8467a9f5",
-    "approx-intervals-beta": "04bb3fce7ab669a538aa731b646a1d1369ab36e9d8a59005cd152b1bb4520288",
+    "approx-holder": "29b01768eb0732b3db046065e94f1c4729b628e0c0ca3335b3ea32e08f6ab996",
+    "approx-holder-br": "379e7423fc4ef7d719d9f659892a6132aef583f0e1442b46aaca142f17a60c44",
+    "approx-holder-br-sup-grid": "709902157ba0d29d7f1587b2d66ee2c8852035d5336099fbedc7cf243520305e",
+    "approx-holder-sup-grid": "3cc3e2867695e7d7bdd665ee8323d04f7c529d22f0bfcdaa6a826100195103d5",
+    "approx-intervals-beta": "75575fbc946d88a2fedfd59c467d039b49db2bc9e39c0d6e323580a662361d99",
     "approx-intervals-discrete": "1f2358f67539b64dba6454b4080d055e883999a5972fa8d9ef8824e97af2288c",
-    "approx-intervals-uniform": "b4145d0f97d05bc81c37ef197314f0bd2f7b59aef62095a07c76a34c7e269cc0",
+    "approx-intervals-uniform": "3497b6bf90fba196f499a01b1f45560edef9eb3eafbf898fd3c90688959b4b16",
     "couple-intervals": "67693798318462d4163765e281bad7e3da75cd39a32dc4c4f21525c03e478d36",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
@@ -137,16 +151,28 @@ DIGESTS = {
 }
 
 
-def output_digest(tmp_path, command: str, spec: dict, filename: str) -> str:
+def select_columns(table: bytes, columns) -> bytes:
+    """The named columns of a CSV table, in the given order."""
+    rows = [line.split(",") for line in table.decode().splitlines()]
+    keep = [rows[0].index(c) for c in columns]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows).encode()
+
+
+def output_digest(tmp_path, env, command: str, spec: dict, filename: str, columns=None) -> str:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(spec))
     out = tmp_path / "out"
-    code = main([command, "--config", str(config), "--out", str(out)])
-    assert code == EXIT_OK
-    return hashlib.sha256((out / filename).read_bytes()).hexdigest()
+    proc = subprocess.run(
+        [sys.executable, "-m", "empbridge.cli", command, "--config", str(config), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(env, **BLAS_ONE_THREAD),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    table = (out / filename).read_bytes()
+    return hashlib.sha256(table if columns is None else select_columns(table, columns)).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_match_golden_digest(tmp_path, capsys, name):
-    command, spec, filename = CASES[name]
-    assert output_digest(tmp_path, command, spec, filename) == DIGESTS[name]
+def test_output_bytes_match_golden_digest(tmp_path, child_env, name):
+    assert output_digest(tmp_path, child_env, *CASES[name]) == DIGESTS[name]
