@@ -67,8 +67,6 @@ _EXPORTS = {
         "TransportPlan",
         "ZaitsevParams",
         "construct_joint",
-        "coupling_tail",
-        "make_Y_sum",
         "ot_couple",
         "prepare_coupling",
         "select_delta_t",

@@ -89,26 +89,6 @@ def zaitsev_grid_tail(
     return zaitsev_bound(N_eps, M * math.sqrt(N_eps / n), delta, params, clamp)
 
 
-def make_Y_sum(sample: SamplePath, cls: FunctionClass, P: Distribution, grid: Grid) -> np.ndarray:
-    """Sum of the grid coordinate vectors; equals the empirical process there.
-
-    Verifies the per-summand Euclidean bound |Y_i| <= M sqrt(N/n) before
-    returning.
-    """
-    centers = list(grid.centers)
-    vals = cls.evaluate_matrix(centers, sample.points)
-    means = mean_vector(cls, P, centers)
-    centered = vals - means[None, :]
-    n = sample.n
-    norms = np.sqrt((centered**2).sum(axis=1) / n)
-    limit = cls.envelope * math.sqrt(len(centers) / n)
-    if norms.max(initial=0.0) > limit + 1e-12:
-        raise NumericError(
-            f"summand norm {norms.max():.6g} exceeds the bound {limit:.6g}"
-        )
-    return centered.sum(axis=0) / math.sqrt(n)
-
-
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A bijective pairing of two point batches with its mean squared cost."""
@@ -144,18 +124,6 @@ def ot_couple(source: np.ndarray, target: np.ndarray, method: str = "exact") -> 
     assignment = cols.astype(int)
     cost = float(costs[np.arange(m), assignment].mean())
     return TransportPlan(source, target, assignment, cost)
-
-
-def coupling_tail(plan: TransportPlan, delta: float, norm: str = "euclid") -> float:
-    """Fraction of matched pairs whose difference norm exceeds delta."""
-    diffs = plan.source - plan.target[plan.assignment]
-    if norm == "euclid":
-        norms = np.sqrt((diffs**2).sum(axis=1))
-    elif norm == "sup":
-        norms = np.abs(diffs).max(axis=1)
-    else:
-        raise ConfigError(f"unknown norm {norm!r}")
-    return float((norms > delta).mean())
 
 
 def select_epsilon_vc(n: int, nu0: float) -> float:

@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .function_classes import (
     fit_entropy_counts,
     regime_from_spec,
 )
-from .seeds import SeedSpec, replication_seed
+from .seeds import replication_seed
 
 COUPLE_HEADER = (
     "n",
@@ -81,6 +82,9 @@ KINDS = ("gauss-approx", "strong-approx", "bounds-audit", "entropy", "couple")
 # The failures one replication may have without ending the run; programming
 # and config errors propagate.
 REPLICATION_ERRORS = (NumericError, CapacityError, np.linalg.LinAlgError)
+
+# What a strong-approx run reads from its "schedule" block when a key is absent.
+SCHEDULE_DEFAULTS = {"N_grid": (4, 6, 8), "m": 48, "budget": 500_000, "eval_mesh_size": 9}
 
 
 @dataclass(frozen=True)
@@ -133,12 +137,11 @@ class ExperimentConfig:
         if self.eval_mesh_size < 1:
             raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
         if self.kind == "strong-approx":
-            m = int(self.schedule.get("m", 48))
+            m, mesh_size = self.schedule_value("m"), self.schedule_value("eval_mesh_size")
             if m < 1:
                 raise ConfigError(f"schedule m must be >= 1, got {m}")
             if m > OT_EXACT_LIMIT:
                 raise ConfigError(f"schedule m must be <= {OT_EXACT_LIMIT}, got {m}")
-            mesh_size = int(self.schedule.get("eval_mesh_size", 9))
             if mesh_size < 1:
                 raise ConfigError(f"schedule eval_mesh_size must be >= 1, got {mesh_size}")
 
@@ -146,77 +149,110 @@ class ExperimentConfig:
         """Transport batch size for the i-th n_grid entry."""
         return int(self.ot_batch[i]) if isinstance(self.ot_batch, tuple) else int(self.ot_batch)
 
+    def schedule_value(self, key: str):
+        """A strong-approx schedule setting, or its default."""
+        value = self.schedule.get(key, SCHEDULE_DEFAULTS[key])
+        return tuple(int(v) for v in value) if key == "N_grid" else int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {type(value).__name__}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list_of(convert):
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"must be a list, got {type(value).__name__}")
+        return tuple(convert(v) for v in value)
+
+    return parse
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _batch(value):
+    return _list_of(int)(value) if isinstance(value, (list, tuple)) else int(value)
+
+
+# Config key -> (ExperimentConfig field, converter).
+_FIELDS = {
+    "kind": ("kind", _text),
+    "class": ("cls", class_from_spec),
+    "distribution": ("dist", distribution_from_spec),
+    "selection": ("selection", lambda v: regime_from_spec(v, "selection")),
+    "n_grid": ("n_grid", _list_of(int)),
+    "reps": ("reps", int),
+    "seed": ("seed", int),
+    "constants": ("constants", lambda v: BoundConstants(**v)),
+    "gamma1": ("gamma1", float),
+    "gamma2": ("gamma2", float),
+    "ot_batch": ("ot_batch", _batch),
+    "method": ("method", _text),
+    "eval_mesh_size": ("eval_mesh_size", int),
+    "workers": ("workers", int),
+    "out": ("out", _optional(_text)),
+    "format": ("format", _text),
+    "labels": ("labels", _object),
+    "schedule": ("schedule", _object),
+    "entropy": ("entropy", _object),
+    "audit": ("audit", _object),
+}
+
+# Nested block key -> converter, for the keys the runners read as numbers or
+# lists of numbers; the runners apply the same conversions, so a converted
+# value reads the same. Other nested keys pass through as given.
+_NESTED = {
+    "schedule": {
+        "N_grid": _list_of(int),
+        **dict.fromkeys(("m", "budget", "eval_mesh_size"), int),
+        "beta": _optional(float),
+    },
+    "entropy": {"radii": _list_of(float)},
+    "audit": {
+        "t_grid": _list_of(float),
+        "budget_n_grid": _list_of(int),
+        **dict.fromkeys(("M", "sigma2", "sigma", "beta", "v", "c", "M_sup", "b0", "r0"), float),
+        "n": int,
+        "epsilon": float,
+    },
+}
+
+
+def _convert(name: str, convert, value):
+    try:
+        return convert(value)
+    except ConfigError:  # already says what is wrong
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {name!r}: {exc}") from exc
+
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
     if not isinstance(spec, dict):
         raise ConfigError("config must be a JSON object")
-    known = {
-        "kind",
-        "class",
-        "distribution",
-        "selection",
-        "n_grid",
-        "reps",
-        "seed",
-        "constants",
-        "gamma1",
-        "gamma2",
-        "ot_batch",
-        "method",
-        "eval_mesh_size",
-        "workers",
-        "out",
-        "format",
-        "labels",
-        "schedule",
-        "entropy",
-        "audit",
-    }
-    unknown = set(spec) - known
+    unknown = set(spec) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    kwargs: dict = {}
-    if "kind" in spec:
-        kwargs["kind"] = spec["kind"]
-    if "class" in spec:
-        kwargs["cls"] = class_from_spec(spec["class"])
-    if "distribution" in spec:
-        kwargs["dist"] = distribution_from_spec(spec["distribution"])
-    if "selection" in spec:
-        kwargs["selection"] = regime_from_spec(spec["selection"], "selection")
-    if "constants" in spec:
-        try:
-            kwargs["constants"] = BoundConstants(**spec["constants"])
-        except TypeError as exc:
-            raise ConfigError(f"bad constants block: {exc}") from exc
-    if "n_grid" in spec:
-        kwargs["n_grid"] = tuple(int(n) for n in spec["n_grid"])
-    for name in (
-        "reps",
-        "seed",
-        "eval_mesh_size",
-        "workers",
-    ):
-        if name in spec:
-            kwargs[name] = int(spec[name])
-    if "ot_batch" in spec:
-        batch = spec["ot_batch"]
-        if isinstance(batch, (list, tuple)):
-            kwargs["ot_batch"] = tuple(int(b) for b in batch)
-        else:
-            kwargs["ot_batch"] = int(batch)
-    for name in ("gamma1", "gamma2"):
-        if name in spec:
-            kwargs[name] = float(spec[name])
-    for name in ("method", "out", "format"):
-        if name in spec:
-            kwargs[name] = spec[name]
-    for name in ("labels", "schedule", "entropy", "audit"):
-        if name in spec:
-            block = spec[name]
-            if not isinstance(block, dict):
-                raise ConfigError(f"config field {name!r} must be an object")
-            kwargs[name] = block
+    kwargs = {}
+    for key, value in spec.items():
+        name, convert = _FIELDS[key]
+        kwargs[name] = _convert(key, convert, value)
+    for block, converters in _NESTED.items():
+        if block in kwargs:
+            kwargs[block] = {
+                key: _convert(f"{block}.{key}", converters[key], v) if key in converters else v
+                for key, v in kwargs[block].items()
+            }
     return ExperimentConfig(**kwargs)
 
 
@@ -293,34 +329,56 @@ def _eval_mesh(cls: FunctionClass, size: int) -> tuple:
     return tuple(mesh[i] for i in idx)
 
 
-def _couple_one(cls, dist, ctx, n, eps, batch, method, master, rep):
+def _couple_task(cls, dist, n, eps, batch, master, rep, **kw):
+    real = construct_joint(cls, dist, n, eps, batch, replication_seed(master, rep), **kw)
+    return real.sup_grid, real.sup_mesh, real.transport_cost
+
+
+def _strong_task(cls, dist, schedule, master, rep, **kw):
+    return run_sequential(cls, dist, schedule, replication_seed(master, rep), **kw)
+
+
+def _attempt(job):
+    task, rep = job
     try:
-        seed = replication_seed(master, rep)
-        real = construct_joint(
-            cls, dist, n, eps, batch, seed, method=method, context=ctx
-        )
-        return ("ok", real.sup_grid, real.sup_mesh, real.transport_cost)
+        return True, task(rep)
     except REPLICATION_ERRORS as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
+        return False, f"{type(exc).__name__}: {exc}"
 
 
-def _run_replicated(config: ExperimentConfig, worker, reps: int) -> list:
-    """Run ``worker(rep)`` for each index, optionally in a process pool."""
+def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
+    """Run ``task(rep)`` for every (label, task) pair and replication index.
+
+    All jobs go out in one pass, through one process pool when
+    ``config.workers`` exceeds one, and come back in (task, rep) order for
+    any worker count. A replication that fails with one of
+    ``REPLICATION_ERRORS`` is counted under ``"<label> rep=<rep>"``; the run
+    aborts if more than one percent of all replications fail. Returns the
+    (task index, rep, result) triples of the successes and the table meta.
+    """
+    jobs = [(task, rep) for _, task in tasks for rep in range(config.reps)]
     if config.workers == 1:
-        return [worker(rep) for rep in range(reps)]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        chunk = max(1, reps // (4 * config.workers))
-        return list(pool.map(worker, range(reps), chunksize=chunk))
-
-
-class _CoupleWorker:
-    """Picklable replication task for the coupling experiment."""
-
-    def __init__(self, cls, dist, ctx, n, eps, batch, method, master):
-        self.args = (cls, dist, ctx, n, eps, batch, method, master)
-
-    def __call__(self, rep):
-        return _couple_one(*self.args, rep)
+        outcomes = map(_attempt, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            chunk = max(1, len(jobs) // (4 * config.workers))
+            outcomes = list(pool.map(_attempt, jobs, chunksize=chunk))
+    done, failures = [], []
+    for j, (ok, value) in enumerate(outcomes):
+        i, rep = divmod(j, config.reps)
+        if ok:
+            done.append((i, rep, value))
+        else:
+            failures.append(f"{tasks[i][0]} rep={rep}: {value}")
+    if len(failures) > 0.01 * len(jobs):
+        raise NumericError(
+            f"{len(failures)} of {len(jobs)} replications failed; first: {failures[0]}"
+        )
+    meta = {"failures": len(failures), "failure_messages": failures[:10], "kind": config.kind}
+    if config.labels:
+        meta["labels"] = dict(config.labels)
+        meta["label_note"] = "lambda, gamma, H are target tail labels, not certified levels"
+    return done, meta
 
 
 def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
@@ -330,63 +388,23 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
     and counted, and the run aborts only if more than one percent of
     replications fail.
     """
-    rows = []
-    failures: list[str] = []
     mesh = _eval_mesh(config.cls, config.eval_mesh_size)
+    selected, tasks = [], []
     for i, n in enumerate(config.n_grid):
         eps, delta, t = _select_radius(config, n)
         ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh)
-        worker = _CoupleWorker(
-            config.cls, config.dist, ctx, n, eps, config.batch_for(i), config.method, config.seed
+        selected.append((n, eps, delta, t))
+        task = partial(
+            _couple_task, config.cls, config.dist, n, eps, config.batch_for(i), config.seed,
+            method=config.method, context=ctx,
         )
-        outcomes = _run_replicated(config, worker, config.reps)
-        for rep, outcome in enumerate(outcomes):
-            if outcome[0] == "error":
-                failures.append(f"n={n} rep={rep}: {outcome[1]}")
-                continue
-            _, sup_grid, sup_mesh, cost = outcome
-            rows.append((n, rep, config.seed, eps, delta, t, sup_grid, sup_mesh, cost))
-    total = len(config.n_grid) * config.reps
-    if len(failures) > 0.01 * total:
-        raise NumericError(
-            f"{len(failures)} of {total} replications failed; first: {failures[0]}"
-        )
-    meta = {"failures": len(failures), "failure_messages": failures[:10], "kind": config.kind}
-    meta.update(_label_note(config))
+        tasks.append((f"n={n}", task))
+    done, meta = _replicate(config, tasks)
+    rows = []
+    for i, rep, value in done:
+        n, eps, delta, t = selected[i]
+        rows.append((n, rep, config.seed, eps, delta, t, *value))
     return ResultTable(COUPLE_HEADER, tuple(rows), meta)
-
-
-def _label_note(config: ExperimentConfig) -> dict:
-    if not config.labels:
-        return {}
-    return {
-        "labels": dict(config.labels),
-        "label_note": "lambda, gamma, H are target tail labels, not certified levels",
-    }
-
-
-class _StrongWorker:
-    def __init__(self, cls, dist, schedule, selector, m, method, mesh, master, offset, contexts):
-        self.args = (cls, dist, schedule, selector, m, method, mesh, master, offset, contexts)
-
-    def __call__(self, rep):
-        cls, dist, schedule, selector, m, method, mesh, master, offset, contexts = self.args
-        try:
-            path = run_sequential(
-                cls,
-                dist,
-                schedule,
-                replication_seed(master, rep),
-                m=m,
-                method=method,
-                eval_mesh=mesh,
-                selector=selector,
-                tag_offset=offset,
-                contexts=contexts,
-            )
-            return ("ok", path)
-        except REPLICATION_ERRORS as exc:
-            return ("error", f"{type(exc).__name__}: {exc}")
 
 
 def build_schedule(config: ExperimentConfig, N: int):
@@ -406,11 +424,9 @@ def build_schedule(config: ExperimentConfig, N: int):
 
 def run_strong_approx(config: ExperimentConfig) -> ResultTable:
     """Replicated sequential constructions across a block-count grid."""
-    n_grid = tuple(int(v) for v in config.schedule.get("N_grid", (4, 6, 8)))
-    m = int(config.schedule.get("m", 48))
-    budget = int(config.schedule.get("budget", 500_000))
-    mesh_size = int(config.schedule.get("eval_mesh_size", 9))
-    mesh = _eval_mesh(config.cls, mesh_size)
+    n_grid = config.schedule_value("N_grid")
+    budget = config.schedule_value("budget")
+    mesh = _eval_mesh(config.cls, config.schedule_value("eval_mesh_size"))
     schedules = []
     for N in n_grid:
         schedule = build_schedule(config, N)
@@ -421,55 +437,21 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
     # every replication, as run_gauss_approx shares one per n.
     radii = dict.fromkeys(e for s in schedules for e in block_radii(s, config.selection))
     contexts = {e: prepare_coupling(config.cls, config.dist, e, eval_mesh=mesh) for e in radii}
-    rows = []
-    failures: list[str] = []
-    envelopes = {}
-    run_id = 0
+    tasks = []
     for i, (N, schedule) in enumerate(zip(n_grid, schedules)):
-        envelopes[str(N)] = path_envelope(schedule)
-        worker = _StrongWorker(
-            config.cls,
-            config.dist,
-            schedule,
-            config.selection,
-            m,
-            config.method,
-            mesh,
-            config.seed,
-            10_000 * i,
-            contexts,
+        task = partial(
+            _strong_task, config.cls, config.dist, schedule, config.seed,
+            m=config.schedule_value("m"), method=config.method, eval_mesh=mesh, budget=budget,
+            selector=config.selection, tag_offset=10_000 * i, contexts=contexts,
         )
-        outcomes = _run_replicated(config, worker, config.reps)
-        for rep, outcome in enumerate(outcomes):
-            if outcome[0] == "error":
-                failures.append(f"N={N} rep={rep}: {outcome[1]}")
-                continue
-            path = outcome[1]
-            rows.append(
-                (
-                    run_id,
-                    path.regime,
-                    path.N,
-                    path.t_N,
-                    path.m_star,
-                    path.max_discrepancy,
-                    path.normalized,
-                )
-            )
-            run_id += 1
-    total = len(n_grid) * config.reps
-    if len(failures) > 0.01 * total:
-        raise NumericError(
-            f"{len(failures)} of {total} replications failed; first: {failures[0]}"
-        )
-    meta = {
-        "failures": len(failures),
-        "failure_messages": failures[:10],
-        "kind": config.kind,
-        "envelope": envelopes,
-    }
-    meta.update(_label_note(config))
-    return ResultTable(STRONG_HEADER, tuple(rows), meta)
+        tasks.append((f"N={N}", task))
+    done, meta = _replicate(config, tasks)
+    meta["envelope"] = {str(N): path_envelope(s) for N, s in zip(n_grid, schedules)}
+    rows = tuple(
+        (run_id, path.regime, path.N, path.t_N, path.m_star, path.max_discrepancy, path.normalized)
+        for run_id, (_, _, path) in enumerate(done)
+    )
+    return ResultTable(STRONG_HEADER, rows, meta)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Block schedules, their diagnostics, and the sequential path construction."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empbridge import (
     CapacityError,
@@ -80,6 +83,49 @@ def test_floor_power_is_exact_for_rationals():
         assert _floor_power(k, Fraction(3)) == k**3
     # A case where float powers round the wrong way: 8^(1/3) near 2.
     assert _floor_power(8, Fraction(1, 3)) == 2
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(k=st.integers(1, 30), alpha=st.builds(Fraction, st.integers(1, 9), st.integers(3, 6)))
+def test_floor_power_matches_integer_brute_force(k, alpha):
+    # alpha <= 3 keeps the linear search below 30^3 steps.
+    brute = next(r for r in itertools.count() if (r + 1) ** alpha.denominator > k**alpha.numerator)
+    assert _floor_power(k, alpha) == brute
+
+
+# tau1 alpha around its gate (1/2, 1) and kappa around its window (0, 1/2),
+# endpoints included, so that both valid and rejected schedules are drawn.
+GATE_FRACTIONS = st.builds(Fraction, st.integers(6, 18), st.just(16))
+KAPPAS = st.builds(Fraction, st.integers(-1, 21), st.just(40))
+NU0S = st.sampled_from([1, 2, Fraction(1, 2)])
+BETAS = st.floats(0.0, 1.0)
+
+
+def assert_cumulative_identity(sched):
+    assert sched.cum == tuple(itertools.accumulate(sched.n, initial=0))
+    assert sched.cum[-1] == sum(sched.n) == sched.total
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(f=GATE_FRACTIONS, nu0=NU0S, N=st.integers(0, 10), beta=st.none() | BETAS)
+def test_polynomial_schedule_cumulative_identity(f, nu0, N, beta):
+    tau1, tau2 = rate_vc(nu0)
+    alpha = f / tau1
+    try:
+        sched = schedule_vc(alpha, tau1, tau2, N, beta=beta)
+    except (ScheduleInvalidError, DomainError):
+        return
+    assert_cumulative_identity(sched)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kappa=KAPPAS, N=st.integers(0, 60), beta=BETAS)
+def test_exponential_schedule_cumulative_identity(kappa, N, beta):
+    try:
+        sched = schedule_br(kappa, N, beta=beta)
+    except (ScheduleInvalidError, DomainError):
+        return
+    assert_cumulative_identity(sched)
 
 
 def test_exponential_schedule_guards():

@@ -352,3 +352,23 @@ def test_nonpositive_eval_mesh_size_is_a_config_error(capsys, tmp_path, size):
 def test_nonpositive_strong_eval_mesh_size_is_a_config_error(capsys, tmp_path, size):
     spec = dict(STRONG, schedule={"N_grid": [4], "m": 8, "eval_mesh_size": size})
     assert_config_error(capsys, tmp_path, "strong", spec, "schedule eval_mesh_size must be >= 1")
+
+
+# A value of the wrong type under each key: one "error:" line that names it.
+MISTYPED = {
+    "schedule.N_grid": ("strong", dict(STRONG, schedule={"N_grid": 4})),
+    "schedule.beta": ("strong", dict(STRONG, schedule={"N_grid": [4], "beta": "0.5x"})),
+    "entropy.radii": ("entropy", {"kind": "entropy", "entropy": {"radii": 0.3}}),
+    "audit.t_grid": ("bounds-audit", {"kind": "bounds-audit", "audit": {"t_grid": 1.0}}),
+    "audit.budget_n_grid": ("bounds-audit", {"audit": {"budget_n_grid": 1024}}),
+    "reps": ("approx", {"reps": [1]}),
+    "n_grid": ("approx", {"n_grid": 5}),
+    "ot_batch": ("approx", {"ot_batch": {"a": 1}}),
+    "out": ("approx", {"out": 5}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISTYPED))
+def test_mistyped_value_is_a_config_error_naming_its_key(capsys, tmp_path, key):
+    command, spec = MISTYPED[key]
+    assert_config_error(capsys, tmp_path, command, spec, f"config field {key!r}")

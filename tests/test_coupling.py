@@ -19,10 +19,7 @@ from empbridge import (
     TransportPlan,
     ZaitsevParams,
     construct_joint,
-    coupling_tail,
-    draw_sample,
     empirical_process,
-    make_Y_sum,
     ot_couple,
     prepare_coupling,
     select_delta_t,
@@ -32,7 +29,6 @@ from empbridge import (
     zaitsev_grid_tail,
 )
 from empbridge.coupling import interval_cells
-from empbridge.function_classes import build_grid
 
 
 # -- exponential tail ----------------------------------------------------------
@@ -68,14 +64,6 @@ def test_zaitsev_validation():
 # -- Y sums ---------------------------------------------------------------------
 
 
-def test_y_sum_equals_empirical_process_on_grid(intervals, uniform, seed):
-    grid = build_grid(intervals, uniform, 0.4)
-    sample = draw_sample(uniform, 50, seed)
-    y = make_Y_sum(sample, intervals, uniform, grid)
-    alpha = empirical_process(sample, intervals, uniform, list(grid.centers))
-    assert np.allclose(y, alpha, atol=1e-12)
-
-
 def test_y_sum_rejects_envelope_lie(uniform, seed):
     # Declaring envelope far below the true indicator range breaks the
     # per-summand bound |Y_i| <= M sqrt(N/n).
@@ -87,10 +75,8 @@ def test_y_sum_rejects_envelope_lie(uniform, seed):
         mesh_size=201,
         regime=EntropyRegime("vc", c0=400.0, nu0=2.0),
     )
-    grid = build_grid(lying, uniform, 0.4)
-    sample = draw_sample(uniform, 50, seed)
-    with pytest.raises(NumericError):
-        make_Y_sum(sample, lying, uniform, grid)
+    with pytest.raises(NumericError, match="summand norm"):
+        construct_joint(lying, uniform, 50, 0.4, 8, seed)
 
 
 # -- transport plans ---------------------------------------------------------------
@@ -133,17 +119,6 @@ def test_exact_matching_pairs_sorted_batches_with_ties(data, m, levels):
     pairs = sorted(zip(src[:, 0], tgt[plan.assignment, 0]))
     assert pairs == list(zip(np.sort(src[:, 0]), np.sort(tgt[:, 0])))
     assert plan.cost == float(((np.sort(src[:, 0]) - np.sort(tgt[:, 0])) ** 2).mean())
-
-
-def test_coupling_tail_counts_exceedances():
-    src = np.array([[0.0], [0.0], [0.0], [0.0]])
-    tgt = np.array([[0.1], [0.2], [0.3], [0.4]])
-    plan = ot_couple(src, tgt)
-    assert coupling_tail(plan, 0.25) == 0.5
-    assert coupling_tail(plan, 1.0) == 0.0
-    assert coupling_tail(plan, 0.25, norm="sup") == 0.5
-    with pytest.raises(ConfigError):
-        coupling_tail(plan, 0.25, norm="manhattan")
 
 
 def test_transport_plan_validation():

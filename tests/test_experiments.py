@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empbridge import (
     ConfigError,
@@ -28,7 +30,7 @@ from empbridge import (
     select_delta_t,
     select_epsilon_vc,
 )
-from empbridge.experiments import COUPLE_HEADER, _eval_mesh, build_schedule
+from empbridge.experiments import COUPLE_HEADER, KINDS, _eval_mesh, build_schedule
 
 
 def small_config(**kw):
@@ -97,6 +99,30 @@ def test_config_from_dict_rejects_unknowns():
         config_from_dict({"labels": 7})
     with pytest.raises(ConfigError):
         config_from_dict(["not", "an", "object"])
+
+
+CONFIG_KEYS = (
+    "kind", "class", "distribution", "selection", "n_grid", "reps", "seed", "constants",
+    "gamma1", "gamma2", "ot_batch", "method", "eval_mesh_size", "workers", "out", "format",
+    "labels", "schedule", "entropy", "audit",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(spec=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | st.sampled_from(KINDS)))
+def test_config_from_dict_raises_only_config_errors(spec):
+    """Any JSON value under any known key gives a config or a ConfigError."""
+    try:
+        config = config_from_dict(spec)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 def test_load_config(tmp_path):
@@ -279,6 +305,22 @@ def test_strong_approx_replications_do_not_absorb_bugs(monkeypatch):
     cfg = ExperimentConfig(kind="strong-approx", reps=2, schedule={"N_grid": [3], "m": 4})
     with pytest.raises(TypeError, match="planted bug"):
         run_strong_approx(cfg)
+
+
+def test_strong_approx_passes_the_configured_budget(monkeypatch):
+    import empbridge.experiments as exp
+
+    budgets = []
+    real = exp.run_sequential
+
+    def spy(*args, **kw):
+        budgets.append(kw.get("budget"))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(exp, "run_sequential", spy)
+    schedule = {"N_grid": [3], "m": 4, "budget": 123_456}
+    run_strong_approx(ExperimentConfig(kind="strong-approx", reps=2, schedule=schedule))
+    assert budgets == [123_456, 123_456]
 
 
 def test_strong_approx_table():

@@ -95,6 +95,35 @@ CASES = {
         },
         "strong-approx.csv",
     ),
+    # JSON tables pin the meta block: failure accounting and label note for
+    # approx, the per-N path envelope for strong.
+    "approx-intervals-json-labels": (
+        "approx",
+        dict(
+            APPROX,
+            **{
+                "class": INTERVALS,
+                "distribution": {"kind": "uniform"},
+                "format": "json",
+                "labels": {"lambda": 0.05, "gamma": 0.1, "H": 1.0},
+            },
+        ),
+        "gauss-approx.json",
+    ),
+    "strong-intervals-json": (
+        "strong",
+        {
+            "kind": "strong-approx",
+            "class": INTERVALS,
+            "distribution": {"kind": "uniform"},
+            "reps": 2,
+            "seed": SEED,
+            "format": "json",
+            "schedule": {"N_grid": [3, 4], "m": 8},
+        },
+        "strong-approx.json",
+    ),
+    "bounds-audit-default": ("bounds-audit", {"kind": "bounds-audit"}, "bounds-audit.json"),
     "couple-intervals": (
         "couple",
         {
@@ -135,19 +164,25 @@ CASES = {
 # column sums moved to per-knot-cell statistics, and still hold after it; the
 # full "approx-holder" and "approx-holder-br" digests were re-recorded then,
 # because sup_mesh and transport_cost add the same values in another order
-# (same draws, no new seed phase; relative changes below 1e-13).
+# (same draws, no new seed phase; relative changes below 1e-13). The
+# "approx-intervals-json-labels", "strong-intervals-json" and
+# "bounds-audit-default" digests were recorded before the replication runner
+# and the config parser were rewritten, as the byte guard for that refactor.
 DIGESTS = {
     "approx-holder": "29b01768eb0732b3db046065e94f1c4729b628e0c0ca3335b3ea32e08f6ab996",
     "approx-holder-br": "379e7423fc4ef7d719d9f659892a6132aef583f0e1442b46aaca142f17a60c44",
     "approx-holder-br-sup-grid": "709902157ba0d29d7f1587b2d66ee2c8852035d5336099fbedc7cf243520305e",
     "approx-holder-sup-grid": "3cc3e2867695e7d7bdd665ee8323d04f7c529d22f0bfcdaa6a826100195103d5",
+    "approx-intervals-json-labels": "bdf2ecdb1cf1af43be738dd1d7c909f2a92c39ce4272a091b842b109d6c20767",
     "approx-intervals-beta": "75575fbc946d88a2fedfd59c467d039b49db2bc9e39c0d6e323580a662361d99",
     "approx-intervals-discrete": "1f2358f67539b64dba6454b4080d055e883999a5972fa8d9ef8824e97af2288c",
     "approx-intervals-uniform": "3497b6bf90fba196f499a01b1f45560edef9eb3eafbf898fd3c90688959b4b16",
+    "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "67693798318462d4163765e281bad7e3da75cd39a32dc4c4f21525c03e478d36",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
     "strong-intervals": "d1c114a2c34fb549a4430e232c09361f913b7b11a25f44714714f671a537e0b0",
+    "strong-intervals-json": "7a57e8b0e5fb67f6ab58fe37e7fb2b2bb529b96ca55dcfef4658705f49d69f20",
 }
 
 
