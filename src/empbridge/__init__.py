@@ -39,7 +39,6 @@ _EXPORTS = {
         "error_budget",
         "fitted_constant",
         "gaussian_moment_bound",
-        "regime_grid_bound",
         "talagrand_tail",
         "vc_modulus_bounds",
         "vc_moment_bound",
@@ -75,7 +74,7 @@ _EXPORTS = {
         "zaitsev_bound",
         "zaitsev_grid_tail",
     ),
-    "distributions": ("Distribution", "distribution_from_spec"),
+    "distributions": ("Distribution",),
     "errors": (
         "CapacityError",
         "ConfigError",
@@ -93,7 +92,9 @@ _EXPORTS = {
         "ExperimentConfig",
         "RateFit",
         "ResultTable",
+        "class_from_spec",
         "config_from_dict",
+        "distribution_from_spec",
         "emit",
         "fit_rate",
         "load_config",
@@ -114,7 +115,6 @@ _EXPORTS = {
         "bracketing_number",
         "bracketing_set",
         "build_grid",
-        "class_from_spec",
         "covering_certificate",
         "dP_distance",
         "dP_matrix",
@@ -122,6 +122,7 @@ _EXPORTS = {
         "fit_entropy_counts",
         "mean_vector",
         "net_radius",
+        "regime_grid_bound",
         "second_moment_matrix",
         "uniform_covering_lower_bound",
     ),

@@ -20,7 +20,7 @@ import numpy as np
 from .bridge import dudley_integral, entropy_integral_bound
 from .coupling import ZaitsevParams, zaitsev_grid_tail
 from .errors import ConfigError, DomainError
-from .function_classes import EntropyRegime
+from .function_classes import EntropyRegime, regime_grid_bound
 
 
 @dataclass(frozen=True)
@@ -221,15 +221,6 @@ def gaussian_moment_bound(
         [],
         extras={"integral": value},
     )
-
-
-def regime_grid_bound(regime: EntropyRegime, epsilon: float, M: float) -> float:
-    """Covering-count bound N(epsilon) implied by the declared regime."""
-    if regime.kind == "vc":
-        c1 = regime.c0 * M**regime.nu0
-        return c1 * epsilon ** (-regime.nu0)
-    expo = 2.0 ** (2.0 * regime.r0) * regime.b0**2 / epsilon ** (2.0 * regime.r0)
-    return math.inf if expo > 700 else math.exp(expo)
 
 
 def check_condition_vc_n(n: int, epsilon: float, M: float, nu0: float) -> bool:

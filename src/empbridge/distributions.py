@@ -141,28 +141,3 @@ class Distribution:
             spec["atoms"] = [list(a) if hasattr(a, "__len__") else a for a in self.atoms]
             spec["weights"] = list(self.weights)
         return spec
-
-
-def distribution_from_spec(spec: dict) -> Distribution:
-    """Build a Distribution from a config dictionary."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("distribution spec must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if kind == "discrete":
-        atoms = tuple(
-            tuple(a) if isinstance(a, (list, tuple)) else float(a)
-            for a in spec.get("atoms", ())
-        )
-        dim = spec.get("dim")
-        if dim is None:
-            first = atoms[0] if atoms else 0.0
-            dim = len(first) if isinstance(first, tuple) else 1
-        return Distribution(
-            kind, dim=int(dim), atoms=atoms, weights=tuple(spec.get("weights", ()))
-        )
-    return Distribution(
-        kind,
-        dim=int(spec.get("dim", 1)),
-        a=float(spec.get("a", 1.0)),
-        b=float(spec.get("b", 1.0)),
-    )

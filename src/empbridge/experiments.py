@@ -32,7 +32,7 @@ from .bounds import (
     talagrand_tail,
     vc_moment_bound,
 )
-from .exponents import rate_vc
+from .exponents import _as_fraction, rate_vc
 from .blocking import block_radii, path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
     OT_EXACT_LIMIT,
@@ -42,7 +42,7 @@ from .coupling import (
     select_epsilon_br,
     select_epsilon_vc,
 )
-from .distributions import Distribution, distribution_from_spec
+from .distributions import Distribution
 from .errors import (
     CapacityError,
     ConfigError,
@@ -55,11 +55,9 @@ from .function_classes import (
     EntropyRegime,
     FunctionClass,
     bracketing_number,
-    class_from_spec,
     covering_certificate,
     dP_matrix,
     fit_entropy_counts,
-    regime_from_spec,
 )
 from .seeds import replication_seed
 
@@ -83,76 +81,15 @@ KINDS = ("gauss-approx", "strong-approx", "bounds-audit", "entropy", "couple")
 # and config errors propagate.
 REPLICATION_ERRORS = (NumericError, CapacityError, np.linalg.LinAlgError)
 
-# What a strong-approx run reads from its "schedule" block when a key is absent.
-SCHEDULE_DEFAULTS = {"N_grid": (4, 6, 8), "m": 48, "budget": 500_000, "eval_mesh_size": 9}
+# -- config grammar ------------------------------------------------------------
+#
+# Each config object is described by one table, key -> (converter, default),
+# and read by ``_parse``: a key that its table does not list, or a value that
+# its converter refuses, is a ConfigError naming the dotted key, and an absent
+# key takes its default. Objects with a "kind" (or "type") pick their table by
+# it, through ``_parse_tagged``.
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str = "gauss-approx"
-    cls: FunctionClass = field(default_factory=lambda: FunctionClass("intervals"))
-    dist: Distribution = field(default_factory=lambda: Distribution("uniform"))
-    selection: EntropyRegime = field(default_factory=lambda: EntropyRegime("vc", c0=1.0, nu0=1.0))
-    n_grid: tuple = (256, 1024, 4096)
-    reps: int = 1
-    seed: int = 20260815
-    constants: BoundConstants = field(default_factory=BoundConstants)
-    gamma1: float = 1.0
-    gamma2: float = 1.0
-    ot_batch: int | tuple = 256
-    method: str = "exact"
-    eval_mesh_size: int = 201
-    workers: int = 1
-    out: str | None = None
-    format: str = "csv"
-    labels: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=dict)
-    entropy: dict = field(default_factory=dict)
-    audit: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.reps < 1:
-            raise ConfigError("replication count must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not self.n_grid:
-            raise ConfigError("n grid must be nonempty")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigError("n grid must be strictly increasing")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.format!r}")
-        if self.workers < 1:
-            raise ConfigError("worker count must be >= 1")
-        batches = self.ot_batch if isinstance(self.ot_batch, tuple) else (self.ot_batch,)
-        if any(int(b) < 1 for b in batches):
-            raise ConfigError("ot_batch entries must be >= 1")
-        if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
-            raise ConfigError("per-n ot_batch needs one entry per n_grid value")
-        if self.method != "exact":
-            raise ConfigError(f"unknown coupling method {self.method!r}")
-        if any(int(b) > OT_EXACT_LIMIT for b in batches):
-            raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
-        if self.eval_mesh_size < 1:
-            raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
-        if self.kind == "strong-approx":
-            m, mesh_size = self.schedule_value("m"), self.schedule_value("eval_mesh_size")
-            if m < 1:
-                raise ConfigError(f"schedule m must be >= 1, got {m}")
-            if m > OT_EXACT_LIMIT:
-                raise ConfigError(f"schedule m must be <= {OT_EXACT_LIMIT}, got {m}")
-            if mesh_size < 1:
-                raise ConfigError(f"schedule eval_mesh_size must be >= 1, got {mesh_size}")
-
-    def batch_for(self, i: int) -> int:
-        """Transport batch size for the i-th n_grid entry."""
-        return int(self.ot_batch[i]) if isinstance(self.ot_batch, tuple) else int(self.ot_batch)
-
-    def schedule_value(self, key: str):
-        """A strong-approx schedule setting, or its default."""
-        value = self.schedule.get(key, SCHEDULE_DEFAULTS[key])
-        return tuple(int(v) for v in value) if key == "N_grid" else int(value)
+_UNSET = object()  # default of a key that is left out when absent
 
 
 def _text(value) -> str:
@@ -184,76 +121,246 @@ def _batch(value):
     return _list_of(int)(value) if isinstance(value, (list, tuple)) else int(value)
 
 
-# Config key -> (ExperimentConfig field, converter).
-_FIELDS = {
-    "kind": ("kind", _text),
-    "class": ("cls", class_from_spec),
-    "distribution": ("dist", distribution_from_spec),
-    "selection": ("selection", lambda v: regime_from_spec(v, "selection")),
-    "n_grid": ("n_grid", _list_of(int)),
-    "reps": ("reps", int),
-    "seed": ("seed", int),
-    "constants": ("constants", lambda v: BoundConstants(**v)),
-    "gamma1": ("gamma1", float),
-    "gamma2": ("gamma2", float),
-    "ot_batch": ("ot_batch", _batch),
-    "method": ("method", _text),
-    "eval_mesh_size": ("eval_mesh_size", int),
-    "workers": ("workers", int),
-    "out": ("out", _optional(_text)),
-    "format": ("format", _text),
-    "labels": ("labels", _object),
-    "schedule": ("schedule", _object),
-    "entropy": ("entropy", _object),
-    "audit": ("audit", _object),
-}
+def _number(value):  # an int or a float, unchanged: a report echoes it as given
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {type(value).__name__}")
+    return value
 
-# Nested block key -> converter, for the keys the runners read as numbers or
-# lists of numbers; the runners apply the same conversions, so a converted
-# value reads the same. Other nested keys pass through as given.
-_NESTED = {
-    "schedule": {
-        "N_grid": _list_of(int),
-        **dict.fromkeys(("m", "budget", "eval_mesh_size"), int),
-        "beta": _optional(float),
-    },
-    "entropy": {"radii": _list_of(float)},
-    "audit": {
-        "t_grid": _list_of(float),
-        "budget_n_grid": _list_of(int),
-        **dict.fromkeys(("M", "sigma2", "sigma", "beta", "v", "c", "M_sup", "b0", "r0"), float),
-        "n": int,
-        "epsilon": float,
-    },
-}
+
+def _fraction(value) -> Fraction:
+    try:
+        return _as_fraction(value)
+    except ConfigError as exc:  # raised again as a converter failure, naming the key
+        raise ValueError(str(exc)) from None
 
 
 def _convert(name: str, convert, value):
     try:
         return convert(value)
-    except ConfigError:  # already says what is wrong
+    except ConfigError:  # a nested object's error already names its key
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field {name!r}: {exc}") from exc
 
 
+def _parse(path: str, table: dict, spec) -> dict:
+    """Every key of ``table`` from config object ``spec`` at dotted ``path``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config field {path!r} must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(f"{prefix}{key}" for key in spec if key not in table)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {unknown}")
+    out = {}
+    for key, (convert, default) in table.items():
+        if key in spec:
+            out[key] = _convert(prefix + key, convert, spec[key])
+        elif default is not _UNSET:
+            out[key] = default
+    return out
+
+
+def _parse_tagged(path: str, tables: dict, spec, tag: str = "kind") -> dict:
+    """A config object whose ``tag`` value picks its table from ``tables``."""
+    if not isinstance(spec, dict) or tag not in spec:
+        raise ConfigError(f"config field {path!r} must be an object with a {tag!r}")
+    name = spec[tag]
+    if not isinstance(name, str) or name not in tables:
+        raise ConfigError(f"unknown {path} {tag} {name!r}")
+    return _parse(path, {tag: (_text, _UNSET), **tables[name]}, spec)
+
+
+_REGIMES = {
+    "vc": {"c0": (float, 1.0), "nu0": (float, 1.0)},
+    "br": {"b0": (float, 1.0), "r0": (float, 0.5)},
+}
+
+
+def regime_from_spec(spec: dict, field: str) -> EntropyRegime:
+    """Build an EntropyRegime from the config object {"type": "vc"|"br", ...} at ``field``."""
+    keys = _parse_tagged(field, _REGIMES, spec, tag="type")
+    return EntropyRegime(keys.pop("type"), **keys)
+
+
+# A finite-class member object; "value" is another name for "theta".
+_MEMBER = {"form": (_text, None), "theta": (lambda v: v, None), "value": (lambda v: v, None)}
+
+
+def _member(value) -> tuple:
+    """A finite-class member: [form, theta] or {"form": ..., "theta": ...}."""
+    if isinstance(value, dict):
+        keys = _parse("class.members", _MEMBER, value)
+        return keys["form"], keys["value"] if keys["theta"] is None else keys["theta"]
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(f"a member must be [form, theta], got {value!r}")
+    return tuple(value)
+
+
+_CLASS_COMMON = {
+    "M": (float, 2.0),
+    "regime": (lambda v: regime_from_spec(v, "class.regime"), None),  # None: the kind's default
+}
+_CLASSES = {
+    "intervals": {**_CLASS_COMMON, "mesh_size": (int, 1000)},
+    "rectangles": {**_CLASS_COMMON, "mesh_size": (int, 1000), "dim": (int, 2)},
+    "holder": {**_CLASS_COMMON, "mesh_size": (int, 64), "s": (float, 1.0), "R": (float, 1.0),
+               "knots": (int, 9), "mesh_seed": (int, 20260815)},
+    "finite": {**_CLASS_COMMON, "members": (_list_of(_member), ())},
+}
+# Class config keys named otherwise in FunctionClass.
+_CLASS_FIELDS = {"M": "envelope", "s": "holder_exponent", "R": "holder_radius", "knots": "knot_count"}
+
+
+def class_from_spec(spec: dict) -> FunctionClass:
+    """Build a FunctionClass from a "class" config object."""
+    keys = _parse_tagged("class", _CLASSES, spec)
+    return FunctionClass(**{_CLASS_FIELDS.get(k, k): v for k, v in keys.items()})
+
+
+def _atom(value):
+    return tuple(value) if isinstance(value, (list, tuple)) else float(value)
+
+
+_DISTRIBUTIONS = {
+    "uniform": {"dim": (int, 1)},
+    "product-uniform": {"dim": (int, 1)},
+    "beta": {"dim": (int, 1), "a": (float, 1.0), "b": (float, 1.0)},
+    # dim None: the length of the first atom, 1 for scalar atoms.
+    "discrete": {
+        "dim": (_optional(int), None), "atoms": (_list_of(_atom), ()), "weights": (tuple, ()),
+    },
+}
+
+
+def distribution_from_spec(spec: dict) -> Distribution:
+    """Build a Distribution from a "distribution" config object."""
+    keys = _parse_tagged("distribution", _DISTRIBUTIONS, spec)
+    if keys["dim"] is None:
+        first = keys["atoms"][0] if keys["atoms"] else 0.0
+        keys["dim"] = len(first) if isinstance(first, tuple) else 1
+    return Distribution(**keys)
+
+
+# The blocks that only some kinds read; ExperimentConfig fills them in full.
+_SCHEDULE = {
+    "N_grid": (_list_of(int), (4, 6, 8)),
+    "m": (int, 48),
+    "budget": (int, 500_000),
+    "eval_mesh_size": (int, 9),
+    "alpha": (_fraction, Fraction(5)),
+    "beta": (_optional(float), None),  # None: alpha / (1 + alpha) for vc, 0.7 for br
+    "kappa": (_optional(_fraction), None),  # None: (1 - r0) / (2 r0)
+}
+_ENTROPY = {"radii": (_list_of(float), (0.6, 0.45, 0.3, 0.2, 0.15))}
+_AUDIT = {  # Talagrand-tail inputs first, then vc-moment, br-moment and error-budget ones
+    "n": (int, 1024), "M": (float, 1.0), "sigma2": (float, 0.25),
+    "t_grid": (_list_of(float), (0.5, 1.0, 2.0)), "sym_moment": (_number, 0.5),
+    "sigma": (_optional(float), None),  # None: 1/16 for vc-moment, 0.25 for br-moment
+    "beta": (float, 1.0), "v": (float, 2.0), "c": (float, 2.0), "M_sup": (float, 0.25),
+    "b0": (float, 1.0), "r0": (float, 0.5),
+    "epsilon": (float, 0.25), "budget_n_grid": (_list_of(int), (1024, 4096, 16384)),
+}
+_BLOCKS = {"schedule": _SCHEDULE, "entropy": _ENTROPY, "audit": _AUDIT}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    kind: str = "gauss-approx"
+    cls: FunctionClass = field(default_factory=lambda: FunctionClass("intervals"))
+    dist: Distribution = field(default_factory=lambda: Distribution("uniform"))
+    selection: EntropyRegime = field(default_factory=lambda: EntropyRegime("vc", c0=1.0, nu0=1.0))
+    n_grid: tuple = (256, 1024, 4096)
+    reps: int = 1
+    seed: int = 20260815
+    constants: BoundConstants = field(default_factory=BoundConstants)
+    gamma1: float = 1.0
+    gamma2: float = 1.0
+    ot_batch: int | tuple = 256
+    method: str = "exact"
+    eval_mesh_size: int = 201
+    workers: int = 1
+    out: str | None = None
+    format: str = "csv"
+    labels: dict = field(default_factory=dict)
+    schedule: dict = field(default_factory=dict)
+    entropy: dict = field(default_factory=dict)
+    audit: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for block, table in _BLOCKS.items():
+            object.__setattr__(self, block, _parse(block, table, getattr(self, block)))
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.reps < 1:
+            raise ConfigError("replication count must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not self.n_grid:
+            raise ConfigError("n grid must be nonempty")
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError("n grid must be strictly increasing")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"unknown output format {self.format!r}")
+        if self.workers < 1:
+            raise ConfigError("worker count must be >= 1")
+        batches = self.ot_batch if isinstance(self.ot_batch, tuple) else (self.ot_batch,)
+        if any(int(b) < 1 for b in batches):
+            raise ConfigError("ot_batch entries must be >= 1")
+        if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
+            raise ConfigError("per-n ot_batch needs one entry per n_grid value")
+        if self.method != "exact":
+            raise ConfigError(f"unknown coupling method {self.method!r}")
+        if any(int(b) > OT_EXACT_LIMIT for b in batches):
+            raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
+        if self.eval_mesh_size < 1:
+            raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
+        if self.kind == "strong-approx":
+            m, mesh_size = self.schedule["m"], self.schedule["eval_mesh_size"]
+            if m < 1:
+                raise ConfigError(f"schedule m must be >= 1, got {m}")
+            if m > OT_EXACT_LIMIT:
+                raise ConfigError(f"schedule m must be <= {OT_EXACT_LIMIT}, got {m}")
+            if mesh_size < 1:
+                raise ConfigError(f"schedule eval_mesh_size must be >= 1, got {mesh_size}")
+
+    def batch_for(self, i: int) -> int:
+        """Transport batch size for the i-th n_grid entry."""
+        return int(self.ot_batch[i]) if isinstance(self.ot_batch, tuple) else int(self.ot_batch)
+
+
+# Top-level config key -> (converter, default): an absent key takes its
+# ExperimentConfig field default.
+_FIELDS = {
+    "kind": (_text, _UNSET),
+    "class": (class_from_spec, _UNSET),
+    "distribution": (distribution_from_spec, _UNSET),
+    "selection": (lambda v: regime_from_spec(v, "selection"), _UNSET),
+    "n_grid": (_list_of(int), _UNSET),
+    "reps": (int, _UNSET),
+    "seed": (int, _UNSET),
+    "constants": (lambda v: BoundConstants(**v), _UNSET),
+    "gamma1": (float, _UNSET),
+    "gamma2": (float, _UNSET),
+    "ot_batch": (_batch, _UNSET),
+    "method": (_text, _UNSET),
+    "eval_mesh_size": (int, _UNSET),
+    "workers": (int, _UNSET),
+    "out": (_optional(_text), _UNSET),
+    "format": (_text, _UNSET),
+    "labels": (_object, _UNSET),
+    "schedule": (_object, _UNSET),
+    "entropy": (_object, _UNSET),
+    "audit": (_object, _UNSET),
+}
+# Config keys named otherwise in ExperimentConfig.
+_CONFIG_FIELDS = {"class": "cls", "distribution": "dist"}
+
+
 def config_from_dict(spec: dict) -> ExperimentConfig:
     if not isinstance(spec, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(spec) - set(_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in spec.items():
-        name, convert = _FIELDS[key]
-        kwargs[name] = _convert(key, convert, value)
-    for block, converters in _NESTED.items():
-        if block in kwargs:
-            kwargs[block] = {
-                key: _convert(f"{block}.{key}", converters[key], v) if key in converters else v
-                for key, v in kwargs[block].items()
-            }
-    return ExperimentConfig(**kwargs)
+    keys = _parse("", _FIELDS, spec)
+    return ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -408,25 +515,21 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
 
 
 def build_schedule(config: ExperimentConfig, N: int):
-    sched_spec = config.schedule
-    sel = config.selection
-    beta = sched_spec.get("beta")
+    spec, sel = config.schedule, config.selection
     if sel.kind == "vc":
-        alpha = sched_spec.get("alpha", 5)
         tau1, tau2 = rate_vc(Fraction(str(sel.nu0)) if not float(sel.nu0).is_integer() else int(sel.nu0))
-        return schedule_vc(alpha, tau1, tau2, N, beta=beta)
-    kappa = sched_spec.get("kappa")
+        return schedule_vc(spec["alpha"], tau1, tau2, N, beta=spec["beta"])
+    kappa = spec["kappa"]
     if kappa is None:
         r0 = Fraction(str(sel.r0))
         kappa = (1 - r0) / (2 * r0)
-    return schedule_br(kappa, N, beta=0.7 if beta is None else beta)
+    return schedule_br(kappa, N, beta=0.7 if spec["beta"] is None else spec["beta"])
 
 
 def run_strong_approx(config: ExperimentConfig) -> ResultTable:
     """Replicated sequential constructions across a block-count grid."""
-    n_grid = config.schedule_value("N_grid")
-    budget = config.schedule_value("budget")
-    mesh = _eval_mesh(config.cls, config.schedule_value("eval_mesh_size"))
+    n_grid, budget = config.schedule["N_grid"], config.schedule["budget"]
+    mesh = _eval_mesh(config.cls, config.schedule["eval_mesh_size"])
     schedules = []
     for N in n_grid:
         schedule = build_schedule(config, N)
@@ -441,7 +544,7 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
     for i, (N, schedule) in enumerate(zip(n_grid, schedules)):
         task = partial(
             _strong_task, config.cls, config.dist, schedule, config.seed,
-            m=config.schedule_value("m"), method=config.method, eval_mesh=mesh, budget=budget,
+            m=config.schedule["m"], method=config.method, eval_mesh=mesh, budget=budget,
             selector=config.selection, tag_offset=10_000 * i, contexts=contexts,
         )
         tasks.append((f"N={N}", task))
@@ -516,7 +619,7 @@ def fit_rate(
 
 def run_entropy(config: ExperimentConfig) -> ResultTable:
     """Covering, packing, and bracketing counts across a radius ladder."""
-    radii = tuple(float(e) for e in config.entropy.get("radii", (0.6, 0.45, 0.3, 0.2, 0.15)))
+    radii = config.entropy["radii"]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("entropy radii must be strictly decreasing")
     distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))
@@ -573,43 +676,19 @@ def run_bounds_audit(config: ExperimentConfig) -> list:
     field in the audit block moves the battery to the caller's inputs, and
     reports then carry honest preconditions_ok flags.
     """
-    a = config.audit
-    consts = config.constants
-    n = int(a.get("n", 1024))
-    M = float(a.get("M", 1.0))
-    sigma2 = float(a.get("sigma2", 0.25))
-    t_grid = [float(t) for t in a.get("t_grid", (0.5, 1.0, 2.0))]
-    reports = []
-    for t in t_grid:
-        reports.append(talagrand_tail(t, n, sigma2, M, a.get("sym_moment", 0.5), consts))
-    reports.append(
-        vc_moment_bound(
-            n,
-            float(a.get("sigma", 1.0 / 16.0)),
-            float(a.get("beta", 1.0)),
-            float(a.get("v", 2.0)),
-            float(a.get("c", 2.0)),
-            float(a.get("M_sup", 0.25)),
-            consts,
-        )
-    )
-    reports.append(
-        br_moment_bound(
-            float(a.get("sigma", 0.25)),
-            float(a.get("b0", 1.0)),
-            float(a.get("r0", 0.5)),
-            n,
-            M,
-            consts,
-        )
-    )
-    eps = float(a.get("epsilon", 0.25))
+    a, consts = config.audit, config.constants
+    n, M, sigma2, t_grid = a["n"], a["M"], a["sigma2"], a["t_grid"]
+    reports = [talagrand_tail(t, n, sigma2, M, a["sym_moment"], consts) for t in t_grid]
+    vc_sigma, br_sigma = (1.0 / 16.0, 0.25) if a["sigma"] is None else (a["sigma"], a["sigma"])
+    reports.append(vc_moment_bound(n, vc_sigma, a["beta"], a["v"], a["c"], a["M_sup"], consts))
+    reports.append(br_moment_bound(br_sigma, a["b0"], a["r0"], n, M, consts))
+    eps = a["epsilon"]
     sel = config.selection
     delta, t_sel = select_delta_t(
         eps, sel.kind, config.gamma1, config.gamma2, r0=sel.r0 if sel.kind == "br" else None
     )
-    for n_val in a.get("budget_n_grid", (1024, 4096, 16384)):
-        reports.append(error_budget(eps, delta, t_sel, int(n_val), M, sel, consts))
+    for n_val in a["budget_n_grid"]:
+        reports.append(error_budget(eps, delta, t_sel, n_val, M, sel, consts))
     for t in t_grid:
         reports.append(combined_tail_empirical(t, n, consts.B, sigma2, M, consts))
         reports.append(combined_tail_gaussian(t, n, consts.B, sigma2, consts))

@@ -165,20 +165,6 @@ class FunctionClass:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_many(self, theta, xs: np.ndarray) -> np.ndarray:
-        """Vectorized f_theta over an array of sample points."""
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == "intervals":
-            return (xs <= float(theta)).astype(float)
-        if self.kind == "rectangles":
-            t = np.asarray(theta, dtype=float)
-            pts = xs if xs.ndim == 2 else xs[:, None]
-            return np.all(pts <= t[None, :], axis=1).astype(float)
-        if self.kind == "holder":
-            return np.interp(xs, self.knots, np.asarray(theta, dtype=float))
-        form, param = theta
-        return _member_eval(form, param, xs)
-
     def evaluate_matrix(self, params, xs: np.ndarray) -> np.ndarray:
         """Matrix f_theta(x_i), shape (n, len(params))."""
         xs = np.asarray(xs, dtype=float)
@@ -191,7 +177,7 @@ class FunctionClass:
             return np.all(pts[:, None, :] <= t[None, :, :], axis=2).astype(float)
         if self.kind == "holder" and xs.ndim == 1 and len(params):
             return _interp_matrix(self.knots, np.asarray(params, dtype=float), xs)
-        cols = [self.evaluate_many(p, xs) for p in params]
+        cols = [_member_eval(form, param, xs) for form, param in params]
         return np.column_stack(cols) if cols else np.zeros((len(xs), 0))
 
     def column_sums(self, params, xs: np.ndarray) -> np.ndarray:
@@ -244,11 +230,7 @@ class FunctionClass:
 
     def grid_bound(self, epsilon: float) -> float:
         """Declared covering-number bound evaluated at epsilon/2."""
-        r = self.regime
-        if r.kind == "vc":
-            return r.c0 * self.envelope**r.nu0 * epsilon ** (-r.nu0)
-        expo = 2.0 ** (2.0 * r.r0) * r.b0**2 / epsilon ** (2.0 * r.r0)
-        return math.inf if expo > 700 else math.exp(expo)
+        return regime_grid_bound(self.regime, epsilon, self.envelope)
 
     def to_spec(self) -> dict:
         spec = {"kind": self.kind, "M": self.envelope, "mesh_size": self.mesh_size}
@@ -267,12 +249,22 @@ class FunctionClass:
                 knots=self.knot_count,
                 mesh_seed=self.mesh_seed,
             )
-        if self.kind == "finite":
+        if self.kind == "finite":  # its mesh is the member list, not mesh_size
+            del spec["mesh_size"]
             spec["members"] = [
                 {"form": f, "theta": list(p) if isinstance(p, tuple) else p}
                 for f, p in self.members
             ]
         return spec
+
+
+def regime_grid_bound(regime: EntropyRegime, epsilon: float, M: float) -> float:
+    """Covering-count bound N(epsilon) implied by the declared regime."""
+    if regime.kind == "vc":
+        c1 = regime.c0 * M**regime.nu0
+        return c1 * epsilon ** (-regime.nu0)
+    expo = 2.0 ** (2.0 * regime.r0) * regime.b0**2 / epsilon ** (2.0 * regime.r0)
+    return math.inf if expo > 700 else math.exp(expo)
 
 
 def _default_regime(kind: str) -> EntropyRegime:
@@ -284,10 +276,7 @@ def _default_regime(kind: str) -> EntropyRegime:
 
 
 def _canonical_member(member) -> tuple:
-    if isinstance(member, dict):
-        form, param = member.get("form"), member.get("theta", member.get("value"))
-    else:
-        form, param = member
+    form, param = member
     if form not in FINITE_FORMS:
         raise ConfigError(f"unknown finite-member form {form!r}")
     if isinstance(param, (list, tuple, np.ndarray)):
@@ -396,7 +385,7 @@ def evaluate(cls: FunctionClass, theta, x) -> float:
         xs = xs[None, :]
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise DomainError(f"sample point {x} outside [0,1]^d")
-    return float(cls.evaluate_many(theta, xs)[0])
+    return float(cls.evaluate_matrix([theta], xs)[0, 0])
 
 
 def mean_vector(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
@@ -882,42 +871,3 @@ def uniform_covering_lower_bound(
         d = np.sqrt((diff**2).mean(axis=0))
         worst = max(worst, len(_greedy_cover(d < radius)))
     return worst
-
-
-def regime_from_spec(spec: dict, field: str) -> EntropyRegime:
-    """Build an EntropyRegime from a config object {"type": "vc"|"br", ...}."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"config field {field!r} must be an object")
-    if spec.get("type") == "vc":
-        return EntropyRegime("vc", c0=float(spec.get("c0", 1.0)), nu0=float(spec.get("nu0", 1.0)))
-    if spec.get("type") == "br":
-        return EntropyRegime("br", b0=float(spec.get("b0", 1.0)), r0=float(spec.get("r0", 0.5)))
-    raise ConfigError(f"unknown {field} type {spec.get('type')!r}")
-
-
-def class_from_spec(spec: dict) -> FunctionClass:
-    """Build a FunctionClass from a config dictionary."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("class spec must be a dict with a 'kind'")
-    kind = spec["kind"]
-    regime = regime_from_spec(spec["regime"], "regime") if "regime" in spec else None
-    kwargs = dict(
-        kind=kind,
-        envelope=float(spec.get("M", 2.0)),
-        regime=regime,
-        mesh_size=int(spec.get("mesh_size", 1000)),
-    )
-    if kind == "rectangles":
-        kwargs["dim"] = int(spec.get("dim", 2))
-    if kind == "holder":
-        kwargs.update(
-            holder_exponent=float(spec.get("s", 1.0)),
-            holder_radius=float(spec.get("R", 1.0)),
-            knot_count=int(spec.get("knots", 9)),
-            mesh_seed=int(spec.get("mesh_seed", 20260815)),
-            mesh_size=int(spec.get("mesh_size", 64)),
-        )
-    if kind == "finite":
-        kwargs["members"] = tuple(spec.get("members", ()))
-        kwargs["mesh_size"] = len(kwargs["members"]) or 1
-    return FunctionClass(**kwargs)

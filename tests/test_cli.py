@@ -298,7 +298,7 @@ def test_empty_n_grid_is_a_config_error(capsys, tmp_path, command):
     "field, extra",
     [
         ("selection", {"selection": "vc"}),
-        ("regime", {"class": {"kind": "intervals", "regime": "vc"}}),
+        ("class.regime", {"class": {"kind": "intervals", "regime": "vc"}}),
     ],
 )
 def test_non_object_regime_is_a_config_error(capsys, tmp_path, field, extra):
@@ -372,3 +372,97 @@ MISTYPED = {
 def test_mistyped_value_is_a_config_error_naming_its_key(capsys, tmp_path, key):
     command, spec = MISTYPED[key]
     assert_config_error(capsys, tmp_path, command, spec, f"config field {key!r}")
+
+
+# A misspelt key, or a mistyped audit.sym_moment, in each config object and
+# kind: exit 2 with one "error:" line that names the dotted key. Each spec
+# runs if the probe key is taken out.
+COUPLE = {"kind": "couple", "n_grid": [64], "ot_batch": 8, "eval_mesh_size": 9}
+FINITE = {"kind": "finite", "members": [["interval", 0.25], ["interval", 0.75]]}
+CLASS_PROBES = {
+    "intervals": ({"kind": "intervals", "mesh_size": 51}, {}),
+    "rectangles": (
+        {"kind": "rectangles", "mesh_size": 25},
+        {"distribution": {"kind": "product-uniform", "dim": 2}},
+    ),
+    "holder": ({"kind": "holder", "mesh_size": 16}, {"selection": {"type": "br", "b0": 0.1}}),
+    "finite": (FINITE, {}),
+}
+PROBES = [
+    *(
+        pytest.param(
+            "distribution.alpha",
+            "couple",
+            dict(COUPLE, distribution={"kind": kind, "alpha": 2}),
+            id=f"distribution.alpha-{kind}",
+        )
+        for kind in ("uniform", "product-uniform", "beta")
+    ),
+    pytest.param(
+        "distribution.wieghts",
+        "couple",
+        dict(
+            COUPLE,
+            distribution={
+                "kind": "discrete", "atoms": [0.25, 0.75], "weights": [0.5, 0.5], "wieghts": [1, 0]
+            },
+        ),
+        id="distribution.wieghts-discrete",
+    ),
+    *(
+        pytest.param(
+            "class.knot",
+            "couple",
+            dict(COUPLE, **{"class": dict(cls, knot=5)}, **extra),
+            id=f"class.knot-{kind}",
+        )
+        for kind, (cls, extra) in CLASS_PROBES.items()
+    ),
+    *(
+        pytest.param(
+            "selection.nu",
+            "couple",
+            dict(COUPLE, selection={"type": kind, "nu": 2}),
+            id=f"selection.nu-{kind}",
+        )
+        for kind in ("vc", "br")
+    ),
+    *(
+        pytest.param(
+            "class.regime.b",
+            "couple",
+            dict(COUPLE, **{"class": {"kind": "intervals", "regime": {"type": kind, "b": 1}}}),
+            id=f"class.regime.b-{kind}",
+        )
+        for kind in ("vc", "br")
+    ),
+    pytest.param(
+        "schedule.Ngrid",
+        "strong",
+        dict(STRONG, schedule={"Ngrid": [3], "m": 4}),
+        id="schedule.Ngrid",
+    ),
+    pytest.param(
+        "audit.tgrid",
+        "bounds-audit",
+        {"kind": "bounds-audit", "audit": {"tgrid": [1.0]}},
+        id="audit.tgrid",
+    ),
+    pytest.param(
+        "entropy.radius",
+        "entropy",
+        {"kind": "entropy", "entropy": {"radius": [0.3]}},
+        id="entropy.radius",
+    ),
+    pytest.param(
+        "audit.sym_moment",
+        "bounds-audit",
+        {"kind": "bounds-audit", "audit": {"sym_moment": [1]}},
+        id="audit.sym_moment",
+    ),
+]
+
+
+@pytest.mark.parametrize("key, command, spec", PROBES)
+def test_nested_key_probe_is_a_config_error_naming_its_key(capsys, tmp_path, key, command, spec):
+    assert_config_error(capsys, tmp_path, command, spec, repr(key))

@@ -96,11 +96,11 @@ def test_spec_round_trip():
         Distribution("product-uniform", dim=2),
         Distribution("beta", a=2.0, b=3.0),
         Distribution("discrete", atoms=(0.25, 0.75), weights=(0.5, 0.5)),
+        Distribution("discrete", dim=2, atoms=((0.25, 0.5), (0.75, 1.0)), weights=(0.5, 0.5)),
     ):
         Q = distribution_from_spec(P.to_spec())
+        assert Q == P
         assert Q.label == P.label
-        assert Q.kind == P.kind
-        assert Q.dim == P.dim
 
 
 def test_labels_are_informative():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,16 @@ from empbridge import (
     select_delta_t,
     select_epsilon_vc,
 )
-from empbridge.experiments import COUPLE_HEADER, KINDS, _eval_mesh, build_schedule
+from empbridge.experiments import (
+    _BLOCKS,
+    _CLASSES,
+    _DISTRIBUTIONS,
+    _REGIMES,
+    COUPLE_HEADER,
+    KINDS,
+    _eval_mesh,
+    build_schedule,
+)
 
 
 def small_config(**kw):
@@ -114,15 +125,70 @@ JSON_VALUES = st.recursive(
 )
 
 
+
+
+def tagged_objects(tag, tables, values):
+    """Config objects with a known ``tag`` value and any subset of its keys."""
+    return st.sampled_from(sorted(tables)).flatmap(
+        lambda name: st.fixed_dictionaries(
+            {tag: st.just(name)}, optional=dict.fromkeys(tables[name], values)
+        )
+    )
+
+
+REGIME_OBJECTS = tagged_objects("type", _REGIMES, JSON_VALUES)
+NESTED_OBJECTS = {
+    "class": tagged_objects("kind", _CLASSES, JSON_VALUES | REGIME_OBJECTS),
+    "distribution": tagged_objects("kind", _DISTRIBUTIONS, JSON_VALUES),
+    "selection": REGIME_OBJECTS,
+    **{
+        block: st.fixed_dictionaries({}, optional=dict.fromkeys(table, JSON_VALUES))
+        for block, table in _BLOCKS.items()
+    },
+}
+TOP_VALUES = {
+    key: JSON_VALUES | st.sampled_from(KINDS) | NESTED_OBJECTS.get(key, st.nothing())
+    for key in CONFIG_KEYS
+}
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(spec=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | st.sampled_from(KINDS)))
+@given(spec=st.fixed_dictionaries({}, optional=TOP_VALUES))
 def test_config_from_dict_raises_only_config_errors(spec):
-    """Any JSON value under any known key gives a config or a ConfigError."""
+    """Any JSON value under any known key, nested keys included, gives a
+    config or a ConfigError."""
     try:
         config = config_from_dict(spec)
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+def test_blocks_are_filled_with_their_defaults():
+    for kind in KINDS:
+        assert ExperimentConfig(kind=kind) == config_from_dict({"kind": kind})
+    cfg = ExperimentConfig(kind="strong-approx", schedule={"m": 4.0})
+    assert cfg.schedule["m"] == 4 and cfg.schedule["N_grid"] == (4, 6, 8)
+    assert cfg.audit["sigma"] is None and cfg.entropy["radii"][0] == 0.6
+
+
+def test_sym_moment_is_kept_as_given():
+    for value in (1, 0.75):
+        cfg = config_from_dict({"kind": "bounds-audit", "audit": {"sym_moment": value}})
+        assert type(cfg.audit["sym_moment"]) is type(value)
+        report = run_bounds_audit(cfg)[0]
+        assert type(report["inputs"]["sym_moment"]) is type(value)
+    for value in ([1], "1", True, None):
+        with pytest.raises(ConfigError, match="'audit.sym_moment'"):
+            config_from_dict({"audit": {"sym_moment": value}})
+
+
+def test_readme_config_block_is_the_defaults():
+    """The README's commented config block parses to ExperimentConfig()."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    spec = json.loads(re.sub(r"//.*", "", block))
+    assert config_from_dict(spec) == ExperimentConfig()
 
 
 def test_load_config(tmp_path):

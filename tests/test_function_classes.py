@@ -71,6 +71,20 @@ def test_out_of_domain_rejected(intervals):
         evaluate(intervals, 0.5, 1.3)
 
 
+def test_evaluate_every_kind_matches_its_definition():
+    rect = FunctionClass("rectangles", dim=2, mesh_size=25)
+    assert evaluate(rect, (0.5, 0.5), (0.25, 0.5)) == 1.0
+    assert evaluate(rect, (0.5, 0.5), (0.25, 0.75)) == 0.0
+    hol = holder_class()
+    for theta in hol.mesh[1:4]:
+        for x in (0.0, 0.13, 0.2, 0.5, 0.77, 1.0):
+            assert evaluate(hol, theta, x) == np.interp(x, hol.knots, theta)
+    members = (("interval", 0.5), ("constant", 0.25), ("rectangle", (0.5,)))
+    fin = FunctionClass("finite", members=members)
+    assert [evaluate(fin, m, 0.3) for m in members] == [1.0, 0.25, 1.0]
+    assert [evaluate(fin, m, 0.7) for m in members] == [0.0, 0.25, 0.0]
+
+
 # -- column sums ---------------------------------------------------------------
 
 COLUMN_SUM_LAWS = {
@@ -608,11 +622,12 @@ def test_class_spec_round_trip(intervals):
         intervals,
         FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=25),
         holder_class(),
+        holder_class(regime=EntropyRegime("br", b0=0.5, r0=0.25), holder_exponent=0.5),
         FunctionClass("finite", members=(("constant", 0.5), ("interval", 0.25))),
+        FunctionClass("finite", members=(("rectangle", (0.5,)), ("interval", 0.75))),
     ):
         again = class_from_spec(cls.to_spec())
-        assert again.kind == cls.kind
-        assert again.envelope == cls.envelope
+        assert again == cls
         assert again.mesh == cls.mesh
 
 
