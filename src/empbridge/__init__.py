@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "bridge": (
         "BridgeModel",
-        "BridgeRealization",
         "ConditionalLaw",
         "build_bridge",
         "conditional_law",
@@ -56,7 +55,6 @@ _EXPORTS = {
         "extend_from_law",
         "factorize",
         "mu_estimate",
-        "sample_bridge",
         "sample_bridge_batch",
     ),
     "coupling": (
@@ -116,7 +114,6 @@ _EXPORTS = {
         "bracketing_set",
         "build_grid",
         "covering_certificate",
-        "dP_distance",
         "dP_matrix",
         "fit_entropy",
         "fit_entropy_counts",
@@ -132,10 +129,8 @@ _EXPORTS = {
         "PairSet",
         "SamplePath",
         "build_pairset",
-        "draw_sample",
         "empirical_process",
         "mu_n_estimate",
-        "sup_discrepancy",
     ),
     "seeds": ("SeedSpec", "replication_seed"),
 }

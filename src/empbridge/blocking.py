@@ -294,7 +294,9 @@ def run_sequential(
     Within a block of size n, the Gaussian partial sums interpolate between
     the running total and the block's coupled endpoint: a cumulative sum of
     i.i.d. mesh-covariance draws is bridged to zero and the pinned endpoint
-    is added back linearly.
+    is added back linearly. The fill works in place on the block's evaluation
+    matrix and Gaussian steps, with one buffer sized to the largest block, and
+    gives the same bits as computing each partial-sum matrix afresh.
 
     ``contexts`` maps block radii to coupling contexts prepared on the same
     evaluation mesh (see ``block_radii``); radii it lacks are prepared here.
@@ -308,12 +310,14 @@ def run_sequential(
         eval_mesh = tuple(mesh[step // 2 :: step][:9])
     else:
         eval_mesh = tuple(eval_mesh)
+    g = len(eval_mesh)
     k_eval = covariance(cls, P, list(eval_mesh))
     l_eval = factorize(k_eval).L
     mesh_means = mean_vector(cls, P, list(eval_mesh))
     contexts = dict(contexts or {})
-    emp_prefix = np.zeros(len(eval_mesh))
-    gauss_prefix = np.zeros(len(eval_mesh))
+    emp_prefix = np.zeros(g)
+    gauss_prefix = np.zeros(g)
+    frac_buffer = np.empty((max(schedule.n), g))
     per_block = []
     block_running = []
     best = 0.0
@@ -345,21 +349,31 @@ def run_sequential(
         per_block.append(real.sup_grid)
         root = math.sqrt(n_k)
         gauss_total = root * real.mesh_gauss
-        vals = cls.evaluate_matrix(list(eval_mesh), real.sample.points)
-        emp_partials = np.cumsum(vals - mesh_means[None, :], axis=0)
-        steps = seed.rng("fill", tag_offset + k).standard_normal((n_k, len(eval_mesh))) @ l_eval.T
-        walk = np.cumsum(steps, axis=0)
+        # gaps = |(emp_prefix + emp) - (gauss_prefix + gauss)|, with
+        # emp = cumsum(vals - means) and gauss = walk - frac walk[-1] +
+        # frac gauss_total, computed in that order in the block's own arrays.
+        emp = cls.evaluate_matrix(list(eval_mesh), real.sample.points)
+        emp -= mesh_means
+        np.cumsum(emp, axis=0, out=emp)
+        gauss = seed.rng("fill", tag_offset + k).standard_normal((n_k, g)) @ l_eval.T
+        np.cumsum(gauss, axis=0, out=gauss)
         frac = (np.arange(1, n_k + 1) / n_k)[:, None]
-        gauss_partials = walk - frac * walk[-1] + frac * gauss_total[None, :]
-        gaps = np.abs(
-            (emp_prefix[None, :] + emp_partials)
-            - (gauss_prefix[None, :] + gauss_partials)
-        ).max(axis=1)
-        k_best = int(np.argmax(gaps))
-        if gaps[k_best] > best:
-            best = float(gaps[k_best])
-            m_star = done + k_best + 1
-        emp_prefix = emp_prefix + emp_partials[-1]
+        buffer = frac_buffer[:n_k]
+        np.multiply(frac, gauss[-1], out=buffer)
+        gauss -= buffer
+        np.multiply(frac, gauss_total, out=buffer)
+        gauss += buffer
+        emp += emp_prefix
+        emp_prefix = emp[-1].copy()
+        gauss += gauss_prefix
+        emp -= gauss
+        np.abs(emp, out=emp)
+        # The first maximal entry lies in the first row that reaches the
+        # block maximum, which is the row max(axis=1) then argmax would pick.
+        flat = int(np.argmax(emp))
+        if emp.flat[flat] > best:
+            best = float(emp.flat[flat])
+            m_star = done + flat // g + 1
         gauss_prefix = gauss_prefix + gauss_total
         done += n_k
         block_running.append(best)

@@ -93,17 +93,6 @@ def build_bridge(cls: FunctionClass, P: Distribution, params) -> BridgeModel:
     return factorize(covariance(cls, P, params), params)
 
 
-@dataclass(frozen=True, eq=False)
-class BridgeRealization:
-    values: np.ndarray
-    seed: SeedSpec
-
-
-def sample_bridge(model: BridgeModel, seed: SeedSpec, rep: int = 0) -> BridgeRealization:
-    g = seed.rng("gauss", rep).standard_normal(model.size)
-    return BridgeRealization(model.L @ g, seed)
-
-
 def sample_bridge_batch(model: BridgeModel, seed: SeedSpec, reps: int) -> np.ndarray:
     """Matrix of realizations, shape (reps, size), from one stream."""
     g = seed.rng("gauss").standard_normal((model.size, reps))

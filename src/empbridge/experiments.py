@@ -356,11 +356,26 @@ _FIELDS = {
 _CONFIG_FIELDS = {"class": "cls", "distribution": "dist"}
 
 
+# The schedule key that only one selection type reads; build_schedule ignores
+# it under the other.
+_SCHEDULE_SELECTION = {"alpha": "vc", "kappa": "br"}
+
+
 def config_from_dict(spec: dict) -> ExperimentConfig:
     if not isinstance(spec, dict):
         raise ConfigError("config must be a JSON object")
     keys = _parse("", _FIELDS, spec)
-    return ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
+    config = ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
+    # Checked on the given keys, not in __post_init__, whose schedule already
+    # holds every default; an explicit null is the default and reads nothing.
+    selection = config.selection.kind
+    for key, reader in _SCHEDULE_SELECTION.items():
+        if reader != selection and spec.get("schedule", {}).get(key) is not None:
+            raise ConfigError(
+                f"config field 'schedule.{key}' is read only under a {reader} selection, "
+                f"not {selection}"
+            )
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -454,22 +469,29 @@ def _attempt(job):
 
 
 def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
-    """Run ``task(rep)`` for every (label, task) pair and replication index.
+    """Run ``task(rep)`` for every (label, size, task) triple and replication index.
 
     All jobs go out in one pass, through one process pool when
     ``config.workers`` exceeds one, and come back in (task, rep) order for
-    any worker count. A replication that fails with one of
-    ``REPLICATION_ERRORS`` is counted under ``"<label> rep=<rep>"``; the run
-    aborts if more than one percent of all replications fail. Returns the
-    (task index, rep, result) triples of the successes and the table meta.
+    any worker count. The pool receives them heaviest first, by the task's
+    sample count ``size`` (stable among equal sizes), so that the largest
+    jobs do not all land in the last chunks; the order of dispatch changes no
+    result. A replication that fails with one of ``REPLICATION_ERRORS`` is
+    counted under ``"<label> rep=<rep>"``; the run aborts if more than one
+    percent of all replications fail. Returns the (task index, rep, result)
+    triples of the successes and the table meta.
     """
-    jobs = [(task, rep) for _, task in tasks for rep in range(config.reps)]
+    jobs = [(task, rep) for _, _, task in tasks for rep in range(config.reps)]
     if config.workers == 1:
         outcomes = map(_attempt, jobs)
     else:
+        order = sorted(range(len(jobs)), key=lambda j: -tasks[j // config.reps][1])
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunk = max(1, len(jobs) // (4 * config.workers))
-            outcomes = list(pool.map(_attempt, jobs, chunksize=chunk))
+            outcomes = [None] * len(jobs)
+            heaviest_first = pool.map(_attempt, [jobs[j] for j in order], chunksize=chunk)
+            for j, outcome in zip(order, heaviest_first):
+                outcomes[j] = outcome
     done, failures = [], []
     for j, (ok, value) in enumerate(outcomes):
         i, rep = divmod(j, config.reps)
@@ -505,7 +527,7 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
             _couple_task, config.cls, config.dist, n, eps, config.batch_for(i), config.seed,
             method=config.method, context=ctx,
         )
-        tasks.append((f"n={n}", task))
+        tasks.append((f"n={n}", n, task))
     done, meta = _replicate(config, tasks)
     rows = []
     for i, rep, value in done:
@@ -547,7 +569,7 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
             m=config.schedule["m"], method=config.method, eval_mesh=mesh, budget=budget,
             selector=config.selection, tag_offset=10_000 * i, contexts=contexts,
         )
-        tasks.append((f"N={N}", task))
+        tasks.append((f"N={N}", schedule.total, task))
     done, meta = _replicate(config, tasks)
     meta["envelope"] = {str(N): path_envelope(s) for N, s in zip(n_grid, schedules)}
     rows = tuple(

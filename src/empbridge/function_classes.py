@@ -522,12 +522,6 @@ def dP_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
-def dP_distance(cls: FunctionClass, P: Distribution, theta1, theta2) -> float:
-    t1 = cls.validate_theta(theta1)
-    t2 = cls.validate_theta(theta2)
-    return float(dP_matrix(cls, P, [t1, t2])[0, 1])
-
-
 # -- grids ---------------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .function_classes import FunctionClass, dP_matrix, mean_vector
 from .seeds import SeedSpec
 
@@ -44,13 +44,6 @@ class MomentEstimate:
     exhaustive: bool = False
 
 
-def draw_sample(P: Distribution, n: int, seed: SeedSpec, rep: int = 0) -> SamplePath:
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = seed.rng("sample", rep)
-    return SamplePath(n, P.draw(n, rng), seed)
-
-
 def empirical_process(
     sample: SamplePath, cls: FunctionClass, P: Distribution, params
 ) -> np.ndarray:
@@ -61,16 +54,6 @@ def empirical_process(
     sums = cls.column_sums(params, sample.points)
     means = mean_vector(cls, P, params)
     return (sums - sample.n * means) / math.sqrt(sample.n)
-
-
-def sup_discrepancy(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"vectors have shapes {a.shape} and {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a - b).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,13 +4,17 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empbridge import (
     CapacityError,
+    Distribution,
     DomainError,
+    EntropyRegime,
+    FunctionClass,
     ScheduleInvalidError,
     SeedSpec,
     br_divergence_ratio,
@@ -24,7 +28,10 @@ from empbridge import (
     schedule_br,
     schedule_vc,
 )
-from empbridge.blocking import _floor_power
+from empbridge.blocking import _block_epsilon, _floor_power
+from empbridge.bridge import covariance, factorize
+from empbridge.coupling import construct_joint, prepare_coupling
+from empbridge.function_classes import mean_vector
 
 TAU1, TAU2 = rate_vc(1)
 
@@ -250,3 +257,103 @@ def test_sequential_budget_guard(intervals, uniform):
     sched = schedule_vc(5, TAU1, TAU2, 8)
     with pytest.raises(CapacityError):
         run_sequential(intervals, uniform, sched, SeedSpec(1, 0), budget=100)
+
+
+def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
+    """run_sequential's per-block loop as it was before the fill went in place.
+
+    Kept verbatim as the reference that the in-place fill must match bit for
+    bit.
+    """
+    k_eval = covariance(cls, P, list(eval_mesh))
+    l_eval = factorize(k_eval).L
+    mesh_means = mean_vector(cls, P, list(eval_mesh))
+    contexts = {}
+    emp_prefix = np.zeros(len(eval_mesh))
+    gauss_prefix = np.zeros(len(eval_mesh))
+    per_block = []
+    block_running = []
+    best = 0.0
+    m_star = 0
+    done = 0
+    tag_offset = 0
+    for k in range(schedule.N + 1):
+        n_k = schedule.n[k]
+        if n_k < 1:
+            continue
+        eps = _block_epsilon(selector, n_k)
+        ctx = contexts.get(eps)
+        if ctx is None:
+            ctx = prepare_coupling(cls, P, eps, eval_mesh=eval_mesh)
+            contexts[eps] = ctx
+        real = construct_joint(
+            cls,
+            P,
+            n_k,
+            eps,
+            m,
+            seed,
+            method="exact",
+            context=ctx,
+            tag=tag_offset + k,
+            keep_sample=True,
+        )
+        per_block.append(real.sup_grid)
+        root = math.sqrt(n_k)
+        gauss_total = root * real.mesh_gauss
+        vals = cls.evaluate_matrix(list(eval_mesh), real.sample.points)
+        emp_partials = np.cumsum(vals - mesh_means[None, :], axis=0)
+        steps = seed.rng("fill", tag_offset + k).standard_normal((n_k, len(eval_mesh))) @ l_eval.T
+        walk = np.cumsum(steps, axis=0)
+        frac = (np.arange(1, n_k + 1) / n_k)[:, None]
+        gauss_partials = walk - frac * walk[-1] + frac * gauss_total[None, :]
+        gaps = np.abs(
+            (emp_prefix[None, :] + emp_partials)
+            - (gauss_prefix[None, :] + gauss_partials)
+        ).max(axis=1)
+        k_best = int(np.argmax(gaps))
+        if gaps[k_best] > best:
+            best = float(gaps[k_best])
+            m_star = done + k_best + 1
+        emp_prefix = emp_prefix + emp_partials[-1]
+        gauss_prefix = gauss_prefix + gauss_total
+        done += n_k
+        block_running.append(best)
+    return best, m_star, tuple(per_block), tuple(block_running)
+
+
+FILL_LAWS = {
+    "uniform": Distribution("uniform"),
+    "beta": Distribution("beta", a=2.0, b=3.0),
+    "discrete": Distribution("discrete", atoms=(0.1, 0.35, 0.6, 0.9), weights=(0.2, 0.3, 0.4, 0.1)),
+}
+FILL_CLASSES = {
+    "intervals": FunctionClass("intervals", envelope=1.0, mesh_size=101),
+    "holder": FunctionClass("holder", mesh_size=16),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(FILL_CLASSES)),
+    law=st.sampled_from(sorted(FILL_LAWS)),
+    regime=st.sampled_from(["vc", "br"]),
+    N=st.integers(2, 4),
+    mesh_size=st.integers(1, 12),
+    master=st.integers(0, 2**32 - 1),
+)
+def test_in_place_fill_matches_the_reference_loop(kind, law, regime, N, mesh_size, master):
+    cls, P = FILL_CLASSES[kind], FILL_LAWS[law]
+    if regime == "vc":
+        sched, selector = schedule_vc(5, TAU1, TAU2, N), EntropyRegime("vc", c0=1.0, nu0=1.0)
+    else:
+        sched, selector = schedule_br(Fraction(1, 6), N + 2), EntropyRegime("br", b0=0.2, r0=0.75)
+    mesh = list(cls.mesh)
+    eval_mesh = tuple(mesh[i] for i in np.linspace(0, len(mesh) - 1, mesh_size).astype(int))
+    seed = SeedSpec(master, 0)
+    got = run_sequential(cls, P, sched, seed, m=4, eval_mesh=eval_mesh, selector=selector)
+    best, m_star, per_block, block_running = _reference_fill(
+        cls, P, sched, seed, 4, eval_mesh, selector
+    )
+    assert got.max_discrepancy == best and got.m_star == m_star
+    assert got.per_block == per_block and got.block_running == block_running

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from empbridge import (
     DivergentIntegralError,
@@ -21,7 +23,6 @@ from empbridge import (
     extend_from_law,
     factorize,
     mu_estimate,
-    sample_bridge,
     sample_bridge_batch,
 )
 
@@ -65,20 +66,68 @@ def test_factorize_rejections():
         factorize(np.eye(2), params=(0.5,))
 
 
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_factorize_reproduces_gram_matrices_within_the_repair(n, k, seed):
+    # A A^T with k < n is singular, so both the Cholesky and the eigenvalue
+    # path are reached; rounding is bounded by 16 n eps max(1, |K|).
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, k))
+    K = a @ a.T
+    model = factorize(K)
+    tol = model.repair + 16 * n * EPS * max(1.0, np.abs(K).max())
+    assert 0.0 <= model.repair <= 1e-9
+    assert np.abs(model.L @ model.L.T - K).max() <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    clamp=st.floats(1e-11, 0.9e-9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factorize_records_the_clamped_eigenvalue(n, clamp, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.concatenate([[-clamp], rng.uniform(0.1, 1.0, n - 1)])
+    K = (q * w) @ q.T
+    K = (K + K.T) / 2.0
+    model = factorize(K)
+    assert model.repair == pytest.approx(clamp, abs=16 * n * EPS)
+    assert np.abs(model.L @ model.L.T - K).max() <= model.repair + 16 * n * EPS
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_conditioning_in_one_stage_equals_two_stages(sizes, seed):
+    # (A, B) given G at once, against A given G and then B given (G, A):
+    # composing the two stages gives the one-stage projector and Schur
+    # complement to 1e-14 cond(K) max(1, |K|).
+    g, a, b = sizes
+    n = g + a + b
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    K = m @ m.T + 0.1 * np.eye(n)
+    G, A, B, AB, GA = slice(0, g), slice(g, g + a), slice(g + a, n), slice(g, n), slice(0, g + a)
+    one = conditional_law(factorize(K[G, G]), K[AB, G], K[AB, AB])
+    first = conditional_law(factorize(K[G, G]), K[A, G], K[A, A])
+    second = conditional_law(factorize(K[GA, GA]), K[B, GA], K[B, B])
+    on_grid, on_a = second.projector[:, :g], second.projector[:, g:]
+    projector = np.vstack([first.projector, on_grid + on_a @ first.projector])
+    cross = on_a @ first.schur
+    schur = np.block([[first.schur, cross.T], [cross, second.schur + cross @ on_a.T]])
+    tol = 1e-14 * np.linalg.cond(K) * max(1.0, np.abs(K).max())
+    assert np.abs(projector - one.projector).max() <= tol
+    assert np.abs(schur - one.schur).max() <= tol
+
+
 def test_bridge_draws_have_target_covariance(intervals, uniform, seed):
     model = build_bridge(intervals, uniform, GRID)
     draws = sample_bridge_batch(model, seed, 30_000)
     emp = np.cov(draws.T, bias=True)
     assert np.abs(emp - K_GRID).max() < 0.01
     assert np.abs(draws.mean(axis=0)).max() < 4 * math.sqrt(0.25 / 30_000)
-
-
-def test_sample_bridge_single_matches_batch_model(intervals, uniform, seed):
-    model = build_bridge(intervals, uniform, GRID)
-    r = sample_bridge(model, seed, rep=2)
-    again = sample_bridge(model, seed, rep=2)
-    assert np.array_equal(r.values, again.values)
-    assert r.values.shape == (3,)
 
 
 def test_conditional_extension_restores_joint_law(intervals, uniform, seed):

@@ -466,3 +466,18 @@ PROBES = [
 @pytest.mark.parametrize("key, command, spec", PROBES)
 def test_nested_key_probe_is_a_config_error_naming_its_key(capsys, tmp_path, key, command, spec):
     assert_config_error(capsys, tmp_path, command, spec, repr(key))
+
+
+@pytest.mark.parametrize(
+    "key, selection, reader",
+    [
+        ("alpha", {"type": "br", "b0": 0.2, "r0": 0.75}, "vc"),
+        ("kappa", {"type": "vc", "c0": 1.0, "nu0": 1.0}, "br"),
+    ],
+)
+def test_schedule_key_the_selection_ignores_is_a_config_error(
+    capsys, tmp_path, key, selection, reader
+):
+    spec = dict(STRONG, selection=selection, schedule={"N_grid": [3], "m": 4, key: 3})
+    needle = f"'schedule.{key}' is read only under a {reader} selection, not {selection['type']}"
+    assert_config_error(capsys, tmp_path, "strong", spec, needle)

@@ -1,8 +1,11 @@
 """Experiment orchestration: configs, tables, rate fits, and runners."""
 
+import ast
+import importlib.util
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +43,12 @@ from empbridge.experiments import (
     COUPLE_HEADER,
     KINDS,
     _eval_mesh,
+    _replicate,
     build_schedule,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(**kw):
@@ -185,10 +192,54 @@ def test_sym_moment_is_kept_as_given():
 
 def test_readme_config_block_is_the_defaults():
     """The README's commented config block parses to ExperimentConfig()."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     spec = json.loads(re.sub(r"//.*", "", block))
     assert config_from_dict(spec) == ExperimentConfig()
+
+
+def _acceptance_specs() -> list:
+    """Every config literal in test_acceptance.py: a dict whose "kind" is an experiment kind."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    names = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+    }
+    specs = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Dict):
+            continue
+        kinds = [
+            v.value
+            for k, v in zip(node.keys, node.values)
+            if isinstance(k, ast.Constant) and k.value == "kind" and isinstance(v, ast.Constant)
+        ]
+        if kinds and kinds[0] in KINDS:
+            specs.append(eval(compile(ast.Expression(node), "test_acceptance.py", "eval"), names))
+    return specs
+
+
+def _benchmark_specs() -> list:
+    """The configs of every benchmark workload: timed, accuracy and couple files."""
+    bench = ROOT / "perfbench"
+    loader = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run)
+    specs = [json.loads((bench / name).read_text()) for name in ("couple.json", "couple-accuracy.json")]
+    for work in run.WORKLOADS.values():
+        if "spec" in work:
+            spec = work["spec"](20260815)
+            specs += [spec, *work["accuracy"](spec)]
+    return specs
+
+
+def test_acceptance_and_benchmark_configs_parse():
+    acceptance, benchmark = _acceptance_specs(), _benchmark_specs()
+    assert len(acceptance) >= 4 and len(benchmark) >= 5
+    kinds = {config_from_dict(spec).kind for spec in acceptance + benchmark}
+    assert {"gauss-approx", "strong-approx", "couple"} <= kinds
 
 
 def test_load_config(tmp_path):
@@ -319,6 +370,45 @@ def test_gauss_approx_workers_change_nothing():
     serial = run_gauss_approx(small_config(n_grid=(64, 128), reps=8, workers=1))
     pooled = run_gauss_approx(small_config(n_grid=(64, 128), reps=8, workers=3))
     assert serial.to_csv_text() == pooled.to_csv_text()
+
+
+def _tagged(label, failing, rep):
+    if rep in failing:
+        raise NumericError(f"planted at {label}")
+    return label, rep
+
+
+def test_replicate_returns_task_order_for_heaviest_first_dispatch():
+    # Sizes out of task order, so the pool runs task b first and task a last.
+    tasks = [
+        ("n=a", 10, partial(_tagged, "a", ())),
+        ("n=b", 1000, partial(_tagged, "b", (3,))),
+        ("n=c", 100, partial(_tagged, "c", ())),
+    ]
+    runs = {w: _replicate(ExperimentConfig(reps=40, workers=w), tasks) for w in (1, 2)}
+    done, meta = runs[2]
+    labels = "abc"
+    assert [(i, rep) for i, rep, _ in done] == [
+        (i, rep) for i in range(3) for rep in range(40) if (i, rep) != (1, 3)
+    ]
+    assert all(value == (labels[i], rep) for i, rep, value in done)
+    assert meta["failure_messages"] == ["n=b rep=3: NumericError: planted at b"]
+    assert runs[1] == runs[2]
+    texts = {
+        w: ResultTable(("task", "rep"), tuple((i, rep) for i, rep, _ in d), m).to_json_text()
+        for w, (d, m) in runs.items()
+    }
+    assert texts[1] == texts[2]
+    # Past one percent the run aborts, naming the first failure in task order,
+    # which the pool reaches last.
+    tasks = [("n=a", 10, partial(_tagged, "a", (5, 6))), ("n=b", 1000, partial(_tagged, "b", (0, 1)))]
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(NumericError) as info:
+            _replicate(ExperimentConfig(reps=40, workers=workers), tasks)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[1].endswith("first: n=a rep=5: NumericError: planted at a")
 
 
 def test_gauss_approx_isolates_rare_failures(monkeypatch):

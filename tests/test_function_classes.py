@@ -23,7 +23,6 @@ from empbridge import (
     build_grid,
     class_from_spec,
     covering_certificate,
-    dP_distance,
     dP_matrix,
     fit_entropy,
     fit_entropy_counts,
@@ -58,10 +57,10 @@ def test_interval_second_moment_is_min(intervals, uniform):
 
 
 def test_interval_distance_squared_is_cdf_gap(intervals, uniform):
-    assert dP_distance(intervals, uniform, 0.2, 0.7) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert dP_matrix(intervals, uniform, [0.2, 0.7])[0, 1] ** 2 == pytest.approx(0.5, abs=1e-12)
     B = Distribution("beta", a=2.0, b=3.0)
     gap = float(B.cdf(0.7) - B.cdf(0.2))
-    assert dP_distance(intervals, B, 0.2, 0.7) ** 2 == pytest.approx(gap, rel=1e-12)
+    assert dP_matrix(intervals, B, [0.2, 0.7])[0, 1] ** 2 == pytest.approx(gap, rel=1e-12)
 
 
 def test_out_of_domain_rejected(intervals):
@@ -540,7 +539,7 @@ def test_interval_brackets_tile_and_bound(intervals, uniform):
     assert los[0] == 0.0 and his[-1] == 1.0
     assert his[:-1] == los[1:]  # consecutive brackets share endpoints
     for a, b in bs.brackets:
-        width = dP_distance(intervals, uniform, a, b)
+        width = dP_matrix(intervals, uniform, [a, b])[0, 1]
         assert width <= 0.5 + 0.1  # mesh discretization slack
     # Every mesh member sits inside some bracket, and indicators are monotone
     # in the threshold, so the bracket functions dominate pointwise.

@@ -9,12 +9,9 @@ from empbridge import (
     DomainError,
     FunctionClass,
     SeedSpec,
-    ShapeError,
     build_pairset,
-    draw_sample,
     empirical_process,
     mu_n_estimate,
-    sup_discrepancy,
 )
 from empbridge.sampling import SamplePath
 
@@ -29,33 +26,19 @@ def test_empirical_process_hand_value(intervals, uniform, seed):
 
 def test_empirical_process_is_centered(intervals, uniform, seed):
     reps, n, theta = 2000, 64, 0.3
-    vals = np.array(
-        [
-            empirical_process(draw_sample(uniform, n, seed, rep), intervals, uniform, [theta])[0]
-            for rep in range(reps)
-        ]
+    samples = (
+        SamplePath(n, uniform.draw(n, seed.rng("sample", rep)), seed) for rep in range(reps)
     )
+    vals = np.array([empirical_process(s, intervals, uniform, [theta])[0] for s in samples])
     var = theta * (1 - theta)
     assert abs(vals.mean()) < 4 * math.sqrt(var / reps)
     assert abs(vals.var() - var) < 4 * var * math.sqrt(2.0 / reps)
 
 
 def test_empirical_process_requires_params(intervals, uniform, seed):
-    path = draw_sample(uniform, 8, seed)
+    path = SamplePath(8, uniform.draw(8, seed.rng("sample")), seed)
     with pytest.raises(DomainError):
         empirical_process(path, intervals, uniform, [])
-
-
-def test_draw_sample_validation(uniform, seed):
-    with pytest.raises(DomainError):
-        draw_sample(uniform, 0, seed)
-
-
-def test_sup_discrepancy():
-    assert sup_discrepancy([1.0, 2.0], [1.5, 2.25]) == 0.5
-    assert sup_discrepancy([], []) == 0.0
-    with pytest.raises(ShapeError):
-        sup_discrepancy([1.0], [1.0, 2.0])
 
 
 def test_pairset_matches_brute_force(uniform):
