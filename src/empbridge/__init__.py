@@ -17,7 +17,6 @@ _EXPORTS = {
     "blocking": (
         "BlockingSchedule",
         "PathDiscrepancy",
-        "br_divergence_ratio",
         "br_growth_ratio",
         "br_sandwich_ratio",
         "ms_bound",
@@ -37,8 +36,6 @@ _EXPORTS = {
         "combined_tail_empirical",
         "combined_tail_gaussian",
         "error_budget",
-        "fitted_constant",
-        "gaussian_moment_bound",
         "talagrand_tail",
         "vc_modulus_bounds",
         "vc_moment_bound",
@@ -54,7 +51,6 @@ _EXPORTS = {
         "entropy_integral_bound",
         "extend_from_law",
         "factorize",
-        "mu_estimate",
         "sample_bridge_batch",
     ),
     "coupling": (
@@ -115,21 +111,17 @@ _EXPORTS = {
         "build_grid",
         "covering_certificate",
         "dP_matrix",
-        "fit_entropy",
         "fit_entropy_counts",
         "mean_vector",
         "net_radius",
         "regime_grid_bound",
         "second_moment_matrix",
-        "uniform_covering_lower_bound",
     ),
     "quadrature": ("adaptive_simpson",),
     "sampling": (
         "MomentEstimate",
         "PairSet",
-        "SamplePath",
         "build_pairset",
-        "empirical_process",
         "mu_n_estimate",
     ),
     "seeds": ("SeedSpec", "replication_seed"),

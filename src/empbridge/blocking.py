@@ -239,14 +239,6 @@ def br_growth_ratio(schedule: BlockingSchedule, N: int) -> float:
     return s_of_N(schedule, N) / math.sqrt(schedule.n[N])
 
 
-def br_divergence_ratio(schedule: BlockingSchedule, N: int, zeta: float = 0.01) -> float:
-    """s(N) / (sqrt(t_{floor(N^beta)}) N^zeta), which diverges."""
-    if schedule.regime != "br":
-        raise DomainError("the divergence shape applies to the exponential regime")
-    lo = int(math.floor(N**schedule.beta))
-    return s_of_N(schedule, N) / (math.sqrt(schedule.t_of(lo)) * N**zeta)
-
-
 def ms_bound(tail_estimator, t: float) -> float:
     """Maximal-inequality transfer: 9 x (full-sum tail at t/30), clamped to 1."""
     if t <= 0:
@@ -344,7 +336,6 @@ def run_sequential(
             method=method,
             context=ctx,
             tag=tag_offset + k,
-            keep_sample=True,
         )
         per_block.append(real.sup_grid)
         root = math.sqrt(n_k)
@@ -352,7 +343,7 @@ def run_sequential(
         # gaps = |(emp_prefix + emp) - (gauss_prefix + gauss)|, with
         # emp = cumsum(vals - means) and gauss = walk - frac walk[-1] +
         # frac gauss_total, computed in that order in the block's own arrays.
-        emp = cls.evaluate_matrix(list(eval_mesh), real.sample.points)
+        emp = cls.evaluate_matrix(list(eval_mesh), real.points)
         emp -= mesh_means
         np.cumsum(emp, axis=0, out=emp)
         gauss = seed.rng("fill", tag_offset + k).standard_normal((n_k, g)) @ l_eval.T

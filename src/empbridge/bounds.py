@@ -2,7 +2,7 @@
 
 Every bound is an explicit function of its inputs and a set of named
 constants. Universal constants that the underlying inequalities leave
-unspecified default to 1 and are always echoed in the report, so a fitted or
+unspecified default to 1 and are always echoed in the report, so an
 overridden value is visible in every output. Reports carry the right-hand
 side, the event threshold where one exists, and a precondition verdict; a
 failing precondition never raises, it flags the report as advisory.
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from .bridge import dudley_integral, entropy_integral_bound
 from .coupling import ZaitsevParams, zaitsev_grid_tail
@@ -51,10 +49,6 @@ class BoundConstants:
             if value <= 0:
                 raise ConfigError(f"constant {name} must be positive, got {value}")
 
-    def replace(self, **overrides) -> "BoundConstants":
-        merged = {**asdict(self), **overrides}
-        return BoundConstants(**merged)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -70,11 +64,6 @@ class BoundReport:
     def __post_init__(self):
         if self.rhs < 0:
             raise DomainError("bound value must be nonnegative")
-
-    @property
-    def vacuous(self) -> bool:
-        """True when the probability bound exceeds 1."""
-        return self.rhs > 1.0
 
     def as_dict(self) -> dict:
         return {
@@ -203,24 +192,6 @@ def borell_tail(t: float, sigmaT: float) -> float:
     if t <= 0 or sigmaT <= 0:
         raise DomainError("need t > 0 and sigmaT > 0")
     return 2.0 * math.exp(-t * t / (2.0 * sigmaT * sigmaT))
-
-
-def gaussian_moment_bound(
-    entropy_model, sigma: float, constants: BoundConstants = BoundConstants()
-) -> BoundReport:
-    """Entropy-integral bound A4 int_0^sigma sqrt(log N) on the Gaussian
-    close-pair modulus."""
-    value = dudley_integral(entropy_model, sigma)
-    form, consts = entropy_model
-    return _report(
-        "gaussian-moment",
-        {"model": form, **{k: float(v) for k, v in consts.items()}, "sigma": sigma},
-        {"A4": constants.A4},
-        constants.A4 * value,
-        None,
-        [],
-        extras={"integral": value},
-    )
 
 
 def check_condition_vc_n(n: int, epsilon: float, M: float, nu0: float) -> bool:
@@ -378,13 +349,3 @@ def combined_tail_gaussian(
         [],
     )
 
-
-def fitted_constant(observed, reference) -> float:
-    """Smallest c with observed <= c * reference pointwise over a grid."""
-    obs = np.asarray(list(observed), dtype=float)
-    ref = np.asarray(list(reference), dtype=float)
-    if obs.shape != ref.shape or obs.size == 0:
-        raise DomainError("observed and reference grids must match and be nonempty")
-    if np.any(ref <= 0):
-        raise DomainError("reference values must be positive")
-    return float(np.max(obs / ref))

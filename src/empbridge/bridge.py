@@ -30,7 +30,6 @@ from .errors import (
 )
 from .function_classes import FunctionClass, mean_vector, second_moment_matrix
 from .quadrature import adaptive_simpson
-from .sampling import MomentEstimate, PairSet
 from .seeds import SeedSpec
 
 _SYM_TOL = 1e-10
@@ -143,33 +142,6 @@ def extend_from_law(law: ConditionalLaw, grid_values, seed: SeedSpec, rep: int =
     grid_values = np.asarray(grid_values, dtype=float)
     g = seed.rng("extend", rep).standard_normal(law.L.shape[1])
     return law.projector @ grid_values + law.L @ g
-
-
-def mu_estimate(
-    model: BridgeModel, pairset: PairSet, reps: int, seed: SeedSpec
-) -> MomentEstimate:
-    """Monte Carlo mean of the close-pair supremum of the Gaussian field."""
-    if reps < 2:
-        raise DomainError("need at least 2 replications")
-    if pairset.count == 0:
-        return MomentEstimate(0.0, 0.0, reps)
-    index_of = {_key(p): k for k, p in enumerate(model.params)}
-    try:
-        mapped = np.array(
-            [[index_of[_key(pairset.params[i])], index_of[_key(pairset.params[j])]]
-             for i, j in pairset.indices]
-        )
-    except KeyError as exc:
-        raise DomainError(f"pair parameter {exc.args[0]} is not in the model") from exc
-    draws = sample_bridge_batch(model, seed, reps)  # (reps, m)
-    sups = np.abs(draws[:, mapped[:, 0]] - draws[:, mapped[:, 1]]).max(axis=1)
-    return MomentEstimate(
-        float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(reps)), reps
-    )
-
-
-def _key(param):
-    return param if not isinstance(param, np.ndarray) else tuple(param)
 
 
 def dudley_integral(entropy_model, sigma: float) -> float:

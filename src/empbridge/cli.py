@@ -102,13 +102,9 @@ def _dispatch(args) -> int:
     from .experiments import ExperimentConfig, load_config
 
     kind = _KIND_BY_COMMAND[args.command]
-    config = load_config(args.config) if args.config else ExperimentConfig(kind=kind)
-    updates = {"kind": kind}
-    for name in ("seed", "out", "workers", "format"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    config = replace(config, **updates)
+    config = load_config(args.config, kind) if args.config else ExperimentConfig(kind=kind)
+    flags = {name: getattr(args, name) for name in ("seed", "out", "workers", "format")}
+    config = replace(config, **{name: v for name, v in flags.items() if v is not None})
     handler = {
         "gauss-approx": _cmd_approx,
         "strong-approx": _cmd_strong,

@@ -9,6 +9,9 @@ stand-in for the abstract coupling whose existence the exponential inequality
 asserts. The designated realization (batch index 0) keeps its matched
 Gaussian vector, which is then extended by Gaussian conditioning to a wider
 evaluation mesh, and the sup discrepancies on grid and mesh are recorded.
+The realization carries the designated sample points and their mesh Gaussian
+values, from which the sequential construction fills in the partial sums of
+a block.
 
 Only the designated sample is drawn point by point and evaluated as a matrix,
 since its per-summand bound is checked; its mesh values are column sums
@@ -52,7 +55,6 @@ from .errors import (
     ShapeError,
 )
 from .function_classes import FunctionClass, Grid, build_grid, mean_vector
-from .sampling import SamplePath
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
@@ -76,7 +78,11 @@ def zaitsev_bound(N: int, B: float, delta: float, params: ZaitsevParams, clamp: 
         raise DomainError("summand bound B must be positive")
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    raw = params.C1 * N * N * math.exp(-params.C2 * delta / (N * N * B))
+    try:
+        spread = N * N * B
+    except OverflowError:  # an integer N whose square is past the float range
+        spread = math.inf
+    raw = params.C1 * N * N * math.exp(-params.C2 * delta / spread)
     return min(raw, 1.0) if clamp else raw
 
 
@@ -139,7 +145,6 @@ def select_epsilon_vc(n: int, nu0: float) -> float:
 class EpsilonSelection:
     epsilon: float
     capped: bool
-    induced: float  # exp(-5 2^{2 r0} b0^2 / (2 eps^{2 r0})); n^{-1/4} when uncapped
 
 
 def select_epsilon_br(n: int, b0: float, r0: float, cap: float = 1.0 / math.e) -> EpsilonSelection:
@@ -154,9 +159,7 @@ def select_epsilon_br(n: int, b0: float, r0: float, cap: float = 1.0 / math.e) -
         raise DomainError("cap must lie in (0, 1)")
     raw = (10.0 * b0 * b0 * 2.0 ** (2.0 * r0) / math.log(n)) ** (1.0 / (2.0 * r0))
     capped = raw >= cap
-    eps = cap if capped else raw
-    induced = math.exp(-5.0 * 2.0 ** (2.0 * r0) * b0 * b0 / (2.0 * eps ** (2.0 * r0)))
-    return EpsilonSelection(eps, capped, induced)
+    return EpsilonSelection(cap if capped else raw, capped)
 
 
 def select_delta_t(
@@ -257,16 +260,11 @@ class CouplingRealization:
     y_sum: np.ndarray
     z_sum: np.ndarray
     sup_grid: float
-    sup_grid_euclid: float
     sup_mesh: float
     transport_cost: float
     seeds: SeedSpec
-    sample: SamplePath | None = None  # kept only on request
-    mesh_gauss: np.ndarray | None = None
-
-    @property
-    def grid_gap(self) -> np.ndarray:
-        return self.y_sum - self.z_sum
+    points: np.ndarray  # the designated sample
+    mesh_gauss: np.ndarray  # its Gaussian partner on the evaluation mesh
 
     def to_json_dict(self) -> dict:
         return {
@@ -291,7 +289,6 @@ def construct_joint(
     eval_mesh=None,
     context: CouplingContext | None = None,
     tag: int = 0,
-    keep_sample: bool = False,
 ) -> CouplingRealization:
     """Run one full coupling realization.
 
@@ -301,9 +298,9 @@ def construct_joint(
     full samples from the ``sample`` phase at indices 1..m-1.
 
     ``tag`` namespaces the random streams so several couplings (for example
-    blocks of a sequential construction) can share one seed spec.
-    ``keep_sample`` retains the designated sample and the extended Gaussian
-    values for path-level consumers.
+    blocks of a sequential construction) can share one seed spec. The
+    realization carries the designated sample and its Gaussian partner on the
+    evaluation mesh, which the sequential construction fills in between.
     """
     if m < 1:
         raise DomainError("batch size must be >= 1")
@@ -332,9 +329,7 @@ def construct_joint(
     z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch, method)
     z0 = z_batch[plan.assignment[0]]
-    gap = y_batch[0] - z0
-    sup_grid = float(np.abs(gap).max())
-    sup_grid_euclid = float(np.sqrt((gap**2).sum()))
+    sup_grid = float(np.abs(y_batch[0] - z0).max())
     mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
     mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
     mesh_emp = (mesh_sums - n * context.mesh_means) / math.sqrt(n)
@@ -346,10 +341,9 @@ def construct_joint(
         y_batch[0],
         z0,
         sup_grid,
-        sup_grid_euclid,
         sup_mesh,
         plan.cost,
         seed,
-        sample=SamplePath(n, designated, seed) if keep_sample else None,
-        mesh_gauss=mesh_gauss if keep_sample else None,
+        designated,
+        mesh_gauss,
     )

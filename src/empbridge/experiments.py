@@ -32,7 +32,7 @@ from .bounds import (
     talagrand_tail,
     vc_moment_bound,
 )
-from .exponents import _as_fraction, rate_vc
+from .exponents import _as_fraction, rate_br, rate_vc
 from .blocking import block_radii, path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
     OT_EXACT_LIMIT,
@@ -113,12 +113,18 @@ def _list_of(convert):
     return parse
 
 
+def _int(value) -> int:  # an integral float too, as JSON may write it; never a bool
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
 def _batch(value):
-    return _list_of(int)(value) if isinstance(value, (list, tuple)) else int(value)
+    return _list_of(_int)(value) if isinstance(value, (list, tuple)) else _int(value)
 
 
 def _number(value):  # an int or a float, unchanged: a report echoes it as given
@@ -201,10 +207,10 @@ _CLASS_COMMON = {
     "regime": (lambda v: regime_from_spec(v, "class.regime"), None),  # None: the kind's default
 }
 _CLASSES = {
-    "intervals": {**_CLASS_COMMON, "mesh_size": (int, 1000)},
-    "rectangles": {**_CLASS_COMMON, "mesh_size": (int, 1000), "dim": (int, 2)},
-    "holder": {**_CLASS_COMMON, "mesh_size": (int, 64), "s": (float, 1.0), "R": (float, 1.0),
-               "knots": (int, 9), "mesh_seed": (int, 20260815)},
+    "intervals": {**_CLASS_COMMON, "mesh_size": (_int, 1000)},
+    "rectangles": {**_CLASS_COMMON, "mesh_size": (_int, 1000), "dim": (_int, 2)},
+    "holder": {**_CLASS_COMMON, "mesh_size": (_int, 64), "s": (float, 1.0), "R": (float, 1.0),
+               "knots": (_int, 9), "mesh_seed": (_int, 20260815)},
     "finite": {**_CLASS_COMMON, "members": (_list_of(_member), ())},
 }
 # Class config keys named otherwise in FunctionClass.
@@ -222,12 +228,12 @@ def _atom(value):
 
 
 _DISTRIBUTIONS = {
-    "uniform": {"dim": (int, 1)},
-    "product-uniform": {"dim": (int, 1)},
-    "beta": {"dim": (int, 1), "a": (float, 1.0), "b": (float, 1.0)},
+    "uniform": {"dim": (_int, 1)},
+    "product-uniform": {"dim": (_int, 1)},
+    "beta": {"dim": (_int, 1), "a": (float, 1.0), "b": (float, 1.0)},
     # dim None: the length of the first atom, 1 for scalar atoms.
     "discrete": {
-        "dim": (_optional(int), None), "atoms": (_list_of(_atom), ()), "weights": (tuple, ()),
+        "dim": (_optional(_int), None), "atoms": (_list_of(_atom), ()), "weights": (tuple, ()),
     },
 }
 
@@ -243,22 +249,22 @@ def distribution_from_spec(spec: dict) -> Distribution:
 
 # The blocks that only some kinds read; ExperimentConfig fills them in full.
 _SCHEDULE = {
-    "N_grid": (_list_of(int), (4, 6, 8)),
-    "m": (int, 48),
-    "budget": (int, 500_000),
-    "eval_mesh_size": (int, 9),
+    "N_grid": (_list_of(_int), (4, 6, 8)),
+    "m": (_int, 48),
+    "budget": (_int, 500_000),
+    "eval_mesh_size": (_int, 9),
     "alpha": (_fraction, Fraction(5)),
     "beta": (_optional(float), None),  # None: alpha / (1 + alpha) for vc, 0.7 for br
     "kappa": (_optional(_fraction), None),  # None: (1 - r0) / (2 r0)
 }
 _ENTROPY = {"radii": (_list_of(float), (0.6, 0.45, 0.3, 0.2, 0.15))}
 _AUDIT = {  # Talagrand-tail inputs first, then vc-moment, br-moment and error-budget ones
-    "n": (int, 1024), "M": (float, 1.0), "sigma2": (float, 0.25),
+    "n": (_int, 1024), "M": (float, 1.0), "sigma2": (float, 0.25),
     "t_grid": (_list_of(float), (0.5, 1.0, 2.0)), "sym_moment": (_number, 0.5),
     "sigma": (_optional(float), None),  # None: 1/16 for vc-moment, 0.25 for br-moment
     "beta": (float, 1.0), "v": (float, 2.0), "c": (float, 2.0), "M_sup": (float, 0.25),
     "b0": (float, 1.0), "r0": (float, 0.5),
-    "epsilon": (float, 0.25), "budget_n_grid": (_list_of(int), (1024, 4096, 16384)),
+    "epsilon": (float, 0.25), "budget_n_grid": (_list_of(_int), (1024, 4096, 16384)),
 }
 _BLOCKS = {"schedule": _SCHEDULE, "entropy": _ENTROPY, "audit": _AUDIT}
 
@@ -303,6 +309,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
+        if not (self.gamma1 > 0 and self.gamma2 > 0):  # NaN fails too
+            raise ConfigError(f"gamma1 and gamma2 must be > 0, got {self.gamma1}, {self.gamma2}")
         batches = self.ot_batch if isinstance(self.ot_batch, tuple) else (self.ot_batch,)
         if any(int(b) < 1 for b in batches):
             raise ConfigError("ot_batch entries must be >= 1")
@@ -335,16 +343,16 @@ _FIELDS = {
     "class": (class_from_spec, _UNSET),
     "distribution": (distribution_from_spec, _UNSET),
     "selection": (lambda v: regime_from_spec(v, "selection"), _UNSET),
-    "n_grid": (_list_of(int), _UNSET),
-    "reps": (int, _UNSET),
-    "seed": (int, _UNSET),
+    "n_grid": (_list_of(_int), _UNSET),
+    "reps": (_int, _UNSET),
+    "seed": (_int, _UNSET),
     "constants": (lambda v: BoundConstants(**v), _UNSET),
     "gamma1": (float, _UNSET),
     "gamma2": (float, _UNSET),
     "ot_batch": (_batch, _UNSET),
     "method": (_text, _UNSET),
-    "eval_mesh_size": (int, _UNSET),
-    "workers": (int, _UNSET),
+    "eval_mesh_size": (_int, _UNSET),
+    "workers": (_int, _UNSET),
     "out": (_optional(_text), _UNSET),
     "format": (_text, _UNSET),
     "labels": (_object, _UNSET),
@@ -356,9 +364,15 @@ _FIELDS = {
 _CONFIG_FIELDS = {"class": "cls", "distribution": "dist"}
 
 
-# The schedule key that only one selection type reads; build_schedule ignores
-# it under the other.
-_SCHEDULE_SELECTION = {"alpha": "vc", "kappa": "br"}
+# Config key -> ("kind" or "selection", the kinds or selection types that read
+# it), for keys that only some runs read; any other run rejects the key.
+_READERS = {
+    "n_grid": ("kind", ("gauss-approx", "couple")),
+    "ot_batch": ("kind", ("gauss-approx", "couple")),
+    "eval_mesh_size": ("kind", ("gauss-approx", "couple")),
+    "schedule.alpha": ("selection", ("vc",)),
+    "schedule.kappa": ("selection", ("br",)),
+}
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
@@ -366,19 +380,22 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     keys = _parse("", _FIELDS, spec)
     config = ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
-    # Checked on the given keys, not in __post_init__, whose schedule already
-    # holds every default; an explicit null is the default and reads nothing.
-    selection = config.selection.kind
-    for key, reader in _SCHEDULE_SELECTION.items():
-        if reader != selection and spec.get("schedule", {}).get(key) is not None:
+    # Checked on the given keys, not in __post_init__, whose fields already
+    # hold every default; an explicit null is the default and reads nothing.
+    run = {"kind": config.kind, "selection": config.selection.kind}
+    for key, (what, readers) in _READERS.items():
+        block, _, name = key.rpartition(".")
+        given = spec.get(block, {}) if block else spec
+        if given.get(name) is not None and run[what] not in readers:
             raise ConfigError(
-                f"config field 'schedule.{key}' is read only under a {reader} selection, "
-                f"not {selection}"
+                f"config field {key!r} is read only under a {' or '.join(readers)} {what}, "
+                f"not {run[what]}"
             )
     return config
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
+    """The config in a JSON file, checked as a run of ``kind`` if one is given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -386,6 +403,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if kind is not None and isinstance(spec, dict):
+        spec = {**spec, "kind": kind}
     return config_from_dict(spec)
 
 
@@ -539,12 +558,9 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
 def build_schedule(config: ExperimentConfig, N: int):
     spec, sel = config.schedule, config.selection
     if sel.kind == "vc":
-        tau1, tau2 = rate_vc(Fraction(str(sel.nu0)) if not float(sel.nu0).is_integer() else int(sel.nu0))
+        tau1, tau2 = rate_vc(sel.nu0)
         return schedule_vc(spec["alpha"], tau1, tau2, N, beta=spec["beta"])
-    kappa = spec["kappa"]
-    if kappa is None:
-        r0 = Fraction(str(sel.r0))
-        kappa = (1 - r0) / (2 * r0)
+    kappa = rate_br(sel.r0) if spec["kappa"] is None else spec["kappa"]
     return schedule_br(kappa, N, beta=0.7 if spec["beta"] is None else spec["beta"])
 
 

@@ -19,16 +19,21 @@ used for the Gaussian field whenever means differ; both are computed from the
 same moment engine (mean vector and uncentered second-moment matrix) and are
 kept strictly apart.
 
+Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
+f_theta(x_i) for a parameter list and a sample, ``column_sums`` its column
+sums, and ``validate_theta`` checks that a parameter is admissible.
 Holder classes are evaluated by one cell search per sample point, shared by
 every parameter, with np.interp's slopes and order of operations, so the
 matrix is bit-identical to one np.interp call per parameter. Their column sums
 skip the matrix: they need only each knot cell's point count and offset sum.
 
-Grids (epsilon-nets), covering numbers, bracketing numbers, and entropy-model
-fits are all defined relative to a declared finite verification mesh of
-parameters, which makes every "covers" predicate decidable. Covering counts on
-meshes of at most 24 points use an exact branch-and-bound set cover; larger
-meshes use a greedy upper bound with a separation-packing lower certificate.
+Grids (epsilon-nets), covering numbers and bracketing numbers are all defined
+relative to a declared finite verification mesh of parameters, which makes
+every "covers" predicate decidable. Covering counts on meshes of at most 24
+points use an exact branch-and-bound set cover; larger meshes use a greedy
+upper bound with a separation-packing lower certificate. Entropy-law fits
+take (radius, count) pairs (``fit_entropy_counts``); the ``entropy`` command
+counts covers on a radius ladder and fits them.
 """
 
 from __future__ import annotations
@@ -261,8 +266,10 @@ class FunctionClass:
 def regime_grid_bound(regime: EntropyRegime, epsilon: float, M: float) -> float:
     """Covering-count bound N(epsilon) implied by the declared regime."""
     if regime.kind == "vc":
-        c1 = regime.c0 * M**regime.nu0
-        return c1 * epsilon ** (-regime.nu0)
+        try:
+            return regime.c0 * M**regime.nu0 * epsilon ** (-regime.nu0)
+        except OverflowError:  # a power past the float range
+            return math.inf
     expo = 2.0 ** (2.0 * regime.r0) * regime.b0**2 / epsilon ** (2.0 * regime.r0)
     return math.inf if expo > 700 else math.exp(expo)
 
@@ -375,17 +382,6 @@ def _member_eval(form, param, xs: np.ndarray) -> np.ndarray:
 
 
 # -- operations ---------------------------------------------------------------
-
-
-def evaluate(cls: FunctionClass, theta, x) -> float:
-    """f_theta(x) for a single point, with domain validation."""
-    theta = cls.validate_theta(theta)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if cls.kind == "rectangles" and xs.ndim == 1 and cls.dim > 1:
-        xs = xs[None, :]
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise DomainError(f"sample point {x} outside [0,1]^d")
-    return float(cls.evaluate_matrix([theta], xs)[0, 0])
 
 
 def mean_vector(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
@@ -830,38 +826,3 @@ def fit_entropy_counts(epsilons, counts, model: str) -> EntropyReport:
         tuple(float(e) for e in eps), tuple(int(c) for c in cnt), model, constants, resid
     )
 
-
-def fit_entropy(cls: FunctionClass, P: Distribution, epsilons) -> EntropyReport:
-    d = dP_matrix(cls, P, list(cls.mesh))
-    counts = [covering_certificate(cls, P, e, distances=d).upper for e in epsilons]
-    return fit_entropy_counts(epsilons, counts, cls.regime.kind)
-
-
-def uniform_covering_lower_bound(
-    cls: FunctionClass,
-    epsilon: float,
-    n_support: int = 32,
-    k_measures: int = 64,
-    seed: int = 0,
-    extra_measures=(),
-) -> int:
-    """Lower bound of the uniform covering number at radius eps * M/2.
-
-    Maximizes the d_Q covering count over random discrete measures Q plus any
-    supplied ones. Can falsify a declared polynomial bound, never certify it.
-    """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(99,))))
-    radius = epsilon * cls.envelope / 2.0
-    mesh = list(cls.mesh)
-    worst = 1
-    measures = [
-        rng.random((n_support, cls.dim)) if cls.dim > 1 else rng.random(n_support)
-        for _ in range(k_measures)
-    ]
-    measures.extend(np.asarray(m, dtype=float) for m in extra_measures)
-    for pts in measures:
-        vals = cls.evaluate_matrix(mesh, np.asarray(pts))
-        diff = vals[:, :, None] - vals[:, None, :]
-        d = np.sqrt((diff**2).mean(axis=0))
-        worst = max(worst, len(_greedy_cover(d < radius)))
-    return worst

@@ -48,13 +48,3 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8) -> float:
     whole = _simpson(f, a, b, fa, fm, fb)
     return _adaptive(f, a, b, fa, fm, fb, whole, tol, 0)
 
-
-def integrate_piecewise(f, knots, tol: float = 1e-8) -> float:
-    """Integrate f over consecutive knot intervals, splitting the tolerance."""
-    knots = list(knots)
-    if len(knots) < 2:
-        return 0.0
-    per = tol / max(1, len(knots) - 1)
-    return sum(
-        adaptive_simpson(f, knots[i], knots[i + 1], per) for i in range(len(knots) - 1)
-    )

@@ -1,11 +1,12 @@
-"""Sampling, the empirical process, and symmetrized modulus estimates.
+"""Close-pair sets and the symmetrized modulus estimate.
 
-The empirical process indexed by a function class is
-alpha_n(f) = n^{-1/2} sum_i (f(X_i) - E f(X)). Close-pair sets collect the
-parameter pairs of a verification mesh whose intrinsic distance is below a
-radius; the symmetrized modulus mu_n is the expected supremum over such a set
-of |n^{-1/2} sum_i e_i (f - f')(X_i)| for Rademacher signs e_i drawn
-independently of the sample.
+Close-pair sets collect the parameter pairs of a verification mesh whose
+intrinsic distance is below a radius; the symmetrized modulus mu_n is the
+expected supremum over such a set of |n^{-1/2} sum_i e_i (f - f')(X_i)| for
+Rademacher signs e_i drawn independently of the sample. The empirical process
+alpha_n(f) = n^{-1/2} sum_i (f(X_i) - E f(X)) itself is formed where it is
+used, from ``FunctionClass.column_sums`` and ``mean_vector`` (see
+``coupling.construct_joint``).
 
 All randomness flows through seed specs with disjoint phases, so the sign
 vectors are independent of the sample points by construction and every result
@@ -21,17 +22,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
-from .function_classes import FunctionClass, dP_matrix, mean_vector
+from .function_classes import FunctionClass, dP_matrix
 from .seeds import SeedSpec
-
-
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    """An i.i.d. sample with the seed that regenerates it."""
-
-    n: int
-    points: np.ndarray
-    seed: SeedSpec
 
 
 @dataclass(frozen=True)
@@ -42,18 +34,6 @@ class MomentEstimate:
     stderr: float
     reps: int
     exhaustive: bool = False
-
-
-def empirical_process(
-    sample: SamplePath, cls: FunctionClass, P: Distribution, params
-) -> np.ndarray:
-    """alpha_n(f_theta) for each theta in params."""
-    params = list(params)
-    if not params:
-        raise DomainError("params must be nonempty")
-    sums = cls.column_sums(params, sample.points)
-    means = mean_vector(cls, P, params)
-    return (sums - sample.n * means) / math.sqrt(sample.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +47,6 @@ class PairSet:
     @property
     def count(self) -> int:
         return len(self.indices)
-
-    def pair_parameters(self) -> list:
-        return [(self.params[i], self.params[j]) for i, j in self.indices]
 
 
 def build_pairset(

@@ -48,9 +48,6 @@ class SeedSpec:
         if not (0 <= int(self.stream) <= STREAM_MAX):
             raise DomainError(f"stream index {self.stream} outside [0, 2^32)")
 
-    def with_stream(self, stream: int) -> "SeedSpec":
-        return SeedSpec(self.master, stream)
-
     def rng(self, phase: str = "generic", *indices: int) -> np.random.Generator:
         """Generator for a named phase, optionally sub-indexed.
 

@@ -1,13 +1,14 @@
-"""Shared fixtures: a uniform law, a small interval class, a fixed seed, and
-the environment for child interpreters."""
+"""Shared fixtures: a uniform law, a small interval class, a fixed seed, the
+empirical process, and the environment for child interpreters."""
 
+import math
 import os
 from pathlib import Path
 
 import pytest
 
 import empbridge
-from empbridge import Distribution, FunctionClass, SeedSpec
+from empbridge import Distribution, FunctionClass, SeedSpec, mean_vector
 
 MASTER_SEED = 20260815
 
@@ -38,3 +39,15 @@ def intervals():
 @pytest.fixture()
 def seed():
     return SeedSpec(MASTER_SEED, 0)
+
+
+@pytest.fixture(scope="session")
+def empirical_process():
+    """alpha_n(f) = n^{-1/2} sum_i (f(X_i) - E f(X)) for each parameter,
+    from column sums and exact means, as ``construct_joint`` forms it."""
+
+    def alpha(cls, P, points, params):
+        n = len(points)
+        return (cls.column_sums(params, points) - n * mean_vector(cls, P, params)) / math.sqrt(n)
+
+    return alpha

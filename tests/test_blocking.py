@@ -17,7 +17,6 @@ from empbridge import (
     FunctionClass,
     ScheduleInvalidError,
     SeedSpec,
-    br_divergence_ratio,
     br_growth_ratio,
     br_sandwich_ratio,
     ms_bound,
@@ -183,12 +182,6 @@ def test_exponential_growth_window():
     assert raw[0] < raw[1] < raw[2]
 
 
-def test_exponential_divergence_trend():
-    sched = schedule_br(Fraction(1, 6), 200)
-    vals = [br_divergence_ratio(sched, N) for N in (20, 80, 200)]
-    assert vals[0] < vals[1] < vals[2]
-
-
 def test_polynomial_block_sum_tracks_envelope():
     # s(N) / (t_N^{1/2 - tau(alpha)} (log t_N)^{tau2}) is nearly constant:
     # within [0.5, 0.9] and drifting by under 10% across N in [20, 200].
@@ -204,8 +197,6 @@ def test_diagnostics_require_matching_regime():
         br_sandwich_ratio(sched, 5)
     with pytest.raises(DomainError):
         br_growth_ratio(sched, 5)
-    with pytest.raises(DomainError):
-        br_divergence_ratio(sched, 5)
 
 
 def test_ms_bound_transfer():
@@ -296,12 +287,11 @@ def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
             method="exact",
             context=ctx,
             tag=tag_offset + k,
-            keep_sample=True,
         )
         per_block.append(real.sup_grid)
         root = math.sqrt(n_k)
         gauss_total = root * real.mesh_gauss
-        vals = cls.evaluate_matrix(list(eval_mesh), real.sample.points)
+        vals = cls.evaluate_matrix(list(eval_mesh), real.points)
         emp_partials = np.cumsum(vals - mesh_means[None, :], axis=0)
         steps = seed.rng("fill", tag_offset + k).standard_normal((n_k, len(eval_mesh))) @ l_eval.T
         walk = np.cumsum(steps, axis=0)

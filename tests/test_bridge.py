@@ -14,7 +14,6 @@ from empbridge import (
     NotACovarianceError,
     SeedSpec,
     build_bridge,
-    build_pairset,
     conditional_law,
     covariance,
     dudley_integral,
@@ -22,7 +21,6 @@ from empbridge import (
     entropy_integral_bound,
     extend_from_law,
     factorize,
-    mu_estimate,
     sample_bridge_batch,
 )
 
@@ -179,26 +177,12 @@ def test_inconsistent_joint_rejected(intervals, uniform):
         conditional_law(model, cross, np.array([[0.0]]))
 
 
-def test_mu_estimate_singleton_pair(intervals, uniform, seed):
+def test_bridge_batch_gap_has_the_bridge_law(intervals, uniform, seed):
     # Gap process B(0.25) - B(0.75) is N(0, 1/4), so E |gap| = 0.5 sqrt(2/pi).
     model = build_bridge(intervals, uniform, [0.25, 0.75])
-    ps = build_pairset(intervals, uniform, 0.9, mesh=[0.25, 0.75])
-    assert ps.count >= 2
-    est = mu_estimate(model, ps, reps=40_000, seed=seed)
+    gaps = np.abs(np.diff(sample_bridge_batch(model, seed, 40_000), axis=1))
     want = 0.5 * math.sqrt(2.0 / math.pi)
-    assert abs(est.value - want) < 4 * est.stderr
-
-
-def test_mu_estimate_validation(intervals, uniform, seed):
-    model = build_bridge(intervals, uniform, [0.25, 0.75])
-    ps = build_pairset(intervals, uniform, 0.9, mesh=[0.25, 0.5])
-    with pytest.raises(DomainError):
-        mu_estimate(model, ps, reps=10, seed=seed)  # 0.5 is not in the model
-    empty = build_pairset(intervals, uniform, 0.0, mesh=[0.25, 0.75])
-    assert mu_estimate(model, empty, reps=10, seed=seed).value == 0.0
-    ok = build_pairset(intervals, uniform, 0.9, mesh=[0.25, 0.75])
-    with pytest.raises(DomainError):
-        mu_estimate(model, ok, reps=1, seed=seed)
+    assert abs(gaps.mean() - want) < 4 * gaps.std(ddof=1) / math.sqrt(len(gaps))
 
 
 # -- entropy integrals -----------------------------------------------------------

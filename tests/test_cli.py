@@ -481,3 +481,44 @@ def test_schedule_key_the_selection_ignores_is_a_config_error(
     spec = dict(STRONG, selection=selection, schedule={"N_grid": [3], "m": 4, key: 3})
     needle = f"'schedule.{key}' is read only under a {reader} selection, not {selection['type']}"
     assert_config_error(capsys, tmp_path, "strong", spec, needle)
+
+
+@pytest.mark.parametrize("file_kind", [None, "strong-approx", "gauss-approx"])
+@pytest.mark.parametrize(
+    "key, value", [("n_grid", [7, 9, 11]), ("ot_batch", 3), ("eval_mesh_size", 2)]
+)
+def test_top_level_key_a_strong_run_ignores_is_a_config_error(
+    capsys, tmp_path, key, value, file_kind
+):
+    # Checked against the kind that runs: the command's, not the file's.
+    spec = {key: value, "schedule": {"N_grid": [3], "m": 4}}
+    if file_kind:
+        spec["kind"] = file_kind
+    needle = (
+        f"config field {key!r} is read only under a gauss-approx or couple kind, not strong-approx"
+    )
+    assert_config_error(capsys, tmp_path, "strong", spec, needle)
+
+
+@pytest.mark.parametrize(
+    "key, command, spec",
+    [
+        ("n_grid", "approx", {"n_grid": [256.5, 1024]}),
+        ("ot_batch", "approx", {"n_grid": [64, 128], "ot_batch": [8, 16.5]}),
+        ("reps", "approx", {"reps": True}),
+        ("seed", "couple", {"seed": 1.5}),
+        ("class.mesh_size", "entropy", {"class": {"kind": "intervals", "mesh_size": 100.5}}),
+        ("schedule.m", "strong", {"schedule": {"N_grid": [3], "m": 4.5}}),
+        ("schedule.N_grid", "strong", {"schedule": {"N_grid": [3, False]}}),
+        ("audit.n", "bounds-audit", {"audit": {"n": 1024.25}}),
+    ],
+)
+def test_non_integral_integer_field_is_a_config_error(capsys, tmp_path, key, command, spec):
+    needle = f"config field {key!r}: must be an integer"
+    assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
+@pytest.mark.parametrize("spec", [{"gamma1": -1}, {"gamma2": 0}, {"gamma1": float("nan")}])
+def test_nonpositive_gamma_is_a_config_error(capsys, tmp_path, spec):
+    spec = dict(COUPLE, **spec)
+    assert_config_error(capsys, tmp_path, "couple", spec, "gamma1 and gamma2 must be > 0")

@@ -19,7 +19,6 @@ from empbridge import (
     TransportPlan,
     ZaitsevParams,
     construct_joint,
-    empirical_process,
     ot_couple,
     prepare_coupling,
     select_delta_t,
@@ -161,8 +160,6 @@ def test_epsilon_br_capped_and_uncapped():
     assert not big.capped
     want = (10.0 * 2.0**1.5 / math.log(1e60)) ** (1.0 / 1.5)
     assert big.epsilon == pytest.approx(want, rel=1e-12)
-    # Uncapped, the induced tail level collapses to n^{-1/4} exactly.
-    assert big.induced == pytest.approx((1e60) ** -0.25, rel=1e-10)
 
 
 def test_epsilon_br_validation():
@@ -201,10 +198,9 @@ def test_construct_joint_smoke(intervals, uniform, seed):
     assert real.sup_mesh >= 0.0
     assert real.transport_cost >= 0.0
     assert real.grid.size >= 2
-    assert np.allclose(real.grid_gap, real.y_sum - real.z_sum)
-    assert real.sup_grid == pytest.approx(np.abs(real.grid_gap).max(), rel=1e-12)
-    assert real.sup_grid <= real.sup_grid_euclid + 1e-12
-    assert real.sample is None and real.mesh_gauss is None
+    assert real.sup_grid == np.abs(real.y_sum - real.z_sum).max()
+    assert real.points.shape == (128,)
+    assert real.mesh_gauss.shape == (len(intervals.mesh),)
 
 
 def test_construct_joint_json_schema(intervals, uniform, seed):
@@ -238,14 +234,12 @@ def test_construct_joint_tag_namespaces_draws(intervals, uniform, seed):
     assert a.sup_grid != b.sup_grid
 
 
-def test_construct_joint_keep_sample(intervals, uniform, seed):
-    real = construct_joint(
-        intervals, uniform, 64, 0.5, 4, seed, keep_sample=True, eval_mesh=[0.3, 0.7]
-    )
-    assert real.sample is not None and real.sample.n == 64
-    assert real.mesh_gauss is not None and real.mesh_gauss.shape == (2,)
+def test_construct_joint_keep_sample(intervals, uniform, seed, empirical_process):
+    real = construct_joint(intervals, uniform, 64, 0.5, 4, seed, eval_mesh=[0.3, 0.7])
+    assert real.points.shape == (64,)
+    assert real.mesh_gauss.shape == (2,)
     # The reported mesh discrepancy is reproducible from the kept pieces.
-    mesh_emp = empirical_process(real.sample, intervals, uniform, [0.3, 0.7])
+    mesh_emp = empirical_process(intervals, uniform, real.points, [0.3, 0.7])
     assert real.sup_mesh == pytest.approx(np.abs(mesh_emp - real.mesh_gauss).max(), rel=1e-12)
 
 
@@ -345,10 +339,10 @@ def test_auxiliary_y_sums_have_the_grid_law(monkeypatch, intervals, law):
     assert np.abs(np.cov(y, rowvar=False) - ctx.grid.gram).max() < 0.03
 
 
-def test_designated_sample_keeps_its_stream(intervals, uniform, seed):
-    real = construct_joint(intervals, uniform, 128, 0.45, 16, seed, tag=3, keep_sample=True)
+def test_designated_sample_keeps_its_stream(intervals, uniform, seed, empirical_process):
+    real = construct_joint(intervals, uniform, 128, 0.45, 16, seed, tag=3)
     x = uniform.draw(128, seed.rng("sample", 3, 0))
-    assert np.array_equal(real.sample.points, x)
-    alpha = empirical_process(real.sample, intervals, uniform, list(real.grid.centers))
+    assert np.array_equal(real.points, x)
+    alpha = empirical_process(intervals, uniform, x, list(real.grid.centers))
     assert np.allclose(real.y_sum, alpha, atol=1e-12)
 

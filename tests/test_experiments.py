@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import re
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from empbridge import (
     select_delta_t,
     select_epsilon_vc,
 )
+from empbridge.cli import _KIND_BY_COMMAND
 from empbridge.experiments import (
     _BLOCKS,
     _CLASSES,
@@ -235,11 +237,20 @@ def _benchmark_specs() -> list:
     return specs
 
 
+def _golden_specs() -> list:
+    """The config of every golden case, with the kind of the command that runs it."""
+    loader = importlib.util.spec_from_file_location("golden", ROOT / "tests" / "test_golden.py")
+    golden = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(golden)
+    cases = golden.CASES.values()
+    return [dict(spec, kind=_KIND_BY_COMMAND[command]) for command, spec, *_ in cases]
+
+
 def test_acceptance_and_benchmark_configs_parse():
-    acceptance, benchmark = _acceptance_specs(), _benchmark_specs()
-    assert len(acceptance) >= 4 and len(benchmark) >= 5
-    kinds = {config_from_dict(spec).kind for spec in acceptance + benchmark}
-    assert {"gauss-approx", "strong-approx", "couple"} <= kinds
+    acceptance, benchmark, golden = _acceptance_specs(), _benchmark_specs(), _golden_specs()
+    assert len(acceptance) >= 4 and len(benchmark) >= 5 and len(golden) >= 14
+    kinds = {config_from_dict(spec).kind for spec in acceptance + benchmark + golden}
+    assert {"gauss-approx", "strong-approx", "couple", "entropy", "bounds-audit"} <= kinds
 
 
 def test_load_config(tmp_path):
@@ -548,6 +559,27 @@ def test_eval_mesh_sizes_are_checked_at_config_time():
         ExperimentConfig(kind="strong-approx", schedule={"eval_mesh_size": 0})
     # Only strong runs read the schedule block.
     ExperimentConfig(kind="gauss-approx", schedule={"eval_mesh_size": 0})
+
+
+def test_gammas_must_be_positive():
+    for gammas in ({"gamma1": -1.0}, {"gamma2": 0.0}, {"gamma1": math.nan}, {"gamma2": -math.inf}):
+        with pytest.raises(ConfigError, match="gamma1 and gamma2 must be > 0"):
+            ExperimentConfig(kind="couple", **gammas)
+    ExperimentConfig(kind="couple", gamma1=1e-9, gamma2=math.inf)
+
+
+def test_build_schedule_takes_the_exact_rates_of_the_selection():
+    for nu0, alpha in ((1.5, 6), (0.3333, 3), (1e-3, Fraction(3, 2))):
+        selection = EntropyRegime("vc", nu0=nu0)
+        cfg = ExperimentConfig(kind="strong-approx", selection=selection, schedule={"alpha": alpha})
+        nu = Fraction(str(nu0))
+        params = build_schedule(cfg, 4).params
+        assert params["tau1"] == float(1 / (2 + 5 * nu))
+        assert params["tau2"] == float((4 + 5 * nu) / (4 + 10 * nu))
+    for r0 in (0.75, 0.6, 0.999):
+        cfg = ExperimentConfig(kind="strong-approx", selection=EntropyRegime("br", r0=r0))
+        r = Fraction(str(r0))
+        assert build_schedule(cfg, 4).params["kappa"] == float((1 - r) / (2 * r))
 
 
 def test_build_schedule_defaults():

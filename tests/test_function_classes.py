@@ -16,6 +16,7 @@ from empbridge import (
     Distribution,
     DomainError,
     EntropyRegime,
+    ExperimentConfig,
     FunctionClass,
     UnsupportedOperationError,
     adaptive_simpson,
@@ -24,23 +25,25 @@ from empbridge import (
     class_from_spec,
     covering_certificate,
     dP_matrix,
-    fit_entropy,
     fit_entropy_counts,
     mean_vector,
     net_radius,
+    run_entropy,
     second_moment_matrix,
-    uniform_covering_lower_bound,
 )
-from empbridge.function_classes import _first_fit_packing, _greedy_cover, _knot_cells, evaluate
+from empbridge.function_classes import (
+    _exact_cover_size,
+    _first_fit_packing,
+    _greedy_cover,
+    _knot_cells,
+)
 
 
 # -- indicators ---------------------------------------------------------------
 
 
 def test_interval_indicator_evaluates_exactly(intervals):
-    assert evaluate(intervals, 0.5, 0.3) == 1.0
-    assert evaluate(intervals, 0.5, 0.7) == 0.0
-    assert evaluate(intervals, 0.5, 0.5) == 1.0
+    assert intervals.evaluate_matrix([0.5], [0.3, 0.7, 0.5]).tolist() == [[1.0], [0.0], [1.0]]
 
 
 def test_interval_mean_is_cdf(intervals, uniform):
@@ -65,23 +68,24 @@ def test_interval_distance_squared_is_cdf_gap(intervals, uniform):
 
 def test_out_of_domain_rejected(intervals):
     with pytest.raises(DomainError):
-        evaluate(intervals, 1.5, 0.3)
+        intervals.validate_theta(1.5)
     with pytest.raises(DomainError):
-        evaluate(intervals, 0.5, 1.3)
+        FunctionClass("rectangles", dim=2, mesh_size=25).validate_theta((0.5, 1.3))
 
 
 def test_evaluate_every_kind_matches_its_definition():
     rect = FunctionClass("rectangles", dim=2, mesh_size=25)
-    assert evaluate(rect, (0.5, 0.5), (0.25, 0.5)) == 1.0
-    assert evaluate(rect, (0.5, 0.5), (0.25, 0.75)) == 0.0
+    pts = np.array([[0.25, 0.5], [0.25, 0.75]])
+    assert rect.evaluate_matrix([(0.5, 0.5)], pts).tolist() == [[1.0], [0.0]]
     hol = holder_class()
+    xs = np.array([0.0, 0.13, 0.2, 0.5, 0.77, 1.0])
     for theta in hol.mesh[1:4]:
-        for x in (0.0, 0.13, 0.2, 0.5, 0.77, 1.0):
-            assert evaluate(hol, theta, x) == np.interp(x, hol.knots, theta)
+        got = hol.evaluate_matrix([hol.validate_theta(theta)], xs)[:, 0]
+        assert np.array_equal(got, np.interp(xs, hol.knots, theta))
     members = (("interval", 0.5), ("constant", 0.25), ("rectangle", (0.5,)))
     fin = FunctionClass("finite", members=members)
-    assert [evaluate(fin, m, 0.3) for m in members] == [1.0, 0.25, 1.0]
-    assert [evaluate(fin, m, 0.7) for m in members] == [0.0, 0.25, 0.0]
+    got = fin.evaluate_matrix([fin.validate_theta(m) for m in members], np.array([0.3, 0.7]))
+    assert got.tolist() == [[1.0, 0.25, 1.0], [0.0, 0.25, 0.0]]
 
 
 # -- column sums ---------------------------------------------------------------
@@ -506,6 +510,23 @@ def test_first_fit_packing_matches_pairwise_loop(n, density, seed):
     assert _first_fit_packing(sep) == first_fit_packing_reference(sep)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    mesh=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24, unique=True),
+    epsilon=st.floats(0.01, 0.99),
+    law=st.sampled_from(sorted(COLUMN_SUM_LAWS)),
+)
+def test_packing_exact_cover_and_greedy_cover_are_ordered(mesh, epsilon, law):
+    """first-fit packing <= exact cover <= greedy cover on meshes of at most
+    24 points: an open epsilon-ball holds at most one point of a 2 epsilon-
+    separated set, and the exact search starts from the greedy cover."""
+    cls = FunctionClass("intervals", envelope=1.0, mesh_size=len(mesh))
+    d = dP_matrix(cls, COLUMN_SUM_LAWS[law], sorted(mesh))
+    packing = len(_first_fit_packing(d >= 2.0 * epsilon))
+    exact = _exact_cover_size(d < epsilon)
+    assert 1 <= packing <= exact <= len(_greedy_cover(d < epsilon))
+
+
 def test_certificate_reuses_given_distances(uniform):
     cls = holder_class(mesh_size=40)
     d = dP_matrix(cls, uniform, list(cls.mesh))
@@ -599,18 +620,11 @@ def test_fit_validation():
 
 def test_fit_entropy_on_interval_class(uniform):
     cls = FunctionClass("intervals", envelope=1.0, mesh_size=200)
-    rep = fit_entropy(cls, uniform, (0.6, 0.45, 0.3, 0.2))
+    config = ExperimentConfig(kind="entropy", cls=cls, entropy={"radii": (0.6, 0.45, 0.3, 0.2)})
+    fit = run_entropy(config).meta["fit"]
     # Interval counts grow like 1/(2 eps^2); the fitted exponent should be
     # near 2 even on a short radius range.
-    assert 1.5 < rep.constants["nu0"] < 3.0
-
-
-def test_uniform_covering_lower_bound_monotone(uniform):
-    cls = FunctionClass("intervals", envelope=1.0, mesh_size=41)
-    small = uniform_covering_lower_bound(cls, 0.3, n_support=16, k_measures=8)
-    large = uniform_covering_lower_bound(cls, 0.8, n_support=16, k_measures=8)
-    assert isinstance(small, int)
-    assert small >= large >= 1
+    assert fit["model"] == "vc" and 1.5 < fit["constants"]["nu0"] < 3.0
 
 
 # -- specs ---------------------------------------------------------------------------------

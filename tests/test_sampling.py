@@ -10,35 +10,24 @@ from empbridge import (
     FunctionClass,
     SeedSpec,
     build_pairset,
-    empirical_process,
     mu_n_estimate,
 )
-from empbridge.sampling import SamplePath
 
 
-def test_empirical_process_hand_value(intervals, uniform, seed):
-    path = SamplePath(4, np.array([0.1, 0.2, 0.3, 0.9]), seed)
-    # Three points at or below 0.25? No: 0.1 and 0.2 only. alpha = (2 - 1)/2.
-    got = empirical_process(path, intervals, uniform, [0.25, 0.5])
+def test_empirical_process_hand_value(intervals, uniform, empirical_process):
+    # Two of the four points lie at or below 0.25: alpha = (2 - 1) / 2.
+    got = empirical_process(intervals, uniform, np.array([0.1, 0.2, 0.3, 0.9]), [0.25, 0.5])
     assert got[0] == pytest.approx((2 - 4 * 0.25) / 2.0, abs=1e-15)
     assert got[1] == pytest.approx((3 - 4 * 0.5) / 2.0, abs=1e-15)
 
 
-def test_empirical_process_is_centered(intervals, uniform, seed):
+def test_empirical_process_is_centered(intervals, uniform, seed, empirical_process):
     reps, n, theta = 2000, 64, 0.3
-    samples = (
-        SamplePath(n, uniform.draw(n, seed.rng("sample", rep)), seed) for rep in range(reps)
-    )
-    vals = np.array([empirical_process(s, intervals, uniform, [theta])[0] for s in samples])
+    samples = (uniform.draw(n, seed.rng("sample", rep)) for rep in range(reps))
+    vals = np.array([empirical_process(intervals, uniform, x, [theta])[0] for x in samples])
     var = theta * (1 - theta)
     assert abs(vals.mean()) < 4 * math.sqrt(var / reps)
     assert abs(vals.var() - var) < 4 * var * math.sqrt(2.0 / reps)
-
-
-def test_empirical_process_requires_params(intervals, uniform, seed):
-    path = SamplePath(8, uniform.draw(8, seed.rng("sample")), seed)
-    with pytest.raises(DomainError):
-        empirical_process(path, intervals, uniform, [])
 
 
 def test_pairset_matches_brute_force(uniform):
@@ -54,7 +43,6 @@ def test_pairset_matches_brute_force(uniform):
     ]
     assert ps.count == len(brute) == 21 + 2 * 20 + 2 * 19
     assert sorted(map(tuple, ps.indices.tolist())) == sorted(brute)
-    assert ps.pair_parameters()[0] == (mesh[ps.indices[0][0]], mesh[ps.indices[0][1]])
 
 
 def test_pairset_strict_at_zero(intervals, uniform):

@@ -59,13 +59,6 @@ def test_replication_seed_sets_stream():
     assert spec.stream == 5
 
 
-def test_with_stream_returns_new_spec(seed):
-    other = seed.with_stream(9)
-    assert other.stream == 9
-    assert other.master == seed.master
-    assert seed.stream == 0
-
-
 def test_draw_order_does_not_leak_between_phases(seed):
     # Drawing from one phase must not advance another phase's stream.
     before = seed.rng("gauss", 0).standard_normal(4)
