@@ -17,6 +17,7 @@ _EXPORTS = {
     "blocking": (
         "BlockingSchedule",
         "PathDiscrepancy",
+        "block_contexts",
         "br_growth_ratio",
         "br_sandwich_ratio",
         "ms_bound",
@@ -45,7 +46,6 @@ _EXPORTS = {
         "ConditionalLaw",
         "build_bridge",
         "conditional_law",
-        "covariance",
         "dudley_integral",
         "dudley_integral_quadrature",
         "entropy_integral_bound",
@@ -109,6 +109,7 @@ _EXPORTS = {
         "bracketing_number",
         "bracketing_set",
         "build_grid",
+        "covariance",
         "covering_certificate",
         "dP_matrix",
         "fit_entropy_counts",

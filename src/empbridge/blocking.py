@@ -12,7 +12,9 @@ radius, then fills within-block Gaussian partial sums by a bridge-style
 conditional interpolation pinned to the block's coupled endpoint. The path
 discrepancy is the running maximum over all sample counts m of the sup norm
 of (unscaled empirical partial sum) minus (Gaussian partial sum) on a common
-evaluation mesh.
+evaluation mesh. ``block_contexts`` prepares every block's coupling context,
+once per distinct radius across a set of schedules; ``run_sequential`` is the
+block loop that uses them.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import covariance, factorize
-from .coupling import (
-    CouplingContext,
-    construct_joint,
-    prepare_coupling,
-    select_epsilon_br,
-    select_epsilon_vc,
-)
+from .bridge import factorize
+from .coupling import construct_joint, prepare_coupling, select_epsilon
 from .distributions import Distribution
 from .errors import (
     CapacityError,
@@ -39,7 +35,7 @@ from .errors import (
     ScheduleInvalidError,
 )
 from .exponents import _as_fraction, rate_thm1, rate_thm2
-from .function_classes import FunctionClass, mean_vector
+from .function_classes import EntropyRegime, FunctionClass, covariance
 from .seeds import SeedSpec
 
 REGIMES = ("vc", "br")
@@ -59,12 +55,9 @@ class BlockingSchedule:
     regime: str
     N: int
     beta: float
-    N_beta: int
     n: tuple
     cum: tuple
-    s_N: float
     params: dict
-    k_min: int = 0
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -132,18 +125,7 @@ def schedule_vc(alpha, tau1, tau2, N: int, beta: float | None = None) -> Blockin
         "tau2": float(tau2_f),
         "tau_alpha": float(rate_thm1(alpha_f, tau1_f)),
     }
-    sched = BlockingSchedule(
-        "vc",
-        N,
-        float(beta),
-        int(math.floor(N**beta)),
-        tuple(n),
-        tuple(cum),
-        0.0,
-        params,
-    )
-    object.__setattr__(sched, "s_N", s_of_N(sched))
-    return sched
+    return BlockingSchedule("vc", N, float(beta), tuple(n), tuple(cum), params)
 
 
 def schedule_br(kappa, N: int, beta: float = 0.7) -> BlockingSchedule:
@@ -169,19 +151,7 @@ def schedule_br(kappa, N: int, beta: float = 0.7) -> BlockingSchedule:
         cum.append(cum[-1] + size)
     theta, tau = rate_thm2(kappa_f)
     params = {"kappa": kf, "theta": float(theta), "tau": float(tau)}
-    sched = BlockingSchedule(
-        "br",
-        N,
-        float(beta),
-        int(math.floor(N**beta)),
-        tuple(n),
-        tuple(cum),
-        0.0,
-        params,
-        k_min=k_min,
-    )
-    object.__setattr__(sched, "s_N", s_of_N(sched))
-    return sched
+    return BlockingSchedule("br", N, float(beta), tuple(n), tuple(cum), params)
 
 
 def s_of_N(schedule: BlockingSchedule, N: int | None = None) -> float:
@@ -259,7 +229,6 @@ class PathDiscrepancy:
     m_star: int
     max_discrepancy: float
     normalized: float
-    per_block: tuple
     block_running: tuple  # running max at each block boundary
 
     def __post_init__(self):
@@ -268,83 +237,84 @@ class PathDiscrepancy:
             raise DomainError("running maximum must be nondecreasing")
 
 
+def block_contexts(
+    cls: FunctionClass, P: Distribution, schedules, selection: EntropyRegime, eval_mesh
+) -> list:
+    """Each schedule's coupling contexts, one per block (None for an empty block).
+
+    Block k is coupled at the radius that ``selection`` gives a sample of
+    max(n_k, 3) points. Each distinct radius is prepared once, on
+    ``eval_mesh``, and its context is shared by every schedule and block.
+    """
+    prepared = {}
+    out = []
+    for schedule in schedules:
+        blocks = []
+        for n_k in schedule.n:
+            if n_k < 1:
+                blocks.append(None)
+                continue
+            eps = select_epsilon(selection, max(n_k, 3))
+            if eps not in prepared:
+                prepared[eps] = prepare_coupling(cls, P, eps, eval_mesh=eval_mesh)
+            blocks.append(prepared[eps])
+        out.append(tuple(blocks))
+    return out
+
+
 def run_sequential(
-    cls: FunctionClass,
-    P: Distribution,
     schedule: BlockingSchedule,
+    contexts: tuple,
     seed: SeedSpec,
     m: int = 48,
     method: str = "exact",
-    eval_mesh=None,
-    budget: int = 500_000,
-    selector=None,
     tag_offset: int = 0,
-    contexts: dict[float, CouplingContext] | None = None,
 ) -> PathDiscrepancy:
     """Couple each block independently and track the path discrepancy.
 
-    Within a block of size n, the Gaussian partial sums interpolate between
-    the running total and the block's coupled endpoint: a cumulative sum of
-    i.i.d. mesh-covariance draws is bridged to zero and the pinned endpoint
-    is added back linearly. The fill works in place on the block's evaluation
-    matrix and Gaussian steps, with one buffer sized to the largest block, and
-    gives the same bits as computing each partial-sum matrix afresh.
-
-    ``contexts`` maps block radii to coupling contexts prepared on the same
-    evaluation mesh (see ``block_radii``); radii it lacks are prepared here.
+    ``contexts`` holds block k's coupling context (see ``block_contexts``);
+    all of them share one class, law and evaluation mesh, and block k is
+    coupled at its context's radius. Within a block of size n, the Gaussian
+    partial sums interpolate between the running total and the block's
+    coupled endpoint: a cumulative sum of i.i.d. mesh-covariance draws is
+    bridged to zero and the pinned endpoint is added back linearly. The fill
+    works in place on the block's evaluation matrix and Gaussian steps, with
+    one buffer sized to the largest block, and gives the same bits as
+    computing each partial-sum matrix afresh.
     """
-    total = schedule.total
-    if total > budget:
-        raise CapacityError(f"schedule needs {total} samples, over the budget {budget}")
-    if eval_mesh is None:
-        mesh = list(cls.mesh)
-        step = max(1, len(mesh) // 9)
-        eval_mesh = tuple(mesh[step // 2 :: step][:9])
-    else:
-        eval_mesh = tuple(eval_mesh)
+    # Block 0 is the unit starter block of either regime.
+    cls, P, eval_mesh = contexts[0].cls, contexts[0].P, list(contexts[0].eval_mesh)
     g = len(eval_mesh)
-    k_eval = covariance(cls, P, list(eval_mesh))
-    l_eval = factorize(k_eval).L
-    mesh_means = mean_vector(cls, P, list(eval_mesh))
-    contexts = dict(contexts or {})
+    l_eval = factorize(covariance(cls, P, eval_mesh)).L
     emp_prefix = np.zeros(g)
     gauss_prefix = np.zeros(g)
     frac_buffer = np.empty((max(schedule.n), g))
-    per_block = []
     block_running = []
     best = 0.0
     m_star = 0
     done = 0
-    if selector is None:
-        selector = cls.regime
-    for k in range(schedule.N + 1):
+    for k, ctx in enumerate(contexts):
         n_k = schedule.n[k]
         if n_k < 1:
             continue
-        eps = _block_epsilon(selector, n_k)
-        ctx = contexts.get(eps)
-        if ctx is None:
-            ctx = prepare_coupling(cls, P, eps, eval_mesh=eval_mesh)
-            contexts[eps] = ctx
         real = construct_joint(
             cls,
             P,
             n_k,
-            eps,
+            ctx.grid.epsilon,
             m,
             seed,
             method=method,
             context=ctx,
             tag=tag_offset + k,
         )
-        per_block.append(real.sup_grid)
         root = math.sqrt(n_k)
         gauss_total = root * real.mesh_gauss
         # gaps = |(emp_prefix + emp) - (gauss_prefix + gauss)|, with
         # emp = cumsum(vals - means) and gauss = walk - frac walk[-1] +
         # frac gauss_total, computed in that order in the block's own arrays.
-        emp = cls.evaluate_matrix(list(eval_mesh), real.points)
-        emp -= mesh_means
+        emp = cls.evaluate_matrix(eval_mesh, real.points)
+        emp -= ctx.mesh_means
         np.cumsum(emp, axis=0, out=emp)
         gauss = seed.rng("fill", tag_offset + k).standard_normal((n_k, g)) @ l_eval.T
         np.cumsum(gauss, axis=0, out=gauss)
@@ -368,6 +338,7 @@ def run_sequential(
         gauss_prefix = gauss_prefix + gauss_total
         done += n_k
         block_running.append(best)
+    total = schedule.total
     return PathDiscrepancy(
         schedule.regime,
         schedule.N,
@@ -375,19 +346,5 @@ def run_sequential(
         m_star,
         best,
         best / math.sqrt(total),
-        tuple(per_block),
         tuple(block_running),
     )
-
-
-def block_radii(schedule: BlockingSchedule, selector) -> list:
-    """The distinct coupling radii of a schedule's nonempty blocks, in order."""
-    radii = (_block_epsilon(selector, n_k) for n_k in schedule.n if n_k >= 1)
-    return list(dict.fromkeys(radii))
-
-
-def _block_epsilon(regime, n_k: int) -> float:
-    n_sel = max(n_k, 3)
-    if regime.kind == "vc":
-        return select_epsilon_vc(n_sel, regime.nu0)
-    return select_epsilon_br(n_sel, regime.b0, regime.r0).epsilon

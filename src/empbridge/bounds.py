@@ -62,8 +62,8 @@ class BoundReport:
     extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.rhs < 0:
-            raise DomainError("bound value must be nonnegative")
+        if not self.rhs >= 0:  # NaN fails too; +inf is a vacuous bound
+            raise DomainError(f"{self.name} bound value must be nonnegative, got {self.rhs}")
 
     def as_dict(self) -> dict:
         return {

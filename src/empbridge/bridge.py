@@ -28,7 +28,7 @@ from .errors import (
     InconsistentCovarianceError,
     NotACovarianceError,
 )
-from .function_classes import FunctionClass, mean_vector, second_moment_matrix
+from .function_classes import FunctionClass, covariance
 from .quadrature import adaptive_simpson
 from .seeds import SeedSpec
 
@@ -36,14 +36,6 @@ _SYM_TOL = 1e-10
 _EIG_FLOOR = -1e-9
 _SCHUR_FLOOR = -1e-7
 _PINV_CUT = 1e-10
-
-
-def covariance(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
-    """Centered Gram matrix of the field on the given parameters."""
-    params = list(params)
-    q = second_moment_matrix(cls, P, params)
-    m = mean_vector(cls, P, params)
-    return q - np.outer(m, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,18 +186,15 @@ def _report_checks(checks) -> int:
 
 
 def _write_or_print(config, obj, stem: str) -> None:
-    from .experiments import ResultTable, emit
+    from .experiments import ResultTable, emit, render
 
-    is_table = isinstance(obj, ResultTable)
-    fmt = config.format if is_table else "json"
+    fmt = config.format if isinstance(obj, ResultTable) else "json"
     if config.out:
         path = os.path.join(config.out, f"{stem}.{fmt}")
         emit(obj, path, fmt)
         print(path)
-    elif is_table:
-        sys.stdout.write(obj.to_csv_text() if fmt == "csv" else obj.to_json_text())
     else:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        sys.stdout.write(render(obj, fmt))
 
 
 def _cmd_approx(config, check: bool) -> int:
@@ -210,7 +207,7 @@ def _cmd_approx(config, check: bool) -> int:
         return EXIT_OK
     if config.selection.kind == "vc":
         tau1 = float(rate_vc(config.selection.nu0)[0])
-        fit = fit_rate(table, "power", comparison=-tau1)
+        fit = fit_rate(table, "power")
         ok = fit.slope <= -0.07
         detail = f"slope {fit.slope:.4f}, need <= -0.07, theory {-tau1:.4f}"
     else:

@@ -42,7 +42,6 @@ from .bridge import (
     BridgeModel,
     ConditionalLaw,
     conditional_law,
-    covariance,
     extend_from_law,
     factorize,
 )
@@ -54,7 +53,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .function_classes import FunctionClass, Grid, build_grid, mean_vector
+from .function_classes import EntropyRegime, FunctionClass, Grid, build_grid, covariance, mean_vector
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
@@ -70,7 +69,7 @@ class ZaitsevParams:
             raise ConfigError("tail constants must be positive")
 
 
-def zaitsev_bound(N: int, B: float, delta: float, params: ZaitsevParams, clamp: bool = False) -> float:
+def zaitsev_bound(N: int, B: float, delta: float, params: ZaitsevParams) -> float:
     """Exponential coupling tail C1 N^2 exp(-C2 delta / (N^2 B))."""
     if N < 1:
         raise DomainError("dimension N must be >= 1")
@@ -82,17 +81,14 @@ def zaitsev_bound(N: int, B: float, delta: float, params: ZaitsevParams, clamp: 
         spread = N * N * B
     except OverflowError:  # an integer N whose square is past the float range
         spread = math.inf
-    raw = params.C1 * N * N * math.exp(-params.C2 * delta / spread)
-    return min(raw, 1.0) if clamp else raw
+    return params.C1 * N * N * math.exp(-params.C2 * delta / spread)
 
 
-def zaitsev_grid_tail(
-    n: int, M: float, N_eps: int, delta: float, params: ZaitsevParams, clamp: bool = False
-) -> float:
+def zaitsev_grid_tail(n: int, M: float, N_eps: int, delta: float, params: ZaitsevParams) -> float:
     """The grid specialization with B = M sqrt(N_eps / n) substituted."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    return zaitsev_bound(N_eps, M * math.sqrt(N_eps / n), delta, params, clamp)
+    return zaitsev_bound(N_eps, M * math.sqrt(N_eps / n), delta, params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +156,13 @@ def select_epsilon_br(n: int, b0: float, r0: float, cap: float = 1.0 / math.e) -
     raw = (10.0 * b0 * b0 * 2.0 ** (2.0 * r0) / math.log(n)) ** (1.0 / (2.0 * r0))
     capped = raw >= cap
     return EpsilonSelection(cap if capped else raw, capped)
+
+
+def select_epsilon(selection: EntropyRegime, n: int) -> float:
+    """The coupling radius at sample size n under a vc or br entropy selection."""
+    if selection.kind == "vc":
+        return select_epsilon_vc(n, selection.nu0)
+    return select_epsilon_br(n, selection.b0, selection.r0).epsilon
 
 
 def select_delta_t(

@@ -58,16 +58,6 @@ class Distribution:
             pts = pts[:, None]
         return pts
 
-    @property
-    def label(self) -> str:
-        if self.kind == "beta":
-            return f"beta({self.a:g},{self.b:g})"
-        if self.kind == "product-uniform":
-            return f"product-uniform(d={self.dim})"
-        if self.kind == "discrete":
-            return f"discrete({len(self.atoms)} atoms)"
-        return self.kind
-
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. points; shape (n,) when dim == 1, else (n, dim)."""
         if n < 1:

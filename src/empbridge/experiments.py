@@ -33,14 +33,13 @@ from .bounds import (
     vc_moment_bound,
 )
 from .exponents import _as_fraction, rate_br, rate_vc
-from .blocking import block_radii, path_envelope, run_sequential, schedule_br, schedule_vc
+from .blocking import block_contexts, path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
     OT_EXACT_LIMIT,
     construct_joint,
     prepare_coupling,
     select_delta_t,
-    select_epsilon_br,
-    select_epsilon_vc,
+    select_epsilon,
 )
 from .distributions import Distribution
 from .errors import (
@@ -437,28 +436,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit(obj, path: str, format: str = "csv") -> None:
-    """Write a table or JSON-serializable document; same input, same bytes."""
+def render(obj, format: str) -> str:
+    """The text of a table or JSON-serializable document; same input, same bytes."""
     if isinstance(obj, ResultTable):
-        text = obj.to_csv_text() if format == "csv" else obj.to_json_text()
-    else:
-        if format == "csv":
-            raise ConfigError("only tables can be written as CSV")
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+        return obj.to_csv_text() if format == "csv" else obj.to_json_text()
+    if format == "csv":
+        raise ConfigError("only tables can be written as CSV")
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def emit(obj, path: str, format: str = "csv") -> None:
+    """Write ``render(obj, format)`` to ``path``, making its directory."""
+    text = render(obj, format)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def _select_radius(config: ExperimentConfig, n: int):
     sel = config.selection
-    if sel.kind == "vc":
-        eps = select_epsilon_vc(n, sel.nu0)
-        delta, t = select_delta_t(eps, "vc", config.gamma1, config.gamma2)
-    else:
-        eps = select_epsilon_br(n, sel.b0, sel.r0).epsilon
-        delta, t = select_delta_t(eps, "br", config.gamma1, config.gamma2, r0=sel.r0)
+    eps = select_epsilon(sel, n)
+    delta, t = select_delta_t(eps, sel.kind, config.gamma1, config.gamma2, r0=sel.r0)
     return eps, delta, t
 
 
@@ -475,8 +473,8 @@ def _couple_task(cls, dist, n, eps, batch, master, rep, **kw):
     return real.sup_grid, real.sup_mesh, real.transport_cost
 
 
-def _strong_task(cls, dist, schedule, master, rep, **kw):
-    return run_sequential(cls, dist, schedule, replication_seed(master, rep), **kw)
+def _strong_task(schedule, contexts, master, rep, **kw):
+    return run_sequential(schedule, contexts, replication_seed(master, rep), **kw)
 
 
 def _attempt(job):
@@ -565,7 +563,11 @@ def build_schedule(config: ExperimentConfig, N: int):
 
 
 def run_strong_approx(config: ExperimentConfig) -> ResultTable:
-    """Replicated sequential constructions across a block-count grid."""
+    """Replicated sequential constructions across a block-count grid.
+
+    Every schedule is checked against the sample budget, and every block's
+    coupling context prepared, before any replication runs.
+    """
     n_grid, budget = config.schedule["N_grid"], config.schedule["budget"]
     mesh = _eval_mesh(config.cls, config.schedule["eval_mesh_size"])
     schedules = []
@@ -574,16 +576,13 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
         if schedule.total > budget:
             raise NumericError(f"schedule at N = {N} needs {schedule.total} samples")
         schedules.append(schedule)
-    # One context per distinct block radius across the whole grid, shared by
-    # every replication, as run_gauss_approx shares one per n.
-    radii = dict.fromkeys(e for s in schedules for e in block_radii(s, config.selection))
-    contexts = {e: prepare_coupling(config.cls, config.dist, e, eval_mesh=mesh) for e in radii}
+    # Shared by every replication, as run_gauss_approx shares one context per n.
+    contexts = block_contexts(config.cls, config.dist, schedules, config.selection, mesh)
     tasks = []
     for i, (N, schedule) in enumerate(zip(n_grid, schedules)):
         task = partial(
-            _strong_task, config.cls, config.dist, schedule, config.seed,
-            m=config.schedule["m"], method=config.method, eval_mesh=mesh, budget=budget,
-            selector=config.selection, tag_offset=10_000 * i, contexts=contexts,
+            _strong_task, schedule, contexts[i], config.seed,
+            m=config.schedule["m"], method=config.method, tag_offset=10_000 * i,
         )
         tasks.append((f"N={N}", schedule.total, task))
     done, meta = _replicate(config, tasks)
@@ -598,12 +597,9 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
 @dataclass(frozen=True)
 class RateFit:
     abscissae: tuple
-    log_medians: tuple
     slope: float
-    intercept: float
     residual: float
     model: str
-    comparison: float | None = None
 
     def __post_init__(self):
         if len(self.abscissae) < 3:
@@ -617,7 +613,6 @@ def fit_rate(
     model: str = "power",
     x_col: str = "n",
     y_col: str = "sup_grid",
-    comparison: float | None = None,
 ) -> RateFit:
     """Least-squares slope of log median discrepancy against log n (power)
     or log log n (logpower)."""
@@ -644,15 +639,7 @@ def fit_rate(
         raise DegenerateFitError("abscissae are degenerate")
     slope, intercept = np.polyfit(abscissae, np.log(med), 1)
     resid = float(np.abs(np.log(med) - (slope * abscissae + intercept)).max())
-    return RateFit(
-        tuple(float(a) for a in abscissae),
-        tuple(float(v) for v in np.log(med)),
-        float(slope),
-        float(intercept),
-        resid,
-        model,
-        comparison,
-    )
+    return RateFit(tuple(float(a) for a in abscissae), float(slope), resid, model)
 
 
 def run_entropy(config: ExperimentConfig) -> ResultTable:
@@ -722,9 +709,7 @@ def run_bounds_audit(config: ExperimentConfig) -> list:
     reports.append(br_moment_bound(br_sigma, a["b0"], a["r0"], n, M, consts))
     eps = a["epsilon"]
     sel = config.selection
-    delta, t_sel = select_delta_t(
-        eps, sel.kind, config.gamma1, config.gamma2, r0=sel.r0 if sel.kind == "br" else None
-    )
+    delta, t_sel = select_delta_t(eps, sel.kind, config.gamma1, config.gamma2, r0=sel.r0)
     for n_val in a["budget_n_grid"]:
         reports.append(error_budget(eps, delta, t_sel, n_val, M, sel, consts))
     for t in t_grid:

@@ -463,6 +463,14 @@ def second_moment_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndar
     return out
 
 
+def covariance(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
+    """Centered Gram matrix E f_i f_j - E f_i E f_j: the covariance of the field."""
+    params = list(params)
+    q = second_moment_matrix(cls, P, params)
+    m = mean_vector(cls, P, params)
+    return q - np.outer(m, m)
+
+
 def _require_dim(P: Distribution, dim: int):
     if P.dim != dim:
         raise DomainError(f"distribution dimension {P.dim} does not match class ({dim})")
@@ -528,7 +536,6 @@ class Grid:
     epsilon: float
     centers: tuple
     gram: np.ndarray
-    distribution: str
 
     @property
     def size(self) -> int:
@@ -569,10 +576,7 @@ def build_grid(
             f"grid size {len(centers)} exceeds the declared entropy bound {bound:.3g} "
             f"at epsilon/2; declared regime constants are too small"
         )
-    from .bridge import covariance
-
-    gram = covariance(cls, P, centers)
-    return Grid(float(epsilon), tuple(centers), gram, P.label)
+    return Grid(float(epsilon), tuple(centers), covariance(cls, P, centers))
 
 
 def _interval_sweep(cls, P, mesh, epsilon) -> list:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empbridge import (
+    BlockingSchedule,
     CapacityError,
     Distribution,
     DomainError,
@@ -17,6 +18,7 @@ from empbridge import (
     FunctionClass,
     ScheduleInvalidError,
     SeedSpec,
+    block_contexts,
     br_growth_ratio,
     br_sandwich_ratio,
     ms_bound,
@@ -27,9 +29,9 @@ from empbridge import (
     schedule_br,
     schedule_vc,
 )
-from empbridge.blocking import _block_epsilon, _floor_power
+from empbridge.blocking import _floor_power
 from empbridge.bridge import covariance, factorize
-from empbridge.coupling import construct_joint, prepare_coupling
+from empbridge.coupling import construct_joint, prepare_coupling, select_epsilon
 from empbridge.function_classes import mean_vector
 
 TAU1, TAU2 = rate_vc(1)
@@ -75,7 +77,6 @@ def test_alpha_gate_enforced_exactly():
 def test_beta_defaults_and_window():
     sched = schedule_vc(5, TAU1, TAU2, 4)
     assert sched.beta == pytest.approx(5.0 / 6.0, rel=1e-15)
-    assert sched.N_beta == int(4**sched.beta)
     with pytest.raises(DomainError):
         schedule_vc(5, TAU1, TAU2, 4, beta=1.0)
     with pytest.raises(DomainError):
@@ -143,8 +144,8 @@ def test_exponential_schedule_guards():
         schedule_br(Fraction(1, 6), 3000)
     sched = schedule_br(Fraction(1, 6), 8)
     assert sched.n[0] == 1  # unit starter block
-    assert sched.k_min >= 1
-    assert all(size >= 1 for size in sched.n[sched.k_min :])
+    k_min = next(k for k in range(1, 9) if sched.n[k] >= 1)
+    assert all(size >= 1 for size in sched.n[k_min:])
 
 
 def test_block_sum_matches_direct_computation():
@@ -156,7 +157,7 @@ def test_block_sum_matches_direct_computation():
         if sched.n[k] > 1
     )
     assert s_of_N(sched, 12) == pytest.approx(want, rel=1e-12)
-    assert sched.s_N == pytest.approx(s_of_N(sched, 30), rel=1e-12)
+    assert s_of_N(sched) == s_of_N(sched, 30)
     with pytest.raises(DomainError):
         s_of_N(sched, 31)
 
@@ -209,10 +210,55 @@ def test_ms_bound_transfer():
         ms_bound(lambda t: 2.0, 1.0)
 
 
+# A hand-built schedule whose block 1 is empty.
+GAPPED = BlockingSchedule("vc", 3, 0.5, (1, 0, 2, 30), (0, 1, 1, 3, 33), {})
+
+
+def contexts_of(cls, P, *schedules):
+    """Each schedule's block contexts under the class's own regime, on nine
+    evenly spread mesh points."""
+    mesh = tuple(cls.mesh)
+    return block_contexts(cls, P, schedules, cls.regime, mesh[len(mesh) // 18 :: len(mesh) // 9])
+
+
+def test_block_contexts_prepare_each_radius_once(intervals, uniform, monkeypatch):
+    import empbridge.blocking as blocking
+
+    prepared = []
+
+    def counted(cls, P, epsilon, **kw):
+        prepared.append(epsilon)
+        return prepare_coupling(cls, P, epsilon, **kw)
+
+    monkeypatch.setattr(blocking, "prepare_coupling", counted)
+    schedules = (schedule_br(Fraction(1, 6), 6), schedule_br(Fraction(1, 6), 8), GAPPED)
+    contexts = contexts_of(intervals, uniform, *schedules)
+    assert len(prepared) == len(set(prepared)) >= 2
+    for sched, blocks in zip(schedules, contexts):
+        assert len(blocks) == sched.N + 1
+        for n_k, ctx in zip(sched.n, blocks):
+            if n_k < 1:
+                assert ctx is None
+            else:
+                assert ctx.grid.epsilon == select_epsilon(intervals.regime, max(n_k, 3))
+                assert len(ctx.eval_mesh) == 9
+    assert contexts[2][1] is None
+    # The longer schedule reuses the shorter one's contexts block for block.
+    assert all(a is b for a, b in zip(contexts[0], contexts[1]))
+
+
+def test_sequential_construction_skips_empty_blocks(intervals, uniform):
+    (contexts,) = contexts_of(intervals, uniform, GAPPED)
+    disc = run_sequential(GAPPED, contexts, SeedSpec(5, 0), m=4)
+    assert len(disc.block_running) == 3 and disc.t_N == 33
+    assert 1 <= disc.m_star <= 33
+
+
 def test_sequential_construction_smoke(intervals, uniform):
     sched = schedule_vc(5, TAU1, TAU2, 4)
     seed = SeedSpec(314, 0)
-    disc = run_sequential(intervals, uniform, sched, seed, m=8)
+    (contexts,) = contexts_of(intervals, uniform, sched)
+    disc = run_sequential(sched, contexts, seed, m=8)
     assert disc.regime == "vc"
     assert disc.N == 4
     assert disc.t_N == sched.total
@@ -221,7 +267,7 @@ def test_sequential_construction_smoke(intervals, uniform):
     assert disc.normalized == pytest.approx(
         disc.max_discrepancy / math.sqrt(sched.total), rel=1e-12
     )
-    assert len(disc.per_block) == sum(1 for size in sched.n if size >= 1)
+    assert len(disc.block_running) == sum(1 for size in sched.n if size >= 1)
     assert disc.block_running[-1] == disc.max_discrepancy
     assert all(
         a <= b + 1e-12 for a, b in zip(disc.block_running, disc.block_running[1:])
@@ -230,24 +276,20 @@ def test_sequential_construction_smoke(intervals, uniform):
 
 def test_sequential_construction_is_deterministic(intervals, uniform):
     sched = schedule_br(Fraction(1, 6), 5)
-    a = run_sequential(intervals, uniform, sched, SeedSpec(27, 0), m=6)
-    b = run_sequential(intervals, uniform, sched, SeedSpec(27, 0), m=6)
+    (contexts,) = contexts_of(intervals, uniform, sched)
+    a = run_sequential(sched, contexts, SeedSpec(27, 0), m=6)
+    b = run_sequential(sched, contexts, SeedSpec(27, 0), m=6)
     assert a.max_discrepancy == b.max_discrepancy
-    assert a.per_block == b.per_block
+    assert a.block_running == b.block_running
 
 
 def test_sequential_tag_offset_decouples_runs(intervals, uniform):
     sched = schedule_br(Fraction(1, 6), 5)
     seed = SeedSpec(27, 0)
-    a = run_sequential(intervals, uniform, sched, seed, m=6)
-    b = run_sequential(intervals, uniform, sched, seed, m=6, tag_offset=10_000)
+    (contexts,) = contexts_of(intervals, uniform, sched)
+    a = run_sequential(sched, contexts, seed, m=6)
+    b = run_sequential(sched, contexts, seed, m=6, tag_offset=10_000)
     assert a.max_discrepancy != b.max_discrepancy
-
-
-def test_sequential_budget_guard(intervals, uniform):
-    sched = schedule_vc(5, TAU1, TAU2, 8)
-    with pytest.raises(CapacityError):
-        run_sequential(intervals, uniform, sched, SeedSpec(1, 0), budget=100)
 
 
 def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
@@ -272,7 +314,7 @@ def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
         n_k = schedule.n[k]
         if n_k < 1:
             continue
-        eps = _block_epsilon(selector, n_k)
+        eps = select_epsilon(selector, max(n_k, 3))
         ctx = contexts.get(eps)
         if ctx is None:
             ctx = prepare_coupling(cls, P, eps, eval_mesh=eval_mesh)
@@ -341,9 +383,8 @@ def test_in_place_fill_matches_the_reference_loop(kind, law, regime, N, mesh_siz
     mesh = list(cls.mesh)
     eval_mesh = tuple(mesh[i] for i in np.linspace(0, len(mesh) - 1, mesh_size).astype(int))
     seed = SeedSpec(master, 0)
-    got = run_sequential(cls, P, sched, seed, m=4, eval_mesh=eval_mesh, selector=selector)
-    best, m_star, per_block, block_running = _reference_fill(
-        cls, P, sched, seed, 4, eval_mesh, selector
-    )
+    (contexts,) = block_contexts(cls, P, [sched], selector, eval_mesh)
+    got = run_sequential(sched, contexts, seed, m=4)
+    best, m_star, _, block_running = _reference_fill(cls, P, sched, seed, 4, eval_mesh, selector)
     assert got.max_discrepancy == best and got.m_star == m_star
-    assert got.per_block == per_block and got.block_running == block_running
+    assert got.block_running == block_running

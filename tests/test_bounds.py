@@ -270,6 +270,15 @@ def test_report_dict_schema():
     assert isinstance(rep, BoundReport)
 
 
+def test_report_rejects_a_nan_bound_and_keeps_an_infinite_one():
+    rep = talagrand_tail(t=1.0, n=4, sigma2=1.0, M=1.0, sym_moment=0.5)
+    with pytest.raises(DomainError, match="must be nonnegative, got nan"):
+        replace(rep, rhs=float("nan"))
+    with pytest.raises(DomainError):
+        replace(rep, rhs=-1.0)
+    assert replace(rep, rhs=math.inf).rhs == math.inf
+
+
 def test_constants_validation_and_replace():
     base = BoundConstants()
     assert base.A5 == 0.5

@@ -143,6 +143,18 @@ def test_capacity_overflow_is_numeric_error(capsys, tmp_path):
     assert "needs" in err
 
 
+def test_nan_bound_is_a_config_error(capsys, tmp_path):
+    # A sigma that underflows makes the vc-moment bound NaN, which JSON cannot
+    # hold; an infinite bound is vacuous and prints as Infinity.
+    cfg = write_config(tmp_path, "nan.json", {"audit": {"sigma": 5e-324}})
+    code, out, err = run_cli(capsys, "bounds-audit", "--config", cfg)
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: vc-moment bound value must be nonnegative, got nan\n"
+    cfg = write_config(tmp_path, "inf.json", {"selection": {"type": "vc", "nu0": 300}})
+    code, out, _ = run_cli(capsys, "bounds-audit", "--config", cfg)
+    assert code == EXIT_OK and '"rhs": Infinity' in out
+
+
 def test_failed_check_exits_4(capsys, tmp_path):
     cfg = write_config(
         tmp_path, "audit.json", {"kind": "bounds-audit", "audit": {"M_sup": 5.0}}

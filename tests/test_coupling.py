@@ -41,12 +41,11 @@ def test_zaitsev_hand_value():
     assert got == pytest.approx(0.6828551, abs=1e-7)
 
 
-def test_zaitsev_scaling_and_clamp():
+def test_zaitsev_scaling():
     p = ZaitsevParams(C1=2.0, C2=3.0)
     got = zaitsev_bound(3, 0.5, 2.0, p)
     assert got == pytest.approx(18.0 * math.exp(-3.0 * 2.0 / (9.0 * 0.5)), rel=1e-12)
     assert zaitsev_bound(5, 1.0, 0.0, ZaitsevParams()) == 25.0
-    assert zaitsev_bound(5, 1.0, 0.0, ZaitsevParams(), clamp=True) == 1.0
 
 
 def test_zaitsev_validation():

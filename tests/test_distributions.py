@@ -100,9 +100,3 @@ def test_spec_round_trip():
     ):
         Q = distribution_from_spec(P.to_spec())
         assert Q == P
-        assert Q.label == P.label
-
-
-def test_labels_are_informative():
-    assert Distribution("uniform").label == "uniform"
-    assert "beta" in Distribution("beta", a=2.0, b=3.0).label

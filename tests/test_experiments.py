@@ -23,6 +23,7 @@ from empbridge import (
     ExperimentConfig,
     FunctionClass,
     NumericError,
+    PathDiscrepancy,
     ResultTable,
     config_from_dict,
     emit,
@@ -477,17 +478,20 @@ def test_strong_approx_replications_do_not_absorb_bugs(monkeypatch):
 def test_strong_approx_passes_the_configured_budget(monkeypatch):
     import empbridge.experiments as exp
 
-    budgets = []
-    real = exp.run_sequential
+    totals = []
 
-    def spy(*args, **kw):
-        budgets.append(kw.get("budget"))
-        return real(*args, **kw)
+    def stub(schedule, contexts, seed, **kw):
+        totals.append(schedule.total)
+        return PathDiscrepancy(schedule.regime, schedule.N, schedule.total, 1, 1.0, 1.0, (1.0,))
 
-    monkeypatch.setattr(exp, "run_sequential", spy)
-    schedule = {"N_grid": [3], "m": 4, "budget": 123_456}
-    run_strong_approx(ExperimentConfig(kind="strong-approx", reps=2, schedule=schedule))
-    assert budgets == [123_456, 123_456]
+    monkeypatch.setattr(exp, "run_sequential", stub)
+    # N = 12 needs 630,709 samples under the default alpha = 5.
+    spec = {"N_grid": [12], "m": 4}
+    with pytest.raises(NumericError, match="schedule at N = 12 needs 630709 samples"):
+        run_strong_approx(ExperimentConfig(kind="strong-approx", schedule=spec))
+    spec["budget"] = 700_000
+    run_strong_approx(ExperimentConfig(kind="strong-approx", reps=2, schedule=spec))
+    assert totals == [630_709, 630_709]
 
 
 def test_strong_approx_table():
@@ -517,20 +521,15 @@ def test_strong_approx_table():
 
 def test_strong_approx_prepares_each_radius_once(monkeypatch):
     import empbridge.blocking as blocking
-    import empbridge.experiments as exp
 
     radii = []
-    prepare = exp.prepare_coupling
+    prepare = blocking.prepare_coupling
 
     def counted(cls, P, epsilon, **kw):
         radii.append(epsilon)
         return prepare(cls, P, epsilon, **kw)
 
-    def unexpected(*args, **kw):
-        raise AssertionError("a block radius was not prepared up front")
-
-    monkeypatch.setattr(exp, "prepare_coupling", counted)
-    monkeypatch.setattr(blocking, "prepare_coupling", unexpected)
+    monkeypatch.setattr(blocking, "prepare_coupling", counted)
     cfg = ExperimentConfig(
         kind="strong-approx",
         reps=3,

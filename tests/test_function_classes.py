@@ -364,7 +364,6 @@ def test_interval_net_counts_and_radius(uniform):
     g = build_grid(cls, uniform, 0.6)
     assert g.centers[-1] == 1.0
     assert g.gram.shape == (2, 2)
-    assert g.distribution == "uniform"
 
 
 def test_interval_sweep_is_minimal(uniform):
