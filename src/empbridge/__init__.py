@@ -58,7 +58,6 @@ _EXPORTS = {
         "CouplingRealization",
         "EpsilonSelection",
         "TransportPlan",
-        "ZaitsevParams",
         "construct_joint",
         "ot_couple",
         "prepare_coupling",

@@ -5,7 +5,10 @@ n_k = floor(k^alpha), with alpha gated by the exact rational constraint
 1/2 < tau1 * alpha < 1. The stretched-exponential ("br") schedule uses
 cumulative times t_k = floor(exp(k^{1-kappa})) with t_0 = 1 and block sizes
 n_k = t_k - t_{k-1}; a unit starter block makes the cumulative identity
-t_N = sum of all block sizes exact.
+t_N = sum of all block sizes exact. No block of either regime is empty: a
+polynomial block is at least floor(1^alpha) = 1, and consecutive
+stretched-exponential times differ by more than (1 - kappa) e > 1 before the
+floor. A schedule with an empty block is rejected.
 
 The sequential construction couples each block independently at its own
 radius, then fills within-block Gaussian partial sums by a bridge-style
@@ -64,6 +67,8 @@ class BlockingSchedule:
             raise ConfigError(f"unknown schedule regime {self.regime!r}")
         if len(self.n) != self.N + 1 or len(self.cum) != self.N + 2:
             raise ScheduleInvalidError("block and boundary lengths are inconsistent")
+        if any(size < 1 for size in self.n):
+            raise ScheduleInvalidError("every block needs at least one sample")
         run = 0
         for k in range(self.N + 2):
             if self.cum[k] != run:
@@ -143,9 +148,6 @@ def schedule_br(kappa, N: int, beta: float = 0.7) -> BlockingSchedule:
         raise CapacityError(f"schedule with N = {N} blocks overflows the time range")
     t = [1] + [int(math.floor(math.exp(e))) for e in exponents]
     n = [1] + [t[k] - t[k - 1] for k in range(1, N + 1)]
-    k_min = next((k for k in range(1, N + 1) if n[k] >= 1), N + 1)
-    if any(size < 1 for size in n[k_min:]):
-        raise ScheduleInvalidError("zero-size block after the first nonempty block")
     cum = [0]
     for size in n:
         cum.append(cum[-1] + size)
@@ -182,11 +184,10 @@ def s_of_N(schedule: BlockingSchedule, N: int | None = None) -> float:
     return total
 
 
-def path_envelope(schedule: BlockingSchedule, N: int | None = None) -> float:
-    """Theoretical growth shape of the path discrepancy at time t_N."""
-    if N is None:
-        N = schedule.N
-    t_N = schedule.t_of(N)
+def path_envelope(schedule: BlockingSchedule) -> float:
+    """Theoretical growth shape of the path discrepancy at the schedule's
+    final time t_N."""
+    t_N = schedule.t_of(schedule.N)
     if schedule.regime == "vc":
         ta, tau2 = schedule.params["tau_alpha"], schedule.params["tau2"]
         return t_N ** (0.5 - ta) * math.log(t_N) ** tau2
@@ -240,7 +241,7 @@ class PathDiscrepancy:
 def block_contexts(
     cls: FunctionClass, P: Distribution, schedules, selection: EntropyRegime, eval_mesh
 ) -> list:
-    """Each schedule's coupling contexts, one per block (None for an empty block).
+    """Each schedule's coupling contexts, one per block.
 
     Block k is coupled at the radius that ``selection`` gives a sample of
     max(n_k, 3) points. Each distinct radius is prepared once, on
@@ -251,9 +252,6 @@ def block_contexts(
     for schedule in schedules:
         blocks = []
         for n_k in schedule.n:
-            if n_k < 1:
-                blocks.append(None)
-                continue
             eps = select_epsilon(selection, max(n_k, 3))
             if eps not in prepared:
                 prepared[eps] = prepare_coupling(cls, P, eps, eval_mesh=eval_mesh)
@@ -295,8 +293,6 @@ def run_sequential(
     done = 0
     for k, ctx in enumerate(contexts):
         n_k = schedule.n[k]
-        if n_k < 1:
-            continue
         real = construct_joint(
             cls,
             P,

@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .bridge import dudley_integral, entropy_integral_bound
-from .coupling import ZaitsevParams, zaitsev_grid_tail
+from .coupling import zaitsev_grid_tail
 from .errors import ConfigError, DomainError
 from .function_classes import EntropyRegime, regime_grid_bound
 
@@ -171,7 +171,7 @@ def br_moment_bound(
         raise DomainError("sigma must lie in (0, 1)")
     if b0 <= 0 or n < 1 or M <= 0:
         raise DomainError("need b0 > 0, n >= 1, M > 0")
-    j_bound = math.sqrt(2.0) * b0 * sigma ** (1.0 - r0) / (1.0 - r0)
+    j_bound = entropy_integral_bound(b0, r0, sigma)
     a_sigma = sigma ** (1.0 + r0) / (math.sqrt(2.0) * b0)
     indicator = math.sqrt(n) if M > math.sqrt(n) * a_sigma else 0.0
     rhs = constants.A3 * (j_bound + indicator)
@@ -242,21 +242,17 @@ def error_budget(
     M: float,
     regime: EntropyRegime,
     constants: BoundConstants = BoundConstants(),
-    N_eps: float | None = None,
-    mu_n: float | None = None,
-    mu: float | None = None,
 ) -> BoundReport:
     """Three-term budget for the grid coupling plus both close-pair moduli.
 
     rhs = grid tail + 2 exp(-A1 sqrt(n) t / M) + 4 exp(-A5 t^2 / eps^2);
-    threshold = A mu_n + mu + delta + (A+1) t. The moduli default to their
-    regime's closed bounds and may be overridden by measured values.
+    threshold = A mu_n + mu + delta + (A+1) t. The grid count N_eps is the
+    regime's covering-count bound and the moduli are its closed bounds.
     """
     if epsilon <= 0 or delta <= 0 or t <= 0 or n < 1 or M <= 0:
         raise DomainError("need epsilon, delta, t > 0, n >= 1, M > 0")
-    if N_eps is None:
-        N_eps = regime_grid_bound(regime, epsilon, M)
-        N_eps = math.inf if math.isinf(N_eps) else max(1.0, math.ceil(N_eps))
+    N_eps = regime_grid_bound(regime, epsilon, M)
+    N_eps = math.inf if math.isinf(N_eps) else max(1.0, math.ceil(N_eps))
     conditions = [("A5 <= 1/2", constants.A5 <= 0.5)]
     if regime.kind == "vc":
         eps_ok = 0.0 < epsilon < 1.0 / math.e
@@ -265,21 +261,13 @@ def error_budget(
         conditions.append(
             ("sqrt(n) eps / (2 sqrt(1+2 nu0) sqrt(log(M OR 1/eps))) > M", gate)
         )
-        if mu_n is None or mu is None:
-            mn, mm = vc_modulus_bounds(epsilon, M, regime.nu0, constants)
-            mu_n = mn if mu_n is None else mu_n
-            mu = mm if mu is None else mu
+        mu_n, mu = vc_modulus_bounds(epsilon, M, regime.nu0, constants)
     else:
-        if mu_n is None or mu is None:
-            mn, mm = br_modulus_bounds(epsilon, M, regime.b0, regime.r0, n, constants)
-            mu_n = mn if mu_n is None else mu_n
-            mu = mm if mu is None else mu
+        mu_n, mu = br_modulus_bounds(epsilon, M, regime.b0, regime.r0, n, constants)
     if math.isinf(N_eps):
         term1 = math.inf
     else:
-        term1 = zaitsev_grid_tail(
-            n, M, N_eps, delta, ZaitsevParams(constants.C1, constants.C2)
-        )
+        term1 = zaitsev_grid_tail(n, M, N_eps, delta, constants.C1, constants.C2)
     term2 = 2.0 * math.exp(-constants.A1 * math.sqrt(n) * t / M)
     term3 = 4.0 * math.exp(-constants.A5 * t * t / (epsilon * epsilon))
     threshold = constants.A * mu_n + mu + delta + (constants.A + 1.0) * t

@@ -57,19 +57,10 @@ from .function_classes import EntropyRegime, FunctionClass, Grid, build_grid, co
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
+BR_EPSILON_CAP = 1.0 / math.e  # the br radius never exceeds it
 
 
-@dataclass(frozen=True)
-class ZaitsevParams:
-    C1: float = 1.0
-    C2: float = 1.0
-
-    def __post_init__(self):
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ConfigError("tail constants must be positive")
-
-
-def zaitsev_bound(N: int, B: float, delta: float, params: ZaitsevParams) -> float:
+def zaitsev_bound(N: int, B: float, delta: float, C1: float, C2: float) -> float:
     """Exponential coupling tail C1 N^2 exp(-C2 delta / (N^2 B))."""
     if N < 1:
         raise DomainError("dimension N must be >= 1")
@@ -81,14 +72,14 @@ def zaitsev_bound(N: int, B: float, delta: float, params: ZaitsevParams) -> floa
         spread = N * N * B
     except OverflowError:  # an integer N whose square is past the float range
         spread = math.inf
-    return params.C1 * N * N * math.exp(-params.C2 * delta / spread)
+    return C1 * N * N * math.exp(-C2 * delta / spread)
 
 
-def zaitsev_grid_tail(n: int, M: float, N_eps: int, delta: float, params: ZaitsevParams) -> float:
+def zaitsev_grid_tail(n: int, M: float, N_eps: int, delta: float, C1: float, C2: float) -> float:
     """The grid specialization with B = M sqrt(N_eps / n) substituted."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    return zaitsev_bound(N_eps, M * math.sqrt(N_eps / n), delta, params)
+    return zaitsev_bound(N_eps, M * math.sqrt(N_eps / n), delta, C1, C2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +134,17 @@ class EpsilonSelection:
     capped: bool
 
 
-def select_epsilon_br(n: int, b0: float, r0: float, cap: float = 1.0 / math.e) -> EpsilonSelection:
-    """Radius (10 b0^2 2^{2 r0} / log n)^{1/(2 r0)}, capped below 1."""
+def select_epsilon_br(n: int, b0: float, r0: float) -> EpsilonSelection:
+    """Radius (10 b0^2 2^{2 r0} / log n)^{1/(2 r0)}, capped at ``BR_EPSILON_CAP``."""
     if n < 3:
         raise DomainError("need n >= 3")
     if not (0.0 < r0 < 1.0):
         raise DomainError("r0 must lie in (0, 1)")
     if b0 <= 0:
         raise DomainError("b0 must be positive")
-    if not (0.0 < cap < 1.0):
-        raise DomainError("cap must lie in (0, 1)")
     raw = (10.0 * b0 * b0 * 2.0 ** (2.0 * r0) / math.log(n)) ** (1.0 / (2.0 * r0))
-    capped = raw >= cap
-    return EpsilonSelection(cap if capped else raw, capped)
+    capped = raw >= BR_EPSILON_CAP
+    return EpsilonSelection(BR_EPSILON_CAP if capped else raw, capped)
 
 
 def select_epsilon(selection: EntropyRegime, n: int) -> float:
@@ -232,9 +221,8 @@ def prepare_coupling(
     P: Distribution,
     epsilon: float,
     eval_mesh=None,
-    budget: int = 4096,
 ) -> CouplingContext:
-    grid = build_grid(cls, P, epsilon, budget=budget)
+    grid = build_grid(cls, P, epsilon)
     model = factorize(grid.gram, grid.centers)
     mesh = tuple(eval_mesh if eval_mesh is not None else cls.mesh)
     joint = covariance(cls, P, list(grid.centers) + list(mesh))
@@ -289,7 +277,6 @@ def construct_joint(
     m: int,
     seed: SeedSpec,
     method: str = "exact",
-    eval_mesh=None,
     context: CouplingContext | None = None,
     tag: int = 0,
 ) -> CouplingRealization:
@@ -308,7 +295,7 @@ def construct_joint(
     if m < 1:
         raise DomainError("batch size must be >= 1")
     if context is None:
-        context = prepare_coupling(cls, P, epsilon, eval_mesh)
+        context = prepare_coupling(cls, P, epsilon)
     grid, model = context.grid, context.model
     centers = list(grid.centers)
     g = grid.size

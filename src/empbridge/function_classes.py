@@ -20,20 +20,22 @@ same moment engine (mean vector and uncentered second-moment matrix) and are
 kept strictly apart.
 
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
-f_theta(x_i) for a parameter list and a sample, ``column_sums`` its column
-sums, and ``validate_theta`` checks that a parameter is admissible.
+f_theta(x_i) for a parameter list and a sample, and ``column_sums`` its column
+sums.
 Holder classes are evaluated by one cell search per sample point, shared by
 every parameter, with np.interp's slopes and order of operations, so the
 matrix is bit-identical to one np.interp call per parameter. Their column sums
 skip the matrix: they need only each knot cell's point count and offset sum.
 
 Grids (epsilon-nets), covering numbers and bracketing numbers are all defined
-relative to a declared finite verification mesh of parameters, which makes
-every "covers" predicate decidable. Covering counts on meshes of at most 24
-points use an exact branch-and-bound set cover; larger meshes use a greedy
-upper bound with a separation-packing lower certificate. Entropy-law fits
-take (radius, count) pairs (``fit_entropy_counts``); the ``entropy`` command
-counts covers on a radius ladder and fits them.
+relative to the class's declared finite verification mesh of parameters
+(``FunctionClass.mesh``), which makes every "covers" predicate decidable. A
+grid holds at most ``GRID_BUDGET`` centers. Covering counts on meshes of at
+most ``EXACT_COVER_LIMIT`` points use an exact branch-and-bound set cover;
+larger meshes use a greedy upper bound with a separation-packing lower
+certificate. Entropy-law fits take (radius, count) pairs
+(``fit_entropy_counts``); the ``entropy`` command counts covers on a radius
+ladder and fits them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ from .quadrature import adaptive_simpson
 
 KINDS = ("intervals", "rectangles", "holder", "finite")
 FINITE_FORMS = ("interval", "rectangle", "constant")
+GRID_BUDGET = 4096  # most centers a grid may hold
+EXACT_COVER_LIMIT = 24  # largest mesh whose cover is counted exactly
 
 
 @dataclass(frozen=True)
@@ -205,33 +209,6 @@ class FunctionClass:
         if self.kind == "holder" and xs.ndim == 1 and len(params):
             return _interp_column_sums(self.knots, np.asarray(params, dtype=float), xs)
         return self.evaluate_matrix(params, xs).sum(axis=0)
-
-    def validate_theta(self, theta):
-        if self.kind == "intervals":
-            t = float(theta)
-            if not (0.0 <= t <= 1.0):
-                raise DomainError(f"interval parameter {t} outside [0,1]")
-            return t
-        if self.kind == "rectangles":
-            t = tuple(float(v) for v in theta)
-            if len(t) != self.dim or any(not (0.0 <= v <= 1.0) for v in t):
-                raise DomainError(f"rectangle parameter {t} invalid for dim {self.dim}")
-            return t
-        if self.kind == "holder":
-            v = np.asarray(theta, dtype=float)
-            if v.shape != (self.knot_count,):
-                raise DomainError("holder parameter must give one value per knot")
-            if np.abs(v).max() > self.envelope / 2.0 + 1e-12:
-                raise DomainError("holder knot values exceed the envelope")
-            xs = self.knots
-            lim = self.holder_radius * np.abs(xs[:, None] - xs[None, :]) ** self.holder_exponent
-            if np.any(np.abs(v[:, None] - v[None, :]) > lim + 1e-9):
-                raise DomainError("knot values violate the smoothness constraint")
-            return tuple(float(x) for x in v)
-        m = _canonical_member(theta)
-        if m not in self.members:
-            raise DomainError("parameter is not a member of the finite class")
-        return m
 
     def grid_bound(self, epsilon: float) -> float:
         """Declared covering-number bound evaluated at epsilon/2."""
@@ -542,33 +519,25 @@ class Grid:
         return len(self.centers)
 
 
-def build_grid(
-    cls: FunctionClass,
-    P: Distribution,
-    epsilon: float,
-    budget: int = 4096,
-    mesh=None,
-) -> Grid:
+def build_grid(cls: FunctionClass, P: Distribution, epsilon: float) -> Grid:
     """Select centers forming a strict epsilon-net of the verification mesh.
 
-    Interval classes use an exact one-pass sweep (minimal for a 1-D totally
-    ordered metric); other kinds use greedy set cover with deterministic tie
-    breaking. Raises a capacity error when more than ``budget`` centers would
-    be needed.
+    Interval classes use an exact one-pass sweep over their sorted mesh
+    (minimal for a 1-D totally ordered metric); other kinds use greedy set
+    cover with deterministic tie breaking. Raises a capacity error when more
+    than ``GRID_BUDGET`` centers would be needed.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
-    mesh = list(mesh if mesh is not None else cls.mesh)
-    if not mesh:
-        raise DomainError("verification mesh is empty")
-    if cls.kind == "intervals" and mesh == sorted(mesh):
+    mesh = list(cls.mesh)
+    if cls.kind == "intervals":
         centers = _interval_sweep(cls, P, mesh, epsilon)
     else:
         dmat = dP_matrix(cls, P, mesh)
         centers = [mesh[i] for i in _greedy_cover(dmat < epsilon)]
-    if len(centers) > budget:
+    if len(centers) > GRID_BUDGET:
         raise CapacityError(
-            f"grid needs {len(centers)} centers, exceeding the budget of {budget}"
+            f"grid needs {len(centers)} centers, exceeding the budget of {GRID_BUDGET}"
         )
     bound = cls.grid_bound(epsilon)
     if len(centers) > bound:
@@ -617,10 +586,9 @@ def _greedy_cover(ball: np.ndarray) -> list:
     return picks
 
 
-def net_radius(cls: FunctionClass, P: Distribution, grid: Grid, mesh=None) -> float:
+def net_radius(cls: FunctionClass, P: Distribution, grid: Grid) -> float:
     """Max over mesh parameters of the distance to the nearest center."""
-    mesh = list(mesh if mesh is not None else cls.mesh)
-    union = list(grid.centers) + mesh
+    union = list(grid.centers) + list(cls.mesh)
     d = dP_matrix(cls, P, union)[: len(grid.centers), len(grid.centers) :]
     return float(d.min(axis=0).max())
 
@@ -636,13 +604,10 @@ class CoverCertificate:
 
 
 def covering_certificate(
-    cls: FunctionClass,
-    P: Distribution,
-    epsilon: float,
-    distances=None,
-    exact_limit: int = 24,
+    cls: FunctionClass, P: Distribution, epsilon: float, distances=None
 ) -> CoverCertificate:
-    """Minimal strict-ball cover of the class mesh, exact for small meshes.
+    """Minimal strict-ball cover of the class mesh, exact for meshes of at
+    most ``EXACT_COVER_LIMIT`` points.
 
     Large meshes return a greedy upper bound and a lower bound from a
     first-fit 2*epsilon-separated subset (an open epsilon-ball contains at
@@ -656,7 +621,7 @@ def covering_certificate(
         raise DomainError("epsilon must lie in (0, 1)")
     d = dP_matrix(cls, P, list(cls.mesh)) if distances is None else distances
     ball = d < epsilon
-    if len(d) <= exact_limit:
+    if len(d) <= EXACT_COVER_LIMIT:
         size = _exact_cover_size(ball)
         return CoverCertificate(size, size, True)
     upper = len(_greedy_cover(ball))

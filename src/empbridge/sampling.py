@@ -49,12 +49,10 @@ class PairSet:
         return len(self.indices)
 
 
-def build_pairset(
-    cls: FunctionClass, P: Distribution, epsilon: float, mesh=None
-) -> PairSet:
+def build_pairset(cls: FunctionClass, P: Distribution, epsilon: float) -> PairSet:
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
-    mesh = list(mesh if mesh is not None else cls.mesh)
+    mesh = list(cls.mesh)
     d = dP_matrix(cls, P, mesh)
     idx = np.argwhere(d < epsilon)
     return PairSet(float(epsilon), tuple(mesh), idx)

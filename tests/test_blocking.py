@@ -144,8 +144,7 @@ def test_exponential_schedule_guards():
         schedule_br(Fraction(1, 6), 3000)
     sched = schedule_br(Fraction(1, 6), 8)
     assert sched.n[0] == 1  # unit starter block
-    k_min = next(k for k in range(1, 9) if sched.n[k] >= 1)
-    assert all(size >= 1 for size in sched.n[k_min:])
+    assert min(sched.n) >= 1
 
 
 def test_block_sum_matches_direct_computation():
@@ -186,8 +185,10 @@ def test_exponential_growth_window():
 def test_polynomial_block_sum_tracks_envelope():
     # s(N) / (t_N^{1/2 - tau(alpha)} (log t_N)^{tau2}) is nearly constant:
     # within [0.5, 0.9] and drifting by under 10% across N in [20, 200].
-    sched = schedule_vc(5, TAU1, TAU2, 200)
-    ratios = [s_of_N(sched, N) / path_envelope(sched, N) for N in range(20, 201)]
+    ratios = []
+    for N in range(20, 201):
+        sched = schedule_vc(5, TAU1, TAU2, N)
+        ratios.append(s_of_N(sched) / path_envelope(sched))
     assert 0.5 < min(ratios) <= max(ratios) < 0.9
     assert max(ratios) / min(ratios) < 1.1
 
@@ -210,8 +211,10 @@ def test_ms_bound_transfer():
         ms_bound(lambda t: 2.0, 1.0)
 
 
-# A hand-built schedule whose block 1 is empty.
-GAPPED = BlockingSchedule("vc", 3, 0.5, (1, 0, 2, 30), (0, 1, 1, 3, 33), {})
+def test_schedule_rejects_an_empty_block():
+    # Hand-built, with block 1 empty; neither regime's formula makes one.
+    with pytest.raises(ScheduleInvalidError):
+        BlockingSchedule("vc", 3, 0.5, (1, 0, 2, 30), (0, 1, 1, 3, 33), {})
 
 
 def contexts_of(cls, P, *schedules):
@@ -231,27 +234,20 @@ def test_block_contexts_prepare_each_radius_once(intervals, uniform, monkeypatch
         return prepare_coupling(cls, P, epsilon, **kw)
 
     monkeypatch.setattr(blocking, "prepare_coupling", counted)
-    schedules = (schedule_br(Fraction(1, 6), 6), schedule_br(Fraction(1, 6), 8), GAPPED)
+    schedules = (
+        schedule_br(Fraction(1, 6), 6),
+        schedule_br(Fraction(1, 6), 8),
+        schedule_vc(5, TAU1, TAU2, 3),
+    )
     contexts = contexts_of(intervals, uniform, *schedules)
     assert len(prepared) == len(set(prepared)) >= 2
     for sched, blocks in zip(schedules, contexts):
         assert len(blocks) == sched.N + 1
         for n_k, ctx in zip(sched.n, blocks):
-            if n_k < 1:
-                assert ctx is None
-            else:
-                assert ctx.grid.epsilon == select_epsilon(intervals.regime, max(n_k, 3))
-                assert len(ctx.eval_mesh) == 9
-    assert contexts[2][1] is None
+            assert ctx.grid.epsilon == select_epsilon(intervals.regime, max(n_k, 3))
+            assert len(ctx.eval_mesh) == 9
     # The longer schedule reuses the shorter one's contexts block for block.
     assert all(a is b for a, b in zip(contexts[0], contexts[1]))
-
-
-def test_sequential_construction_skips_empty_blocks(intervals, uniform):
-    (contexts,) = contexts_of(intervals, uniform, GAPPED)
-    disc = run_sequential(GAPPED, contexts, SeedSpec(5, 0), m=4)
-    assert len(disc.block_running) == 3 and disc.t_N == 33
-    assert 1 <= disc.m_star <= 33
 
 
 def test_sequential_construction_smoke(intervals, uniform):

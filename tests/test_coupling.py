@@ -17,7 +17,6 @@ from empbridge import (
     SeedSpec,
     ShapeError,
     TransportPlan,
-    ZaitsevParams,
     construct_joint,
     ot_couple,
     prepare_coupling,
@@ -35,28 +34,25 @@ from empbridge.coupling import interval_cells
 
 def test_zaitsev_hand_value():
     # N = 2, B = sqrt(2/100), delta = 1: 4 exp(-10 / 2^{5/2}).
-    got = zaitsev_grid_tail(100, 1.0, 2, 1.0, ZaitsevParams())
+    got = zaitsev_grid_tail(100, 1.0, 2, 1.0, 1.0, 1.0)
     want = 4.0 * math.exp(-10.0 / 2.0**2.5)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.6828551, abs=1e-7)
 
 
 def test_zaitsev_scaling():
-    p = ZaitsevParams(C1=2.0, C2=3.0)
-    got = zaitsev_bound(3, 0.5, 2.0, p)
+    got = zaitsev_bound(3, 0.5, 2.0, 2.0, 3.0)
     assert got == pytest.approx(18.0 * math.exp(-3.0 * 2.0 / (9.0 * 0.5)), rel=1e-12)
-    assert zaitsev_bound(5, 1.0, 0.0, ZaitsevParams()) == 25.0
+    assert zaitsev_bound(5, 1.0, 0.0, 1.0, 1.0) == 25.0
 
 
 def test_zaitsev_validation():
     with pytest.raises(DomainError):
-        zaitsev_bound(0, 1.0, 1.0, ZaitsevParams())
+        zaitsev_bound(0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        zaitsev_bound(2, -1.0, 1.0, ZaitsevParams())
+        zaitsev_bound(2, -1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        zaitsev_bound(2, 1.0, -0.5, ZaitsevParams())
-    with pytest.raises(ConfigError):
-        ZaitsevParams(C1=0.0)
+        zaitsev_bound(2, 1.0, -0.5, 1.0, 1.0)
 
 
 # -- Y sums ---------------------------------------------------------------------
@@ -168,8 +164,6 @@ def test_epsilon_br_validation():
         select_epsilon_br(100, 1.0, 1.5)
     with pytest.raises(DomainError):
         select_epsilon_br(100, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        select_epsilon_br(100, 1.0, 0.5, cap=1.0)
 
 
 def test_delta_t_selection_formulas():
@@ -234,7 +228,8 @@ def test_construct_joint_tag_namespaces_draws(intervals, uniform, seed):
 
 
 def test_construct_joint_keep_sample(intervals, uniform, seed, empirical_process):
-    real = construct_joint(intervals, uniform, 64, 0.5, 4, seed, eval_mesh=[0.3, 0.7])
+    ctx = prepare_coupling(intervals, uniform, 0.5, eval_mesh=[0.3, 0.7])
+    real = construct_joint(intervals, uniform, 64, 0.5, 4, seed, context=ctx)
     assert real.points.shape == (64,)
     assert real.mesh_gauss.shape == (2,)
     # The reported mesh discrepancy is reproducible from the kept pieces.

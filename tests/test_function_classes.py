@@ -66,13 +66,6 @@ def test_interval_distance_squared_is_cdf_gap(intervals, uniform):
     assert dP_matrix(intervals, B, [0.2, 0.7])[0, 1] ** 2 == pytest.approx(gap, rel=1e-12)
 
 
-def test_out_of_domain_rejected(intervals):
-    with pytest.raises(DomainError):
-        intervals.validate_theta(1.5)
-    with pytest.raises(DomainError):
-        FunctionClass("rectangles", dim=2, mesh_size=25).validate_theta((0.5, 1.3))
-
-
 def test_evaluate_every_kind_matches_its_definition():
     rect = FunctionClass("rectangles", dim=2, mesh_size=25)
     pts = np.array([[0.25, 0.5], [0.25, 0.75]])
@@ -80,11 +73,11 @@ def test_evaluate_every_kind_matches_its_definition():
     hol = holder_class()
     xs = np.array([0.0, 0.13, 0.2, 0.5, 0.77, 1.0])
     for theta in hol.mesh[1:4]:
-        got = hol.evaluate_matrix([hol.validate_theta(theta)], xs)[:, 0]
+        got = hol.evaluate_matrix([theta], xs)[:, 0]
         assert np.array_equal(got, np.interp(xs, hol.knots, theta))
     members = (("interval", 0.5), ("constant", 0.25), ("rectangle", (0.5,)))
     fin = FunctionClass("finite", members=members)
-    got = fin.evaluate_matrix([fin.validate_theta(m) for m in members], np.array([0.3, 0.7]))
+    got = fin.evaluate_matrix(fin.members, np.array([0.3, 0.7]))
     assert got.tolist() == [[1.0, 0.25, 1.0], [0.0, 0.25, 0.0]]
 
 
@@ -230,6 +223,9 @@ def test_knot_cells_equal_searchsorted(knot_count, n, tie_share, seed):
     assert np.array_equal(got, np.searchsorted(knots, xs, side="right") - 1)
 
 
+# The matrix computes inf * 0 = NaN in the rows of the infinite points of
+# ``knot_points`` and then overwrites those rows with the knot value.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     knot_count=st.integers(2, 12),
@@ -287,10 +283,12 @@ def test_holder_mesh_is_deterministic_and_admissible():
     a, b = holder_class(), holder_class()
     assert a.mesh == b.mesh
     assert a.mesh[0] == tuple([0.0] * a.knot_count)
-    for theta in a.mesh:
-        a.validate_theta(theta)  # envelope and smoothness constraints hold
-    flat = np.abs(np.asarray(a.mesh))
-    assert flat.max() <= a.envelope / 2.0 + 1e-12
+    vals = np.asarray(a.mesh)
+    assert np.abs(vals).max() <= a.envelope / 2.0 + 1e-12  # envelope
+    # Pairwise smoothness |v_i - v_j| <= R |x_i - x_j|^s for every member.
+    xs = a.knots
+    limit = a.holder_radius * np.abs(xs[:, None] - xs[None, :]) ** a.holder_exponent
+    assert np.all(np.abs(vals[:, :, None] - vals[:, None, :]) <= limit + 1e-9)
 
 
 def test_holder_mean_matches_trapezoid(uniform):
@@ -308,18 +306,6 @@ def test_holder_second_moment_matches_quadrature(uniform):
     f = lambda x: float(np.interp(x, cls.knots, t1) * np.interp(x, cls.knots, t2))
     want = adaptive_simpson(f, 0.0, 1.0, 1e-12)
     assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_holder_validation():
-    cls = holder_class()
-    with pytest.raises(DomainError):
-        cls.validate_theta([0.0] * (cls.knot_count - 1))  # wrong length
-    with pytest.raises(DomainError):
-        cls.validate_theta([5.0] * cls.knot_count)  # envelope violation
-    jumpy = [0.0] * cls.knot_count
-    jumpy[1] = 0.9  # jump of 0.9 over gap 0.2 with radius 1
-    with pytest.raises(DomainError):
-        cls.validate_theta(jumpy)
 
 
 # -- finite classes ---------------------------------------------------------------
@@ -347,9 +333,6 @@ def test_finite_validation():
         FunctionClass("finite", envelope=1.0, members=(("constant", 0.8),))
     with pytest.raises(ConfigError):
         FunctionClass("finite", members=(("sine", 0.5),))
-    cls = FunctionClass("finite", members=(("constant", 0.5),))
-    with pytest.raises(DomainError):
-        cls.validate_theta(("constant", 0.6))
 
 
 # -- nets -------------------------------------------------------------------------
@@ -387,9 +370,11 @@ def test_greedy_net_covers_mesh(uniform):
 
 
 def test_grid_budget_capacity(uniform):
-    cls = FunctionClass("intervals", envelope=1.0, mesh_size=200)
+    # At eps = 0.005 the coverage window eps^2 is below the mesh spacing, so
+    # each of the 5000 mesh points needs its own center: over the 4096 budget.
+    cls = FunctionClass("intervals", envelope=1.0, mesh_size=5000)
     with pytest.raises(CapacityError):
-        build_grid(cls, uniform, 0.2, budget=1)
+        build_grid(cls, uniform, 0.005)
 
 
 def test_grid_rejects_undeclared_entropy(uniform):

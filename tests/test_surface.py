@@ -1,11 +1,16 @@
-"""The public surface holds only names and fields that something reaches.
+"""The public surface holds only names, fields, parameters and methods that
+something reaches.
 
 Every name that ``empbridge`` exports must be used by package code outside
 its own definition, be imported by the acceptance tests, or be listed below
 with the open ROADMAP item that will call it. Every field of a dataclass in
 the package must be read as an attribute by package code or by the
-acceptance tests, or be listed below with its reason. A name or field that
-meets none of these is dead surface: delete it, with its own unit tests.
+acceptance tests, or be listed below with its reason. Every parameter with a
+default and every method or property must be passed or read by package
+code, the acceptance tests or the benchmark scripts (``perfbench``, the only
+caller of ``cli.main(argv)``), or be listed below with its reason. A name,
+field, parameter or method that meets none of these is dead surface: delete
+it, with its own unit tests.
 """
 
 import ast
@@ -32,6 +37,21 @@ UNREAD_FIELDS = {
     "BracketSet.brackets": "tests check that the brackets tile and cover the class",
     "ConditionalLaw.schur": "tests check staged conditioning against the one-stage Schur complement",
     "MomentEstimate.exhaustive": "tests check which path, exact or Monte Carlo, gave the estimate",
+}
+
+# Parameters with a default that no call in package code, the acceptance tests
+# or the benchmark scripts passes.
+UNPASSED_PARAMETERS = {
+    "fit_rate.x_col": "item 4, the rate report: fits the sup_mesh and strong columns",
+    "fit_rate.y_col": "item 4, the rate report: fits the sup_mesh and strong columns",
+    "dudley_integral_quadrature.tol": "the reference quadrature; tests tighten it to 1e-10",
+}
+
+# Methods and properties that no package code, acceptance test or benchmark
+# script reads.
+UNREAD_METHODS = {
+    "FunctionClass.to_spec": "item 5, the run manifest: its to_dict() consumes it",
+    "Distribution.to_spec": "item 5, the run manifest: its to_dict() consumes it",
 }
 
 
@@ -65,6 +85,12 @@ def _reached_in_package(name: str, home: str) -> bool:
 
 
 ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+
+
+PERFBENCH = [
+    ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))
+]
+CALLERS = [*MODULES.values(), ACCEPTANCE, *PERFBENCH]
 
 
 def _acceptance_imports() -> set:
@@ -131,3 +157,93 @@ def test_every_dataclass_field_has_a_reader():
 
 def test_listed_fields_still_exist():
     assert set(UNREAD_FIELDS) <= set(_dataclass_fields())
+
+
+def _functions() -> list:
+    """(name, definition, bound) for every function and method in the package.
+
+    A method is named "Class.method" and is bound: its first parameter is
+    the instance, which no call passes.
+    """
+    out = []
+    for tree in MODULES.values():
+        owner = {
+            item: node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                name = f"{owner[node]}.{node.name}" if node in owner else node.name
+                out.append((name, node, node in owner))
+    return out
+
+
+def _defaulted(node: ast.FunctionDef, bound: bool) -> list:
+    """(parameter, call position) for each parameter with a default; a
+    keyword-only parameter has no call position."""
+    positional = [a.arg for a in node.args.posonlyargs + node.args.args][int(bound):]
+    first = len(positional) - len(node.args.defaults)
+    out = [(name, index) for index, name in enumerate(positional) if index >= first]
+    out += [
+        (a.arg, None)
+        for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _calls_by_name() -> dict:
+    calls = {}
+    for tree in CALLERS:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, by position, or through
+    ``*args`` or ``**kwargs``, which may carry any parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_keyword_parameter_has_a_caller():
+    calls = _calls_by_name()
+    unpassed = [
+        f"{name.split('.')[-1]}.{param}"
+        for name, node, bound in _functions()
+        for param, index in _defaulted(node, bound)
+        if not any(_passes(c, param, index) for c in calls.get(node.name, []))
+    ]
+    dead = sorted(set(unpassed) - set(UNPASSED_PARAMETERS))
+    assert dead == [], f"parameters with a default that no call passes: {dead}"
+
+
+def test_every_method_has_a_caller():
+    read = set().union(*map(_attributes_read, CALLERS))
+    unread = [
+        name
+        for name, _, bound in _functions()
+        if bound and name.split(".")[1] not in read and name not in UNREAD_METHODS
+    ]
+    assert unread == [], f"methods and properties that nothing reads: {unread}"
+
+
+def test_listed_parameters_and_methods_still_exist():
+    functions = _functions()
+    parameters = {
+        f"{name.split('.')[-1]}.{param}"
+        for name, node, bound in functions
+        for param, _ in _defaulted(node, bound)
+    }
+    assert set(UNPASSED_PARAMETERS) <= parameters
+    assert set(UNREAD_METHODS) <= {name for name, _, bound in functions if bound}
