@@ -53,6 +53,7 @@ from .errors import (
 from .function_classes import (
     EntropyRegime,
     FunctionClass,
+    _window_cdf,
     bracketing_number,
     covering_certificate,
     dP_matrix,
@@ -559,6 +560,11 @@ def build_schedule(config: ExperimentConfig, N: int):
         tau1, tau2 = rate_vc(sel.nu0)
         return schedule_vc(spec["alpha"], tau1, tau2, N, beta=spec["beta"])
     kappa = rate_br(sel.r0) if spec["kappa"] is None else spec["kappa"]
+    if spec["kappa"] is None and kappa >= Fraction(1, 2):  # every r0 <= 1/2
+        raise ConfigError(
+            f"selection.r0 = {sel.r0} gives the default schedule.kappa = (1 - r0) / (2 r0)"
+            f" = {kappa}, outside (0, 1/2); set schedule.kappa or take r0 in (1/2, 1)"
+        )
     return schedule_br(kappa, N, beta=0.7 if spec["beta"] is None else spec["beta"])
 
 
@@ -647,7 +653,9 @@ def run_entropy(config: ExperimentConfig) -> ResultTable:
     radii = config.entropy["radii"]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("entropy radii must be strictly decreasing")
-    distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))
+    distances = None  # a large interval mesh is counted on index windows, with no matrix
+    if _window_cdf(config.cls, config.dist) is None:
+        distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))
     rows = []
     for eps in radii:
         cert = covering_certificate(config.cls, config.dist, eps, distances=distances)

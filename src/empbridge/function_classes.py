@@ -33,7 +33,10 @@ relative to the class's declared finite verification mesh of parameters
 grid holds at most ``GRID_BUDGET`` centers. Covering counts on meshes of at
 most ``EXACT_COVER_LIMIT`` points use an exact branch-and-bound set cover;
 larger meshes use a greedy upper bound with a separation-packing lower
-certificate. Entropy-law fits take (radius, count) pairs
+certificate. On a larger interval mesh every ball is a window of mesh indices:
+both counts are taken on windows found with the distance matrix's own
+arithmetic, so they equal the matrix counts, and the mesh x mesh matrix is
+never built. Entropy-law fits take (radius, count) pairs
 (``fit_entropy_counts``); the ``entropy`` command counts covers on a radius
 ladder and fits them.
 """
@@ -611,14 +614,20 @@ def covering_certificate(
 
     Large meshes return a greedy upper bound and a lower bound from a
     first-fit 2*epsilon-separated subset (an open epsilon-ball contains at
-    most one point of such a subset).
+    most one point of such a subset). Large interval meshes count both on
+    index windows (``_window_certificate``), with the counts the distance
+    matrix gives and without building it.
 
     ``distances`` is ``dP_matrix(cls, P, cls.mesh)`` when the caller already
     has it, as a ladder of radii over one mesh does; it is computed here
-    otherwise.
+    otherwise. Only the matrix path reads it: the interval path ignores it.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
+    F = _window_cdf(cls, P)
+    cert = None if F is None else _window_certificate(F, epsilon)
+    if cert is not None:
+        return cert
     d = dP_matrix(cls, P, list(cls.mesh)) if distances is None else distances
     ball = d < epsilon
     if len(d) <= EXACT_COVER_LIMIT:
@@ -627,6 +636,79 @@ def covering_certificate(
     upper = len(_greedy_cover(ball))
     lower = len(_first_fit_packing(d >= 2.0 * epsilon))
     return CoverCertificate(lower, upper, False)
+
+
+def _window_cdf(cls: FunctionClass, P: Distribution):
+    """The CDF on a large interval mesh, when index windows can count its covers.
+
+    Returns None for other classes, for meshes of at most
+    ``EXACT_COVER_LIMIT`` points, and when the mesh is not strictly
+    increasing or the CDF on it is not nondecreasing (scipy's beta CDF can
+    fall by one unit in the last place near 1); the matrix counts those.
+    """
+    if cls.kind != "intervals" or len(cls.mesh) <= EXACT_COVER_LIMIT:
+        return None
+    _require_dim(P, 1)
+    thetas = np.asarray(cls.mesh, dtype=float)
+    F = np.asarray(P.cdf(thetas), dtype=float)
+    return F if np.all(np.diff(thetas) > 0) and np.all(np.diff(F) >= 0) else None
+
+
+def _window_certificate(F: np.ndarray, epsilon: float):
+    """The large-mesh certificate of an interval class from index windows.
+
+    On a mesh sorted by parameter, ``dP_matrix`` gives d[i, k] for k >= i as
+    sqrt(clip((F[i] + F[k]) - 2 F[i], 0)), with F the CDF on the mesh, and
+    the matrix is bitwise symmetric (its q is cdf(min) and addition
+    commutes). When F is nondecreasing, so is that expression in k, because
+    rounded addition is monotone; the ball of radius r about i then reaches
+    right up to the first k with d[i, k] >= r, and ``_right_edges`` finds it
+    with the same arithmetic. By symmetry the ball reaches left over the
+    points p < c with hi[p] > c, a window [searchsorted(hi, c), c) when hi is
+    nondecreasing. Greedy cover and first-fit packing on these windows pick
+    what ``_greedy_cover`` and ``_first_fit_packing`` pick on the matrix.
+    F must be nondecreasing (see ``_window_cdf``). Returns None when the
+    cover edges hi are not, which rounding can bring about; the caller then
+    takes the matrix path.
+    """
+    hi = _right_edges(F, epsilon)
+    if np.any(np.diff(hi) < 0):
+        return None
+    n = len(F)
+    lo = np.searchsorted(hi, np.arange(n), side="right")
+    uncovered = np.ones(n, dtype=bool)
+    counts = np.zeros(n + 1, dtype=np.intp)
+    upper = 0
+    while uncovered.any():
+        np.cumsum(uncovered, out=counts[1:])
+        c = int(np.argmax(counts[hi] - counts[lo]))  # argmax takes the lowest index on ties
+        uncovered[lo[c] : hi[c]] = False
+        upper += 1
+    sep = _right_edges(F, 2.0 * epsilon)
+    lower, i = 1, int(sep[0])
+    while i < n:  # the next point kept is the first one 2 epsilon from the last
+        lower, i = lower + 1, int(sep[i])
+    return CoverCertificate(lower, upper, False)
+
+
+def _right_edges(F: np.ndarray, radius: float) -> np.ndarray:
+    """For each i, the first k >= i with d[i, k] >= radius, or len(F).
+
+    d[i, k] is ``dP_matrix``'s expression on the CDF values F. One bisection
+    step per bit of len(F) halves every bracket [lo, hi] at once; it needs
+    d[i, k] nondecreasing in k, which holds when F is nondecreasing.
+    """
+    n = len(F)
+    twice = 2.0 * F
+    lo, hi = np.arange(n), np.full(n, n)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        d2 = (F + np.take(F, mid, mode="clip")) - twice
+        far = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2) >= radius
+        np.copyto(hi, mid, where=far)
+        np.copyto(lo, mid + 1, where=~far)
+        np.minimum(lo, hi, out=lo)  # a closed bracket stays closed
+    return lo
 
 
 def _first_fit_packing(sep: np.ndarray) -> list:

@@ -495,6 +495,17 @@ def test_schedule_key_the_selection_ignores_is_a_config_error(
     assert_config_error(capsys, tmp_path, "strong", spec, needle)
 
 
+@pytest.mark.parametrize("r0", [0.5, 0.25])
+def test_br_selection_whose_default_kappa_leaves_its_window_is_a_config_error(
+    capsys, tmp_path, r0
+):
+    # kappa = (1 - r0) / (2 r0) is at least 1/2 for every r0 <= 1/2.
+    selection = {"type": "br", "b0": 0.2, "r0": r0}
+    spec = dict(STRONG, selection=selection, schedule={"N_grid": [3], "m": 4})
+    needle = f"selection.r0 = {r0} gives the default schedule.kappa"
+    assert_config_error(capsys, tmp_path, "strong", spec, needle)
+
+
 @pytest.mark.parametrize("file_kind", [None, "strong-approx", "gauss-approx"])
 @pytest.mark.parametrize(
     "key, value", [("n_grid", [7, 9, 11]), ("ot_batch", 3), ("eval_mesh_size", 2)]

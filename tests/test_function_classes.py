@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from empbridge import (
@@ -36,6 +36,9 @@ from empbridge.function_classes import (
     _first_fit_packing,
     _greedy_cover,
     _knot_cells,
+    _right_edges,
+    _window_cdf,
+    _window_certificate,
 )
 
 
@@ -526,6 +529,126 @@ def test_large_mesh_certificate_brackets_truth(uniform):
     assert not cert.exact
     assert 1 <= cert.lower <= cert.upper
     assert isinstance(cert, CoverCertificate)
+
+
+def matrix_certificate(cls, P, eps) -> CoverCertificate:
+    """The large-mesh certificate that greedy cover and first-fit packing
+    give on the full distance matrix."""
+    d = dP_matrix(cls, P, list(cls.mesh))
+    return CoverCertificate(
+        len(_first_fit_packing(d >= 2.0 * eps)), len(_greedy_cover(d < eps)), False
+    )
+
+
+def dyadic_discrete(atoms, cuts, depth):
+    """A discrete law whose weights are the gaps between sorted cut points
+    in 1..2^depth - 1, over 2^depth: dyadic (a gap may be 0), and summing
+    to 1 exactly."""
+    edges = [0, *sorted(c % (2**depth - 1) + 1 for c in cuts), 2**depth]
+    weights = [(b - a) / 2**depth for a, b in zip(edges, edges[1:])]
+    return Distribution("discrete", atoms=tuple(atoms), weights=tuple(weights))
+
+
+UNIFORM = Distribution("uniform")
+SHAPES = st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.0, 80.0]) | st.floats(0.2, 100.0)
+INTERVAL_LAWS = st.one_of(
+    st.just(UNIFORM),
+    st.builds(lambda a, b: Distribution("beta", a=a, b=b), SHAPES, SHAPES),
+    st.integers(1, 6).flatmap(
+        lambda k: st.builds(
+            dyadic_discrete,
+            st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                min_size=k,
+                max_size=k,
+                unique=True,
+            ),
+            st.lists(st.integers(0, 2**20), min_size=k - 1, max_size=k - 1, unique=True),
+            st.integers(max(1, (k - 1).bit_length()), 8),
+        )
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    law=INTERVAL_LAWS,
+    n=st.integers(25, 1001),
+    radius=st.floats(0.01, 0.99),
+    edge=st.sampled_from([None, 1.0, 2.0]),
+    pair=st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+)
+@example(law=UNIFORM, n=101, radius=0.1, edge=None, pair=(0, 0))
+@example(law=UNIFORM, n=101, radius=0.3, edge=None, pair=(0, 0))
+@example(law=UNIFORM, n=101, radius=0.15, edge=None, pair=(0, 0))
+@example(law=UNIFORM, n=25, radius=0.5, edge=None, pair=(0, 0))
+@example(law=Distribution("beta", a=80.0, b=0.3), n=1001, radius=0.0, edge=1.0, pair=(999, 1000))
+@example(law=Distribution("beta", a=0.3, b=0.3), n=257, radius=0.0, edge=2.0, pair=(3, 250))
+def test_interval_certificate_equals_matrix_certificate(law, n, radius, edge, pair):
+    """Index windows count what the distance matrix counts, ties included.
+
+    With ``edge`` the radius is the distance between the two mesh points
+    ``pair`` divided by ``edge``: 1 puts the pair on the edge of a cover
+    ball, 2 on the edge of the packing's separation. The window path may
+    decline (return None) only where the matrix path then gives the counts.
+    """
+    cls = FunctionClass("intervals", envelope=1.0, mesh_size=n)
+    eps = radius
+    if edge:
+        i, k = (min(p, n - 1) for p in pair)
+        eps = float(dP_matrix(cls, law, [cls.mesh[i], cls.mesh[k]])[0, 1]) / edge
+        assume(0.0 < eps < 1.0)
+    want = matrix_certificate(cls, law, eps)
+    F = _window_cdf(cls, law)
+    windows = None if F is None else _window_certificate(F, eps)
+    assert windows is None or windows == want
+    assert covering_certificate(cls, law, eps) == want
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        UNIFORM,
+        Distribution("beta", a=2.0, b=3.0),
+        Distribution("discrete", atoms=(0.25, 0.5, 0.75), weights=(0.3, 0.5, 0.2)),
+    ],
+    ids=["uniform", "beta", "discrete"],
+)
+@pytest.mark.parametrize("n", [101, 1000])
+def test_interval_certificate_takes_the_window_path(law, n):
+    F = _window_cdf(FunctionClass("intervals", mesh_size=n), law)
+    assert F is not None
+    for eps in (0.6, 0.5, 0.45, 0.3, 0.2, 0.15, 0.1):
+        assert _window_certificate(F, eps) is not None
+
+
+def cdf_table(monkeypatch, cls, F):
+    """Make every law's CDF read F at the points of the class mesh."""
+    mesh = np.asarray(cls.mesh)
+    monkeypatch.setattr(Distribution, "cdf", lambda self, x: F[np.searchsorted(mesh, x)])
+
+
+def test_interval_certificate_guard_falls_back_to_the_matrix(monkeypatch):
+    """A CDF that falls somewhere, or cover edges that fall, leave the
+    windows unsound; the certificate then comes from the matrix."""
+    cls = FunctionClass("intervals", envelope=1.0, mesh_size=25)
+    falling = np.linspace(0.0, 1.0, 25)
+    falling[[10, 11]] = falling[[11, 10]]
+    # Rounding makes d[1, 2] >= r > d[0, 2] although F[0] < F[1]: the right
+    # edge of point 1 lies left of that of point 0.
+    tied = np.concatenate([[0.1, 0.1 + 2**-56, 0.1 + 0.2, 1 / 3], np.linspace(0.4, 1.0, 21)])
+    r = math.sqrt((tied[1] + tied[2]) - 2.0 * tied[1])
+    assert np.any(np.diff(_right_edges(tied, r)) < 0)
+    assert _window_certificate(tied, r) is None
+
+    with monkeypatch.context() as patch:
+        cdf_table(patch, cls, falling)
+        assert _window_cdf(cls, UNIFORM) is None
+        assert covering_certificate(cls, UNIFORM, 0.3) == matrix_certificate(cls, UNIFORM, 0.3)
+    with monkeypatch.context() as patch:
+        cdf_table(patch, cls, tied)
+        assert np.array_equal(_window_cdf(cls, UNIFORM), tied)
+        assert covering_certificate(cls, UNIFORM, r) == matrix_certificate(cls, UNIFORM, r)
 
 
 # -- bracketing ----------------------------------------------------------------------

@@ -143,6 +143,19 @@ CASES = {
         {"kind": "entropy", "seed": SEED},
         "entropy.csv",
     ),
+    # 101 uniform mesh points 0.01 apart: at these radii many pairs sit
+    # exactly on a cover ball's edge or on the packing's separation edge.
+    "entropy-intervals-ties": (
+        "entropy",
+        {
+            "kind": "entropy",
+            "class": {"kind": "intervals", "M": 1.0, "mesh_size": 101},
+            "distribution": {"kind": "uniform"},
+            "entropy": {"radii": [0.5, 0.3, 0.15, 0.1]},
+            "seed": SEED,
+        },
+        "entropy.csv",
+    ),
     # 64 Hoelder members: greedy cover and packing on a Gram matrix built by
     # matmuls, which need not be bitwise symmetric.
     "entropy-holder": (
@@ -154,7 +167,9 @@ CASES = {
 
 
 # The two "entropy-*" cases were recorded before the shared distance matrix,
-# the incremental greedy cover and the per-parameter interval counts. The five
+# the incremental greedy cover and the per-parameter interval counts;
+# "entropy-intervals-ties" was recorded before interval certificates moved
+# from the distance matrix to index windows, and still holds after it. The five
 # interval coupling cases were re-recorded when interval classes began to draw
 # their auxiliary transport batches as multinomial cell counts from the
 # "cells" seed phase (same law, new streams). "approx-intervals-uniform" and
@@ -181,6 +196,7 @@ DIGESTS = {
     "couple-intervals": "67693798318462d4163765e281bad7e3da75cd39a32dc4c4f21525c03e478d36",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
+    "entropy-intervals-ties": "d7e4d6d1ff5e23fe301c1cdb5af31464efa7e8259fb6cdca2c13e56791cccd99",
     "strong-intervals": "d1c114a2c34fb549a4430e232c09361f913b7b11a25f44714714f671a537e0b0",
     "strong-intervals-json": "7a57e8b0e5fb67f6ab58fe37e7fb2b2bb529b96ca55dcfef4658705f49d69f20",
 }

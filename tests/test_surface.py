@@ -195,14 +195,55 @@ def _defaulted(node: ast.FunctionDef, bound: bool) -> list:
     return out
 
 
+def _call_name(func: ast.expr) -> str | None:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _as_call(node: ast.Call) -> ast.Call:
+    """``partial(f, *args, **kw)`` read as the call ``f(*args, **kw)``."""
+    if _call_name(node.func) == "partial" and node.args:
+        return ast.Call(func=node.args[0], args=node.args[1:], keywords=node.keywords)
+    return node
+
+
+def _forwards(call: ast.Call, fn: ast.FunctionDef) -> bool:
+    """Whether ``call`` passes on ``fn``'s own ``**kwargs``."""
+    kwarg = fn.args.kwarg
+    return kwarg is not None and any(
+        k.arg is None and isinstance(k.value, ast.Name) and k.value.id == kwarg.arg
+        for k in call.keywords
+    )
+
+
 def _calls_by_name() -> dict:
-    calls = {}
+    """Every call in the caller files, by the name it calls.
+
+    A call that passes on its function's ``**kwargs`` is read once for each
+    call of that function, with the keywords that call leaves to
+    ``**kwargs`` in their place; so a keyword reaches a function only if
+    some caller sets it.
+    """
+    calls, read_as, forwarded = {}, {}, []
     for tree in CALLERS:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                read_as[node] = call = _as_call(node)
+                calls.setdefault(_call_name(call.func), []).append(call)
+            elif isinstance(node, ast.FunctionDef):
+                forwarded += [
+                    (sub, node)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call) and _forwards(sub, node)
+                ]
+    for node, fn in forwarded:
+        call = read_as[node]
+        same_name = calls[_call_name(call.func)]
+        same_name.remove(call)
+        own = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        kept = [k for k in call.keywords if k.arg is not None]
+        for outer in calls.get(fn.name, []):
+            extra = [k for k in outer.keywords if k.arg not in own]
+            same_name.append(ast.Call(func=call.func, args=call.args, keywords=kept + extra))
     return calls
 
 
