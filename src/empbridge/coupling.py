@@ -15,14 +15,20 @@ a block.
 
 Only the designated sample is drawn point by point and evaluated as a matrix,
 since its per-summand bound is checked; its mesh values are column sums
-(``FunctionClass.column_sums``). For interval indicators the grid Y-sum of a
-sample depends only on the multinomial counts of the g+1 cells that the sorted
-centers cut out (the grid reduction of Dudley and Philipp), so the m - 1
-auxiliary Y-sums are drawn as multinomial cell counts and turned into grid sums
-by a cumulative sum, with the same law as from full samples. Other classes
-draw m - 1 full auxiliary samples and reduce each to its column sums without
-evaluating it point by point where the class allows: a one-dimensional Hoelder
-sum needs only the count and offset sum of each knot cell.
+(``FunctionClass.column_sums``). The m - 1 auxiliary Y-sums all come from one
+generator, the ``auxiliary`` seed phase. For interval indicators the grid
+Y-sum of a sample depends only on the multinomial counts of the g+1 cells that
+the sorted centers cut out (the grid reduction of Dudley and Philipp), so the
+auxiliary Y-sums are drawn as multinomial cell counts and turned into grid
+sums by a cumulative sum, with the same law as from full samples. Other
+classes draw the m - 1 auxiliary samples as consecutive rows of that
+generator, in chunks of at most ``AUX_CHUNK_POINTS`` points, and reduce each
+chunk to its rows' column sums (``FunctionClass.batch_column_sums``) without
+evaluating it point by point where the class allows: a one-dimensional
+Hoelder sum needs only the count and point sum of each knot cell, and one
+kernel takes them for every row of a chunk. Consecutive draws from one
+generator give the bits of one larger draw, so the chunk size changes no
+output.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -57,6 +63,7 @@ from .function_classes import EntropyRegime, FunctionClass, Grid, build_grid, co
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
+AUX_CHUNK_POINTS = 1 << 16  # most auxiliary points drawn and reduced at once
 BR_EPSILON_CAP = 1.0 / math.e  # the br radius never exceeds it
 
 
@@ -283,9 +290,11 @@ def construct_joint(
     """Run one full coupling realization.
 
     The designated sample (batch 0) comes from the ``sample`` phase at index
-    0. The m - 1 auxiliary Y-sums of an interval class are one multinomial
-    draw of cell counts from the ``cells`` phase; any other class draws m - 1
-    full samples from the ``sample`` phase at indices 1..m-1.
+    0. The m - 1 auxiliary Y-sums come from one generator of the
+    ``auxiliary`` phase: for an interval class, one multinomial draw of cell
+    counts; for any other class, m - 1 samples of n points drawn as
+    consecutive rows, ``AUX_CHUNK_POINTS // n`` rows (at least one) per draw
+    and reduction.
 
     ``tag`` namespaces the random streams so several couplings (for example
     blocks of a sequential construction) can share one seed spec. The
@@ -309,12 +318,15 @@ def construct_joint(
         )
     sums = np.empty((m, g))
     sums[0] = vals.sum(axis=0)
+    aux = seed.rng("auxiliary", tag)
     if context.cells is not None:
-        counts = seed.rng("cells", tag).multinomial(n, context.cells.masses, size=m - 1)
-        sums[1:] = context.cells.grid_sums(counts)
+        sums[1:] = context.cells.grid_sums(aux.multinomial(n, context.cells.masses, size=m - 1))
     else:
-        for b in range(1, m):
-            sums[b] = cls.column_sums(centers, P.draw(n, seed.rng("sample", tag, b)))
+        rows = max(1, AUX_CHUNK_POINTS // n)
+        for b in range(1, m, rows):
+            k = min(rows, m - b)
+            xs = P.draw(k * n, aux)
+            sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape((k, n) + xs.shape[1:]))
     y_batch = (sums - n * context.grid_means) / math.sqrt(n)
     z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch, method)

@@ -20,7 +20,8 @@ MASTER_MAX = 2**64 - 1
 STREAM_MAX = 2**32 - 1
 
 # Registry of named sub-streams. Values are folded into the spawn key, so the
-# mapping must never be reordered once results are published.
+# mapping must never be reordered once results are published; a new phase is
+# appended with a new id. A name may change, its id may not.
 PHASES = {
     "generic": 0,
     "sample": 1,
@@ -31,7 +32,7 @@ PHASES = {
     "fill": 6,
     "mesh": 7,
     "holdout": 8,
-    "cells": 9,
+    "auxiliary": 9,  # the m - 1 auxiliary transport samples of a coupling
 }
 
 

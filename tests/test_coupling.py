@@ -26,6 +26,7 @@ from empbridge import (
     zaitsev_bound,
     zaitsev_grid_tail,
 )
+import empbridge.coupling as coupling
 from empbridge.coupling import interval_cells
 
 
@@ -296,8 +297,23 @@ def test_cell_counts_give_the_column_sums(law, n, seed, data):
     assert np.array_equal(bits(cells.grid_sums(np.stack([counts, counts]))[1]), want)
 
 
+@pytest.fixture()
+def transport_sources(monkeypatch):
+    """The Y-sum batches (designated row first) that ``construct_joint``
+    hands to ``ot_couple``, in call order."""
+    batches = []
+    real_ot = coupling.ot_couple
+
+    def spy(source, target, method="exact"):
+        batches.append(source.copy())
+        return real_ot(source, target, method)
+
+    monkeypatch.setattr(coupling, "ot_couple", spy)
+    return batches
+
+
 @pytest.mark.parametrize("law", sorted(CELL_LAWS))
-def test_auxiliary_y_sums_have_the_grid_law(monkeypatch, intervals, law):
+def test_auxiliary_y_sums_have_the_grid_law(transport_sources, intervals, law):
     """The m - 1 auxiliary Y-sums are centered with covariance K (Monte Carlo).
 
     Eight realizations with batch 512 give 4088 auxiliary Y-sums at n = 256.
@@ -305,21 +321,11 @@ def test_auxiliary_y_sums_have_the_grid_law(monkeypatch, intervals, law):
     0.008 for a mean and 0.006 for a covariance entry; the tolerances are 0.04
     and 0.03.
     """
-    import empbridge.coupling as coupling
-
-    batches = []
-    real_ot = coupling.ot_couple
-
-    def spy(source, target, method="exact"):
-        batches.append(source[1:].copy())
-        return real_ot(source, target, method)
-
-    monkeypatch.setattr(coupling, "ot_couple", spy)
     P, n = CELL_LAWS[law], 256
     ctx = prepare_coupling(intervals, P, 0.4)
     for stream in range(8):
         construct_joint(intervals, P, n, 0.4, 512, SeedSpec(97, stream), context=ctx)
-    y = np.concatenate(batches)
+    y = np.concatenate([source[1:] for source in transport_sources])
     assert y.shape == (8 * 511, ctx.grid.size)
     # The sums behind the Y-sums are counts: rebuilt cell counts are
     # nonnegative integers and every row sums to n.
@@ -340,3 +346,78 @@ def test_designated_sample_keeps_its_stream(intervals, uniform, seed, empirical_
     alpha = empirical_process(intervals, uniform, x, list(real.grid.centers))
     assert np.allclose(real.y_sum, alpha, atol=1e-12)
 
+
+# -- auxiliary samples of other classes ------------------------------------------------
+
+HOLDER = FunctionClass("holder", envelope=1.0, knot_count=5, mesh_size=24)
+FINITE = FunctionClass(
+    "finite",
+    envelope=1.0,
+    members=(("interval", 0.2), ("interval", 0.5), ("interval", 0.8), ("constant", 0.25)),
+)
+CHUNK_CASES = {
+    "holder-uniform": (HOLDER, Distribution("uniform"), 0.3),
+    "holder-beta": (HOLDER, CELL_LAWS["beta"], 0.3),
+    "holder-discrete": (HOLDER, CELL_LAWS["discrete"], 0.3),
+    "rectangles": (
+        FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=16),
+        Distribution("product-uniform", dim=2),
+        0.5,
+    ),
+    "finite": (FINITE, Distribution("uniform"), 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_auxiliary_sums_do_not_depend_on_the_chunk_size(monkeypatch, transport_sources, case):
+    """The auxiliary samples are consecutive rows of one generator, so drawing
+    and reducing them in chunks of 11 rows, of 3 rows (the last one short) or
+    one row at a time gives the same bits, and so the same realization."""
+    cls, P, eps = CHUNK_CASES[case]
+    n, m = 40, 12
+    ctx = prepare_coupling(cls, P, eps)
+    assert ctx.grid.size >= 2
+    reals = []
+    for chunk in (coupling.AUX_CHUNK_POINTS, 3 * n + 1, 1):
+        monkeypatch.setattr(coupling, "AUX_CHUNK_POINTS", chunk)
+        reals.append(construct_joint(cls, P, n, eps, m, SeedSpec(5, 2), context=ctx))
+    first = bits(transport_sources[0])
+    assert all(np.array_equal(bits(source), first) for source in transport_sources[1:])
+    for real in reals[1:]:
+        assert (real.sup_grid, real.sup_mesh, real.transport_cost) == (
+            reals[0].sup_grid,
+            reals[0].sup_mesh,
+            reals[0].transport_cost,
+        )
+
+
+def test_holder_auxiliary_y_sums_have_the_grid_second_moments(transport_sources):
+    """Law check: the Hoelder auxiliary Y-sums have second moments grid.gram.
+
+    Eight realizations with batch 512 at n = 256 give R = 4088 auxiliary rows.
+    Each entry of their second-moment matrix S = y'y / R is scaled by its
+    Wishart standard deviation sqrt((K_ii K_jj + K_ij^2) / R), K the gram;
+    the fourth cumulant adds a term of order 1/n, which the threshold
+    absorbs. The g (g + 1) / 2 z-scores must all stay below the Bonferroni
+    threshold for a family-wise level of 0.001, two-sided: 4.13 for the
+    g = 7 centers here, where the largest z-score is 3.2. An entry with zero
+    variance (a member that is 0 on the support, when it is a center) must
+    equal the gram's exactly.
+    """
+    from scipy.stats import norm
+
+    cls, P, n = FunctionClass("holder", envelope=1.0, mesh_size=64), Distribution("uniform"), 256
+    ctx = prepare_coupling(cls, P, 0.12)
+    for stream in range(8):
+        construct_joint(cls, P, n, 0.12, 512, SeedSpec(613, stream), context=ctx)
+    y = np.concatenate([source[1:] for source in transport_sources])
+    K, (R, g) = ctx.grid.gram, y.shape
+    assert R == 8 * 511 and g >= 4
+    S = y.T @ y / R
+    sd = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / R)
+    upper = np.triu_indices(g)
+    exact = sd[upper] == 0.0
+    assert np.array_equal(S[upper][exact], K[upper][exact])
+    z = np.abs(S - K)[upper][~exact] / sd[upper][~exact]
+    threshold = norm.isf(0.001 / (2 * len(upper[0])))
+    assert z.max() < threshold, (z.max(), threshold)

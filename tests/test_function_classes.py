@@ -62,6 +62,39 @@ def test_interval_second_moment_is_min(intervals, uniform):
     assert np.array_equal(q, want)
 
 
+MOMENT_LAWS = {
+    "uniform": Distribution("uniform"),
+    "beta-3-27.29": Distribution("beta", a=3.0, b=27.29),
+    "discrete": Distribution("discrete", atoms=(0.25, 0.5, 0.75), weights=(0.3, 0.5, 0.2)),
+    "discrete-12": Distribution(
+        "discrete", atoms=tuple(k / 11 for k in range(12)), weights=tuple([1 / 16] * 8 + [1 / 8] * 4)
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    law=st.sampled_from(sorted(MOMENT_LAWS)),
+    params=st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1 / 11, 10 / 11, 0.9999, 0.99999999]),
+        ),
+        max_size=40,
+    ),
+)
+def test_interval_second_moments_take_one_cdf_per_parameter(law, params):
+    """The interval Gram matrix from p CDF values has the bits of the CDF of
+    every pairwise minimum, ties and the beta CDF's one-ulp falls near 1
+    included."""
+    P = MOMENT_LAWS[law]
+    t = np.asarray(params, dtype=float)
+    got = second_moment_matrix(FunctionClass("intervals"), P, params)
+    want = np.asarray(P.cdf(np.minimum(t[:, None], t[None, :])), dtype=float)
+    assert got.shape == (len(t), len(t))
+    assert np.array_equal(bits(got), bits(want))
+
+
 def test_interval_distance_squared_is_cdf_gap(intervals, uniform):
     assert dP_matrix(intervals, uniform, [0.2, 0.7])[0, 1] ** 2 == pytest.approx(0.5, abs=1e-12)
     B = Distribution("beta", a=2.0, b=3.0)
@@ -252,6 +285,47 @@ def test_holder_column_sums_match_matrix_sums(knot_count, n, g, law, tie_share, 
     assert sums.dtype == np.float64 and sums.shape == (len(params),)
     want = cls.evaluate_matrix(params, xs).sum(axis=0)
     assert np.allclose(sums, want, rtol=0.0, atol=holder_sum_tolerance(n))
+
+
+# The rows hold the infinite points of ``knot_points``; see above.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    knot_count=st.integers(2, 12),
+    rows=st.integers(1, 6),
+    n=st.integers(1, 200),
+    g=st.integers(1, 9),
+    tie_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_holder_batch_rows_equal_one_row_sums(knot_count, rows, n, g, tie_share, seed):
+    """Each row of the batched knot-cell kernel is bit for bit its one-row
+    call, which is ``column_sums``, and agrees with the row's matrix column
+    sums within ``holder_sum_tolerance``. Points are uniform on [0, 1] or,
+    with probability ``tie_share``, taken from ``knot_points``."""
+    cls = FunctionClass("holder", knot_count=knot_count)
+    rng = np.random.default_rng(seed)
+    pool = knot_points(cls.knots)
+    batch = np.where(rng.random((rows, n)) < tie_share, rng.choice(pool, (rows, n)), rng.random((rows, n)))
+    params = [tuple(v) for v in rng.uniform(-1.0, 1.0, (g, knot_count))]
+    got = cls.batch_column_sums(params, batch)
+    assert got.dtype == np.float64 and got.shape == (rows, g)
+    for r in range(rows):
+        assert np.array_equal(bits(got[r]), bits(cls.column_sums(params, batch[r])))
+        want = cls.evaluate_matrix(params, batch[r]).sum(axis=0)
+        assert np.allclose(got[r], want, rtol=0.0, atol=holder_sum_tolerance(n))
+
+
+def test_batch_column_sums_of_other_classes_are_row_column_sums():
+    rng = np.random.default_rng(5)
+    rect = FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=9)
+    batch = rng.random((3, 40, 2))
+    got = rect.batch_column_sums(list(rect.mesh), batch)
+    assert np.array_equal(got, np.stack([rect.column_sums(list(rect.mesh), xs) for xs in batch]))
+    thetas = [0.1, 0.5, 0.9]
+    batch = rng.random((4, 30))
+    got = FunctionClass("intervals").batch_column_sums(thetas, batch)
+    assert np.array_equal(got, np.stack([(xs[:, None] <= thetas).sum(axis=0) for xs in batch]))
 
 
 # -- rectangles ----------------------------------------------------------------
@@ -673,6 +747,24 @@ def test_interval_brackets_tile_and_bound(intervals, uniform):
     # in the threshold, so the bracket functions dominate pointwise.
     for theta in intervals.mesh:
         assert any(a <= theta <= b for a, b in bs.brackets)
+
+
+@pytest.mark.parametrize("law", sorted(MOMENT_LAWS))
+def test_interval_brackets_equal_one_search_per_level(law):
+    """One vectorized search over the CDF levels gives the bounds of one
+    search per level, at 200 radii (the beta(3, 27.29) CDF falls by one ulp
+    near 1 on the mesh)."""
+    cls, P = FunctionClass("intervals"), MOMENT_LAWS[law]
+    mesh = np.asarray(cls.mesh, dtype=float)
+    F = np.asarray(P.cdf(mesh), dtype=float)
+    for eps in np.linspace(0.05, 0.95, 200):
+        k = int(math.ceil(1.0 / (eps * eps)))
+        qs = np.linspace(0.0, 1.0, k + 1)
+        bounds = [float(mesh[np.searchsorted(F, q, side="left").clip(0, len(mesh) - 1)]) for q in qs]
+        bounds[0], bounds[-1] = 0.0, 1.0
+        got = bracketing_set(cls, P, float(eps))
+        assert got.count == k
+        assert got.brackets == tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def test_bracketing_unsupported_for_rectangles(uniform):

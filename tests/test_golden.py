@@ -172,22 +172,22 @@ CASES = {
 # from the distance matrix to index windows, and still holds after it. The five
 # interval coupling cases were re-recorded when interval classes began to draw
 # their auxiliary transport batches as multinomial cell counts from the
-# "cells" seed phase (same law, new streams). "approx-intervals-uniform" and
-# "approx-intervals-beta" were re-recorded again when the cases were pinned to
-# one BLAS thread: one sup_mesh each differs in its last digit between one and
-# two threads. The two "*-sup-grid" digests were recorded before Hoelder
-# column sums moved to per-knot-cell statistics, and still hold after it; the
-# full "approx-holder" and "approx-holder-br" digests were re-recorded then,
-# because sup_mesh and transport_cost add the same values in another order
-# (same draws, no new seed phase; relative changes below 1e-13). The
+# "cells" seed phase, id 9 (same law, new streams). "approx-intervals-uniform"
+# and "approx-intervals-beta" were re-recorded again when the cases were pinned
+# to one BLAS thread: one sup_mesh each differs in its last digit between one
+# and two threads. The four "approx-holder*" digests were re-recorded when the
+# m - 1 auxiliary Hoelder samples moved from one "sample" generator each to
+# consecutive rows of one generator of that phase, renamed "auxiliary": the
+# same law from a new stream, so the transport assignments, and with them
+# sup_grid, sup_mesh and transport_cost, change as under a new seed. The
 # "approx-intervals-json-labels", "strong-intervals-json" and
 # "bounds-audit-default" digests were recorded before the replication runner
 # and the config parser were rewritten, as the byte guard for that refactor.
 DIGESTS = {
-    "approx-holder": "29b01768eb0732b3db046065e94f1c4729b628e0c0ca3335b3ea32e08f6ab996",
-    "approx-holder-br": "379e7423fc4ef7d719d9f659892a6132aef583f0e1442b46aaca142f17a60c44",
-    "approx-holder-br-sup-grid": "709902157ba0d29d7f1587b2d66ee2c8852035d5336099fbedc7cf243520305e",
-    "approx-holder-sup-grid": "3cc3e2867695e7d7bdd665ee8323d04f7c529d22f0bfcdaa6a826100195103d5",
+    "approx-holder": "b6b30409fc540c958db9fc0d6478382a02fb348a1a4a27ed95a96a57467d2f6f",
+    "approx-holder-br": "9fa9b90cc9f486e667cea1280adcf2088930b6de0823f487f77d871ee1643a2e",
+    "approx-holder-br-sup-grid": "7dbd138f83983e39edb69d352badca9686261b49f0078513cf55e8d41fd483c7",
+    "approx-holder-sup-grid": "9e35e5b40638b18d381347d3b481288706dcad36bcdccfd6cabbe22ad6dc840a",
     "approx-intervals-json-labels": "bdf2ecdb1cf1af43be738dd1d7c909f2a92c39ce4272a091b842b109d6c20767",
     "approx-intervals-beta": "75575fbc946d88a2fedfd59c467d039b49db2bc9e39c0d6e323580a662361d99",
     "approx-intervals-discrete": "1f2358f67539b64dba6454b4080d055e883999a5972fa8d9ef8824e97af2288c",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from empbridge import DomainError, SeedSpec, replication_seed
+from empbridge.seeds import PHASES
 
 
 def test_master_seed_must_fit_64_bits():
@@ -31,7 +32,7 @@ def test_same_phase_and_index_reproduces_exactly(seed):
 def test_phases_produce_distinct_streams(seed):
     draws = {
         phase: seed.rng(phase, 0).random(8).tobytes()
-        for phase in ("sample", "rademacher", "gauss", "target", "extend", "fill", "cells")
+        for phase in ("sample", "rademacher", "gauss", "target", "extend", "fill", "auxiliary")
     }
     assert len(set(draws.values())) == len(draws)
 
@@ -65,3 +66,27 @@ def test_draw_order_does_not_leak_between_phases(seed):
     seed.rng("sample", 0).random(1000)
     after = seed.rng("gauss", 0).standard_normal(4)
     assert np.array_equal(before, after)
+
+
+# Every published phase with its id. The ids are folded into the spawn keys,
+# so a published id never changes; a phase may be renamed ("auxiliary" was
+# "cells") and new phases are appended with new ids.
+PUBLISHED_PHASES = {
+    "generic": 0,
+    "sample": 1,
+    "rademacher": 2,
+    "gauss": 3,
+    "target": 4,
+    "extend": 5,
+    "fill": 6,
+    "mesh": 7,
+    "holdout": 8,
+    "auxiliary": 9,
+}
+
+
+def test_published_phase_ids_never_change():
+    assert {name: PHASES.get(name) for name in PUBLISHED_PHASES} == PUBLISHED_PHASES
+    assert len(set(PHASES.values())) == len(PHASES)
+    appended = [PHASES[name] for name in PHASES if name not in PUBLISHED_PHASES]
+    assert all(i > max(PUBLISHED_PHASES.values()) for i in appended)
