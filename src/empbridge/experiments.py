@@ -370,6 +370,7 @@ _READERS = {
     "n_grid": ("kind", ("gauss-approx", "couple")),
     "ot_batch": ("kind", ("gauss-approx", "couple")),
     "eval_mesh_size": ("kind", ("gauss-approx", "couple")),
+    "method": ("kind", ("gauss-approx", "strong-approx", "couple")),
     "schedule.alpha": ("selection", ("vc",)),
     "schedule.kappa": ("selection", ("br",)),
 }

@@ -22,11 +22,12 @@ kept strictly apart.
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
 f_theta(x_i) for a parameter list and a sample, ``column_sums`` its column
 sums, and ``batch_column_sums`` the column sums of each sample in a stack.
-Holder classes are evaluated by one cell search per sample point, shared by
-every parameter, with np.interp's slopes and order of operations, so the
-matrix is bit-identical to one np.interp call per parameter. Their column sums
-skip the matrix: they need only each knot cell's point count and point sum,
-which one kernel takes for every sample of a stack at once.
+Holder classes are evaluated by one exact cell search per sample point,
+shared by every parameter, with np.interp's slopes and order of operations, so
+the matrix is bit-identical to one np.interp call per parameter. Their column
+sums skip the matrix: they need only each knot cell's point count and point
+sum, which one kernel takes for every sample of a stack at once, with the cell
+found by truncating x (K - 1) and no exact search.
 
 Grids (epsilon-nets), covering numbers and bracketing numbers are all defined
 relative to the class's declared finite verification mesh of parameters
@@ -302,6 +303,8 @@ def _validate_member(form, param, dim, envelope):
 def _knot_cells(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """np.searchsorted(knots, xs, side="right") - 1 for knots = np.linspace(0, 1, K).
 
+    Only ``_interp_matrix`` needs the exact cell, to match np.interp bit for
+    bit; the column sums truncate instead (see ``_interp_column_sums``).
     Equally spaced knots give the cell as floor(x k), k = K - 1, with no
     binary search over the knots. Each knot lies within 2^-52 of i / k and
     x k is rounded by at most k 2^-53, so the floor can be wrong only when
@@ -329,14 +332,16 @@ def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.nd
     slope * (x - knot) + value, computed in np.interp's order of operations
     with its slope expression, so finite inputs give the same bits. Points
     on a knot or outside [knots[0], knots[-1]] take the knot value, as in
-    np.interp. The result is C-ordered (n, g), so its column sums add in the
+    np.interp; offsets are taken from the points clipped to that range, so
+    infinite points compute no inf * 0 before their rows are overwritten.
+    The result is C-ordered (n, g), so its column sums add in the
     same order as those of the column-stacked matrix.
     """
     pos = _knot_cells(knots, xs)
     j = np.clip(pos, 0, len(knots) - 2)
     slopes = (vals[:, 1:] - vals[:, :-1]) / (knots[1:] - knots[:-1])
     out = np.take(np.ascontiguousarray(slopes.T), j, axis=0)
-    out *= (xs - knots[j])[:, None]
+    out *= (np.clip(xs, knots[0], knots[-1]) - knots[j])[:, None]
     table = np.ascontiguousarray(vals.T)
     out += np.take(table, j, axis=0)
     fixed = (pos != j) | (xs == knots[j])
@@ -354,16 +359,24 @@ def _interp_column_sums(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> 
     count and D_j = S_j - C_j knots[j] the sum of their offsets, S_j the sum
     of the points. Clipping the points to [knots[0], knots[-1]] first gives
     the knot value to points outside, as np.interp does: they land on an end
-    knot with offset 0. A point at the last knot counts in the last entry of
-    C, which no cell extends. One ``bincount`` on the key row * K + cell gives
-    C and S for every row at once, each bin adding its row's points in
-    sample order, and the sums are taken one knot column at a time, so each
-    row's bits do not depend on the other rows. The sums equal the matrix
-    column sums up to rounding.
+    knot with offset 0. The cell is x (K - 1) truncated, capped at K - 1 by
+    np.fmin, which also sends NaN there: a point at the last knot, and NaN,
+    count in the last entry of C, which no cell extends. When K - 1 is a
+    power of two (the default K = 9 among them), x (K - 1) is exact and the
+    truncation is the exact cell of ``_knot_cells``. For other K a point
+    within about (K - 1) 2^-51 of a knot may count in the neighbouring cell;
+    members are continuous at the knots, so that moves the sum by rounding
+    only. One ``bincount`` on the key row * K + cell gives C and S for every
+    row at once, each bin adding its row's points in sample order, and the
+    sums are taken one knot column at a time, so each row's bits do not
+    depend on the other rows. The sums equal the matrix column sums up to
+    rounding.
     """
     rows, K = len(xs), len(knots)
     x = np.clip(xs, knots[0], knots[-1])
-    key = _knot_cells(knots, x)
+    cell = x * (K - 1)
+    np.fmin(cell, K - 1, out=cell)
+    key = cell.astype(np.intp)
     key += K * np.arange(rows)[:, None]
     counts = np.bincount(key.ravel(), minlength=rows * K).reshape(rows, K)
     offsets = np.bincount(key.ravel(), weights=x.ravel(), minlength=rows * K).reshape(rows, K)

@@ -523,6 +523,16 @@ def test_top_level_key_a_strong_run_ignores_is_a_config_error(
     assert_config_error(capsys, tmp_path, "strong", spec, needle)
 
 
+@pytest.mark.parametrize("command", ["entropy", "bounds-audit"])
+def test_method_under_a_run_without_transport_is_a_config_error(capsys, tmp_path, command):
+    # These commands run the kind of the same name, which couples nothing.
+    needle = (
+        "config field 'method' is read only under a gauss-approx or strong-approx or couple "
+        f"kind, not {command}"
+    )
+    assert_config_error(capsys, tmp_path, command, {"method": "exact"}, needle)
+
+
 @pytest.mark.parametrize(
     "key, command, spec",
     [

@@ -209,7 +209,10 @@ def holder_sum_tolerance(n: int) -> float:
     """Absolute gap allowed between Hoelder column sums from knot-cell
     statistics and from the n x g matrix: both add n terms of magnitude at
     most 1 (a few units with the slopes drawn here) in different orders.
-    The gaps seen stay below 1 % of it."""
+    Most gaps seen stay far below it, but they grow where the matrix sums
+    many repeated values: 400 random cases of
+    ``test_holder_column_sums_match_matrix_sums`` reached 15.8 % of it (a
+    discrete law with every point from ``knot_points``, n = 11,230, K = 3)."""
     return 1e-12 * max(1, n)
 
 
@@ -259,9 +262,6 @@ def test_knot_cells_equal_searchsorted(knot_count, n, tie_share, seed):
     assert np.array_equal(got, np.searchsorted(knots, xs, side="right") - 1)
 
 
-# The matrix computes inf * 0 = NaN in the rows of the infinite points of
-# ``knot_points`` and then overwrites those rows with the knot value.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     knot_count=st.integers(2, 12),
@@ -287,8 +287,6 @@ def test_holder_column_sums_match_matrix_sums(knot_count, n, g, law, tie_share, 
     assert np.allclose(sums, want, rtol=0.0, atol=holder_sum_tolerance(n))
 
 
-# The rows hold the infinite points of ``knot_points``; see above.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     knot_count=st.integers(2, 12),
@@ -314,6 +312,63 @@ def test_holder_batch_rows_equal_one_row_sums(knot_count, rows, n, g, tie_share,
         assert np.array_equal(bits(got[r]), bits(cls.column_sums(params, batch[r])))
         want = cls.evaluate_matrix(params, batch[r]).sum(axis=0)
         assert np.allclose(got[r], want, rtol=0.0, atol=holder_sum_tolerance(n))
+
+
+def exact_cell_sums(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The column-sum kernel with the exact cells of ``_knot_cells`` in place
+    of truncation: the two must agree bit for bit when K - 1 is a power of
+    two."""
+    rows, K = len(xs), len(knots)
+    x = np.clip(xs, knots[0], knots[-1])
+    key = _knot_cells(knots, x) + K * np.arange(rows)[:, None]
+    counts = np.bincount(key.ravel(), minlength=rows * K).reshape(rows, K)
+    offsets = np.bincount(key.ravel(), weights=x.ravel(), minlength=rows * K).reshape(rows, K)
+    offsets -= counts * knots
+    slopes = (vals[:, 1:] - vals[:, :-1]) / (knots[1:] - knots[:-1])
+    out = counts[:, :1] * vals[:, 0]
+    for j in range(1, K):
+        out += counts[:, j : j + 1] * vals[:, j]
+    for j in range(K - 1):
+        out += offsets[:, j : j + 1] * slopes[:, j]
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    knot_count=st.sampled_from([2, 3, 5, 9, 17]),
+    rows=st.integers(1, 6),
+    n=st.integers(1, 200),
+    g=st.integers(1, 9),
+    tie_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_holder_truncated_cells_are_exact_when_k_minus_1_is_a_power_of_two(
+    knot_count, rows, n, g, tie_share, seed
+):
+    """With K - 1 a power of two, x (K - 1) is exact, so the truncated cells
+    are those of ``_knot_cells`` and the batch sums have the exact-cell
+    kernel's bits. Every row starts with every point of ``knot_points``;
+    the rest are uniform on [0, 1] or, with probability ``tie_share``,
+    taken from ``knot_points``."""
+    cls = FunctionClass("holder", knot_count=knot_count)
+    rng = np.random.default_rng(seed)
+    pool = knot_points(cls.knots)
+    batch = np.where(rng.random((rows, n)) < tie_share, rng.choice(pool, (rows, n)), rng.random((rows, n)))
+    batch = np.concatenate([np.resize(pool, (rows, len(pool))), batch], axis=1)
+    vals = rng.uniform(-1.0, 1.0, (g, knot_count))
+    got = cls.batch_column_sums([tuple(v) for v in vals], batch)
+    assert np.array_equal(bits(got), bits(exact_cell_sums(cls.knots, vals, batch)))
+
+
+@pytest.mark.parametrize("knot_count", range(2, 13))
+def test_holder_column_sums_put_end_points_and_nan_in_the_end_entries(knot_count):
+    """NaN, 1.0 and +inf count in the last entry, which no cell extends, and
+    -inf at the first knot with offset 0, so a one-point sample sums to the
+    end knot's value."""
+    cls = FunctionClass("holder", knot_count=knot_count)
+    vals = np.random.default_rng(knot_count).uniform(-1.0, 1.0, (3, knot_count))
+    got = cls.batch_column_sums([tuple(v) for v in vals], [[np.nan], [1.0], [np.inf], [-np.inf]])
+    assert np.array_equal(got, [vals[:, -1], vals[:, -1], vals[:, -1], vals[:, 0]])
 
 
 def test_batch_column_sums_of_other_classes_are_row_column_sums():
