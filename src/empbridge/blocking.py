@@ -15,9 +15,12 @@ radius, then fills within-block Gaussian partial sums by a bridge-style
 conditional interpolation pinned to the block's coupled endpoint. The path
 discrepancy is the running maximum over all sample counts m of the sup norm
 of (unscaled empirical partial sum) minus (Gaussian partial sum) on a common
-evaluation mesh. ``block_contexts`` prepares every block's coupling context,
-once per distinct radius across a set of schedules; ``run_sequential`` is the
-block loop that uses them.
+evaluation mesh. That difference is computed directly, as one signed walk per
+block whose steps are the evaluation minus the fill steps plus a per-block
+drift; its end value is the gap the next block starts from.
+``block_contexts`` prepares every block's coupling context, once per distinct
+radius across a set of schedules; ``run_sequential`` is the block loop that
+uses them.
 """
 
 from __future__ import annotations
@@ -260,6 +263,28 @@ def block_contexts(
     return out
 
 
+def _gap_walk(values, steps, total, means, gap) -> np.ndarray:
+    """One block's signed path gaps, shape (g, n), computed in ``steps``.
+
+    ``values`` is the block's (n, g) mesh evaluation v_i, ``steps`` the (g, n)
+    Gaussian fill steps s_i with partial sums W_m, ``total`` the coupled
+    endpoint T = sqrt(n) mesh_gauss, ``means`` the mesh means mu and ``gap``
+    the signed gap c carried in from the previous block. Column m - 1 is
+
+        c + sum_{i <= m} (v_i - mu) - (W_m - (m/n) W_n + (m/n) T),
+
+    the empirical partial sum minus the bridge fill pinned to T. That equals
+    c + sum_{i <= m} d_i with d_i = v_i - s_i + beta and
+    beta = (W_n - T) / n - mu, so one cumulative sum along the contiguous
+    axis gives every column; the last is the gap the next block carries.
+    """
+    beta = (steps.sum(axis=1) - total) / steps.shape[1] - means
+    np.subtract(values.T, steps, out=steps)
+    steps += beta[:, None]
+    steps[:, 0] += gap
+    return np.cumsum(steps, axis=1, out=steps)
+
+
 def run_sequential(
     schedule: BlockingSchedule,
     contexts: tuple,
@@ -275,18 +300,17 @@ def run_sequential(
     coupled at its context's radius. Within a block of size n, the Gaussian
     partial sums interpolate between the running total and the block's
     coupled endpoint: a cumulative sum of i.i.d. mesh-covariance draws is
-    bridged to zero and the pinned endpoint is added back linearly. The fill
-    works in place on the block's evaluation matrix and Gaussian steps, with
-    one buffer sized to the largest block, and gives the same bits as
-    computing each partial-sum matrix afresh.
+    bridged to zero and the pinned endpoint is added back linearly. Neither
+    partial sum is formed: each block's gaps between them are one signed
+    difference walk (``_gap_walk``) in the block's Gaussian step array,
+    started from the signed gap that the previous block ended on. m_star is
+    the first sample count at which some mesh point reaches the maximum.
     """
     # Block 0 is the unit starter block of either regime.
     cls, P, eval_mesh = contexts[0].cls, contexts[0].P, list(contexts[0].eval_mesh)
     g = len(eval_mesh)
     l_eval = factorize(covariance(cls, P, eval_mesh)).L
-    emp_prefix = np.zeros(g)
-    gauss_prefix = np.zeros(g)
-    frac_buffer = np.empty((max(schedule.n), g))
+    gap = np.zeros(g)
     block_running = []
     best = 0.0
     m_star = 0
@@ -304,34 +328,18 @@ def run_sequential(
             context=ctx,
             tag=tag_offset + k,
         )
-        root = math.sqrt(n_k)
-        gauss_total = root * real.mesh_gauss
-        # gaps = |(emp_prefix + emp) - (gauss_prefix + gauss)|, with
-        # emp = cumsum(vals - means) and gauss = walk - frac walk[-1] +
-        # frac gauss_total, computed in that order in the block's own arrays.
-        emp = cls.evaluate_matrix(eval_mesh, real.points)
-        emp -= ctx.mesh_means
-        np.cumsum(emp, axis=0, out=emp)
-        gauss = seed.rng("fill", tag_offset + k).standard_normal((n_k, g)) @ l_eval.T
-        np.cumsum(gauss, axis=0, out=gauss)
-        frac = (np.arange(1, n_k + 1) / n_k)[:, None]
-        buffer = frac_buffer[:n_k]
-        np.multiply(frac, gauss[-1], out=buffer)
-        gauss -= buffer
-        np.multiply(frac, gauss_total, out=buffer)
-        gauss += buffer
-        emp += emp_prefix
-        emp_prefix = emp[-1].copy()
-        gauss += gauss_prefix
-        emp -= gauss
-        np.abs(emp, out=emp)
-        # The first maximal entry lies in the first row that reaches the
-        # block maximum, which is the row max(axis=1) then argmax would pick.
-        flat = int(np.argmax(emp))
-        if emp.flat[flat] > best:
-            best = float(emp.flat[flat])
-            m_star = done + flat // g + 1
-        gauss_prefix = gauss_prefix + gauss_total
+        steps = l_eval @ seed.rng("fill", tag_offset + k).standard_normal((n_k, g)).T
+        values = cls.evaluate_matrix(eval_mesh, real.points)
+        walk = _gap_walk(values, steps, math.sqrt(n_k) * real.mesh_gauss, ctx.mesh_means, gap)
+        gap = walk[:, -1].copy()
+        np.abs(walk, out=walk)
+        # The first m at which some mesh point reaches the block maximum.
+        first = np.argmax(walk, axis=1)
+        peaks = walk[np.arange(g), first]
+        top = peaks.max()
+        if top > best:
+            best = float(top)
+            m_star = done + int(first[peaks == top].min()) + 1
         done += n_k
         block_running.append(best)
     total = schedule.total

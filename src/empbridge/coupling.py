@@ -310,12 +310,12 @@ def construct_joint(
     g = grid.size
     designated = P.draw(n, seed.rng("sample", tag, 0))
     vals = cls.evaluate_matrix(centers, designated)
-    norms = np.sqrt(((vals - context.grid_means[None, :]) ** 2).sum(axis=1) / n)
+    # One temporary, squared in place and freed before the transport step.
+    row_sums = ((vals - context.grid_means) ** 2) @ np.ones(g)
+    norm = math.sqrt(row_sums.max(initial=0.0) / n)
     limit = cls.envelope * math.sqrt(g / n)
-    if norms.max(initial=0.0) > limit + 1e-12:
-        raise NumericError(
-            f"summand norm {norms.max():.6g} exceeds the bound {limit:.6g}"
-        )
+    if norm > limit + 1e-12:
+        raise NumericError(f"summand norm {norm:.6g} exceeds the bound {limit:.6g}")
     sums = np.empty((m, g))
     sums[0] = vals.sum(axis=0)
     aux = seed.rng("auxiliary", tag)

@@ -371,6 +371,8 @@ _READERS = {
     "ot_batch": ("kind", ("gauss-approx", "couple")),
     "eval_mesh_size": ("kind", ("gauss-approx", "couple")),
     "method": ("kind", ("gauss-approx", "strong-approx", "couple")),
+    "gamma1": ("kind", ("gauss-approx", "couple", "bounds-audit")),
+    "gamma2": ("kind", ("gauss-approx", "couple", "bounds-audit")),
     "schedule.alpha": ("selection", ("vc",)),
     "schedule.kappa": ("selection", ("br",)),
 }

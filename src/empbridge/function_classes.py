@@ -326,7 +326,8 @@ def _knot_cells(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Column j is np.interp(xs, knots, vals[j]), bit for bit; shape (n, g).
+    """Column j is np.interp(xs, knots, vals[j]), bit for bit for every
+    non-NaN point; shape (n, g).
 
     One cell search per sample serves every parameter. Each cell value is
     slope * (x - knot) + value, computed in np.interp's order of operations
@@ -334,6 +335,8 @@ def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.nd
     on a knot or outside [knots[0], knots[-1]] take the knot value, as in
     np.interp; offsets are taken from the points clipped to that range, so
     infinite points compute no inf * 0 before their rows are overwritten.
+    A NaN point takes the last knot's value where np.interp gives NaN, as
+    it does in the column sums (``_interp_column_sums``), so the two agree.
     The result is C-ordered (n, g), so its column sums add in the
     same order as those of the column-stacked matrix.
     """

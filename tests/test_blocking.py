@@ -289,10 +289,12 @@ def test_sequential_tag_offset_decouples_runs(intervals, uniform):
 
 
 def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
-    """run_sequential's per-block loop as it was before the fill went in place.
+    """run_sequential's per-block loop as two partial sums, empirical and
+    Gaussian, whose difference is the gap.
 
-    Kept verbatim as the reference that the in-place fill must match bit for
-    bit.
+    Kept verbatim as the reference that the difference walk must match to
+    rounding. Also returns the signed gap emp_prefix - gauss_prefix at each
+    block end.
     """
     k_eval = covariance(cls, P, list(eval_mesh))
     l_eval = factorize(k_eval).L
@@ -301,6 +303,7 @@ def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
     emp_prefix = np.zeros(len(eval_mesh))
     gauss_prefix = np.zeros(len(eval_mesh))
     per_block = []
+    ends = []
     block_running = []
     best = 0.0
     m_star = 0
@@ -345,9 +348,10 @@ def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
             m_star = done + k_best + 1
         emp_prefix = emp_prefix + emp_partials[-1]
         gauss_prefix = gauss_prefix + gauss_total
+        ends.append(emp_prefix - gauss_prefix)
         done += n_k
         block_running.append(best)
-    return best, m_star, tuple(per_block), tuple(block_running)
+    return best, m_star, tuple(per_block), tuple(block_running), ends
 
 
 FILL_LAWS = {
@@ -361,16 +365,8 @@ FILL_CLASSES = {
 }
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    kind=st.sampled_from(sorted(FILL_CLASSES)),
-    law=st.sampled_from(sorted(FILL_LAWS)),
-    regime=st.sampled_from(["vc", "br"]),
-    N=st.integers(2, 4),
-    mesh_size=st.integers(1, 12),
-    master=st.integers(0, 2**32 - 1),
-)
-def test_in_place_fill_matches_the_reference_loop(kind, law, regime, N, mesh_size, master):
+def fill_case(kind, law, regime, N, mesh_size, master):
+    """A class, law, schedule, block contexts and seed for one fill case."""
     cls, P = FILL_CLASSES[kind], FILL_LAWS[law]
     if regime == "vc":
         sched, selector = schedule_vc(5, TAU1, TAU2, N), EntropyRegime("vc", c0=1.0, nu0=1.0)
@@ -378,9 +374,81 @@ def test_in_place_fill_matches_the_reference_loop(kind, law, regime, N, mesh_siz
         sched, selector = schedule_br(Fraction(1, 6), N + 2), EntropyRegime("br", b0=0.2, r0=0.75)
     mesh = list(cls.mesh)
     eval_mesh = tuple(mesh[i] for i in np.linspace(0, len(mesh) - 1, mesh_size).astype(int))
-    seed = SeedSpec(master, 0)
     (contexts,) = block_contexts(cls, P, [sched], selector, eval_mesh)
+    return cls, P, sched, selector, eval_mesh, contexts, SeedSpec(master, 0)
+
+
+FILL_CASES = dict(
+    kind=st.sampled_from(sorted(FILL_CLASSES)),
+    law=st.sampled_from(sorted(FILL_LAWS)),
+    regime=st.sampled_from(["vc", "br"]),
+    N=st.integers(2, 4),
+    mesh_size=st.integers(1, 12),
+    master=st.integers(0, 2**32 - 1),
+)
+
+
+def within_rounding(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**FILL_CASES)
+def test_difference_walk_matches_the_two_walk_reference(kind, law, regime, N, mesh_size, master):
+    cls, P, sched, selector, eval_mesh, contexts, seed = fill_case(
+        kind, law, regime, N, mesh_size, master
+    )
     got = run_sequential(sched, contexts, seed, m=4)
-    best, m_star, _, block_running = _reference_fill(cls, P, sched, seed, 4, eval_mesh, selector)
-    assert got.max_discrepancy == best and got.m_star == m_star
-    assert got.block_running == block_running
+    best, m_star, _, block_running, _ = _reference_fill(cls, P, sched, seed, 4, eval_mesh, selector)
+    assert got.m_star == m_star
+    assert within_rounding(got.max_discrepancy, best)
+    assert len(got.block_running) == len(block_running)
+    assert all(within_rounding(a, b) for a, b in zip(got.block_running, block_running))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**FILL_CASES)
+def test_carried_gap_is_the_reference_prefix_difference(kind, law, regime, N, mesh_size, master):
+    import empbridge.blocking as blocking
+
+    cls, P, sched, selector, eval_mesh, contexts, seed = fill_case(
+        kind, law, regime, N, mesh_size, master
+    )
+    carried = []
+    gap_walk = blocking._gap_walk
+
+    def recorded(*args):
+        walk = gap_walk(*args)
+        carried.append(walk[:, -1].copy())
+        return walk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocking, "_gap_walk", recorded)
+        run_sequential(sched, contexts, seed, m=4)
+    ends = _reference_fill(cls, P, sched, seed, 4, eval_mesh, selector)[4]
+    assert len(carried) == len(ends) == sched.N + 1
+    for got, want in zip(carried, ends):
+        assert all(within_rounding(a, b) for a, b in zip(got, want))
+
+
+def test_each_block_draws_one_fill_generator(intervals, uniform, monkeypatch):
+    sched = schedule_vc(5, TAU1, TAU2, 3)
+    (contexts,) = contexts_of(intervals, uniform, sched)
+    opened = []
+    rng = SeedSpec.rng
+
+    class Recorded:
+        def __init__(self, gen, tag):
+            self.gen, self.tag = gen, tag
+
+        def standard_normal(self, size):
+            opened.append((self.tag, size))
+            return self.gen.standard_normal(size)
+
+    def spy(self, phase="generic", *indices):
+        gen = rng(self, phase, *indices)
+        return Recorded(gen, indices) if phase == "fill" else gen
+
+    monkeypatch.setattr(SeedSpec, "rng", spy)
+    run_sequential(sched, contexts, SeedSpec(5, 0), m=4, tag_offset=7)
+    assert opened == [((7 + k,), (n_k, 9)) for k, n_k in enumerate(sched.n)]

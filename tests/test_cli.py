@@ -533,6 +533,23 @@ def test_method_under_a_run_without_transport_is_a_config_error(capsys, tmp_path
     assert_config_error(capsys, tmp_path, command, {"method": "exact"}, needle)
 
 
+@pytest.mark.parametrize("key", ["gamma1", "gamma2"])
+@pytest.mark.parametrize("command", ["strong", "entropy"])
+def test_gamma_under_a_run_without_delta_t_selection_is_a_config_error(
+    capsys, tmp_path, command, key
+):
+    # Only approx, couple and bounds-audit runs select delta and t.
+    spec = {key: 0.5}
+    if command == "strong":
+        spec["schedule"] = {"N_grid": [3], "m": 4}
+    kind = {"strong": "strong-approx", "entropy": "entropy"}[command]
+    needle = (
+        f"config field {key!r} is read only under a gauss-approx or couple or bounds-audit "
+        f"kind, not {kind}"
+    )
+    assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
 @pytest.mark.parametrize(
     "key, command, spec",
     [

@@ -371,6 +371,21 @@ def test_holder_column_sums_put_end_points_and_nan_in_the_end_entries(knot_count
     assert np.array_equal(got, [vals[:, -1], vals[:, -1], vals[:, -1], vals[:, 0]])
 
 
+@pytest.mark.parametrize("knot_count", range(2, 13))
+def test_holder_matrix_gives_nan_the_last_knot_value(knot_count):
+    """Unlike np.interp, which gives NaN, the matrix row of a NaN point holds
+    the last knot's values, so the matrix sums agree with the column sums."""
+    cls = FunctionClass("holder", knot_count=knot_count)
+    vals = np.random.default_rng(knot_count).uniform(-1.0, 1.0, (3, knot_count))
+    params = [tuple(v) for v in vals]
+    xs = np.array([0.3, np.nan, 0.7, 1.0])
+    got = cls.evaluate_matrix(params, xs)
+    assert np.isnan(np.interp(np.nan, cls.knots, vals[0]))
+    assert np.array_equal(got[1], vals[:, -1])
+    sums = cls.batch_column_sums(params, xs[None])[0]
+    assert np.allclose(sums, got.sum(axis=0), rtol=0.0, atol=holder_sum_tolerance(len(xs)))
+
+
 def test_batch_column_sums_of_other_classes_are_row_column_sums():
     rng = np.random.default_rng(5)
     rect = FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=9)

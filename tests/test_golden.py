@@ -52,6 +52,17 @@ APPROX_HOLDER_BR = {
 # alone: sup_grid takes the designated sample's matrix sum, and the auxiliary
 # batch sums only choose the transport assignment.
 GRID_COLUMNS = ("n", "rep", "seed", "epsilon", "delta", "t", "sup_grid")
+STRONG_INTERVALS = {
+    "kind": "strong-approx",
+    "class": INTERVALS,
+    "distribution": {"kind": "uniform"},
+    "reps": 2,
+    "seed": SEED,
+    "schedule": {"N_grid": [4], "m": 8},
+}
+# The strong-approx columns that rounding in the within-block fill leaves
+# alone: the path's length and the sample count m_star of its maximum.
+PATH_COLUMNS = ("run_id", "regime", "N", "t_N", "m_star")
 
 CASES = {
     "approx-intervals-uniform": (
@@ -83,18 +94,8 @@ CASES = {
     "approx-holder-br": ("approx", APPROX_HOLDER_BR, "gauss-approx.csv"),
     "approx-holder-sup-grid": ("approx", APPROX_HOLDER, "gauss-approx.csv", GRID_COLUMNS),
     "approx-holder-br-sup-grid": ("approx", APPROX_HOLDER_BR, "gauss-approx.csv", GRID_COLUMNS),
-    "strong-intervals": (
-        "strong",
-        {
-            "kind": "strong-approx",
-            "class": INTERVALS,
-            "distribution": {"kind": "uniform"},
-            "reps": 2,
-            "seed": SEED,
-            "schedule": {"N_grid": [4], "m": 8},
-        },
-        "strong-approx.csv",
-    ),
+    "strong-intervals": ("strong", STRONG_INTERVALS, "strong-approx.csv"),
+    "strong-intervals-path": ("strong", STRONG_INTERVALS, "strong-approx.csv", PATH_COLUMNS),
     # JSON tables pin the meta block: failure accounting and label note for
     # approx, the per-N path envelope for strong.
     "approx-intervals-json-labels": (
@@ -180,9 +181,14 @@ CASES = {
 # consecutive rows of one generator of that phase, renamed "auxiliary": the
 # same law from a new stream, so the transport assignments, and with them
 # sup_grid, sup_mesh and transport_cost, change as under a new seed. The
-# "approx-intervals-json-labels", "strong-intervals-json" and
-# "bounds-audit-default" digests were recorded before the replication runner
-# and the config parser were rewritten, as the byte guard for that refactor.
+# "approx-intervals-json-labels" and "bounds-audit-default" digests were
+# recorded before the replication runner and the config parser were rewritten,
+# as the byte guard for that refactor. "strong-intervals" and
+# "strong-intervals-json" were re-recorded when the within-block fill became
+# one signed difference walk per block: the same fill stream, but
+# max_discrepancy and normalized move in their last digits.
+# "strong-intervals-path" was recorded before that change and holds after it:
+# it pins every strong column that the rounding leaves alone.
 DIGESTS = {
     "approx-holder": "b6b30409fc540c958db9fc0d6478382a02fb348a1a4a27ed95a96a57467d2f6f",
     "approx-holder-br": "9fa9b90cc9f486e667cea1280adcf2088930b6de0823f487f77d871ee1643a2e",
@@ -197,8 +203,9 @@ DIGESTS = {
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
     "entropy-intervals-ties": "d7e4d6d1ff5e23fe301c1cdb5af31464efa7e8259fb6cdca2c13e56791cccd99",
-    "strong-intervals": "d1c114a2c34fb549a4430e232c09361f913b7b11a25f44714714f671a537e0b0",
-    "strong-intervals-json": "7a57e8b0e5fb67f6ab58fe37e7fb2b2bb529b96ca55dcfef4658705f49d69f20",
+    "strong-intervals": "44558f78a5488e96a8435f3a882aedeadd179548d96de6a389353937e84f9430",
+    "strong-intervals-json": "fef2ac0fd45d1df4317131d27fc3c536fda4506fc5c4c26bf32dee228f5e44d5",
+    "strong-intervals-path": "2b56cf13d1d7dababf3050da8d7803844f57c978a43154b27eb1af1cf784f09a",
 }
 
 
