@@ -53,7 +53,6 @@ from .errors import (
 from .function_classes import (
     EntropyRegime,
     FunctionClass,
-    _window_cdf,
     bracketing_number,
     covering_certificate,
     dP_matrix,
@@ -656,8 +655,8 @@ def run_entropy(config: ExperimentConfig) -> ResultTable:
     radii = config.entropy["radii"]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("entropy radii must be strictly decreasing")
-    distances = None  # a large interval mesh is counted on index windows, with no matrix
-    if _window_cdf(config.cls, config.dist) is None:
+    distances = None  # interval meshes are counted by a sweep, with no matrix
+    if config.cls.kind != "intervals":
         distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))
     rows = []
     for eps in radii:

@@ -22,25 +22,26 @@ kept strictly apart.
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
 f_theta(x_i) for a parameter list and a sample, ``column_sums`` its column
 sums, and ``batch_column_sums`` the column sums of each sample in a stack.
-Holder classes are evaluated by one exact cell search per sample point,
-shared by every parameter, with np.interp's slopes and order of operations, so
-the matrix is bit-identical to one np.interp call per parameter. Their column
-sums skip the matrix: they need only each knot cell's point count and point
-sum, which one kernel takes for every sample of a stack at once, with the cell
-found by truncating x (K - 1) and no exact search.
+Holder classes are evaluated by one binary search of the knots per sample
+point, shared by every parameter, with np.interp's slopes and order of
+operations, so the matrix is bit-identical to one np.interp call per
+parameter. Their column sums skip the matrix: they need only each knot cell's
+point count and point sum, which one kernel takes for every sample of a stack
+at once, with the cell found by truncating x (K - 1) and no exact search.
 
 Grids (epsilon-nets), covering numbers and bracketing numbers are all defined
 relative to the class's declared finite verification mesh of parameters
 (``FunctionClass.mesh``), which makes every "covers" predicate decidable. A
-grid holds at most ``GRID_BUDGET`` centers. Covering counts on meshes of at
-most ``EXACT_COVER_LIMIT`` points use an exact branch-and-bound set cover;
-larger meshes use a greedy upper bound with a separation-packing lower
-certificate. On a larger interval mesh every ball is a window of mesh indices:
-both counts are taken on windows found with the distance matrix's own
-arithmetic, so they equal the matrix counts, and the mesh x mesh matrix is
-never built. Entropy-law fits take (radius, count) pairs
-(``fit_entropy_counts``); the ``entropy`` command counts covers on a radius
-ladder and fits them.
+grid holds at most ``GRID_BUDGET`` centers. On an interval mesh every ball is
+a window of mesh indices, so one left-to-right sweep (``_interval_cover``),
+taken with the distance matrix's own arithmetic and without building it,
+gives a minimum strict cover: interval grids are its centers and interval
+covering counts are exact at any mesh size. Other kinds work on
+``dP_matrix``: grids take a greedy cover, and covering counts are exact by
+branch and bound on meshes of at most ``EXACT_COVER_LIMIT`` points, a greedy
+upper bound with a separation-packing lower bound above. Entropy-law fits
+take (radius, count) pairs (``fit_entropy_counts``); the ``entropy`` command
+counts covers on a radius ladder and fits them.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .quadrature import adaptive_simpson
 KINDS = ("intervals", "rectangles", "holder", "finite")
 FINITE_FORMS = ("interval", "rectangle", "constant")
 GRID_BUDGET = 4096  # most centers a grid may hold
-EXACT_COVER_LIMIT = 24  # largest mesh whose cover is counted exactly
+EXACT_COVER_LIMIT = 24  # largest matrix-path mesh whose cover is counted exactly
 
 
 @dataclass(frozen=True)
@@ -300,47 +301,23 @@ def _validate_member(form, param, dim, envelope):
             raise ConfigError("constant member exceeds the envelope")
 
 
-def _knot_cells(knots: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """np.searchsorted(knots, xs, side="right") - 1 for knots = np.linspace(0, 1, K).
-
-    Only ``_interp_matrix`` needs the exact cell, to match np.interp bit for
-    bit; the column sums truncate instead (see ``_interp_column_sums``).
-    Equally spaced knots give the cell as floor(x k), k = K - 1, with no
-    binary search over the knots. Each knot lies within 2^-52 of i / k and
-    x k is rounded by at most k 2^-53, so the floor can be wrong only when
-    x k falls within k 2^-51 of an integer. Those few points (and points on
-    a knot, outside [0, 1] or NaN) are searched exactly, so the result is
-    exact: -1 left of 0, K - 1 at or right of 1 and for NaN, which sorts
-    last.
-    """
-    k = len(knots) - 1
-    tol = k * 2.0**-48  # 8 times the rounding bound above
-    v = np.fmin(np.maximum(xs * k, -1.0), k)  # np.maximum keeps NaN, np.fmin sends it to k
-    cell = np.floor(v)
-    frac = v - cell
-    near = (frac < tol) | (frac > 1.0 - tol)
-    pos = cell.astype(np.intp)
-    if near.any():
-        pos[near] = np.searchsorted(knots, xs[near], side="right") - 1
-    return pos
-
-
 def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Column j is np.interp(xs, knots, vals[j]), bit for bit for every
     non-NaN point; shape (n, g).
 
-    One cell search per sample serves every parameter. Each cell value is
-    slope * (x - knot) + value, computed in np.interp's order of operations
-    with its slope expression, so finite inputs give the same bits. Points
-    on a knot or outside [knots[0], knots[-1]] take the knot value, as in
-    np.interp; offsets are taken from the points clipped to that range, so
-    infinite points compute no inf * 0 before their rows are overwritten.
-    A NaN point takes the last knot's value where np.interp gives NaN, as
-    it does in the column sums (``_interp_column_sums``), so the two agree.
+    One binary search of the knots per sample point serves every parameter.
+    Each cell value is slope * (x - knot) + value, computed in np.interp's
+    order of operations with its slope expression, so finite inputs give the
+    same bits. Points on a knot or outside [knots[0], knots[-1]] take the
+    knot value, as in np.interp; offsets are taken from the points clipped
+    to that range, so infinite points compute no inf * 0 before their rows
+    are overwritten. A NaN point, which the search puts past the last knot,
+    takes the last knot's value where np.interp gives NaN, as it does in the
+    column sums (``_interp_column_sums``), so the two agree.
     The result is C-ordered (n, g), so its column sums add in the
     same order as those of the column-stacked matrix.
     """
-    pos = _knot_cells(knots, xs)
+    pos = np.searchsorted(knots, xs, side="right") - 1
     j = np.clip(pos, 0, len(knots) - 2)
     slopes = (vals[:, 1:] - vals[:, :-1]) / (knots[1:] - knots[:-1])
     out = np.take(np.ascontiguousarray(slopes.T), j, axis=0)
@@ -366,7 +343,7 @@ def _interp_column_sums(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> 
     np.fmin, which also sends NaN there: a point at the last knot, and NaN,
     count in the last entry of C, which no cell extends. When K - 1 is a
     power of two (the default K = 9 among them), x (K - 1) is exact and the
-    truncation is the exact cell of ``_knot_cells``. For other K a point
+    truncation is ``_interp_matrix``'s exact cell. For other K a point
     within about (K - 1) 2^-51 of a knot may count in the neighbouring cell;
     members are continuous at the knots, so that moves the sum by rounding
     only. One ``bincount`` on the key row * K + cell gives C and S for every
@@ -568,26 +545,22 @@ class Grid:
 
 
 def build_grid(cls: FunctionClass, P: Distribution, epsilon: float) -> Grid:
-    """Select centers forming an epsilon-net of the verification mesh.
+    """Select centers forming a strict epsilon-net of the verification mesh:
+    every mesh point lies at a ``dP_matrix`` distance below epsilon from a
+    center.
 
-    Interval classes use a one-pass sweep over their sorted mesh (minimal for
-    a 1-D totally ordered metric) that decides coverage in CDF space,
-    |F(a) - F(b)| < epsilon^2. That is a strict net up to rounding only: at
-    ties the distance sqrt(F(b) - F(a)) can round to just above epsilon
-    (``net_radius`` is 0.10000000000000005 at epsilon 0.1 on the uniform 101-
-    and 1001-point meshes). Other kinds use greedy set cover on
-    ``dP_matrix < epsilon``, a strict net, with deterministic tie breaking.
-    Raises a capacity error when more than ``GRID_BUDGET`` centers would be
-    needed.
+    Interval classes take the minimum cover of ``_interval_cover``. Other
+    kinds, and the interval meshes it declines, take a greedy set cover on
+    ``dP_matrix < epsilon`` with deterministic tie breaking. Raises a
+    capacity error when more than ``GRID_BUDGET`` centers would be needed.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
     mesh = list(cls.mesh)
-    if cls.kind == "intervals":
-        centers = _interval_sweep(cls, P, mesh, epsilon)
-    else:
-        dmat = dP_matrix(cls, P, mesh)
-        centers = [mesh[i] for i in _greedy_cover(dmat < epsilon)]
+    picks = _interval_cover(cls, P, epsilon)
+    if picks is None:
+        picks = _greedy_cover(dP_matrix(cls, P, mesh) < epsilon)
+    centers = [mesh[i] for i in picks]
     if len(centers) > GRID_BUDGET:
         raise CapacityError(
             f"grid needs {len(centers)} centers, exceeding the budget of {GRID_BUDGET}"
@@ -601,21 +574,42 @@ def build_grid(cls: FunctionClass, P: Distribution, epsilon: float) -> Grid:
     return Grid(float(epsilon), tuple(centers), covariance(cls, P, centers))
 
 
-def _interval_sweep(cls, P, mesh, epsilon) -> list:
-    # Coverage in CDF space: d(a, b) < eps iff |F(a) - F(b)| < eps^2.
-    window = epsilon * epsilon
-    thetas = np.asarray(mesh, dtype=float)
+def _interval_cover(cls: FunctionClass, P: Distribution, epsilon: float):
+    """Mesh indices of a minimum strict epsilon-cover of an interval mesh.
+
+    On a mesh sorted by parameter, ``dP_matrix`` gives d[i, k] for k >= i as
+    sqrt(clip((F[i] + F[k]) - 2 F[i], 0)), F the CDF on the mesh, and is
+    bitwise symmetric (q is cdf(min); addition commutes). With F
+    nondecreasing that expression is nondecreasing in k (rounded addition is
+    monotone), so the ball about i reaches right up to hi[i], the first k
+    with d[i, k] >= epsilon, which ``_right_edges`` finds in the same
+    arithmetic. With hi nondecreasing too, every ball is an index window
+    whose ends are nondecreasing in its center, and the sweep is the minimum
+    cover of a line by such windows: the first uncovered point i takes the
+    rightmost center covering it, hi[i] - 1, and the next uncovered point is
+    that center's right edge.
+
+    Returns None for other classes, and when the mesh is not strictly
+    increasing or F or hi falls somewhere (scipy's beta CDF can fall by one
+    unit in the last place near 1; rounding can make hi fall); the caller
+    then works on the matrix.
+    """
+    if cls.kind != "intervals":
+        return None
+    _require_dim(P, 1)
+    thetas = np.asarray(cls.mesh, dtype=float)
     F = np.asarray(P.cdf(thetas), dtype=float)
-    centers = []
-    i = 0
-    n = len(mesh)
-    while i < n:
-        j = int(np.searchsorted(F, F[i] + window, side="left")) - 1
-        j = max(j, i)
-        centers.append(float(thetas[j]))
-        i = int(np.searchsorted(F, F[j] + window, side="left"))
-        i = max(i, j + 1)
-    return centers
+    if np.any(np.diff(thetas) <= 0) or np.any(np.diff(F) < 0):
+        return None
+    hi = _right_edges(F, epsilon)
+    if np.any(np.diff(hi) < 0):
+        return None
+    hi = hi.tolist()
+    picks, i = [], 0
+    while i < len(hi):
+        picks.append(hi[i] - 1)
+        i = hi[picks[-1]]
+    return picks
 
 
 def _greedy_cover(ball: np.ndarray) -> list:
@@ -659,25 +653,24 @@ class CoverCertificate:
 def covering_certificate(
     cls: FunctionClass, P: Distribution, epsilon: float, distances=None
 ) -> CoverCertificate:
-    """Minimal strict-ball cover of the class mesh, exact for meshes of at
-    most ``EXACT_COVER_LIMIT`` points.
+    """Minimal strict-ball cover of the class mesh.
 
-    Large meshes return a greedy upper bound and a lower bound from a
-    first-fit 2*epsilon-separated subset (an open epsilon-ball contains at
-    most one point of such a subset). Large interval meshes count both on
-    index windows (``_window_certificate``), with the counts the distance
-    matrix gives and without building it.
+    Interval meshes are counted exactly at any size by ``_interval_cover``,
+    the cover that ``build_grid`` takes. Other meshes are counted on the
+    distance matrix: exactly by branch and bound on at most
+    ``EXACT_COVER_LIMIT`` points; above that, a greedy upper bound and a
+    lower bound from a first-fit 2*epsilon-separated subset (an open
+    epsilon-ball contains at most one point of such a subset).
 
     ``distances`` is ``dP_matrix(cls, P, cls.mesh)`` when the caller already
     has it, as a ladder of radii over one mesh does; it is computed here
-    otherwise. Only the matrix path reads it: the interval path ignores it.
+    otherwise. Only the matrix path reads it.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
-    F = _window_cdf(cls, P)
-    cert = None if F is None else _window_certificate(F, epsilon)
-    if cert is not None:
-        return cert
+    picks = _interval_cover(cls, P, epsilon)
+    if picks is not None:
+        return CoverCertificate(len(picks), len(picks), True)
     d = dP_matrix(cls, P, list(cls.mesh)) if distances is None else distances
     ball = d < epsilon
     if len(d) <= EXACT_COVER_LIMIT:
@@ -685,59 +678,6 @@ def covering_certificate(
         return CoverCertificate(size, size, True)
     upper = len(_greedy_cover(ball))
     lower = len(_first_fit_packing(d >= 2.0 * epsilon))
-    return CoverCertificate(lower, upper, False)
-
-
-def _window_cdf(cls: FunctionClass, P: Distribution):
-    """The CDF on a large interval mesh, when index windows can count its covers.
-
-    Returns None for other classes, for meshes of at most
-    ``EXACT_COVER_LIMIT`` points, and when the mesh is not strictly
-    increasing or the CDF on it is not nondecreasing (scipy's beta CDF can
-    fall by one unit in the last place near 1); the matrix counts those.
-    """
-    if cls.kind != "intervals" or len(cls.mesh) <= EXACT_COVER_LIMIT:
-        return None
-    _require_dim(P, 1)
-    thetas = np.asarray(cls.mesh, dtype=float)
-    F = np.asarray(P.cdf(thetas), dtype=float)
-    return F if np.all(np.diff(thetas) > 0) and np.all(np.diff(F) >= 0) else None
-
-
-def _window_certificate(F: np.ndarray, epsilon: float):
-    """The large-mesh certificate of an interval class from index windows.
-
-    On a mesh sorted by parameter, ``dP_matrix`` gives d[i, k] for k >= i as
-    sqrt(clip((F[i] + F[k]) - 2 F[i], 0)), with F the CDF on the mesh, and
-    the matrix is bitwise symmetric (its q is cdf(min) and addition
-    commutes). When F is nondecreasing, so is that expression in k, because
-    rounded addition is monotone; the ball of radius r about i then reaches
-    right up to the first k with d[i, k] >= r, and ``_right_edges`` finds it
-    with the same arithmetic. By symmetry the ball reaches left over the
-    points p < c with hi[p] > c, a window [searchsorted(hi, c), c) when hi is
-    nondecreasing. Greedy cover and first-fit packing on these windows pick
-    what ``_greedy_cover`` and ``_first_fit_packing`` pick on the matrix.
-    F must be nondecreasing (see ``_window_cdf``). Returns None when the
-    cover edges hi are not, which rounding can bring about; the caller then
-    takes the matrix path.
-    """
-    hi = _right_edges(F, epsilon)
-    if np.any(np.diff(hi) < 0):
-        return None
-    n = len(F)
-    lo = np.searchsorted(hi, np.arange(n), side="right")
-    uncovered = np.ones(n, dtype=bool)
-    counts = np.zeros(n + 1, dtype=np.intp)
-    upper = 0
-    while uncovered.any():
-        np.cumsum(uncovered, out=counts[1:])
-        c = int(np.argmax(counts[hi] - counts[lo]))  # argmax takes the lowest index on ties
-        uncovered[lo[c] : hi[c]] = False
-        upper += 1
-    sep = _right_edges(F, 2.0 * epsilon)
-    lower, i = 1, int(sep[0])
-    while i < n:  # the next point kept is the first one 2 epsilon from the last
-        lower, i = lower + 1, int(sep[i])
     return CoverCertificate(lower, upper, False)
 
 

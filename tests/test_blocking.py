@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from empbridge import (
@@ -392,7 +392,14 @@ def within_rounding(got, want):
     return abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-@settings(max_examples=30, deadline=None)
+# The fill tests skip shrinking and the example database: each shrink
+# candidate reruns run_sequential and the reference loop, so a broken fill
+# shrank for minutes before it was reported. Generation is unchanged, and a
+# failure reports the first failing example found.
+NO_SHRINK = dict(deadline=None, database=None, phases=[Phase.explicit, Phase.generate])
+
+
+@settings(max_examples=30, **NO_SHRINK)
 @given(**FILL_CASES)
 def test_difference_walk_matches_the_two_walk_reference(kind, law, regime, N, mesh_size, master):
     cls, P, sched, selector, eval_mesh, contexts, seed = fill_case(
@@ -406,7 +413,7 @@ def test_difference_walk_matches_the_two_walk_reference(kind, law, regime, N, me
     assert all(within_rounding(a, b) for a, b in zip(got.block_running, block_running))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, **NO_SHRINK)
 @given(**FILL_CASES)
 def test_carried_gap_is_the_reference_prefix_difference(kind, law, regime, N, mesh_size, master):
     import empbridge.blocking as blocking

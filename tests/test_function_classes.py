@@ -35,10 +35,8 @@ from empbridge.function_classes import (
     _exact_cover_size,
     _first_fit_packing,
     _greedy_cover,
-    _knot_cells,
+    _interval_cover,
     _right_edges,
-    _window_cdf,
-    _window_certificate,
 )
 
 
@@ -239,29 +237,6 @@ def knot_points(knots: np.ndarray) -> np.ndarray:
     )
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    knot_count=st.integers(2, 12),
-    n=st.integers(0, 200),
-    tie_share=st.sampled_from([0.0, 0.5, 1.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_knot_cells_equal_searchsorted(knot_count, n, tie_share, seed):
-    """The floor-and-correct cell index is np.searchsorted's, bit for bit.
-
-    Points are uniform on [-0.25, 1.25] or, with probability ``tie_share``,
-    taken from ``knot_points``; every such point is also checked once.
-    """
-    knots = FunctionClass("holder", knot_count=knot_count).knots
-    rng = np.random.default_rng(seed)
-    pool = knot_points(knots)
-    free = rng.uniform(-0.25, 1.25, n)
-    xs = np.concatenate([pool, np.where(rng.random(n) < tie_share, rng.choice(pool, n), free)])
-    got = _knot_cells(knots, xs)
-    assert got.dtype == np.intp
-    assert np.array_equal(got, np.searchsorted(knots, xs, side="right") - 1)
-
-
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     knot_count=st.integers(2, 12),
@@ -315,12 +290,12 @@ def test_holder_batch_rows_equal_one_row_sums(knot_count, rows, n, g, tie_share,
 
 
 def exact_cell_sums(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The column-sum kernel with the exact cells of ``_knot_cells`` in place
-    of truncation: the two must agree bit for bit when K - 1 is a power of
-    two."""
+    """The column-sum kernel with the exact cells of ``np.searchsorted`` in
+    place of truncation: the two must agree bit for bit when K - 1 is a power
+    of two."""
     rows, K = len(xs), len(knots)
     x = np.clip(xs, knots[0], knots[-1])
-    key = _knot_cells(knots, x) + K * np.arange(rows)[:, None]
+    key = np.searchsorted(knots, x, side="right") - 1 + K * np.arange(rows)[:, None]
     counts = np.bincount(key.ravel(), minlength=rows * K).reshape(rows, K)
     offsets = np.bincount(key.ravel(), weights=x.ravel(), minlength=rows * K).reshape(rows, K)
     offsets -= counts * knots
@@ -346,7 +321,7 @@ def test_holder_truncated_cells_are_exact_when_k_minus_1_is_a_power_of_two(
     knot_count, rows, n, g, tie_share, seed
 ):
     """With K - 1 a power of two, x (K - 1) is exact, so the truncated cells
-    are those of ``_knot_cells`` and the batch sums have the exact-cell
+    are those of ``np.searchsorted`` and the batch sums have the exact-cell
     kernel's bits. Every row starts with every point of ``knot_points``;
     the rest are uniform on [0, 1] or, with probability ``tie_share``,
     taken from ``knot_points``."""
@@ -494,6 +469,15 @@ def test_interval_net_counts_and_radius(uniform):
     g = build_grid(cls, uniform, 0.6)
     assert g.centers[-1] == 1.0
     assert g.gram.shape == (2, 2)
+
+
+@pytest.mark.parametrize("n", [101, 201, 1001])
+def test_interval_grid_is_a_strict_net_at_ties(uniform, n):
+    """At epsilon 0.1 on these uniform meshes many pairs sit at a distance
+    that rounds to about epsilon; every mesh point must still lie strictly
+    inside a center's ball, in ``dP_matrix`` arithmetic."""
+    cls = FunctionClass("intervals", envelope=1.0, mesh_size=n)
+    assert net_radius(cls, uniform, build_grid(cls, uniform, 0.1)) < 0.1
 
 
 def test_interval_sweep_is_minimal(uniform):
@@ -668,7 +652,7 @@ def test_certificate_reuses_given_distances(uniform):
 
 
 def test_large_mesh_certificate_brackets_truth(uniform):
-    cls = FunctionClass("intervals", envelope=1.0, mesh_size=200)
+    cls = holder_class(mesh_size=40)
     cert = covering_certificate(cls, uniform, 0.3)
     assert not cert.exact
     assert 1 <= cert.lower <= cert.upper
@@ -676,8 +660,8 @@ def test_large_mesh_certificate_brackets_truth(uniform):
 
 
 def matrix_certificate(cls, P, eps) -> CoverCertificate:
-    """The large-mesh certificate that greedy cover and first-fit packing
-    give on the full distance matrix."""
+    """The certificate that greedy cover and first-fit packing give on the
+    full distance matrix of a mesh of more than 24 points."""
     d = dP_matrix(cls, P, list(cls.mesh))
     return CoverCertificate(
         len(_first_fit_packing(d >= 2.0 * eps)), len(_greedy_cover(d < eps)), False
@@ -717,7 +701,7 @@ INTERVAL_LAWS = st.one_of(
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     law=INTERVAL_LAWS,
-    n=st.integers(25, 1001),
+    n=st.integers(1, 24) | st.integers(25, 1001),
     radius=st.floats(0.01, 0.99),
     edge=st.sampled_from([None, 1.0, 2.0]),
     pair=st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
@@ -726,15 +710,20 @@ INTERVAL_LAWS = st.one_of(
 @example(law=UNIFORM, n=101, radius=0.3, edge=None, pair=(0, 0))
 @example(law=UNIFORM, n=101, radius=0.15, edge=None, pair=(0, 0))
 @example(law=UNIFORM, n=25, radius=0.5, edge=None, pair=(0, 0))
+@example(law=UNIFORM, n=21, radius=0.0, edge=1.0, pair=(2, 6))
 @example(law=Distribution("beta", a=80.0, b=0.3), n=1001, radius=0.0, edge=1.0, pair=(999, 1000))
 @example(law=Distribution("beta", a=0.3, b=0.3), n=257, radius=0.0, edge=2.0, pair=(3, 250))
-def test_interval_certificate_equals_matrix_certificate(law, n, radius, edge, pair):
-    """Index windows count what the distance matrix counts, ties included.
+def test_interval_certificate_is_a_minimum_cover(law, n, radius, edge, pair):
+    """The sweep's certificate is exact, ties included, and is the size of
+    the grid, a strict net.
 
     With ``edge`` the radius is the distance between the two mesh points
     ``pair`` divided by ``edge``: 1 puts the pair on the edge of a cover
-    ball, 2 on the edge of the packing's separation. The window path may
-    decline (return None) only where the matrix path then gives the counts.
+    ball, 2 on the edge of the packing's separation. On at most 24 points
+    the count is the branch-and-bound minimum on the distance matrix; above
+    that it lies between the matrix's first-fit packing and greedy cover.
+    The sweep may decline (return None) only where the matrix path then
+    gives the certificate.
     """
     cls = FunctionClass("intervals", envelope=1.0, mesh_size=n)
     eps = radius
@@ -742,11 +731,24 @@ def test_interval_certificate_equals_matrix_certificate(law, n, radius, edge, pa
         i, k = (min(p, n - 1) for p in pair)
         eps = float(dP_matrix(cls, law, [cls.mesh[i], cls.mesh[k]])[0, 1]) / edge
         assume(0.0 < eps < 1.0)
-    want = matrix_certificate(cls, law, eps)
-    F = _window_cdf(cls, law)
-    windows = None if F is None else _window_certificate(F, eps)
-    assert windows is None or windows == want
-    assert covering_certificate(cls, law, eps) == want
+    cert = covering_certificate(cls, law, eps)
+    picks = _interval_cover(cls, law, eps)
+    d = dP_matrix(cls, law, list(cls.mesh))
+    if picks is None:
+        if n <= 24:
+            size = _exact_cover_size(d < eps)
+            assert cert == CoverCertificate(size, size, True)
+        else:
+            assert cert == matrix_certificate(cls, law, eps)
+        return
+    assert cert == CoverCertificate(len(picks), len(picks), True)
+    if n <= 24:
+        assert cert.upper == _exact_cover_size(d < eps)
+    else:
+        assert len(_first_fit_packing(d >= 2.0 * eps)) <= cert.upper <= len(_greedy_cover(d < eps))
+    grid = build_grid(cls, law, eps)
+    assert grid.size == cert.upper
+    assert net_radius(cls, law, grid) < eps
 
 
 @pytest.mark.parametrize(
@@ -760,10 +762,9 @@ def test_interval_certificate_equals_matrix_certificate(law, n, radius, edge, pa
 )
 @pytest.mark.parametrize("n", [101, 1000])
 def test_interval_certificate_takes_the_window_path(law, n):
-    F = _window_cdf(FunctionClass("intervals", mesh_size=n), law)
-    assert F is not None
+    cls = FunctionClass("intervals", mesh_size=n)
     for eps in (0.6, 0.5, 0.45, 0.3, 0.2, 0.15, 0.1):
-        assert _window_certificate(F, eps) is not None
+        assert _interval_cover(cls, law, eps) is not None
 
 
 def cdf_table(monkeypatch, cls, F):
@@ -774,7 +775,8 @@ def cdf_table(monkeypatch, cls, F):
 
 def test_interval_certificate_guard_falls_back_to_the_matrix(monkeypatch):
     """A CDF that falls somewhere, or cover edges that fall, leave the
-    windows unsound; the certificate then comes from the matrix."""
+    windows unsound; the sweep then declines, the certificate comes from the
+    matrix and the grid from the matrix's greedy cover, still a strict net."""
     cls = FunctionClass("intervals", envelope=1.0, mesh_size=25)
     falling = np.linspace(0.0, 1.0, 25)
     falling[[10, 11]] = falling[[11, 10]]
@@ -783,16 +785,15 @@ def test_interval_certificate_guard_falls_back_to_the_matrix(monkeypatch):
     tied = np.concatenate([[0.1, 0.1 + 2**-56, 0.1 + 0.2, 1 / 3], np.linspace(0.4, 1.0, 21)])
     r = math.sqrt((tied[1] + tied[2]) - 2.0 * tied[1])
     assert np.any(np.diff(_right_edges(tied, r)) < 0)
-    assert _window_certificate(tied, r) is None
 
-    with monkeypatch.context() as patch:
-        cdf_table(patch, cls, falling)
-        assert _window_cdf(cls, UNIFORM) is None
-        assert covering_certificate(cls, UNIFORM, 0.3) == matrix_certificate(cls, UNIFORM, 0.3)
-    with monkeypatch.context() as patch:
-        cdf_table(patch, cls, tied)
-        assert np.array_equal(_window_cdf(cls, UNIFORM), tied)
-        assert covering_certificate(cls, UNIFORM, r) == matrix_certificate(cls, UNIFORM, r)
+    for F, eps in ((falling, 0.3), (tied, r)):
+        with monkeypatch.context() as patch:
+            cdf_table(patch, cls, F)
+            assert _interval_cover(cls, UNIFORM, eps) is None
+            assert covering_certificate(cls, UNIFORM, eps) == matrix_certificate(cls, UNIFORM, eps)
+            grid = build_grid(cls, UNIFORM, eps)
+            assert grid.size == matrix_certificate(cls, UNIFORM, eps).upper
+            assert net_radius(cls, UNIFORM, grid) < eps
 
 
 # -- bracketing ----------------------------------------------------------------------

@@ -137,15 +137,15 @@ CASES = {
         },
         "couple.json",
     ),
-    # The default ladder on the 1000-point interval mesh: greedy cover and
-    # first-fit packing at every radius, bracketing by the monotone chain.
+    # The default ladder on the 1000-point interval mesh: the exact sweep
+    # cover at every radius, bracketing by the monotone chain.
     "entropy-intervals": (
         "entropy",
         {"kind": "entropy", "seed": SEED},
         "entropy.csv",
     ),
     # 101 uniform mesh points 0.01 apart: at these radii many pairs sit
-    # exactly on a cover ball's edge or on the packing's separation edge.
+    # exactly on a cover ball's edge.
     "entropy-intervals-ties": (
         "entropy",
         {
@@ -167,10 +167,14 @@ CASES = {
 }
 
 
-# The two "entropy-*" cases were recorded before the shared distance matrix,
-# the incremental greedy cover and the per-parameter interval counts;
-# "entropy-intervals-ties" was recorded before interval certificates moved
-# from the distance matrix to index windows, and still holds after it. The five
+# "entropy-holder" was recorded before the shared distance matrix, the
+# incremental greedy cover and the per-parameter interval counts.
+# "entropy-intervals" and "entropy-intervals-ties" were re-recorded when
+# interval certificates became the exact minimum cover of one index-window
+# sweep, in place of a greedy upper and a packing lower bound: every row is
+# now exact, each lower count rises to its upper count, and the upper counts
+# hold (2, 3, 6, 13, 23 on the default ladder) except at epsilon 0.3 of the
+# ties case, where the bounds 3..8 become exactly 6. The five
 # interval coupling cases were re-recorded when interval classes began to draw
 # their auxiliary transport batches as multinomial cell counts from the
 # "cells" seed phase, id 9 (same law, new streams). "approx-intervals-uniform"
@@ -201,8 +205,8 @@ DIGESTS = {
     "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "67693798318462d4163765e281bad7e3da75cd39a32dc4c4f21525c03e478d36",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
-    "entropy-intervals": "c1795eb471d064e3fc3a7acac3c383f7f47d6aedf035113b24ce2ae6adc13e82",
-    "entropy-intervals-ties": "d7e4d6d1ff5e23fe301c1cdb5af31464efa7e8259fb6cdca2c13e56791cccd99",
+    "entropy-intervals": "1f8f70352e31db3c19e744c4e3906a8ecf988e44cfc38a60c064131856f4d917",
+    "entropy-intervals-ties": "eff94c5166d9d8bbbbc10deff057ca3b4f890fbcacd8cf67e5a91fc2eeb87d6a",
     "strong-intervals": "44558f78a5488e96a8435f3a882aedeadd179548d96de6a389353937e84f9430",
     "strong-intervals-json": "fef2ac0fd45d1df4317131d27fc3c536fda4506fc5c4c26bf32dee228f5e44d5",
     "strong-intervals-path": "2b56cf13d1d7dababf3050da8d7803844f57c978a43154b27eb1af1cf784f09a",
