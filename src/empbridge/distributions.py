@@ -3,7 +3,9 @@
 Four kinds: uniform on [0,1], product-uniform on [0,1]^d, beta(a,b) on [0,1],
 and discrete with explicit atoms and weights. Each knows how to draw i.i.d.
 samples from a supplied generator and how to evaluate its 1-D CDF (used by
-closed-form indicator moments).
+closed-form indicator moments). Hoelder moments need no density:
+``function_classes._cell_moments`` takes them from the incomplete beta
+function or from the atoms.
 """
 
 from __future__ import annotations
@@ -88,36 +90,6 @@ class Distribution:
             w = np.asarray(self.weights, float)
             out = (w[None, :] * (pts[None, :] <= xs.reshape(-1, 1))).sum(axis=1)
             out = out.reshape(xs.shape)
-        return float(out) if np.isscalar(x) or xs.ndim == 0 else out
-
-    def pdf(self, x) -> np.ndarray | float:
-        """Density at x (absolutely continuous 1-D kinds only)."""
-        if self.dim != 1:
-            raise DomainError("pdf is defined for one-dimensional distributions")
-        if self.kind == "discrete":
-            raise DomainError("discrete distribution has no density")
-        xs = np.asarray(x, dtype=float)
-        if self.kind == "beta":
-            if self.a < 1.0 or self.b < 1.0:
-                raise DomainError(
-                    "beta density unbounded at the endpoints for a < 1 or b < 1; "
-                    "quadrature moments require a, b >= 1"
-                )
-            lognorm = (
-                special.gammaln(self.a + self.b)
-                - special.gammaln(self.a)
-                - special.gammaln(self.b)
-            )
-            with np.errstate(divide="ignore"):
-                out = np.where(
-                    (xs >= 0) & (xs <= 1),
-                    np.exp(lognorm)
-                    * xs ** (self.a - 1.0)
-                    * (1.0 - xs) ** (self.b - 1.0),
-                    0.0,
-                )
-        else:
-            out = np.where((xs >= 0) & (xs <= 1), 1.0, 0.0)
         return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
     def to_spec(self) -> dict:

@@ -17,7 +17,9 @@ The intrinsic metric is the uncentered L2(P) distance
 d_P(f, h) = sqrt(E (f(X) - h(X))^2). This differs from the centered Gram form
 used for the Gaussian field whenever means differ; both are computed from the
 same moment engine (mean vector and uncentered second-moment matrix) and are
-kept strictly apart.
+kept strictly apart. All are in closed form: interval moments read one
+monotone CDF (``_monotone_cdf``); Hoelder moments take the trapezoid and
+Simpson rules under the uniform law and ``_cell_moments`` under any other.
 
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
 f_theta(x_i) for a parameter list and a sample, ``column_sums`` its column
@@ -52,6 +54,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from .distributions import Distribution
 from .errors import (
@@ -61,7 +64,6 @@ from .errors import (
     DomainError,
     UnsupportedOperationError,
 )
-from .quadrature import adaptive_simpson
 
 KINDS = ("intervals", "rectangles", "holder", "finite")
 FINITE_FORMS = ("interval", "rectangle", "constant")
@@ -387,8 +389,7 @@ def mean_vector(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
     """E f_theta(X) for each parameter."""
     params = list(params)
     if cls.kind == "intervals":
-        _require_dim(P, 1)
-        return np.asarray(P.cdf(np.asarray(params, dtype=float)), dtype=float)
+        return _monotone_cdf(P, params)
     if cls.kind == "rectangles":
         _require_dim(P, cls.dim)
         t = np.asarray(params, dtype=float)
@@ -406,11 +407,8 @@ def mean_vector(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
         if P.kind in ("uniform", "product-uniform"):
             h = 1.0 / (cls.knot_count - 1)
             return h * (0.5 * vals[:, 0] + vals[:, 1:-1].sum(axis=1) + 0.5 * vals[:, -1])
-        if P.kind == "discrete":
-            pts = P._atom_array()[:, 0]
-            w = np.asarray(P.weights, float)
-            return np.array([w @ np.interp(pts, cls.knots, v) for v in vals])
-        return np.array([_holder_beta_moment(cls, P, v, None) for v in vals])
+        C = _cell_moments(P, cls.knots)
+        return vals[:, :-1] @ C[0] + (np.diff(vals) / np.diff(cls.knots)) @ C[1]
     out = []
     for form, param in params:
         out.append(_member_mean(form, param, P))
@@ -422,11 +420,10 @@ def second_moment_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndar
     params = list(params)
     p = len(params)
     if cls.kind == "intervals":
-        _require_dim(P, 1)
-        # cdf(min(s, t)) is the CDF value of the smaller parameter: p CDF
-        # evaluations, not p^2, and the same bits.
+        # E 1{X <= s} 1{X <= t} is F(min(s, t)), the CDF value of the smaller
+        # parameter: p CDF evaluations, not p^2.
         t = np.asarray(params, dtype=float)
-        F = np.asarray(P.cdf(t), dtype=float)
+        F = _monotone_cdf(P, t)
         return np.where(t[:, None] <= t[None, :], F[:, None], F[None, :])
     if cls.kind == "rectangles":
         _require_dim(P, cls.dim)
@@ -448,16 +445,10 @@ def second_moment_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndar
             h = 1.0 / (cls.knot_count - 1)
             a, b = vals[:, :-1], vals[:, 1:]
             return (a @ a.T + (a + b) @ (a + b).T + b @ b.T) * (h / 6.0)
-        if P.kind == "discrete":
-            pts = P._atom_array()[:, 0]
-            w = np.asarray(P.weights, float)
-            mat = cls.evaluate_matrix(vals, pts)
-            return mat.T @ (mat * w[:, None])
-        out = np.empty((p, p))
-        for i in range(p):
-            for j in range(i, p):
-                out[i, j] = out[j, i] = _holder_beta_moment(cls, P, vals[i], vals[j])
-        return out
+        C = _cell_moments(P, cls.knots)
+        L, S = vals[:, :-1], np.diff(vals) / np.diff(cls.knots)
+        X = (L * C[1]) @ S.T
+        return (L * C[0]) @ L.T + X + X.T + (S * C[2]) @ S.T
     out = np.empty((p, p))
     for i in range(p):
         for j in range(i, p):
@@ -478,17 +469,41 @@ def _require_dim(P: Distribution, dim: int):
         raise DomainError(f"distribution dimension {P.dim} does not match class ({dim})")
 
 
-def _holder_beta_moment(cls, P, v1, v2) -> float:
-    """E f g under a beta law: adaptive quadrature split at the knots."""
-    xs = cls.knots
-    f1 = lambda x: np.interp(x, xs, v1)
-    if v2 is None:
-        g = lambda x: float(f1(x) * P.pdf(x))
-    else:
-        f2 = lambda x: np.interp(x, xs, v2)
-        g = lambda x: float(f1(x) * f2(x) * P.pdf(x))
-    per = 1e-8 / (len(xs) - 1)
-    return sum(adaptive_simpson(g, xs[i], xs[i + 1], per) for i in range(len(xs) - 1))
+def _monotone_cdf(P: Distribution, thetas) -> np.ndarray:
+    """P's CDF at interval parameters, raised to its running maximum in
+    sorted parameter order: scipy's beta CDF can fall by one ulp near 1, and
+    interval moments, covers and brackets need it nondecreasing."""
+    _require_dim(P, 1)
+    t = np.asarray(thetas, dtype=float)
+    order = np.argsort(t, kind="stable")
+    F = np.empty(len(t))
+    F[order] = np.maximum.accumulate(np.asarray(P.cdf(t[order]), dtype=float))
+    return F
+
+
+def _cell_moments(P: Distribution, knots: np.ndarray) -> np.ndarray:
+    """C[k, j] = E[(X - knots[j])^k; X in knot cell j], k = 0, 1, 2, under a
+    beta or discrete law; shape (3, K - 1). Cell j is [knots[j], knots[j+1]),
+    the last one closed. A Hoelder member is L_j + S_j (x - knots[j]) there.
+
+    Under beta(a, b), for any a, b > 0, E[X^k; cell] is B(a + k, b) / B(a, b)
+    times the difference of I(a + k, b, .) at the cell's ends, then shifted to
+    the left knot; the shift cancels terms of size knots[j]^k, so it loses
+    relative accuracy on cells much narrower than knots[j]. A discrete law
+    sums its atoms.
+    """
+    left = knots[:-1]
+    if P.kind == "beta":
+        a, b = P.a, P.b
+        scale = np.array([1.0, a / (a + b), a * (a + 1.0) / ((a + b) * (a + b + 1.0))])
+        incomplete = special.betainc(a + np.arange(3.0)[:, None], b, knots)
+        m0, m1, m2 = scale[:, None] * np.diff(incomplete)
+        return np.stack([m0, m1 - left * m0, m2 - 2.0 * left * m1 + left * left * m0])
+    x = P._atom_array()[:, 0]
+    w = np.asarray(P.weights, dtype=float)
+    cell = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    offset = x - left[cell]
+    return np.stack([np.bincount(cell, w * offset**k, minlength=len(left)) for k in range(3)])
 
 
 def _member_mean(form, param, P: Distribution) -> float:
@@ -578,30 +593,27 @@ def _interval_cover(cls: FunctionClass, P: Distribution, epsilon: float):
     """Mesh indices of a minimum strict epsilon-cover of an interval mesh.
 
     On a mesh sorted by parameter, ``dP_matrix`` gives d[i, k] for k >= i as
-    sqrt(clip((F[i] + F[k]) - 2 F[i], 0)), F the CDF on the mesh, and is
-    bitwise symmetric (q is cdf(min); addition commutes). With F
-    nondecreasing that expression is nondecreasing in k (rounded addition is
-    monotone), so the ball about i reaches right up to hi[i], the first k
-    with d[i, k] >= epsilon, which ``_right_edges`` finds in the same
-    arithmetic. With hi nondecreasing too, every ball is an index window
-    whose ends are nondecreasing in its center, and the sweep is the minimum
-    cover of a line by such windows: the first uncovered point i takes the
-    rightmost center covering it, hi[i] - 1, and the next uncovered point is
-    that center's right edge.
+    sqrt(clip((F[i] + F[k]) - 2 F[i], 0)), F the nondecreasing CDF of
+    ``_monotone_cdf`` on the mesh, and is bitwise symmetric (q is F(min);
+    addition commutes). That expression is nondecreasing in k (rounded
+    addition is monotone), so the ball about i reaches right up to hi[i],
+    the first k with d[i, k] >= epsilon, which ``_right_edges`` finds in the
+    same arithmetic. With hi nondecreasing too, every ball is an index
+    window whose ends are nondecreasing in its center, and the sweep is the
+    minimum cover of a line by such windows: the first uncovered point i
+    takes the rightmost center covering it, hi[i] - 1, and the next
+    uncovered point is that center's right edge.
 
     Returns None for other classes, and when the mesh is not strictly
-    increasing or F or hi falls somewhere (scipy's beta CDF can fall by one
-    unit in the last place near 1; rounding can make hi fall); the caller
+    increasing or hi falls somewhere (rounding can make it fall); the caller
     then works on the matrix.
     """
     if cls.kind != "intervals":
         return None
-    _require_dim(P, 1)
     thetas = np.asarray(cls.mesh, dtype=float)
-    F = np.asarray(P.cdf(thetas), dtype=float)
-    if np.any(np.diff(thetas) <= 0) or np.any(np.diff(F) < 0):
+    if np.any(np.diff(thetas) <= 0):
         return None
-    hi = _right_edges(F, epsilon)
+    hi = _right_edges(_monotone_cdf(P, thetas), epsilon)
     if np.any(np.diff(hi) < 0):
         return None
     hi = hi.tolist()
@@ -791,7 +803,7 @@ def _interval_brackets(cls, P, epsilon) -> BracketSet:
     k = int(math.ceil(1.0 / (epsilon * epsilon)))
     qs = np.linspace(0.0, 1.0, k + 1)
     mesh = np.asarray(cls.mesh, dtype=float)
-    F = np.asarray(P.cdf(mesh), dtype=float)
+    F = _monotone_cdf(P, mesh)
     # Map CDF levels back to parameter boundaries on the mesh.
     bounds = mesh[np.searchsorted(F, qs, side="left").clip(0, len(mesh) - 1)].tolist()
     bounds[0], bounds[-1] = 0.0, 1.0

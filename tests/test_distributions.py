@@ -6,7 +6,6 @@ import pytest
 from empbridge import (
     ConfigError,
     Distribution,
-    DomainError,
     SeedSpec,
     distribution_from_spec,
 )
@@ -26,27 +25,10 @@ def test_beta_2_3_cdf_closed_form():
     assert P.cdf(0.5) == pytest.approx(0.6875, abs=1e-12)
 
 
-def test_beta_pdf_matches_density():
-    P = Distribution("beta", a=2.0, b=3.0)
-    assert P.pdf(0.5) == pytest.approx(12 * 0.5 * 0.25, rel=1e-12)
-
-
-def test_beta_pdf_rejects_unbounded_shapes():
-    P = Distribution("beta", a=0.5, b=3.0)
-    with pytest.raises(DomainError):
-        P.pdf(0.5)
-
-
 def test_discrete_cdf_steps():
     P = Distribution("discrete", atoms=(0.2, 0.6), weights=(0.3, 0.7))
     xs = np.array([0.0, 0.2, 0.5, 0.6, 1.0])
     assert np.allclose(P.cdf(xs), [0.0, 0.3, 0.3, 1.0, 1.0], atol=1e-15)
-
-
-def test_discrete_pdf_undefined():
-    P = Distribution("discrete", atoms=(0.2,), weights=(1.0,))
-    with pytest.raises(DomainError):
-        P.pdf(0.2)
 
 
 def test_draw_shapes(uniform):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from empbridge import (
     CapacityError,
@@ -70,27 +71,38 @@ MOMENT_LAWS = {
 }
 
 
+# Two points of the default mesh where scipy's beta(3, 27.29) CDF falls by
+# one ulp.
+FALLING_PAIR = [776 / 999, 777 / 999]
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     law=st.sampled_from(sorted(MOMENT_LAWS)),
     params=st.lists(
         st.one_of(
             st.floats(0.0, 1.0),
-            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1 / 11, 10 / 11, 0.9999, 0.99999999]),
+            st.sampled_from(
+                [0.0, 0.25, 0.5, 0.75, 1.0, 1 / 11, 10 / 11, 0.9999, 0.99999999, *FALLING_PAIR]
+            ),
         ),
         max_size=40,
     ),
 )
+@example(law="beta-3-27.29", params=FALLING_PAIR)
 def test_interval_second_moments_take_one_cdf_per_parameter(law, params):
-    """The interval Gram matrix from p CDF values has the bits of the CDF of
-    every pairwise minimum, ties and the beta CDF's one-ulp falls near 1
-    included."""
+    """The interval Gram matrix from p CDF values has, at every pair, the
+    bits of the largest CDF value at a parameter no larger than the pair's
+    minimum: the CDF of the minimum, raised where the beta CDF falls by one
+    ulp near 1. Ties included; the means are its diagonal."""
     P = MOMENT_LAWS[law]
     t = np.asarray(params, dtype=float)
-    got = second_moment_matrix(FunctionClass("intervals"), P, params)
-    want = np.asarray(P.cdf(np.minimum(t[:, None], t[None, :])), dtype=float)
-    assert got.shape == (len(t), len(t))
+    cls = FunctionClass("intervals")
+    got = second_moment_matrix(cls, P, params)
+    F = np.asarray(P.cdf(t), dtype=float)
+    want = np.array([[F[t <= min(s, u)].max() for u in t] for s in t]).reshape(len(t), len(t))
     assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(mean_vector(cls, P, params)), bits(np.diag(want)))
 
 
 def test_interval_distance_squared_is_cdf_gap(intervals, uniform):
@@ -430,6 +442,60 @@ def test_holder_second_moment_matches_quadrature(uniform):
     assert got == pytest.approx(want, abs=1e-9)
 
 
+def cell_quadrature(cls, P, vals):
+    """Mean vector and second-moment matrix of Hoelder members under a beta
+    law, by ``scipy.integrate.quad`` on each knot cell. The density's powers
+    at 0 and 1 go into quad's algebraic weight on the end cells, so shapes
+    below 1, whose density is unbounded there, integrate accurately."""
+    a, b, knots = P.a, P.b, cls.knots
+
+    def integral(g):
+        total = 0.0
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            wa = a - 1.0 if lo == 0.0 else 0.0
+            wb = b - 1.0 if hi == 1.0 else 0.0
+            f = lambda x: g(x) * x ** (a - 1.0 - wa) * (1.0 - x) ** (b - 1.0 - wb) / special.beta(a, b)
+            total += integrate.quad(f, lo, hi, weight="alg", wvar=(wa, wb), epsabs=1e-15, epsrel=1e-13)[0]
+        return total
+
+    members = [lambda x, v=v: np.interp(x, knots, v) for v in vals]
+    mean = np.array([integral(f) for f in members])
+    second = np.array([[integral(lambda x: f(x) * h(x)) for h in members] for f in members])
+    return mean, second
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 3.0), (80.0, 0.3)])
+def test_holder_beta_moments_match_cell_quadrature(a, b):
+    """The closed-form cell moments give every Hoelder moment under beta,
+    shapes below 1 included."""
+    cls, P = FunctionClass("holder"), Distribution("beta", a=a, b=b)
+    vals = list(cls.mesh[:6])
+    mean, second = cell_quadrature(cls, P, vals)
+    assert np.allclose(mean_vector(cls, P, vals), mean, rtol=0.0, atol=1e-10)
+    assert np.allclose(second_moment_matrix(cls, P, vals), second, rtol=0.0, atol=1e-10)
+
+
+def test_holder_discrete_moments_match_weighted_matrix_sums():
+    """Atoms on knots, at 0 and at 1 each count in their own cell."""
+    cls = FunctionClass("holder")
+    atoms = (0.0, 0.125, 0.3, 0.5, 0.77, 1.0)
+    weights = np.array([0.125, 0.25, 0.125, 0.25, 0.125, 0.125])
+    P = Distribution("discrete", atoms=atoms, weights=tuple(weights))
+    vals = list(cls.mesh)
+    mat = cls.evaluate_matrix(vals, np.array(atoms))
+    assert np.allclose(mean_vector(cls, P, vals), weights @ mat, rtol=0.0, atol=1e-15)
+    want = mat.T @ (mat * weights[:, None])
+    assert np.allclose(second_moment_matrix(cls, P, vals), want, rtol=0.0, atol=1e-15)
+
+
+def test_holder_beta_1_1_moments_equal_the_uniform_rules(uniform):
+    cls = FunctionClass("holder")
+    vals, P = list(cls.mesh), Distribution("beta", a=1.0, b=1.0)
+    assert np.allclose(mean_vector(cls, P, vals), mean_vector(cls, uniform, vals), rtol=0.0, atol=1e-15)
+    got, want = second_moment_matrix(cls, P, vals), second_moment_matrix(cls, uniform, vals)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
 # -- finite classes ---------------------------------------------------------------
 
 
@@ -757,14 +823,22 @@ def test_interval_certificate_is_a_minimum_cover(law, n, radius, edge, pair):
         UNIFORM,
         Distribution("beta", a=2.0, b=3.0),
         Distribution("discrete", atoms=(0.25, 0.5, 0.75), weights=(0.3, 0.5, 0.2)),
+        MOMENT_LAWS["beta-3-27.29"],
     ],
-    ids=["uniform", "beta", "discrete"],
+    ids=["uniform", "beta", "discrete", "beta-3-27.29"],
 )
 @pytest.mark.parametrize("n", [101, 1000])
 def test_interval_certificate_takes_the_window_path(law, n):
+    """Every radius of a ladder takes the sweep, so its certificate is exact
+    and its grid a strict net, also where scipy's beta(3, 27.29) CDF falls
+    by one ulp near 1 (on the 1000-point mesh): the sweep reads its running
+    maximum."""
     cls = FunctionClass("intervals", mesh_size=n)
     for eps in (0.6, 0.5, 0.45, 0.3, 0.2, 0.15, 0.1):
-        assert _interval_cover(cls, law, eps) is not None
+        picks = _interval_cover(cls, law, eps)
+        assert picks is not None
+        assert covering_certificate(cls, law, eps) == CoverCertificate(len(picks), len(picks), True)
+        assert net_radius(cls, law, build_grid(cls, law, eps)) < eps
 
 
 def cdf_table(monkeypatch, cls, F):
@@ -774,9 +848,11 @@ def cdf_table(monkeypatch, cls, F):
 
 
 def test_interval_certificate_guard_falls_back_to_the_matrix(monkeypatch):
-    """A CDF that falls somewhere, or cover edges that fall, leave the
-    windows unsound; the sweep then declines, the certificate comes from the
-    matrix and the grid from the matrix's greedy cover, still a strict net."""
+    """Cover edges that fall leave the windows unsound; the sweep then
+    declines, the certificate comes from the matrix and the grid from the
+    matrix's greedy cover, still a strict net. A CDF that falls somewhere no
+    longer makes it decline: the sweep and the matrix both read its running
+    maximum, and the sweep's cover is exact and a strict net."""
     cls = FunctionClass("intervals", envelope=1.0, mesh_size=25)
     falling = np.linspace(0.0, 1.0, 25)
     falling[[10, 11]] = falling[[11, 10]]
@@ -786,14 +862,23 @@ def test_interval_certificate_guard_falls_back_to_the_matrix(monkeypatch):
     r = math.sqrt((tied[1] + tied[2]) - 2.0 * tied[1])
     assert np.any(np.diff(_right_edges(tied, r)) < 0)
 
-    for F, eps in ((falling, 0.3), (tied, r)):
-        with monkeypatch.context() as patch:
-            cdf_table(patch, cls, F)
-            assert _interval_cover(cls, UNIFORM, eps) is None
-            assert covering_certificate(cls, UNIFORM, eps) == matrix_certificate(cls, UNIFORM, eps)
-            grid = build_grid(cls, UNIFORM, eps)
-            assert grid.size == matrix_certificate(cls, UNIFORM, eps).upper
-            assert net_radius(cls, UNIFORM, grid) < eps
+    with monkeypatch.context() as patch:
+        cdf_table(patch, cls, falling)
+        picks = _interval_cover(cls, UNIFORM, 0.3)
+        assert picks is not None
+        assert covering_certificate(cls, UNIFORM, 0.3) == CoverCertificate(len(picks), len(picks), True)
+        assert len(picks) == _exact_cover_size(dP_matrix(cls, UNIFORM, list(cls.mesh)) < 0.3)
+        grid = build_grid(cls, UNIFORM, 0.3)
+        assert grid.size == len(picks)
+        assert net_radius(cls, UNIFORM, grid) < 0.3
+
+    with monkeypatch.context() as patch:
+        cdf_table(patch, cls, tied)
+        assert _interval_cover(cls, UNIFORM, r) is None
+        assert covering_certificate(cls, UNIFORM, r) == matrix_certificate(cls, UNIFORM, r)
+        grid = build_grid(cls, UNIFORM, r)
+        assert grid.size == matrix_certificate(cls, UNIFORM, r).upper
+        assert net_radius(cls, UNIFORM, grid) < r
 
 
 # -- bracketing ----------------------------------------------------------------------

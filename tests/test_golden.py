@@ -164,9 +164,25 @@ CASES = {
         {"kind": "entropy", "class": {"kind": "holder", "R": 2.0}, "seed": SEED},
         "entropy.csv",
     ),
+    # The same ladder under beta(2, 3): pins the Hoelder cell moments under a
+    # non-uniform law through the integer cover counts.
+    "entropy-holder-beta": (
+        "entropy",
+        {
+            "kind": "entropy",
+            "class": {"kind": "holder", "R": 2.0},
+            "distribution": {"kind": "beta", "a": 2.0, "b": 3.0},
+            "seed": SEED,
+        },
+        "entropy.csv",
+    ),
 }
 
 
+# "entropy-holder-beta" was recorded when Hoelder moments under beta laws
+# moved from adaptive quadrature per member pair to closed-form cell moments:
+# the digest is that of the quadrature's output, which the new moments
+# reproduce byte for byte.
 # "entropy-holder" was recorded before the shared distance matrix, the
 # incremental greedy cover and the per-parameter interval counts.
 # "entropy-intervals" and "entropy-intervals-ties" were re-recorded when
@@ -205,6 +221,7 @@ DIGESTS = {
     "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "67693798318462d4163765e281bad7e3da75cd39a32dc4c4f21525c03e478d36",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
+    "entropy-holder-beta": "ad6697a747db59936be3c7ec3036d12ea3a809492d103d7072b1177526b73ce3",
     "entropy-intervals": "1f8f70352e31db3c19e744c4e3906a8ecf988e44cfc38a60c064131856f4d917",
     "entropy-intervals-ties": "eff94c5166d9d8bbbbc10deff057ca3b4f890fbcacd8cf67e5a91fc2eeb87d6a",
     "strong-intervals": "44558f78a5488e96a8435f3a882aedeadd179548d96de6a389353937e84f9430",
