@@ -46,7 +46,7 @@ class BoundConstants:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value <= 0:
+            if not value > 0:  # NaN fails too
                 raise ConfigError(f"constant {name} must be positive, got {value}")
 
 

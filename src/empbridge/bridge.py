@@ -2,11 +2,13 @@
 
 The field G has mean zero and covariance
 cov(G(f), G(h)) = E f(X) h(X) - E f(X) E h(X). A bridge model holds that
-covariance on a chosen parameter set together with a factor L with L L^T = K,
-so sampling is L times a standard normal vector. New coordinates are adjoined
-by explicit Gaussian conditioning (mean through the pseudo-inverse of K,
-covariance the Schur complement), which realizes the same joint law whether
-coordinates are added in one stage or several.
+covariance K on a chosen parameter set with the factor L = V sqrt(max(w, 0))
+of its eigendecomposition K = V diag(w) V^T (``repair`` records the clamp of
+rounding-level negative eigenvalues; there is no Cholesky path), so sampling
+is L times a standard normal vector. New coordinates are adjoined by explicit
+Gaussian conditioning (mean through the pseudo-inverse of K, covariance the
+Schur complement, factored the same way), which realizes the same joint law
+whether coordinates are added in one stage or several.
 
 Also here: the entropy integral of a power-law or exponential-law covering
 model, with closed forms, used by the moment bounds.
@@ -50,6 +52,12 @@ class BridgeModel:
         return len(self.params)
 
 
+def _clamped_factor(S: np.ndarray) -> tuple[np.ndarray, float]:
+    """V sqrt(max(w, 0)) and min(w, 0) for the eigenpairs (w, V) of (S + S^T) / 2."""
+    w, v = np.linalg.eigh((S + S.T) / 2.0)
+    return v * np.sqrt(np.clip(w, 0.0, None))[None, :], float(w.min(initial=0.0))
+
+
 def factorize(K: np.ndarray, params=()) -> BridgeModel:
     """Factor a covariance matrix, repairing tiny negative eigenvalues.
 
@@ -64,19 +72,10 @@ def factorize(K: np.ndarray, params=()) -> BridgeModel:
     params = tuple(params) if params else tuple(range(K.shape[0]))
     if len(params) != K.shape[0]:
         raise NotACovarianceError("parameter list does not match matrix size")
-    try:
-        L = np.linalg.cholesky(K)
-        return BridgeModel(params, K, L, 0.0)
-    except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh((K + K.T) / 2.0)
-    if w.min(initial=0.0) < _EIG_FLOOR:
-        raise NotACovarianceError(
-            f"eigenvalue {w.min():.3e} below the repair floor {_EIG_FLOOR:.0e}"
-        )
-    repair = max(0.0, -float(w.min(initial=0.0)))
-    L = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
-    return BridgeModel(params, K, L, repair)
+    L, w_min = _clamped_factor(K)
+    if w_min < _EIG_FLOOR:
+        raise NotACovarianceError(f"eigenvalue {w_min:.3e} below the repair floor {_EIG_FLOOR:.0e}")
+    return BridgeModel(params, K, L, max(0.0, -w_min))
 
 
 def build_bridge(cls: FunctionClass, P: Distribution, params) -> BridgeModel:
@@ -103,9 +102,7 @@ class ConditionalLaw:
     repair: float
 
 
-def conditional_law(
-    model: BridgeModel, cross: np.ndarray, marginal: np.ndarray
-) -> ConditionalLaw:
+def conditional_law(model: BridgeModel, cross: np.ndarray, marginal: np.ndarray) -> ConditionalLaw:
     cross = np.atleast_2d(np.asarray(cross, dtype=float))
     marginal = np.atleast_2d(np.asarray(marginal, dtype=float))
     m_new = cross.shape[0]
@@ -119,15 +116,13 @@ def conditional_law(
     projector = cross @ k_pinv
     schur = marginal - projector @ cross.T
     schur = (schur + schur.T) / 2.0
-    w, v = np.linalg.eigh(schur)
-    if w.min(initial=0.0) < _SCHUR_FLOOR:
+    L, w_min = _clamped_factor(schur)
+    if w_min < _SCHUR_FLOOR:
         raise InconsistentCovarianceError(
-            f"conditional covariance has eigenvalue {w.min():.3e}; the joint "
+            f"conditional covariance has eigenvalue {w_min:.3e}; the joint "
             f"block matrix is not consistent"
         )
-    repair = max(0.0, -float(w.min(initial=0.0)))
-    L = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
-    return ConditionalLaw(projector, schur, L, repair)
+    return ConditionalLaw(projector, schur, L, max(0.0, -w_min))
 
 
 def extend_from_law(law: ConditionalLaw, grid_values, seed: SeedSpec, rep: int = 0):

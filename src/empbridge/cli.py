@@ -6,8 +6,8 @@ experiment kind from a JSON config (or built-in defaults), writing tables to
 ``--out`` or stdout. Every subcommand accepts ``--check``, which appends
 one pass/fail line per self-check and exits 4 on any failure.
 
-Exit codes: 0 success, 2 configuration or domain error, 3 numeric or
-capacity error, 4 failed check.
+Exit codes: 0 success, 2 configuration or domain error, 3 numeric, capacity
+or out-of-memory error, 4 failed check.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (NumericError, CapacityError) as exc:
+    except (NumericError, CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

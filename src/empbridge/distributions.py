@@ -36,17 +36,17 @@ class Distribution:
             raise ConfigError("dimension must be >= 1")
         if self.kind in ("uniform", "beta") and self.dim != 1:
             raise ConfigError(f"{self.kind} distribution is one-dimensional")
-        if self.kind == "beta" and (self.a <= 0 or self.b <= 0):
-            raise ConfigError("beta shapes must be positive")
+        if self.kind == "beta" and not (self.a > 0 and self.b > 0):  # NaN fails too
+            raise ConfigError(f"beta shapes a and b must be positive, got {self.a}, {self.b}")
         if self.kind == "discrete":
             if not self.atoms:
                 raise ConfigError("discrete distribution needs atoms")
             if len(self.atoms) != len(self.weights):
                 raise ConfigError("atoms and weights must have equal length")
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0):
-                raise ConfigError("weights must be nonnegative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
+            if not np.all(w >= 0):  # NaN fails too
+                raise ConfigError(f"weights must be nonnegative, got {self.weights}")
+            if not abs(float(w.sum()) - 1.0) <= 1e-12:
                 raise ConfigError(f"weights sum to {w.sum()}, not 1 within 1e-12")
             pts = self._atom_array()
             if pts.ndim != 2 or pts.shape[1] != self.dim:

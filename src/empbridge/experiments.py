@@ -294,6 +294,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for block, table in _BLOCKS.items():
             object.__setattr__(self, block, _parse(block, table, getattr(self, block)))
+            for key, value in getattr(self, block).items():
+                if value == ():
+                    raise ConfigError(f"config field '{block}.{key}' must be a nonempty list")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:

@@ -84,8 +84,8 @@ class EntropyRegime:
     def __post_init__(self):
         if self.kind not in ("vc", "br"):
             raise ConfigError(f"regime kind must be 'vc' or 'br', got {self.kind!r}")
-        if self.kind == "vc" and (self.c0 <= 0 or self.nu0 <= 0):
-            raise ConfigError("vc regime needs c0 > 0 and nu0 > 0")
+        if self.kind == "vc" and not (self.c0 > 0 and self.nu0 > 0):  # NaN fails too
+            raise ConfigError(f"vc regime needs c0 > 0 and nu0 > 0, got {self.c0}, {self.nu0}")
         if self.kind == "br" and not (self.b0 > 0 and 0 < self.r0 < 1):
             raise ConfigError("br regime needs b0 > 0 and 0 < r0 < 1")
 
@@ -106,8 +106,8 @@ class FunctionClass:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown class kind {self.kind!r}")
-        if self.envelope <= 0:
-            raise ConfigError("envelope bound must be positive")
+        if not self.envelope > 0:  # NaN fails too
+            raise ConfigError(f"envelope bound M must be positive, got {self.envelope}")
         if self.regime is None:
             object.__setattr__(self, "regime", _default_regime(self.kind))
         if self.kind == "intervals" and self.dim != 1:
@@ -117,8 +117,8 @@ class FunctionClass:
         if self.kind == "holder":
             if not (0 < self.holder_exponent <= 1):
                 raise ConfigError("holder exponent must lie in (0, 1]")
-            if self.holder_radius <= 0:
-                raise ConfigError("holder radius must be positive")
+            if not self.holder_radius > 0:
+                raise ConfigError(f"holder radius R must be positive, got {self.holder_radius}")
             if self.knot_count < 2:
                 raise ConfigError("holder classes need at least 2 knots")
         if self.kind == "finite":

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empbridge import (
+    Distribution,
     DivergentIntegralError,
     DomainError,
+    FunctionClass,
     InconsistentCovarianceError,
     NotACovarianceError,
     SeedSpec,
@@ -53,6 +55,26 @@ def test_factorize_singular_uses_eigh():
     assert np.allclose(model.L @ model.L.T, np.ones((2, 2)), atol=1e-12)
 
 
+def rank_three_gram():
+    a = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 3))
+    return a @ a.T
+
+
+@pytest.mark.parametrize(
+    "K, nudge",
+    [
+        # theta = 1 has variance 0 under the uniform law, so K is singular.
+        (covariance(FunctionClass("intervals"), Distribution("uniform"), [0.2, 0.5, 0.7, 1.0]),
+         np.diag([0.0, 0.0, 0.0, 1e-14])),
+        (rank_three_gram(), 1e-15 * np.eye(5)),
+    ],
+)
+def test_factorize_is_continuous_across_a_rounding_level_nudge(K, nudge):
+    # A nudge that makes a singular K positive definite moves the factor by
+    # about its square root; it does not switch to another square root of K.
+    assert np.abs(factorize(K).L - factorize(K + nudge).L).max() <= 1e-6
+
+
 def test_factorize_rejections():
     with pytest.raises(NotACovarianceError):
         factorize(np.array([[1.0, 0.9], [0.2, 1.0]]))
@@ -70,8 +92,8 @@ EPS = np.finfo(float).eps
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 8), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_factorize_reproduces_gram_matrices_within_the_repair(n, k, seed):
-    # A A^T with k < n is singular, so both the Cholesky and the eigenvalue
-    # path are reached; rounding is bounded by 16 n eps max(1, |K|).
+    # A A^T with k < n is singular, up to rounding of either sign; rounding
+    # is bounded by 16 n eps max(1, |K|).
     a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, k))
     K = a @ a.T
     model = factorize(K)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags, exit codes, and --check."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -304,6 +305,49 @@ def assert_config_error(capsys, tmp_path, command, spec, needle):
 def test_empty_n_grid_is_a_config_error(capsys, tmp_path, command):
     spec = {"kind": "gauss-approx", "n_grid": [], "ot_batch": 8}
     assert_config_error(capsys, tmp_path, command, spec, "n grid must be nonempty")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, spec, needle",
+    [
+        ("entropy", {"class": {"kind": "intervals", "M": NAN}}, "bound M must be positive"),
+        ("couple", {"class": {"kind": "holder", "R": NAN}}, "radius R must be positive"),
+        ("couple", {"selection": {"type": "vc", "c0": NAN}}, "vc regime needs c0 > 0"),
+        ("couple", {"selection": {"type": "vc", "nu0": NAN}}, "vc regime needs c0 > 0 and nu0 > 0"),
+        ("couple", {"distribution": {"kind": "beta", "a": NAN}}, "beta shapes a and b must"),
+        ("couple", {"distribution": {"kind": "beta", "b": NAN}}, "beta shapes a and b must"),
+        (
+            "couple",
+            {"distribution": {"kind": "discrete", "atoms": [0.25, 0.75], "weights": [0.5, NAN]}},
+            "weights must be nonnegative",
+        ),
+        ("bounds-audit", {"constants": {"A": NAN}}, "constant A must be positive, got nan"),
+        ("strong", {"schedule": {"N_grid": []}}, "'schedule.N_grid' must be a nonempty list"),
+        ("entropy", {"entropy": {"radii": []}}, "'entropy.radii' must be a nonempty list"),
+    ],
+    ids=["M", "R", "c0", "nu0", "a", "b", "weights", "A", "N_grid", "radii"],
+)
+def test_nan_and_empty_list_fields_are_config_errors(capsys, tmp_path, command, spec, needle):
+    # Rejected when the config is read: a check written as x <= 0 would let
+    # NaN through to a run that exits 0 or fails later inside numpy.
+    assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
+def test_out_of_memory_is_a_numeric_error_without_traceback(tmp_path, child_env):
+    # One million knots ask for a 7.28 TiB knot-gap matrix, which fails at
+    # once; the address-space cap makes it fail whatever the overcommit policy.
+    cfg = write_config(tmp_path, "huge.json", {"class": {"kind": "holder", "knots": 1_000_000}})
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**33, 2**33))
+    proc = subprocess.run(
+        [sys.executable, "-m", "empbridge.cli", "couple", "--config", cfg],
+        capture_output=True, text=True, env=child_env, preexec_fn=cap,
+    )
+    assert proc.returncode == EXIT_NUMERIC
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
