@@ -187,15 +187,17 @@ def regime_from_spec(spec: dict, field: str) -> EntropyRegime:
     return EntropyRegime(keys.pop("type"), **keys)
 
 
-# A finite-class member object; "value" is another name for "theta".
-_MEMBER = {"form": (_text, None), "theta": (lambda v: v, None), "value": (lambda v: v, None)}
+_MEMBER = {"form": (_text, _UNSET), "theta": (lambda v: v, _UNSET)}  # both required
 
 
 def _member(value) -> tuple:
     """A finite-class member: [form, theta] or {"form": ..., "theta": ...}."""
     if isinstance(value, dict):
         keys = _parse("class.members", _MEMBER, value)
-        return keys["form"], keys["value"] if keys["theta"] is None else keys["theta"]
+        missing = [f"class.members.{key}" for key in _MEMBER if key not in keys]
+        if missing:
+            raise ConfigError(f"missing config fields: {missing}")
+        return keys["form"], keys["theta"]
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise TypeError(f"a member must be [form, theta], got {value!r}")
     return tuple(value)
@@ -297,6 +299,14 @@ class ExperimentConfig:
             for key, value in getattr(self, block).items():
                 if value == ():
                     raise ConfigError(f"config field '{block}.{key}' must be a nonempty list")
+        # Each test is written so that NaN fails it.
+        radii, t_grid = self.entropy["radii"], self.audit["t_grid"]
+        if not (all(0 < r < 1 for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
+            raise ConfigError(
+                f"config field 'entropy.radii' must decrease strictly within (0, 1), got {radii}"
+            )
+        if not all(t > 0 for t in t_grid):
+            raise ConfigError(f"config field 'audit.t_grid' must hold values > 0, got {t_grid}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:
@@ -656,8 +666,6 @@ def fit_rate(
 def run_entropy(config: ExperimentConfig) -> ResultTable:
     """Covering, packing, and bracketing counts across a radius ladder."""
     radii = config.entropy["radii"]
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("entropy radii must be strictly decreasing")
     distances = None  # interval meshes are counted by a sweep, with no matrix
     if config.cls.kind != "intervals":
         distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))

@@ -17,13 +17,17 @@ The intrinsic metric is the uncentered L2(P) distance
 d_P(f, h) = sqrt(E (f(X) - h(X))^2). This differs from the centered Gram form
 used for the Gaussian field whenever means differ; both are computed from the
 same moment engine (mean vector and uncentered second-moment matrix) and are
-kept strictly apart. All are in closed form: interval moments read one
-monotone CDF (``_monotone_cdf``); Hoelder moments take the trapezoid and
-Simpson rules under the uniform law and ``_cell_moments`` under any other.
+kept strictly apart. All are in closed form. Every member that is not
+Hoelder is a lower-orthant indicator w 1{x <= t} (``_orthant``), with mean
+w P(X <= t) and product moments w w' P(X <= min(t, t')), the masses taken by
+``_orthant_mass``.
+Hoelder moments take the trapezoid and Simpson rules under the uniform law
+and ``_cell_moments`` under any other.
 
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
-f_theta(x_i) for a parameter list and a sample, ``column_sums`` its column
-sums, and ``batch_column_sums`` the column sums of each sample in a stack.
+f_theta(x_i) for a parameter list and a sample (indicators compare the
+points with the corners), ``column_sums`` its column sums, and
+``batch_column_sums`` the column sums of each sample in a stack.
 Holder classes are evaluated by one binary search of the knots per sample
 point, shared by every parameter, with np.interp's slopes and order of
 operations, so the matrix is bit-identical to one np.interp call per
@@ -106,8 +110,8 @@ class FunctionClass:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown class kind {self.kind!r}")
-        if not self.envelope > 0:  # NaN fails too
-            raise ConfigError(f"envelope bound M must be positive, got {self.envelope}")
+        if not 0 < self.envelope < math.inf:  # NaN fails too
+            raise ConfigError(f"envelope bound M must be positive and finite, got {self.envelope}")
         if self.regime is None:
             object.__setattr__(self, "regime", _default_regime(self.kind))
         if self.kind == "intervals" and self.dim != 1:
@@ -124,12 +128,10 @@ class FunctionClass:
         if self.kind == "finite":
             if not self.members:
                 raise ConfigError("finite class needs a nonempty member list")
-            canon = [_canonical_member(m) for m in self.members]
+            canon = tuple(_canonical_member(m, self.envelope) for m in self.members)
             if len(set(canon)) != len(canon):
                 raise ConfigError("finite member list has duplicates")
-            object.__setattr__(self, "members", tuple(canon))
-            for form, param in self.members:
-                _validate_member(form, param, self.dim, self.envelope)
+            object.__setattr__(self, "members", canon)
         if self.mesh_size < 1:
             raise ConfigError("mesh size must be >= 1")
 
@@ -185,17 +187,16 @@ class FunctionClass:
     def evaluate_matrix(self, params, xs: np.ndarray) -> np.ndarray:
         """Matrix f_theta(x_i), shape (n, len(params))."""
         xs = np.asarray(xs, dtype=float)
-        if self.kind == "intervals":
-            thetas = np.asarray(params, dtype=float)
-            return (xs[:, None] <= thetas[None, :]).astype(float)
-        if self.kind == "rectangles":
-            t = np.asarray(params, dtype=float)
-            pts = xs if xs.ndim == 2 else xs[:, None]
-            return np.all(pts[:, None, :] <= t[None, :, :], axis=2).astype(float)
-        if self.kind == "holder" and xs.ndim == 1 and len(params):
-            return _interp_matrix(self.knots, np.asarray(params, dtype=float), xs)
-        cols = [_member_eval(form, param, xs) for form, param in params]
-        return np.column_stack(cols) if cols else np.zeros((len(xs), 0))
+        if self.kind == "holder":
+            vals = np.asarray(params, dtype=float).reshape(len(params), self.knot_count)
+            return _interp_matrix(self.knots, vals, xs)
+        pts = xs if xs.ndim == 2 else xs[:, None]
+        w, t = _orthant(self, params, pts.shape[1])
+        if t.shape[1] == 1:
+            out = (pts <= t[:, 0]).astype(float)
+        else:
+            out = np.all(pts[:, None, :] <= t, axis=2).astype(float)
+        return out if w is None else out * w
 
     def column_sums(self, params, xs: np.ndarray) -> np.ndarray:
         """sum_i f_theta(x_i) for each theta in params, shape (len(params),).
@@ -280,7 +281,8 @@ def _default_regime(kind: str) -> EntropyRegime:
     return EntropyRegime("vc", c0=4.0, nu0=2.0)
 
 
-def _canonical_member(member) -> tuple:
+def _canonical_member(member, envelope: float) -> tuple:
+    """A checked finite member: (form, float), or (form, tuple) for a rectangle."""
     form, param = member
     if form not in FINITE_FORMS:
         raise ConfigError(f"unknown finite-member form {form!r}")
@@ -288,19 +290,13 @@ def _canonical_member(member) -> tuple:
         param = tuple(float(v) for v in param)
     else:
         param = float(param)
+    if form == "interval" and not (isinstance(param, float) and 0.0 <= param <= 1.0):
+        raise ConfigError(f"interval member parameter {param} outside [0,1]")
+    if form == "rectangle" and not (isinstance(param, tuple) and all(0 <= v <= 1 for v in param)):
+        raise ConfigError(f"rectangle member parameter {param} invalid")
+    if form == "constant" and not (isinstance(param, float) and abs(param) <= envelope / 2.0):
+        raise ConfigError("constant member exceeds the envelope")
     return (form, param)
-
-
-def _validate_member(form, param, dim, envelope):
-    if form == "interval":
-        if not isinstance(param, float) or not (0.0 <= param <= 1.0):
-            raise ConfigError(f"interval member parameter {param} outside [0,1]")
-    elif form == "rectangle":
-        if not isinstance(param, tuple) or any(not (0.0 <= v <= 1.0) for v in param):
-            raise ConfigError(f"rectangle member parameter {param} invalid")
-    else:
-        if abs(param) > envelope / 2.0:
-            raise ConfigError("constant member exceeds the envelope")
 
 
 def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -372,35 +368,12 @@ def _interp_column_sums(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> 
     return out
 
 
-def _member_eval(form, param, xs: np.ndarray) -> np.ndarray:
-    if form == "interval":
-        return (xs <= param).astype(float)
-    if form == "rectangle":
-        pts = xs if xs.ndim == 2 else xs[:, None]
-        t = np.asarray(param, dtype=float)
-        return np.all(pts <= t[None, :], axis=1).astype(float)
-    return np.full(len(xs), param, dtype=float)
-
-
 # -- operations ---------------------------------------------------------------
 
 
 def mean_vector(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
     """E f_theta(X) for each parameter."""
     params = list(params)
-    if cls.kind == "intervals":
-        return _monotone_cdf(P, params)
-    if cls.kind == "rectangles":
-        _require_dim(P, cls.dim)
-        t = np.asarray(params, dtype=float)
-        if P.kind == "product-uniform":
-            return t.prod(axis=1)
-        if P.kind == "discrete":
-            pts = P._atom_array()
-            w = np.asarray(P.weights, float)
-            ind = np.all(pts[:, None, :] <= t[None, :, :], axis=2)
-            return w @ ind
-        raise DomainError(f"rectangle moments undefined under {P.kind}")
     if cls.kind == "holder":
         _require_dim(P, 1)
         vals = np.asarray(params, dtype=float)  # (p, K) knot values
@@ -409,33 +382,14 @@ def mean_vector(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
             return h * (0.5 * vals[:, 0] + vals[:, 1:-1].sum(axis=1) + 0.5 * vals[:, -1])
         C = _cell_moments(P, cls.knots)
         return vals[:, :-1] @ C[0] + (np.diff(vals) / np.diff(cls.knots)) @ C[1]
-    out = []
-    for form, param in params:
-        out.append(_member_mean(form, param, P))
-    return np.asarray(out, dtype=float)
+    w, t = _orthant(cls, params, P.dim)
+    mass = _orthant_mass(P, t, np.ones((1, P.dim)))[:, 0]  # min(t, 1) = t on the cube
+    return mass if w is None else w * mass
 
 
 def second_moment_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
     """Uncentered Gram matrix E f_i(X) f_j(X)."""
     params = list(params)
-    p = len(params)
-    if cls.kind == "intervals":
-        # E 1{X <= s} 1{X <= t} is F(min(s, t)), the CDF value of the smaller
-        # parameter: p CDF evaluations, not p^2.
-        t = np.asarray(params, dtype=float)
-        F = _monotone_cdf(P, t)
-        return np.where(t[:, None] <= t[None, :], F[:, None], F[None, :])
-    if cls.kind == "rectangles":
-        _require_dim(P, cls.dim)
-        t = np.asarray(params, dtype=float)
-        if P.kind == "product-uniform":
-            return np.minimum(t[:, None, :], t[None, :, :]).prod(axis=2)
-        if P.kind == "discrete":
-            pts = P._atom_array()
-            w = np.asarray(P.weights, float)
-            ind = np.all(pts[:, None, :] <= t[None, :, :], axis=2).astype(float)
-            return ind.T @ (ind * w[:, None])
-        raise DomainError(f"rectangle moments undefined under {P.kind}")
     if cls.kind == "holder":
         _require_dim(P, 1)
         vals = np.asarray(params, dtype=float)
@@ -449,11 +403,10 @@ def second_moment_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndar
         L, S = vals[:, :-1], np.diff(vals) / np.diff(cls.knots)
         X = (L * C[1]) @ S.T
         return (L * C[0]) @ L.T + X + X.T + (S * C[2]) @ S.T
-    out = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            out[i, j] = out[j, i] = _member_cross(params[i], params[j], P)
-    return out
+    # E w_i 1{X <= t_i} w_j 1{X <= t_j} is w_i w_j P(X <= min(t_i, t_j)).
+    w, t = _orthant(cls, params, P.dim)
+    q = _orthant_mass(P, t, t)
+    return q if w is None else q * np.outer(w, w)
 
 
 def covariance(cls: FunctionClass, P: Distribution, params) -> np.ndarray:
@@ -469,15 +422,66 @@ def _require_dim(P: Distribution, dim: int):
         raise DomainError(f"distribution dimension {P.dim} does not match class ({dim})")
 
 
+def _orthant(cls: FunctionClass, params, dim: int):
+    """Weights w and corners t, shape (p, d), of members w 1{x <= t}.
+
+    Intervals and rectangles have weight 1 (w is None: unit weights cost no
+    multiplication) and their parameter as corner. A finite constant c has
+    weight c and the corner of ones, d = ``dim`` (the points' or the law's
+    dimension), which every other finite member must match.
+    """
+    if cls.kind != "finite":
+        return None, np.asarray(params, dtype=float).reshape(len(params), cls.dim)
+    w, t = np.ones(len(params)), np.ones((len(params), dim))
+    for i, (form, theta) in enumerate(params):
+        if form == "constant":
+            w[i] = theta
+        elif np.size(theta) != dim:
+            raise DomainError(f"{form} member {theta} does not match dimension {dim}")
+        else:
+            t[i] = theta
+    return w, t
+
+
+def _orthant_mass(P: Distribution, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """P(X <= min(s_i, t_j)), the minimum taken coordinate by coordinate, for
+    the corner rows of s (p, d) and t (q, d); shape (p, q).
+
+    In one dimension that is the smaller corner's monotone CDF value under
+    any law: p + q CDF values (p when t is s), not p q. Rectangles take the
+    product of the sides under product-uniform, and the weights of the atoms
+    below both corners under a discrete law. Corners at or past (1, ..., 1)
+    get exactly 1 (as in ``_monotone_cdf``), whatever the weights sum to in
+    floating point, so constants keep mean c and variance 0.
+    """
+    _require_dim(P, s.shape[1])
+    if s.shape[1] == 1:
+        F = _monotone_cdf(P, s[:, 0])
+        return np.where(s <= t.T, F[:, None], F if t is s else _monotone_cdf(P, t[:, 0]))
+    if P.kind == "product-uniform":
+        return np.minimum(s[:, None], t[None]).prod(axis=2)
+    if P.kind != "discrete":
+        raise DomainError(f"rectangle moments undefined under {P.kind}")
+    atoms = P._atom_array()[:, None, :]
+    below_s = np.all(atoms <= s, axis=2).astype(float)
+    below_t = below_s if t is s else np.all(atoms <= t, axis=2)
+    mass = below_s.T @ (below_t * np.asarray(P.weights, float)[:, None])
+    mass[np.ix_(np.all(s >= 1.0, axis=1), np.all(t >= 1.0, axis=1))] = 1.0
+    return mass
+
+
 def _monotone_cdf(P: Distribution, thetas) -> np.ndarray:
     """P's CDF at interval parameters, raised to its running maximum in
     sorted parameter order: scipy's beta CDF can fall by one ulp near 1, and
-    interval moments, covers and brackets need it nondecreasing."""
+    interval moments, covers and brackets need it nondecreasing. It is
+    exactly 1 from t = 1 on, where a discrete law's weights may sum to one
+    ulp less."""
     _require_dim(P, 1)
     t = np.asarray(thetas, dtype=float)
     order = np.argsort(t, kind="stable")
     F = np.empty(len(t))
     F[order] = np.maximum.accumulate(np.asarray(P.cdf(t[order]), dtype=float))
+    F[t >= 1.0] = 1.0
     return F
 
 
@@ -504,36 +508,6 @@ def _cell_moments(P: Distribution, knots: np.ndarray) -> np.ndarray:
     cell = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
     offset = x - left[cell]
     return np.stack([np.bincount(cell, w * offset**k, minlength=len(left)) for k in range(3)])
-
-
-def _member_mean(form, param, P: Distribution) -> float:
-    if form == "constant":
-        return param
-    if form == "interval":
-        _require_dim(P, 1)
-        return float(P.cdf(param))
-    _require_dim(P, len(param))
-    if P.kind == "product-uniform" or (P.kind == "uniform" and len(param) == 1):
-        return float(np.prod(param))
-    if P.kind == "discrete":
-        pts = P._atom_array()
-        w = np.asarray(P.weights, float)
-        return float(w @ np.all(pts <= np.asarray(param)[None, :], axis=1))
-    raise DomainError(f"rectangle moments undefined under {P.kind}")
-
-
-def _member_cross(m1, m2, P: Distribution) -> float:
-    (f1, p1), (f2, p2) = m1, m2
-    if f1 == "constant":
-        return p1 * _member_mean(f2, p2, P)
-    if f2 == "constant":
-        return p2 * _member_mean(f1, p1, P)
-    if f1 == "interval" and f2 == "interval":
-        return float(P.cdf(min(p1, p2)))
-    if f1 == "rectangle" and f2 == "rectangle":
-        both = tuple(min(a, b) for a, b in zip(p1, p2))
-        return _member_mean("rectangle", both, P)
-    raise DomainError(f"cross moment undefined for forms {f1}/{f2}")
 
 
 def dP_matrix(cls: FunctionClass, P: Distribution, params) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flags, exit codes, and --check."""
 
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -327,13 +328,25 @@ NAN = float("nan")
         ("bounds-audit", {"constants": {"A": NAN}}, "constant A must be positive, got nan"),
         ("strong", {"schedule": {"N_grid": []}}, "'schedule.N_grid' must be a nonempty list"),
         ("entropy", {"entropy": {"radii": []}}, "'entropy.radii' must be a nonempty list"),
+        ("entropy", {"entropy": {"radii": [0.5, NAN, 0.2]}}, "'entropy.radii' must decrease"),
+        ("bounds-audit", {"audit": {"t_grid": [NAN]}}, "'audit.t_grid' must hold values > 0"),
     ],
-    ids=["M", "R", "c0", "nu0", "a", "b", "weights", "A", "N_grid", "radii"],
+    ids=[
+        "M", "R", "c0", "nu0", "a", "b", "weights", "A", "N_grid", "radii", "radii-nan", "t_grid-nan"
+    ],
 )
 def test_nan_and_empty_list_fields_are_config_errors(capsys, tmp_path, command, spec, needle):
     # Rejected when the config is read: a check written as x <= 0 would let
     # NaN through to a run that exits 0 or fails later inside numpy.
     assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
+@pytest.mark.parametrize("kind", ["holder", "intervals"])
+def test_infinite_envelope_is_a_config_error(capsys, tmp_path, kind):
+    # A Hoelder mesh would draw knot values from (-inf, inf); an interval run
+    # would report a vacuous bound.
+    spec = {"class": {"kind": kind, "M": math.inf}}
+    assert_config_error(capsys, tmp_path, "couple", spec, "bound M must be positive and finite")
 
 
 def test_out_of_memory_is_a_numeric_error_without_traceback(tmp_path, child_env):
@@ -522,6 +535,19 @@ PROBES = [
 @pytest.mark.parametrize("key, command, spec", PROBES)
 def test_nested_key_probe_is_a_config_error_naming_its_key(capsys, tmp_path, key, command, spec):
     assert_config_error(capsys, tmp_path, command, spec, repr(key))
+
+
+@pytest.mark.parametrize(
+    "member, needle",
+    [
+        ({"form": "interval", "value": 0.5}, "unknown config fields: ['class.members.value']"),
+        ({"form": "interval"}, "missing config fields: ['class.members.theta']"),
+    ],
+    ids=["value", "no-theta"],
+)
+def test_member_object_takes_exactly_form_and_theta(capsys, tmp_path, member, needle):
+    spec = dict(COUPLE, **{"class": {"kind": "finite", "members": [member, ["interval", 0.75]]}})
+    assert_config_error(capsys, tmp_path, "couple", spec, needle)
 
 
 @pytest.mark.parametrize(

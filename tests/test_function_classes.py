@@ -24,6 +24,7 @@ from empbridge import (
     bracketing_set,
     build_grid,
     class_from_spec,
+    covariance,
     covering_certificate,
     dP_matrix,
     fit_entropy_counts,
@@ -398,6 +399,28 @@ def test_rectangle_moments_are_products():
     assert q[0, 1] == pytest.approx(0.3 * 0.4, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        Distribution("uniform"),
+        Distribution("beta", a=2.0, b=3.0),
+        Distribution("discrete", atoms=(0.1, 0.5, 0.9), weights=(0.7, 0.2, 0.1)),
+    ],
+    ids=["uniform", "beta", "discrete"],
+)
+def test_one_dimensional_rectangles_have_the_interval_moments(law):
+    # A rectangle of dim 1 is the indicator 1{x <= t} of an interval.
+    thetas = np.linspace(0.0, 1.0, 41)
+    intervals = FunctionClass("intervals", envelope=1.0, mesh_size=41)
+    rectangles = FunctionClass("rectangles", envelope=1.0, dim=1, mesh_size=41)
+    corners = [(t,) for t in thetas]
+    assert np.array_equal(mean_vector(rectangles, law, corners), mean_vector(intervals, law, thetas))
+    assert np.array_equal(
+        second_moment_matrix(rectangles, law, corners),
+        second_moment_matrix(intervals, law, thetas),
+    )
+
+
 def test_rectangle_dimension_mismatch(uniform):
     cls = FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=25)
     with pytest.raises(DomainError):
@@ -512,6 +535,47 @@ def test_finite_member_moments(uniform):
     assert q[1, 2] == pytest.approx(0.25, abs=1e-15)  # min of thresholds
 
 
+def test_finite_class_mixes_interval_and_rectangle_members():
+    law = Distribution("beta", a=2.0, b=3.0)
+    cls = FunctionClass("finite", envelope=1.0, members=(("rectangle", (0.5,)), ("interval", 0.25)))
+    q = second_moment_matrix(cls, law, cls.members)
+    assert q[0, 1] == q[1, 0] == law.cdf(0.25)
+    assert q[0, 0] == law.cdf(0.5)
+
+
+@pytest.mark.parametrize(
+    "dim, atoms, members",
+    [
+        (1, (0.1, 0.5, 0.9), (("interval", 0.3), ("interval", 0.6))),
+        (
+            2,
+            ((0.1, 0.2), (0.5, 0.5), (0.9, 0.3)),
+            (("rectangle", (0.3, 0.4)), ("rectangle", (0.6, 0.6))),
+        ),
+    ],
+    ids=["1d", "2d"],
+)
+def test_finite_constants_have_exact_moments(dim, atoms, members):
+    # numpy sums these weights to 0.9999999999999999; the constants' moments
+    # must not carry that rounding.
+    law = Distribution("discrete", dim=dim, atoms=atoms, weights=(0.7, 0.2, 0.1))
+    members += (("constant", 0.25), ("constant", -0.4))
+    cls = FunctionClass("finite", envelope=1.0, members=members)
+    m = mean_vector(cls, law, members)
+    assert m[2] == 0.25 and m[3] == -0.4
+    assert np.array_equal(np.diag(covariance(cls, law, members))[2:], [0.0, 0.0])
+    q = second_moment_matrix(cls, law, members)
+    assert np.array_equal(q[:2, 2:], np.outer(m[:2], [0.25, -0.4]))
+    assert q[2, 3] == 0.25 * -0.4 and q[2, 2] == 0.25 * 0.25
+    xs = law.draw(16, np.random.default_rng(0))
+    assert np.array_equal(cls.evaluate_matrix(members, xs)[:, 2:], np.tile([0.25, -0.4], (16, 1)))
+
+
+def test_member_objects_name_form_and_theta():
+    spec = {"kind": "finite", "members": [{"form": "interval", "theta": 0.5}, ["constant", 0.25]]}
+    assert class_from_spec(spec).members == (("interval", 0.5), ("constant", 0.25))
+
+
 def test_finite_validation():
     with pytest.raises(ConfigError):
         FunctionClass("finite", members=())
@@ -521,6 +585,8 @@ def test_finite_validation():
         FunctionClass("finite", envelope=1.0, members=(("constant", 0.8),))
     with pytest.raises(ConfigError):
         FunctionClass("finite", members=(("sine", 0.5),))
+    with pytest.raises(ConfigError):  # NaN fails the envelope test too
+        FunctionClass("finite", members=(("constant", math.nan),))
 
 
 # -- nets -------------------------------------------------------------------------

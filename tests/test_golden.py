@@ -36,6 +36,8 @@ APPROX_HOLDER = {
     "eval_mesh_size": 24,
     "seed": SEED,
 }
+RECTANGLES = {"kind": "rectangles", "M": 1.0, "mesh_size": 25}
+APPROX_SMALL = {"kind": "gauss-approx", "n_grid": [64, 256], "reps": 2, "ot_batch": 8, "seed": SEED}
 # Large enough (n up to 4096, a 64-member mesh) that the Hoelder kernel's
 # cell search and column sums are exercised at benchmark-like sizes.
 APPROX_HOLDER_BR = {
@@ -176,6 +178,83 @@ CASES = {
         },
         "entropy.csv",
     ),
+    # Rectangle and finite classes: the lower-orthant moment path.
+    "couple-rectangles": (
+        "couple",
+        {
+            "kind": "couple",
+            "class": RECTANGLES,
+            "distribution": {"kind": "product-uniform", "dim": 2},
+            "n_grid": [256],
+            "ot_batch": 16,
+            "eval_mesh_size": 25,
+            "seed": SEED,
+        },
+        "couple.json",
+    ),
+    "approx-rectangles-discrete": (
+        "approx",
+        dict(
+            APPROX_SMALL,
+            **{
+                "class": RECTANGLES,
+                "distribution": {
+                    "kind": "discrete",
+                    "atoms": [[0.2, 0.3], [0.5, 0.9], [0.8, 0.4], [0.4, 0.6]],
+                    "weights": [0.1, 0.2, 0.3, 0.4],
+                },
+            },
+        ),
+        "gauss-approx.csv",
+    ),
+    "approx-finite-beta": (
+        "approx",
+        dict(
+            APPROX_SMALL,
+            **{
+                "class": {
+                    "kind": "finite",
+                    "M": 1.0,
+                    "members": [
+                        ["interval", 0.2], ["interval", 0.5], ["interval", 0.8], ["constant", 0.25],
+                    ],
+                },
+                "distribution": {"kind": "beta", "a": 2.0, "b": 3.0},
+            },
+        ),
+        "gauss-approx.csv",
+    ),
+    # Weights whose numpy sum is 0.9999999999999999: constants must still
+    # have mean c and variance 0.
+    "approx-finite-discrete": (
+        "approx",
+        dict(
+            APPROX_SMALL,
+            **{
+                "class": {
+                    "kind": "finite",
+                    "M": 1.0,
+                    "members": [
+                        ["interval", 0.3], ["interval", 0.6], ["constant", 0.25], ["constant", -0.4],
+                    ],
+                },
+                "distribution": {
+                    "kind": "discrete", "atoms": [0.1, 0.5, 0.9], "weights": [0.7, 0.2, 0.1],
+                },
+            },
+        ),
+        "gauss-approx.csv",
+    ),
+    "entropy-rectangles": (
+        "entropy",
+        {
+            "kind": "entropy",
+            "class": {"kind": "rectangles", "M": 1.0, "mesh_size": 100},
+            "distribution": {"kind": "product-uniform", "dim": 2},
+            "seed": SEED,
+        },
+        "entropy.csv",
+    ),
 }
 
 
@@ -215,21 +294,30 @@ CASES = {
 # eigendecomposition: the same law and the same normals, but a new map from
 # normals to draws wherever Cholesky used to succeed on the grid Gram. The
 # other digests held: their Grams already took eigh, or they factor none.
+# "couple-rectangles", "approx-rectangles-discrete", "approx-finite-beta",
+# "approx-finite-discrete" and "entropy-rectangles" were recorded before
+# rectangle and finite members moved onto the one lower-orthant moment path,
+# as the byte guard for that change.
 DIGESTS = {
+    "approx-finite-beta": "99998cfa59819c81772741934ec066767b2f372241df66042ae8584edd66d3a6",
+    "approx-finite-discrete": "1274eaf112308ca7c07d82a26199be4ae92ce131cc670ad1e19971e3f64d6238",
     "approx-holder": "03e528c9702156e783dd5082a4ce305155a0fd8215b00f71216638bebc125986",
     "approx-holder-br": "9463470c22e2e275a602a74abbc769963f5fba9e894de0fa91a1b97aea7e9b8f",
     "approx-holder-br-sup-grid": "20da586244123c31736fa7fe71f886c94bfbc88871e82f7e7893d843491cdaa8",
     "approx-holder-sup-grid": "53936a7439fc363d3072577b6e6b12969179da1a17cbb22118f327c8eae94770",
-    "approx-intervals-json-labels": "0a4055b915e382b9f66d5d9fd7903d869078c58d60a8c98facd16fa52280519e",
     "approx-intervals-beta": "75575fbc946d88a2fedfd59c467d039b49db2bc9e39c0d6e323580a662361d99",
     "approx-intervals-discrete": "1f2358f67539b64dba6454b4080d055e883999a5972fa8d9ef8824e97af2288c",
+    "approx-intervals-json-labels": "0a4055b915e382b9f66d5d9fd7903d869078c58d60a8c98facd16fa52280519e",
     "approx-intervals-uniform": "e51c41b7bba341fb1752dd5e6241081acc25553e33b747a151c30c66d18a1890",
+    "approx-rectangles-discrete": "d7113d3931c8917f5ce57d5e6ecec4583e7e930a32ea6b17a77e97b028d0e949",
     "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "d4a7a00c4401a0b55124c5e17e34d5c209697cccf4647ca767a62df80ac40a1b",
+    "couple-rectangles": "49cd4ea64c2f26541a96f68b1723d52d4d808555e53cf3dbca1058cdd3736ed2",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-holder-beta": "ad6697a747db59936be3c7ec3036d12ea3a809492d103d7072b1177526b73ce3",
     "entropy-intervals": "1f8f70352e31db3c19e744c4e3906a8ecf988e44cfc38a60c064131856f4d917",
     "entropy-intervals-ties": "eff94c5166d9d8bbbbc10deff057ca3b4f890fbcacd8cf67e5a91fc2eeb87d6a",
+    "entropy-rectangles": "292cd14682be446021a829fada5082d43323f180c7710b10ccdba38c80db163b",
     "strong-intervals": "44558f78a5488e96a8435f3a882aedeadd179548d96de6a389353937e84f9430",
     "strong-intervals-json": "fef2ac0fd45d1df4317131d27fc3c536fda4506fc5c4c26bf32dee228f5e44d5",
     "strong-intervals-path": "2b56cf13d1d7dababf3050da8d7803844f57c978a43154b27eb1af1cf784f09a",
