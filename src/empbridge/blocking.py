@@ -266,7 +266,9 @@ def block_contexts(
 def _gap_walk(values, steps, total, means, gap) -> np.ndarray:
     """One block's signed path gaps, shape (g, n), computed in ``steps``.
 
-    ``values`` is the block's (n, g) mesh evaluation v_i, ``steps`` the (g, n)
+    ``values`` is the block's (n, g) mesh evaluation v_i (for one-dimensional
+    indicators the transpose of a contiguous (g, n) array, so that
+    ``values.T`` reads in order), ``steps`` the (g, n)
     Gaussian fill steps s_i with partial sums W_m, ``total`` the coupled
     endpoint T = sqrt(n) mesh_gauss, ``means`` the mesh means mu and ``gap``
     the signed gap c carried in from the previous block. Column m - 1 is
@@ -306,6 +308,8 @@ def run_sequential(
     started from the signed gap that the previous block ended on. m_star is
     the first sample count at which some mesh point reaches the maximum.
     """
+    if method == "quantile":
+        raise ConfigError("the quantile method draws no sample points to fill in between")
     # Block 0 is the unit starter block of either regime.
     cls, P, eval_mesh = contexts[0].cls, contexts[0].P, list(contexts[0].eval_mesh)
     g = len(eval_mesh)

@@ -30,6 +30,19 @@ kernel takes them for every row of a chunk. Consecutive draws from one
 generator give the bits of one larger draw, so the chunk size changes no
 output.
 
+The ``"quantile"`` method (interval classes only) draws no sample at all.
+The grid Y-sum depends only on the g+1 cell counts, and the Gaussian grid
+vector only on the Brownian-bridge masses of the same cells, so the two are
+coupled cell by cell on a dyadic tree (the quantile construction of Komlos,
+Major and Tusnady, and of Bretagnolle and Massart): at a node of mass p with
+count N and Gaussian mass G, one standard normal e splits G as its
+conditional law given the parent does, and the left count is the
+Binomial(N, p_L / p) quantile of Phi(e). Both marginals are exact. The counts
+of the finer cells that the evaluation mesh cuts out are one multinomial
+given their grid cell's count, and the mesh Gaussian is the conditional
+extension of the grid vector, as under batch transport. The realization's
+cost then does not depend on n.
+
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
 convergence-rate experiments.
@@ -43,6 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
+from scipy.special import ndtr
+from scipy.special._ufuncs import _binom_ppf  # the boost quantile behind scipy.stats.binom.ppf
 
 from .bridge import (
     BridgeModel,
@@ -186,11 +201,17 @@ class IntervalCells:
 
     Cell 0 is x <= c_(1), cell j is c_(j) < x <= c_(j+1) and cell g is
     x > c_(g), for the centers sorted as c_(1) <= ... <= c_(g); ``order`` is
-    that sort's permutation of the grid order.
+    that sort's permutation of the grid order. The mesh points cut each cell
+    further: row j of ``within`` holds the masses, given cell j, of the finer
+    cells inside it, from left to right and padded with zeros, and
+    ``mesh_at`` is the flat (row-major) index in ``within`` of the finer cell
+    that ends at each mesh point.
     """
 
     order: np.ndarray
     masses: np.ndarray
+    within: np.ndarray
+    mesh_at: np.ndarray
 
     def grid_sums(self, counts: np.ndarray) -> np.ndarray:
         """Per-center counts sum_i 1{x_i <= c} from cell counts, in grid order."""
@@ -199,13 +220,62 @@ class IntervalCells:
         return out
 
 
-def interval_cells(P: Distribution, centers) -> IntervalCells:
-    """Sort order and P-masses of the cells cut out by interval centers."""
+def interval_cells(P: Distribution, centers, mesh=()) -> IntervalCells:
+    """Sort order and P-masses of the cells cut out by interval centers, and
+    their refinement by the interval parameters ``mesh``."""
     thetas = np.asarray(centers, dtype=float)
     order = np.argsort(thetas, kind="stable")
     F = np.asarray(P.cdf(thetas[order]), dtype=float)
     masses = np.clip(np.diff(np.concatenate([[0.0], F, [1.0]])), 0.0, None)
-    return IntervalCells(order, masses)
+    # Every cut, the centers first among ties. Finer cell i ends at sorted cut
+    # i (the last one at +inf) and lies in the grid cell numbered by the
+    # centers among the cuts before it.
+    cuts = np.concatenate([thetas[order], np.asarray(mesh, dtype=float)])
+    sort = np.argsort(cuts, kind="stable")
+    F = np.maximum.accumulate(np.asarray(P.cdf(cuts[sort]), dtype=float))
+    fine = np.clip(np.diff(np.concatenate([[0.0], F, [1.0]])), 0.0, None)
+    cell = np.concatenate([[0], np.cumsum(sort < len(thetas))])
+    first = np.searchsorted(cell, np.arange(len(masses)))
+    col = np.arange(len(cell)) - first[cell]
+    within = np.zeros((len(masses), col.max() + 1))
+    within[cell, col] = fine
+    total = within.sum(axis=1, keepdims=True)
+    np.divide(within, total, out=within, where=total > 0)
+    within[total[:, 0] == 0, 0] = 1.0  # a massless cell holds no points
+    place = np.empty(len(cuts), dtype=int)
+    place[sort] = np.arange(len(cuts))
+    at = place[len(thetas):]
+    return IntervalCells(order, masses, within, cell[at] * within.shape[1] + col[at])
+
+
+def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tuple:
+    """Cell counts of n points and Brownian-bridge cell masses, coupled top-down.
+
+    The cells, padded with massless ones to a power of two, are the leaves of
+    a dyadic tree whose root holds n points and Gaussian mass 0. Level by
+    level, a node of mass p = p_L + p_R with count N and Gaussian mass G takes
+    its next normal e: its left child gets Gaussian mass
+    (p_L / p) G + sqrt(p_L p_R / p) e, the law of the bridge's left mass given
+    G, and count the Binomial(N, p_L / p) quantile of Phi(e). The 2^L - 1
+    normals of a tree with 2^L leaves are one draw from ``rng``, taken in
+    level order. Returns the counts (as floats) and the Gaussian masses of the
+    given cells.
+    """
+    leaves = 1 << (len(masses) - 1).bit_length()
+    normals = rng.standard_normal(leaves - 1)
+    p = np.zeros(leaves)
+    p[: len(masses)] = masses
+    counts, gauss = np.array([float(n)]), np.zeros(1)
+    while len(counts) < leaves:
+        halves = p.reshape(2 * len(counts), -1).sum(axis=1)
+        left, right = halves[0::2], halves[1::2]
+        q = np.divide(left, left + right, out=np.zeros_like(left), where=left + right > 0)
+        e = normals[len(counts) - 1 : 2 * len(counts) - 1]
+        g_left = q * gauss + np.sqrt(q * right) * e
+        n_left = _binom_ppf(ndtr(e), counts, q)
+        counts = np.stack([n_left, counts - n_left], axis=1).ravel()
+        gauss = np.stack([g_left, gauss - g_left], axis=1).ravel()
+    return counts[: len(masses)], gauss[: len(masses)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +316,7 @@ def prepare_coupling(
         law,
         mean_vector(cls, P, list(mesh)),
         mean_vector(cls, P, list(grid.centers)),
-        interval_cells(P, grid.centers) if cls.kind == "intervals" else None,
+        interval_cells(P, grid.centers, mesh) if cls.kind == "intervals" else None,
     )
 
 
@@ -261,7 +331,7 @@ class CouplingRealization:
     sup_mesh: float
     transport_cost: float
     seeds: SeedSpec
-    points: np.ndarray  # the designated sample
+    points: np.ndarray | None  # the designated sample; None under the count-only quantile method
     mesh_gauss: np.ndarray  # its Gaussian partner on the evaluation mesh
 
     def to_json_dict(self) -> dict:
@@ -274,6 +344,70 @@ class CouplingRealization:
             "transport_cost": self.transport_cost,
             "seeds": {"master": self.seeds.master, "stream": self.seeds.stream},
         }
+
+
+def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -> None:
+    """Refuse a sample whose largest centered summand, sqrt(max row sum / n),
+    exceeds the envelope's bound M sqrt(g / n)."""
+    norm = math.sqrt(row_sums.max(initial=0.0) / n)
+    limit = envelope * math.sqrt(g / n)
+    if norm > limit + 1e-12:
+        raise NumericError(f"summand norm {norm:.6g} exceeds the bound {limit:.6g}")
+
+
+def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
+    """The designated sample, its grid pair (y0, z0), the batch's mean
+    squared transport cost and the sample's mesh sums, by batch transport."""
+    grid, model = context.grid, context.model
+    centers = list(grid.centers)
+    g = grid.size
+    designated = P.draw(n, seed.rng("sample", tag, 0))
+    vals = cls.evaluate_matrix(centers, designated)
+    # One temporary, squared in place and freed before the transport step.
+    _check_summand_norm(((vals - context.grid_means) ** 2) @ np.ones(g), cls.envelope, g, n)
+    sums = np.empty((m, g))
+    sums[0] = vals.sum(axis=0)
+    aux = seed.rng("auxiliary", tag)
+    if context.cells is not None:
+        sums[1:] = context.cells.grid_sums(aux.multinomial(n, context.cells.masses, size=m - 1))
+    else:
+        rows = max(1, AUX_CHUNK_POINTS // n)
+        for b in range(1, m, rows):
+            k = min(rows, m - b)
+            xs = P.draw(k * n, aux)
+            sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape((k, n) + xs.shape[1:]))
+    y_batch = (sums - n * context.grid_means) / math.sqrt(n)
+    z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
+    plan = ot_couple(y_batch, z_batch)
+    mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
+    return designated, y_batch[0], z_batch[plan.assignment[0]], plan.cost, mesh_sums
+
+
+def _tree_pair(cls, n, seed, context, tag) -> tuple:
+    """The grid pair (y0, z0), its squared gap and the mesh counts, by the
+    dyadic quantile tree over the grid cells (``tree`` phase) and one
+    multinomial of the finer mesh cells given the grid cells' counts
+    (``refine`` phase)."""
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    cells, g = context.cells, context.grid.size
+    counts, gauss = _binomial_tree(cells.masses, n, seed.rng("tree", tag))
+    # A point of cell j has grid values cells.grid_sums(e_j): its summand.
+    summands = cells.grid_sums(np.eye(g + 1)) - context.grid_means
+    _check_summand_norm((summands[counts > 0] ** 2) @ np.ones(g), cls.envelope, g, n)
+    y0 = (cells.grid_sums(counts) - n * context.grid_means) / math.sqrt(n)
+    z0 = cells.grid_sums(gauss)
+    fine = seed.rng("refine", tag).multinomial(counts.astype(np.int64), cells.within)
+    mesh_sums = np.cumsum(fine, axis=None)[cells.mesh_at].astype(float)
+    return y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums
+
+
+def check_method(method: str, cls: FunctionClass) -> None:
+    """Refuse a coupling method that ``construct_joint`` cannot run on ``cls``."""
+    if method not in ("exact", "quantile"):
+        raise ConfigError(f"unknown coupling method {method!r}")
+    if method == "quantile" and cls.kind != "intervals":
+        raise ConfigError(f"the quantile method couples intervals classes only, not {cls.kind}")
 
 
 def construct_joint(
@@ -289,62 +423,46 @@ def construct_joint(
 ) -> CouplingRealization:
     """Run one full coupling realization.
 
-    The designated sample (batch 0) comes from the ``sample`` phase at index
-    0. The m - 1 auxiliary Y-sums come from one generator of the
-    ``auxiliary`` phase: for an interval class, one multinomial draw of cell
-    counts; for any other class, m - 1 samples of n points drawn as
+    ``"exact"``: the designated sample (batch 0) comes from the ``sample``
+    phase at index 0. The m - 1 auxiliary Y-sums come from one generator of
+    the ``auxiliary`` phase: for an interval class, one multinomial draw of
+    cell counts; for any other class, m - 1 samples of n points drawn as
     consecutive rows, ``AUX_CHUNK_POINTS // n`` rows (at least one) per draw
-    and reduction.
+    and reduction. ``transport_cost`` is the batch's mean squared cost.
+
+    ``"quantile"`` (interval classes only): the grid pair comes from the
+    dyadic quantile tree, count-only: m is not used, no point is drawn and
+    the realization's ``points`` is None. ``transport_cost`` is the
+    squared grid gap ||y0 - z0||^2.
 
     ``tag`` namespaces the random streams so several couplings (for example
     blocks of a sequential construction) can share one seed spec. The
     realization carries the designated sample and its Gaussian partner on the
     evaluation mesh, which the sequential construction fills in between.
     """
+    check_method(method, cls)
     if m < 1:
         raise DomainError("batch size must be >= 1")
     if context is None:
         context = prepare_coupling(cls, P, epsilon)
-    grid, model = context.grid, context.model
-    centers = list(grid.centers)
-    g = grid.size
-    designated = P.draw(n, seed.rng("sample", tag, 0))
-    vals = cls.evaluate_matrix(centers, designated)
-    # One temporary, squared in place and freed before the transport step.
-    row_sums = ((vals - context.grid_means) ** 2) @ np.ones(g)
-    norm = math.sqrt(row_sums.max(initial=0.0) / n)
-    limit = cls.envelope * math.sqrt(g / n)
-    if norm > limit + 1e-12:
-        raise NumericError(f"summand norm {norm:.6g} exceeds the bound {limit:.6g}")
-    sums = np.empty((m, g))
-    sums[0] = vals.sum(axis=0)
-    aux = seed.rng("auxiliary", tag)
-    if context.cells is not None:
-        sums[1:] = context.cells.grid_sums(aux.multinomial(n, context.cells.masses, size=m - 1))
+    if method == "quantile":
+        designated = None
+        y0, z0, cost, mesh_sums = _tree_pair(cls, n, seed, context, tag)
     else:
-        rows = max(1, AUX_CHUNK_POINTS // n)
-        for b in range(1, m, rows):
-            k = min(rows, m - b)
-            xs = P.draw(k * n, aux)
-            sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape((k, n) + xs.shape[1:]))
-    y_batch = (sums - n * context.grid_means) / math.sqrt(n)
-    z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
-    plan = ot_couple(y_batch, z_batch, method)
-    z0 = z_batch[plan.assignment[0]]
-    sup_grid = float(np.abs(y_batch[0] - z0).max())
+        designated, y0, z0, cost, mesh_sums = _batch_pair(cls, P, n, m, seed, context, tag)
+    sup_grid = float(np.abs(y0 - z0).max())
     mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
-    mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
     mesh_emp = (mesh_sums - n * context.mesh_means) / math.sqrt(n)
     sup_mesh = float(np.abs(mesh_emp - mesh_gauss).max())
     return CouplingRealization(
         n,
         float(epsilon),
-        grid,
-        y_batch[0],
+        context.grid,
+        y0,
         z0,
         sup_grid,
         sup_mesh,
-        plan.cost,
+        cost,
         seed,
         designated,
         mesh_gauss,

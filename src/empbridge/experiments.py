@@ -36,6 +36,7 @@ from .exponents import _as_fraction, rate_br, rate_vc
 from .blocking import block_contexts, path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
     OT_EXACT_LIMIT,
+    check_method,
     construct_joint,
     prepare_coupling,
     select_delta_t,
@@ -283,7 +284,7 @@ class ExperimentConfig:
     gamma1: float = 1.0
     gamma2: float = 1.0
     ot_batch: int | tuple = 256
-    method: str = "exact"
+    method: str | None = None  # None: quantile for couple runs of interval classes, else exact
     eval_mesh_size: int = 201
     workers: int = 1
     out: str | None = None
@@ -328,9 +329,16 @@ class ExperimentConfig:
             raise ConfigError("ot_batch entries must be >= 1")
         if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
             raise ConfigError("per-n ot_batch needs one entry per n_grid value")
-        if self.method != "exact":
-            raise ConfigError(f"unknown coupling method {self.method!r}")
-        if any(int(b) > OT_EXACT_LIMIT for b in batches):
+        if self.method is None:
+            quantile = self.kind == "couple" and self.cls.kind == "intervals"
+            object.__setattr__(self, "method", "quantile" if quantile else "exact")
+        check_method(self.method, self.cls)
+        if self.method == "quantile" and self.kind == "strong-approx":
+            raise ConfigError(
+                "the quantile method draws no sample points, and strong-approx runs fill "
+                "in between them; use method exact"
+            )
+        if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
             raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
         if self.eval_mesh_size < 1:
             raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
@@ -362,7 +370,7 @@ _FIELDS = {
     "gamma1": (float, _UNSET),
     "gamma2": (float, _UNSET),
     "ot_batch": (_batch, _UNSET),
-    "method": (_text, _UNSET),
+    "method": (_optional(_text), _UNSET),
     "eval_mesh_size": (_int, _UNSET),
     "workers": (_int, _UNSET),
     "out": (_optional(_text), _UNSET),

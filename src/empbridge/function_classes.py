@@ -193,10 +193,15 @@ class FunctionClass:
         pts = xs if xs.ndim == 2 else xs[:, None]
         w, t = _orthant(self, params, pts.shape[1])
         if t.shape[1] == 1:
-            out = (pts <= t[:, 0]).astype(float)
+            # Laid out (p, n), so that the comparison's inner loop runs over
+            # the n points; the (n, p) result is its transpose view.
+            out = (pts[:, 0] <= t).astype(float).T
         else:
             out = np.all(pts[:, None, :] <= t, axis=2).astype(float)
-        return out if w is None else out * w
+        # Weighted values keep the (n, p) layout, whose column sums add row by
+        # row; over the transposed layout numpy adds them pairwise, which can
+        # round differently.
+        return out if w is None else np.multiply(out, w, order="C")
 
     def column_sums(self, params, xs: np.ndarray) -> np.ndarray:
         """sum_i f_theta(x_i) for each theta in params, shape (len(params),).

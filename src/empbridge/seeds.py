@@ -33,6 +33,8 @@ PHASES = {
     "mesh": 7,
     "holdout": 8,
     "auxiliary": 9,  # the m - 1 auxiliary transport samples of a coupling
+    "tree": 10,  # the node normals of a quantile coupling's dyadic tree
+    "refine": 11,  # the mesh-cell counts of a quantile coupling, given its grid cells
 }
 
 

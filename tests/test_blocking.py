@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from empbridge import (
     BlockingSchedule,
     CapacityError,
+    ConfigError,
     Distribution,
     DomainError,
     EntropyRegime,
@@ -459,3 +460,12 @@ def test_each_block_draws_one_fill_generator(intervals, uniform, monkeypatch):
     monkeypatch.setattr(SeedSpec, "rng", spy)
     run_sequential(sched, contexts, SeedSpec(5, 0), m=4, tag_offset=7)
     assert opened == [((7 + k,), (n_k, 9)) for k, n_k in enumerate(sched.n)]
+
+
+def test_run_sequential_refuses_the_quantile_method():
+    # A path fills in between the designated points, which the count-only
+    # quantile method never draws; the refusal comes before any block runs.
+    tau1, tau2 = rate_vc(1)
+    schedule = schedule_vc(5, tau1, tau2, 2)
+    with pytest.raises(ConfigError, match="draws no sample points"):
+        run_sequential(schedule, (), SeedSpec(1), method="quantile")

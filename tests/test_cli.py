@@ -392,6 +392,62 @@ def test_oversized_exact_batch_is_a_config_error(capsys, tmp_path, batch):
     assert_config_error(capsys, tmp_path, "approx", spec, "ot_batch entries must be <= 512")
 
 
+NON_INTERVAL_CLASSES = {
+    "holder": {"kind": "holder"},
+    "rectangles": {"kind": "rectangles", "mesh_size": 25},
+    "finite": {"kind": "finite", "members": [["interval", 0.5], ["constant", 0.25]]},
+}
+
+
+@pytest.mark.parametrize("command", ["couple", "approx"])
+@pytest.mark.parametrize("kind", sorted(NON_INTERVAL_CLASSES))
+def test_quantile_method_on_a_non_interval_class_is_a_config_error(
+    capsys, tmp_path, kind, command
+):
+    spec = {"class": NON_INTERVAL_CLASSES[kind], "method": "quantile"}
+    if kind == "rectangles":
+        spec["distribution"] = {"kind": "product-uniform", "dim": 2}
+    needle = f"the quantile method couples intervals classes only, not {kind}"
+    assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
+def test_quantile_method_under_strong_is_a_config_error(capsys, tmp_path):
+    spec = {"method": "quantile", "schedule": {"N_grid": [4], "m": 8}}
+    assert_config_error(capsys, tmp_path, "strong", spec, "the quantile method draws no sample points")
+
+
+@pytest.mark.parametrize("command", ["couple", "approx"])
+def test_quantile_method_accepts_and_ignores_ot_batch(capsys, tmp_path, command):
+    # Past the exact method's limit of 512 too: the tree pairs no batch.
+    outputs = []
+    for batch in (None, 8, 1024, [4, 2048]):
+        spec = {"n_grid": [64, 256], "reps": 2, "method": "quantile", "eval_mesh_size": 9}
+        if command == "couple":
+            spec.pop("reps")
+        if batch is not None:
+            spec["ot_batch"] = batch
+        cfg = write_config(tmp_path, "q.json", spec)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_OK, err
+        outputs.append(out)
+    assert len(set(outputs)) == 1
+
+
+def test_couple_on_an_interval_class_leaves_scipy_stats_unloaded(tmp_path, child_env):
+    # The binomial quantile comes from scipy.special; importing scipy.stats
+    # would cost about 19 MB of resident memory per process.
+    probe = (
+        "import sys, empbridge.cli as c; "
+        "assert c.main(['couple', '--out', sys.argv[1]]) == 0; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=child_env,
+    )
+    assert proc.stdout.strip().split("\n")[-1] == "False"
+
+
 STRONG = {"kind": "strong-approx", "class": {"kind": "intervals", "mesh_size": 201}, "reps": 2}
 
 

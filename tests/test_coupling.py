@@ -297,6 +297,57 @@ def test_cell_counts_give_the_column_sums(law, n, seed, data):
     assert np.array_equal(bits(cells.grid_sums(np.stack([counts, counts]))[1]), want)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    law=st.sampled_from(sorted(CELL_LAWS)),
+    centers=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0]), min_size=1, max_size=8),
+    mesh=st.lists(st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.6, 0.75, 1.0]), max_size=8),
+)
+def test_mesh_cells_refine_the_grid_cells(law, centers, mesh):
+    """Row j of ``within`` is a law on grid cell j's finer cells, and the
+    cumulative masses of all finer cells read at ``mesh_at`` are the CDF at
+    the mesh points, ties between centers and mesh points included."""
+    P = CELL_LAWS[law]
+    cells = interval_cells(P, centers, mesh)
+    assert cells.within.shape[0] == len(centers) + 1 and (cells.within >= 0).all()
+    assert np.allclose(cells.within.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    cumulative = np.cumsum(cells.within * cells.masses[:, None])
+    assert np.allclose(cumulative[cells.mesh_at], P.cdf(np.asarray(mesh, float)), rtol=0.0, atol=1e-12)
+
+
+def test_quantile_realization_is_count_only(intervals, uniform, seed):
+    ctx = prepare_coupling(intervals, uniform, 0.3, eval_mesh=[0.2, 0.5])
+    real = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, "quantile", ctx)
+    assert real.points is None and real.mesh_gauss.shape == (2,)
+    assert real.sup_grid == np.abs(real.y_sum - real.z_sum).max()
+    assert real.transport_cost == ((real.y_sum - real.z_sum) ** 2).sum()
+    # The grid sums are counts, and every stream is its own: another tag, another pair.
+    sums = real.y_sum * 64.0 + 4096 * ctx.grid_means
+    assert np.allclose(sums, np.round(sums), rtol=0.0, atol=1e-9)
+    again = construct_joint(intervals, uniform, 4096, 0.3, 512, seed, "quantile", ctx)
+    assert (again.sup_grid, again.sup_mesh) == (real.sup_grid, real.sup_mesh)
+    other = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, "quantile", ctx, tag=1)
+    assert other.sup_grid != real.sup_grid
+
+
+def test_quantile_method_takes_interval_classes_only(uniform, seed):
+    with pytest.raises(ConfigError, match="intervals classes only, not holder"):
+        construct_joint(FunctionClass("holder"), uniform, 64, 0.5, 1, seed, "quantile")
+    with pytest.raises(ConfigError, match="unknown coupling method 'sinkhorn'"):
+        construct_joint(FunctionClass("intervals"), uniform, 64, 0.5, 1, seed, "sinkhorn")
+
+
+@pytest.mark.parametrize("method", ["exact", "quantile"])
+def test_summand_check_refuses_an_envelope_lie(intervals, uniform, seed, method):
+    # The grid is built for M = 1; with M = 0.1 every point's centered summand
+    # breaks the bound M sqrt(g / n), and the quantile method sees it in the
+    # occupied cells alone.
+    ctx = prepare_coupling(intervals, uniform, 0.5)
+    lie = FunctionClass("intervals", envelope=0.1, mesh_size=201)
+    with pytest.raises(NumericError, match="summand norm"):
+        construct_joint(lie, uniform, 64, 0.5, 8, seed, method, ctx)
+
+
 @pytest.fixture()
 def transport_sources(monkeypatch):
     """The Y-sum batches (designated row first) that ``construct_joint``

@@ -541,6 +541,16 @@ def test_strong_approx_prepares_each_radius_once(monkeypatch):
     assert len(radii) == len(set(radii)) >= 2
 
 
+def test_unset_method_resolves_per_run_kind_and_class_kind():
+    assert ExperimentConfig(kind="couple").method == "quantile"
+    assert config_from_dict({"kind": "couple", "method": None}).method == "quantile"
+    assert ExperimentConfig(kind="couple", cls=FunctionClass("holder")).method == "exact"
+    for kind in ("gauss-approx", "strong-approx", "entropy", "bounds-audit"):
+        assert ExperimentConfig(kind=kind).method == "exact"
+    assert ExperimentConfig(kind="gauss-approx", method="quantile").method == "quantile"
+    assert ExperimentConfig(kind="couple", method="exact").method == "exact"
+
+
 def test_strong_schedule_batch_is_checked_at_config_time():
     with pytest.raises(ConfigError, match="schedule m must be >= 1"):
         ExperimentConfig(kind="strong-approx", schedule={"m": 0})
