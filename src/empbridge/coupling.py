@@ -39,9 +39,11 @@ count N and Gaussian mass G, one standard normal e splits G as its
 conditional law given the parent does, and the left count is the
 Binomial(N, p_L / p) quantile of Phi(e). Both marginals are exact. The counts
 of the finer cells that the evaluation mesh cuts out are one multinomial
-given their grid cell's count, and the mesh Gaussian is the conditional
-extension of the grid vector, as under batch transport. The realization's
-cost then does not depend on n.
+given their grid cell's count. The mesh Gaussian refines the grid cells'
+Gaussian masses the same way: the bridge is Markov, so given those masses its
+pieces inside the cells are independent pinned Brownian pieces, and each
+finer cell's mass is drawn from that exact conditional law. No dense
+conditional law is formed, and the realization's cost does not depend on n.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -285,9 +287,9 @@ class CouplingContext:
     cls: FunctionClass
     P: Distribution
     grid: Grid
-    model: BridgeModel
+    model: BridgeModel | None  # None when prepared for the quantile method
     eval_mesh: tuple
-    law: ConditionalLaw
+    law: ConditionalLaw | None  # None when prepared for the quantile method
     mesh_means: np.ndarray
     grid_means: np.ndarray
     cells: IntervalCells | None = None  # interval classes only
@@ -298,15 +300,20 @@ def prepare_coupling(
     P: Distribution,
     epsilon: float,
     eval_mesh=None,
+    method: str = "exact",
 ) -> CouplingContext:
+    """The grid, mean vectors and, for interval classes, cells at radius
+    epsilon; for ``"exact"`` also the grid factor and the mesh's dense
+    conditional law given the grid, which ``"quantile"`` does not use."""
+    check_method(method, cls)
     grid = build_grid(cls, P, epsilon)
-    model = factorize(grid.gram, grid.centers)
     mesh = tuple(eval_mesh if eval_mesh is not None else cls.mesh)
-    joint = covariance(cls, P, list(grid.centers) + list(mesh))
-    g = grid.size
-    cross = joint[g:, :g]
-    marginal = joint[g:, g:]
-    law = conditional_law(model, cross, marginal)
+    model = law = None
+    if method == "exact":
+        model = factorize(grid.gram, grid.centers)
+        joint = covariance(cls, P, list(grid.centers) + list(mesh))
+        g = grid.size
+        law = conditional_law(model, joint[g:, :g], joint[g:, g:])
     return CouplingContext(
         cls,
         P,
@@ -384,10 +391,17 @@ def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
 
 
 def _tree_pair(cls, n, seed, context, tag) -> tuple:
-    """The grid pair (y0, z0), its squared gap and the mesh counts, by the
-    dyadic quantile tree over the grid cells (``tree`` phase) and one
-    multinomial of the finer mesh cells given the grid cells' counts
-    (``refine`` phase)."""
+    """The grid pair (y0, z0), its squared gap, the mesh counts and the mesh
+    Gaussian, by the dyadic quantile tree over the grid cells (``tree``
+    phase), one multinomial of the finer mesh cells given the grid cells'
+    counts (``refine`` phase) and the finer cells' Gaussian masses given the
+    grid cells' ones (``extend`` phase).
+
+    Given its mass G_j on grid cell j of mass p_j, the bridge's masses on the
+    finer cells of relative masses w_k are independent N(0, p_j w_k) pieces
+    conditioned on summing to G_j: w_k G_j + sqrt(p_j) (sqrt(w_k) e_k -
+    w_k sum_l sqrt(w_l) e_l) for standard normals e. Cells are independent
+    given their masses, so this is the mesh's exact law given z0."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
     cells, g = context.cells, context.grid.size
@@ -399,7 +413,12 @@ def _tree_pair(cls, n, seed, context, tag) -> tuple:
     z0 = cells.grid_sums(gauss)
     fine = seed.rng("refine", tag).multinomial(counts.astype(np.int64), cells.within)
     mesh_sums = np.cumsum(fine, axis=None)[cells.mesh_at].astype(float)
-    return y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums
+    w = cells.within
+    pieces = np.sqrt(w) * seed.rng("extend", tag).standard_normal(w.shape)
+    pinned = pieces - w * pieces.sum(axis=1, keepdims=True)
+    fine_gauss = w * gauss[:, None] + np.sqrt(cells.masses)[:, None] * pinned
+    mesh_gauss = np.cumsum(fine_gauss, axis=None)[cells.mesh_at]
+    return y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums, mesh_gauss
 
 
 def check_method(method: str, cls: FunctionClass) -> None:
@@ -432,8 +451,13 @@ def construct_joint(
 
     ``"quantile"`` (interval classes only): the grid pair comes from the
     dyadic quantile tree, count-only: m is not used, no point is drawn and
-    the realization's ``points`` is None. ``transport_cost`` is the
-    squared grid gap ||y0 - z0||^2.
+    the realization's ``points`` is None. The mesh Gaussian refines the grid
+    cells' Gaussian masses cell by cell. ``transport_cost`` is the squared
+    grid gap ||y0 - z0||^2.
+
+    Without ``context`` one is prepared for ``method`` on the class's own
+    mesh. A context prepared for ``"quantile"`` holds no conditional law and
+    cannot run ``"exact"``.
 
     ``tag`` namespaces the random streams so several couplings (for example
     blocks of a sequential construction) can share one seed spec. The
@@ -444,14 +468,19 @@ def construct_joint(
     if m < 1:
         raise DomainError("batch size must be >= 1")
     if context is None:
-        context = prepare_coupling(cls, P, epsilon)
+        context = prepare_coupling(cls, P, epsilon, method=method)
     if method == "quantile":
         designated = None
-        y0, z0, cost, mesh_sums = _tree_pair(cls, n, seed, context, tag)
+        y0, z0, cost, mesh_sums, mesh_gauss = _tree_pair(cls, n, seed, context, tag)
     else:
+        if context.law is None:
+            raise ConfigError(
+                "the exact method needs a context prepared with method 'exact'; this one "
+                "was prepared for the quantile method and holds no conditional law"
+            )
         designated, y0, z0, cost, mesh_sums = _batch_pair(cls, P, n, m, seed, context, tag)
+        mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
     sup_grid = float(np.abs(y0 - z0).max())
-    mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
     mesh_emp = (mesh_sums - n * context.mesh_means) / math.sqrt(n)
     sup_mesh = float(np.abs(mesh_emp - mesh_gauss).max())
     return CouplingRealization(

@@ -562,7 +562,7 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
     selected, tasks = [], []
     for i, n in enumerate(config.n_grid):
         eps, delta, t = _select_radius(config, n)
-        ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh)
+        ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh, method=config.method)
         selected.append((n, eps, delta, t))
         task = partial(
             _couple_task, config.cls, config.dist, n, eps, config.batch_for(i), config.seed,
@@ -706,7 +706,7 @@ def run_couple(config: ExperimentConfig) -> dict:
     n = config.n_grid[0]
     eps, delta, t = _select_radius(config, n)
     mesh = _eval_mesh(config.cls, config.eval_mesh_size)
-    ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh)
+    ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh, method=config.method)
     real = construct_joint(
         config.cls,
         config.dist,

@@ -1,6 +1,7 @@
 """Transport plans, tail bounds, radius selections, and joint realizations."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +329,59 @@ def test_quantile_realization_is_count_only(intervals, uniform, seed):
     assert (again.sup_grid, again.sup_mesh) == (real.sup_grid, real.sup_mesh)
     other = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, "quantile", ctx, tag=1)
     assert other.sup_grid != real.sup_grid
+
+
+@pytest.mark.parametrize("law", sorted(CELL_LAWS))
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_quantile_mesh_is_pinned_at_the_grid_centers(law, n):
+    """On a mesh that holds every grid center, and points between them, the
+    mesh Gaussian at a center is z_sum's value there to rounding, and the
+    mesh counts there are the grid counts exactly."""
+    P, cls, eps = CELL_LAWS[law], FunctionClass("intervals", mesh_size=201), 0.25
+    centers = list(prepare_coupling(cls, P, eps, method="quantile").grid.centers)
+    mesh = sorted(centers + [0.05, 0.3, 0.55, 0.8, 1.0])
+    ctx = prepare_coupling(cls, P, eps, eval_mesh=mesh, method="quantile")
+    at = [mesh.index(c) for c in centers]
+    for stream in range(5):
+        y0, z0, _, mesh_sums, mesh_gauss = coupling._tree_pair(cls, n, SeedSpec(31, stream), ctx, 0)
+        assert np.allclose(mesh_gauss[at], z0, rtol=0.0, atol=1e-12)
+        grid_counts = np.round(y0 * math.sqrt(n) + n * ctx.grid_means)
+        assert np.array_equal(mesh_sums[at], grid_counts)
+
+
+def test_quantile_context_holds_no_dense_law(intervals, uniform, seed):
+    """Prepared for the quantile method at the n = 2^30 radius on a
+    4,000-point mesh, a context holds no factor and no conditional law, and
+    set-up plus one realization stay far inside a second; the dense law
+    needs seconds and a gigabyte there."""
+    eps, mesh = select_epsilon_vc(2**30, 1.0), np.linspace(0.0, 1.0, 4000)
+    start = time.perf_counter()
+    ctx = prepare_coupling(intervals, uniform, eps, eval_mesh=mesh, method="quantile")
+    real = construct_joint(intervals, uniform, 2**30, eps, 1, seed, "quantile", ctx)
+    assert time.perf_counter() - start < 1.0
+    assert ctx.law is None and ctx.model is None
+    assert real.mesh_gauss.shape == (4000,) and np.isfinite(real.sup_mesh)
+
+
+def test_exact_method_refuses_a_quantile_context(intervals, uniform, seed):
+    ctx = prepare_coupling(intervals, uniform, 0.5, method="quantile")
+    with pytest.raises(ConfigError, match="the exact method .* quantile method"):
+        construct_joint(intervals, uniform, 64, 0.5, 8, seed, "exact", ctx)
+
+
+def test_construct_joint_prepares_for_its_own_method(intervals, uniform, seed, monkeypatch):
+    methods = []
+    prepare = coupling.prepare_coupling
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "prepare_coupling", spy)
+    quantile = construct_joint(intervals, uniform, 64, 0.5, 1, seed, "quantile")
+    exact = construct_joint(intervals, uniform, 64, 0.5, 8, seed, "exact")
+    assert methods == ["quantile", "exact"]
+    assert quantile.mesh_gauss.shape == exact.mesh_gauss.shape == (len(intervals.mesh),)
 
 
 def test_quantile_method_takes_interval_classes_only(uniform, seed):

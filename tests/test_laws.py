@@ -4,7 +4,8 @@ Every test here runs on fixed seeds, so it is deterministic; each threshold
 states the false-alarm rate it would have on random seeds. The checks test
 the law of the designated pair, not only the size of its gap:
 
-- the second moments of ``y_sum`` and ``z_sum`` against the grid Gram;
+- the second moments of ``y_sum`` and ``z_sum`` against the grid Gram, and
+  of ``z_sum`` joined with the mesh Gaussian against the bridge covariance;
 - the tree's cell counts, and the finer mesh-cell counts drawn given them,
   against their exact multinomial law at tiny n;
 - the mean grid gap against the largest per-coordinate 1-Wasserstein
@@ -31,6 +32,7 @@ from empbridge import (
     select_epsilon_vc,
 )
 from empbridge.coupling import _binom_ppf, _tree_pair
+from empbridge.function_classes import covariance
 
 INTERVALS = FunctionClass("intervals", envelope=1.0, mesh_size=201)
 MESH = (0.1, 0.35, 0.6, 0.9)
@@ -54,37 +56,66 @@ def test_binomial_quantile_matches_scipy_stats():
     assert np.array_equal(_binom_ppf(uu, NN, qq), binom.ppf(uu, NN, qq))
 
 
-@pytest.mark.parametrize("law", sorted(LAW_CASES))
-def test_quantile_grid_pair_has_the_gram_second_moments(law):
-    """E y y' and E z z' equal the grid Gram K under the quantile method.
-
-    R = 2000 realizations at n = 64. Each entry of a second-moment matrix
-    S = v'v / R is scaled by its Wishart standard deviation
-    sqrt((K_ii K_jj + K_ij^2) / R); the empirical side's fourth cumulant adds
-    a term of order 1/n, which the threshold absorbs. All z-scores of both
-    matrices must stay below the two-sided Bonferroni threshold for a
-    family-wise false-alarm rate of 0.001. An entry with zero variance (a
-    center with P(X <= c) = 1) must match K up to the rounding of the tree's
-    Gaussian sums.
-    """
-    P, eps = LAW_CASES[law]
-    n, R = 64, 2000
-    ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=MESH)
+def quantile_realizations(P, eps, method, R=2000, n=64):
+    """R quantile realizations at n on ``MESH``, streams 0..R-1, from a
+    context prepared for ``method``."""
+    ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=MESH, method=method)
     reals = [
         construct_joint(INTERVALS, P, n, eps, 1, SeedSpec(4099, r), "quantile", ctx)
         for r in range(R)
     ]
-    K, g = ctx.grid.gram, ctx.grid.size
+    return ctx, reals
+
+
+def assert_second_moments(samples: dict, K, tests: int) -> None:
+    """Each named (R, d) sample has second moments K, by Wishart z-scores.
+
+    Each entry of S = v'v / R is scaled by its Wishart standard deviation
+    sqrt((K_ii K_jj + K_ij^2) / R). All z-scores must stay below the
+    two-sided Bonferroni threshold for a family-wise false-alarm rate of
+    0.001 over the upper triangles of ``tests`` matrices. An entry with zero
+    variance must match K up to the rounding of the Gaussian sums.
+    """
+    R = len(next(iter(samples.values())))
     sd = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / R)
-    upper = np.triu_indices(g)
+    upper = np.triu_indices(len(K))
     exact = sd[upper] == 0.0
-    threshold = norm.isf(0.001 / (2 * 2 * len(upper[0])))
-    for side in ("y_sum", "z_sum"):
-        v = np.array([getattr(real, side) for real in reals])
+    threshold = norm.isf(0.001 / (2 * tests * len(upper[0])))
+    for side, v in samples.items():
         S = v.T @ v / R
         assert np.allclose(S[upper][exact], K[upper][exact], rtol=0.0, atol=1e-20), side
         z = np.abs(S - K)[upper][~exact] / sd[upper][~exact]
         assert z.max() < threshold, (side, z.max(), threshold)
+
+
+@pytest.mark.parametrize("law", sorted(LAW_CASES))
+def test_quantile_grid_pair_has_the_gram_second_moments(law):
+    """E y y' and E z z' equal the grid Gram K under the quantile method.
+
+    R = 2000 realizations at n = 64; the empirical side's fourth cumulant
+    adds a term of order 1/n to its Wishart spread, which the threshold
+    absorbs. A center with P(X <= c) = 1 has zero variance.
+    """
+    ctx, reals = quantile_realizations(*LAW_CASES[law], "exact")
+    sides = {side: np.array([getattr(r, side) for r in reals]) for side in ("y_sum", "z_sum")}
+    assert_second_moments(sides, ctx.grid.gram, tests=2)
+
+
+@pytest.mark.parametrize("law", sorted(LAW_CASES))
+def test_quantile_mesh_gaussian_has_the_bridge_second_moments(law):
+    """(z_sum, mesh_gauss) has the bridge covariance on the centers and the
+    mesh, so the cell-by-cell refinement is the conditional law given z_sum.
+
+    R = 2000 realizations at n = 64 from a context prepared for the quantile
+    method, which holds no dense law. Under the discrete law the mesh points
+    0.1 and 0.9 have zero variance.
+    """
+    P, eps = LAW_CASES[law]
+    ctx, reals = quantile_realizations(P, eps, "quantile")
+    assert ctx.law is None
+    joint = np.array([np.concatenate([r.z_sum, r.mesh_gauss]) for r in reals])
+    K = covariance(INTERVALS, P, list(ctx.grid.centers) + list(MESH))
+    assert_second_moments({"joint": joint}, K, tests=1)
 
 
 def _compositions(n: int, k: int):
@@ -113,7 +144,7 @@ def test_tree_and_mesh_cell_counts_have_the_multinomial_law(law):
     masses = np.diff(np.concatenate([[0.0], P.cdf(cuts[order]), [1.0]]))
     seen = Counter()
     for r in range(R):
-        y0, _, _, mesh_sums = _tree_pair(INTERVALS, n, SeedSpec(8191, r), ctx, 0)
+        y0, _, _, mesh_sums, _ = _tree_pair(INTERVALS, n, SeedSpec(8191, r), ctx, 0)
         grid_sums = y0 * math.sqrt(n) + n * ctx.grid_means
         cumulative = np.round(np.concatenate([grid_sums, mesh_sums])[order])
         seen[tuple(np.diff(np.concatenate([[0.0], cumulative, [n]])).astype(int))] += 1
