@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bridge import factorize
+from .bridge import build_bridge
 from .coupling import construct_joint, prepare_coupling, select_epsilon
 from .distributions import Distribution
 from .errors import (
@@ -41,7 +41,7 @@ from .errors import (
     ScheduleInvalidError,
 )
 from .exponents import _as_fraction, rate_thm1, rate_thm2
-from .function_classes import EntropyRegime, FunctionClass, covariance
+from .function_classes import EntropyRegime, FunctionClass
 from .seeds import SeedSpec
 
 REGIMES = ("vc", "br")
@@ -292,7 +292,6 @@ def run_sequential(
     contexts: tuple,
     seed: SeedSpec,
     m: int = 48,
-    method: str = "exact",
     tag_offset: int = 0,
 ) -> PathDiscrepancy:
     """Couple each block independently and track the path discrepancy.
@@ -308,12 +307,13 @@ def run_sequential(
     started from the signed gap that the previous block ended on. m_star is
     the first sample count at which some mesh point reaches the maximum.
     """
-    if method == "quantile":
-        raise ConfigError("the quantile method draws no sample points to fill in between")
+    for ctx in contexts:
+        if ctx.method != "exact":
+            raise ConfigError(f"the {ctx.method} method draws no sample points to fill in between")
     # Block 0 is the unit starter block of either regime.
     cls, P, eval_mesh = contexts[0].cls, contexts[0].P, list(contexts[0].eval_mesh)
     g = len(eval_mesh)
-    l_eval = factorize(covariance(cls, P, eval_mesh)).L
+    l_eval = build_bridge(cls, P, eval_mesh).L
     gap = np.zeros(g)
     block_running = []
     best = 0.0
@@ -328,7 +328,6 @@ def run_sequential(
             ctx.grid.epsilon,
             m,
             seed,
-            method=method,
             context=ctx,
             tag=tag_offset + k,
         )

@@ -2,25 +2,27 @@
 
 One realization works as follows. A grid of centers is built at radius
 epsilon; the empirical process on the grid is one mean-zero random vector
-(the Y-sum) whose summands are bounded by M sqrt(N/n). A batch of m
-independent Y-sums is paired with m independent Gaussian vectors carrying the
-grid covariance by a minimum-cost squared-Euclidean assignment, a concrete
-stand-in for the abstract coupling whose existence the exponential inequality
-asserts. The designated realization (batch index 0) keeps its matched
-Gaussian vector, which is then extended by Gaussian conditioning to a wider
-evaluation mesh, and the sup discrepancies on grid and mesh are recorded.
-The realization carries the designated sample points and their mesh Gaussian
-values, from which the sequential construction fills in the partial sums of
-a block.
+(the Y-sum) whose summands are bounded by M sqrt(N/n). It is coupled with a
+Gaussian vector carrying the grid covariance by the method that the
+``CouplingContext`` was prepared for, the Gaussian partner is extended to a
+wider evaluation mesh, and the sup discrepancies on grid and mesh are
+recorded. There are two methods, concrete stand-ins for the abstract coupling
+whose existence the exponential inequality asserts.
 
-Only the designated sample is drawn point by point and evaluated as a matrix,
+Under ``"exact"`` a batch of m independent Y-sums is paired with m
+independent Gaussian vectors by a minimum-cost squared-Euclidean assignment.
+The designated realization (batch index 0) keeps its matched Gaussian vector,
+which is extended to the mesh by Gaussian conditioning. The realization
+carries the designated sample points and their mesh Gaussian values, from
+which the sequential construction fills in the partial sums of a block. Only
+the designated sample is drawn point by point and evaluated as a matrix,
 since its per-summand bound is checked; its mesh values are column sums
 (``FunctionClass.column_sums``). The m - 1 auxiliary Y-sums all come from one
 generator, the ``auxiliary`` seed phase. For interval indicators the grid
-Y-sum of a sample depends only on the multinomial counts of the g+1 cells that
-the sorted centers cut out (the grid reduction of Dudley and Philipp), so the
-auxiliary Y-sums are drawn as multinomial cell counts and turned into grid
-sums by a cumulative sum, with the same law as from full samples. Other
+Y-sum of a sample depends only on the multinomial counts of the g+1 cells
+that the sorted centers cut out (the grid reduction of Dudley and Philipp),
+so the auxiliary Y-sums are drawn as multinomial cell counts and turned into
+grid sums by a cumulative sum, with the same law as from full samples. Other
 classes draw the m - 1 auxiliary samples as consecutive rows of that
 generator, in chunks of at most ``AUX_CHUNK_POINTS`` points, and reduce each
 chunk to its rows' column sums (``FunctionClass.batch_column_sums``) without
@@ -43,7 +45,10 @@ given their grid cell's count. The mesh Gaussian refines the grid cells'
 Gaussian masses the same way: the bridge is Markov, so given those masses its
 pieces inside the cells are independent pinned Brownian pieces, and each
 finer cell's mass is drawn from that exact conditional law. No dense
-conditional law is formed, and the realization's cost does not depend on n.
+conditional law is formed. The cost grows with n only through the binomial
+quantile (over 78 equal cells the tree took 0.19 ms at n = 2^10, 2.2 ms at
+2^30 and 26 ms at 2^50 on one core of a 2-core Xeon), which is exact up to
+n = 2^51 (``TREE_N_LIMIT``); a larger n is refused.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -80,6 +85,7 @@ from .function_classes import EntropyRegime, FunctionClass, Grid, build_grid, co
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
+TREE_N_LIMIT = 1 << 51  # largest n at which the quantile tree's binomial quantile is exact
 AUX_CHUNK_POINTS = 1 << 16  # most auxiliary points drawn and reduced at once
 BR_EPSILON_CAP = 1.0 / math.e  # the br radius never exceeds it
 
@@ -292,6 +298,7 @@ class CouplingContext:
     law: ConditionalLaw | None  # None when prepared for the quantile method
     mesh_means: np.ndarray
     grid_means: np.ndarray
+    method: str  # "exact" or "quantile": what ``construct_joint`` runs on it
     cells: IntervalCells | None = None  # interval classes only
 
 
@@ -304,7 +311,8 @@ def prepare_coupling(
 ) -> CouplingContext:
     """The grid, mean vectors and, for interval classes, cells at radius
     epsilon; for ``"exact"`` also the grid factor and the mesh's dense
-    conditional law given the grid, which ``"quantile"`` does not use."""
+    conditional law given the grid, which ``"quantile"`` does not use. The
+    context fixes the method that every realization on it runs."""
     check_method(method, cls)
     grid = build_grid(cls, P, epsilon)
     mesh = tuple(eval_mesh if eval_mesh is not None else cls.mesh)
@@ -323,6 +331,7 @@ def prepare_coupling(
         law,
         mean_vector(cls, P, list(mesh)),
         mean_vector(cls, P, list(grid.centers)),
+        method,
         interval_cells(P, grid.centers, mesh) if cls.kind == "intervals" else None,
     )
 
@@ -363,8 +372,10 @@ def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -
 
 
 def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
-    """The designated sample, its grid pair (y0, z0), the batch's mean
-    squared transport cost and the sample's mesh sums, by batch transport."""
+    """The ``"exact"`` method: the designated sample (``sample`` phase,
+    index 0), its grid pair (y0, z0) by batch transport, the batch's mean
+    squared cost, the sample's mesh sums and the mesh Gaussian drawn from the
+    context's conditional law given z0."""
     grid, model = context.grid, context.model
     centers = list(grid.centers)
     g = grid.size
@@ -386,16 +397,20 @@ def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
     y_batch = (sums - n * context.grid_means) / math.sqrt(n)
     z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch)
+    z0 = z_batch[plan.assignment[0]]
     mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
-    return designated, y_batch[0], z_batch[plan.assignment[0]], plan.cost, mesh_sums
+    mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
+    return designated, y_batch[0], z0, plan.cost, mesh_sums, mesh_gauss
 
 
-def _tree_pair(cls, n, seed, context, tag) -> tuple:
-    """The grid pair (y0, z0), its squared gap, the mesh counts and the mesh
-    Gaussian, by the dyadic quantile tree over the grid cells (``tree``
-    phase), one multinomial of the finer mesh cells given the grid cells'
-    counts (``refine`` phase) and the finer cells' Gaussian masses given the
-    grid cells' ones (``extend`` phase).
+def _tree_pair(cls, P, n, m, seed, context, tag) -> tuple:
+    """The ``"quantile"`` method (interval classes only), count-only: no
+    point is drawn (the first value is None) and m is not used. The grid
+    pair (y0, z0), its squared gap ||y0 - z0||^2, the mesh counts and the
+    mesh Gaussian come from the dyadic quantile tree over the grid cells
+    (``tree`` phase), one multinomial of the finer mesh cells given the grid
+    cells' counts (``refine`` phase) and the finer cells' Gaussian masses
+    given the grid cells' ones (``extend`` phase).
 
     Given its mass G_j on grid cell j of mass p_j, the bridge's masses on the
     finer cells of relative masses w_k are independent N(0, p_j w_k) pieces
@@ -404,6 +419,8 @@ def _tree_pair(cls, n, seed, context, tag) -> tuple:
     given their masses, so this is the mesh's exact law given z0."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
+    if n > TREE_N_LIMIT:
+        raise DomainError(f"the quantile method takes n up to 2^51 = {TREE_N_LIMIT}, got n = {n}")
     cells, g = context.cells, context.grid.size
     counts, gauss = _binomial_tree(cells.masses, n, seed.rng("tree", tag))
     # A point of cell j has grid values cells.grid_sums(e_j): its summand.
@@ -418,12 +435,16 @@ def _tree_pair(cls, n, seed, context, tag) -> tuple:
     pinned = pieces - w * pieces.sum(axis=1, keepdims=True)
     fine_gauss = w * gauss[:, None] + np.sqrt(cells.masses)[:, None] * pinned
     mesh_gauss = np.cumsum(fine_gauss, axis=None)[cells.mesh_at]
-    return y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums, mesh_gauss
+    return None, y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums, mesh_gauss
+
+
+# The grid pair of each coupling method, by the name a context is prepared for.
+_PAIRS = {"exact": _batch_pair, "quantile": _tree_pair}
 
 
 def check_method(method: str, cls: FunctionClass) -> None:
     """Refuse a coupling method that ``construct_joint`` cannot run on ``cls``."""
-    if method not in ("exact", "quantile"):
+    if method not in _PAIRS:
         raise ConfigError(f"unknown coupling method {method!r}")
     if method == "quantile" and cls.kind != "intervals":
         raise ConfigError(f"the quantile method couples intervals classes only, not {cls.kind}")
@@ -436,50 +457,25 @@ def construct_joint(
     epsilon: float,
     m: int,
     seed: SeedSpec,
-    method: str = "exact",
     context: CouplingContext | None = None,
     tag: int = 0,
 ) -> CouplingRealization:
-    """Run one full coupling realization.
-
-    ``"exact"``: the designated sample (batch 0) comes from the ``sample``
-    phase at index 0. The m - 1 auxiliary Y-sums come from one generator of
-    the ``auxiliary`` phase: for an interval class, one multinomial draw of
-    cell counts; for any other class, m - 1 samples of n points drawn as
-    consecutive rows, ``AUX_CHUNK_POINTS // n`` rows (at least one) per draw
-    and reduction. ``transport_cost`` is the batch's mean squared cost.
-
-    ``"quantile"`` (interval classes only): the grid pair comes from the
-    dyadic quantile tree, count-only: m is not used, no point is drawn and
-    the realization's ``points`` is None. The mesh Gaussian refines the grid
-    cells' Gaussian masses cell by cell. ``transport_cost`` is the squared
-    grid gap ||y0 - z0||^2.
-
-    Without ``context`` one is prepared for ``method`` on the class's own
-    mesh. A context prepared for ``"quantile"`` holds no conditional law and
-    cannot run ``"exact"``.
+    """Run one full coupling realization by the method ``context`` was
+    prepared for (see ``_batch_pair`` and ``_tree_pair``); without
+    ``context`` one is prepared for ``"exact"`` on the class's own mesh.
 
     ``tag`` namespaces the random streams so several couplings (for example
     blocks of a sequential construction) can share one seed spec. The
-    realization carries the designated sample and its Gaussian partner on the
-    evaluation mesh, which the sequential construction fills in between.
+    realization carries the designated sample (None under ``"quantile"``) and
+    its Gaussian partner on the evaluation mesh, which the sequential
+    construction fills in between.
     """
-    check_method(method, cls)
     if m < 1:
         raise DomainError("batch size must be >= 1")
     if context is None:
-        context = prepare_coupling(cls, P, epsilon, method=method)
-    if method == "quantile":
-        designated = None
-        y0, z0, cost, mesh_sums, mesh_gauss = _tree_pair(cls, n, seed, context, tag)
-    else:
-        if context.law is None:
-            raise ConfigError(
-                "the exact method needs a context prepared with method 'exact'; this one "
-                "was prepared for the quantile method and holds no conditional law"
-            )
-        designated, y0, z0, cost, mesh_sums = _batch_pair(cls, P, n, m, seed, context, tag)
-        mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
+        context = prepare_coupling(cls, P, epsilon)
+    pair = _PAIRS[context.method]
+    designated, y0, z0, cost, mesh_sums, mesh_gauss = pair(cls, P, n, m, seed, context, tag)
     sup_grid = float(np.abs(y0 - z0).max())
     mesh_emp = (mesh_sums - n * context.mesh_means) / math.sqrt(n)
     sup_mesh = float(np.abs(mesh_emp - mesh_gauss).max())

@@ -565,8 +565,7 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
         ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh, method=config.method)
         selected.append((n, eps, delta, t))
         task = partial(
-            _couple_task, config.cls, config.dist, n, eps, config.batch_for(i), config.seed,
-            method=config.method, context=ctx,
+            _couple_task, config.cls, config.dist, n, eps, config.batch_for(i), config.seed, context=ctx
         )
         tasks.append((f"n={n}", n, task))
     done, meta = _replicate(config, tasks)
@@ -611,7 +610,7 @@ def run_strong_approx(config: ExperimentConfig) -> ResultTable:
     for i, (N, schedule) in enumerate(zip(n_grid, schedules)):
         task = partial(
             _strong_task, schedule, contexts[i], config.seed,
-            m=config.schedule["m"], method=config.method, tag_offset=10_000 * i,
+            m=config.schedule["m"], tag_offset=10_000 * i,
         )
         tasks.append((f"N={N}", schedule.total, task))
     done, meta = _replicate(config, tasks)
@@ -714,7 +713,6 @@ def run_couple(config: ExperimentConfig) -> dict:
         eps,
         config.batch_for(0),
         replication_seed(config.seed, 0),
-        method=config.method,
         context=ctx,
     )
     doc = real.to_json_dict()

@@ -30,6 +30,7 @@ from empbridge import (
     schedule_br,
     schedule_vc,
 )
+import empbridge.blocking as blocking
 from empbridge.blocking import _floor_power
 from empbridge.bridge import covariance, factorize
 from empbridge.coupling import construct_joint, prepare_coupling, select_epsilon
@@ -326,7 +327,6 @@ def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
             eps,
             m,
             seed,
-            method="exact",
             context=ctx,
             tag=tag_offset + k,
         )
@@ -462,10 +462,13 @@ def test_each_block_draws_one_fill_generator(intervals, uniform, monkeypatch):
     assert opened == [((7 + k,), (n_k, 9)) for k, n_k in enumerate(sched.n)]
 
 
-def test_run_sequential_refuses_the_quantile_method():
+def test_run_sequential_refuses_the_quantile_method(intervals, uniform, monkeypatch):
     # A path fills in between the designated points, which the count-only
     # quantile method never draws; the refusal comes before any block runs.
     tau1, tau2 = rate_vc(1)
     schedule = schedule_vc(5, tau1, tau2, 2)
-    with pytest.raises(ConfigError, match="draws no sample points"):
-        run_sequential(schedule, (), SeedSpec(1), method="quantile")
+    exact = prepare_coupling(intervals, uniform, 0.5)
+    quantile = prepare_coupling(intervals, uniform, 0.5, method="quantile")
+    monkeypatch.setattr(blocking, "construct_joint", None)  # any block run fails otherwise
+    with pytest.raises(ConfigError, match="the quantile method draws no sample points"):
+        run_sequential(schedule, (exact, exact, quantile), SeedSpec(1))

@@ -416,6 +416,21 @@ def test_quantile_method_under_strong_is_a_config_error(capsys, tmp_path):
     assert_config_error(capsys, tmp_path, "strong", spec, "the quantile method draws no sample points")
 
 
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("couple", {"kind": "couple", "n_grid": [2**53]}),
+        ("approx", {"n_grid": [64, 2**53], "reps": 2, "method": "quantile", "eval_mesh_size": 9}),
+    ],
+    ids=["couple", "approx"],
+)
+def test_quantile_method_refuses_n_past_its_exact_range(capsys, tmp_path, command, spec):
+    # The tree's binomial quantile is exact up to n = 2^51; past it the refusal
+    # is one error line, with no RuntimeWarning from the quantile.
+    needle = "the quantile method takes n up to 2^51 = 2251799813685248, got n = 9007199254740992"
+    assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
 @pytest.mark.parametrize("command", ["couple", "approx"])
 def test_quantile_method_accepts_and_ignores_ot_batch(capsys, tmp_path, command):
     # Past the exact method's limit of 512 too: the tree pairs no batch.

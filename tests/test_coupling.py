@@ -317,17 +317,17 @@ def test_mesh_cells_refine_the_grid_cells(law, centers, mesh):
 
 
 def test_quantile_realization_is_count_only(intervals, uniform, seed):
-    ctx = prepare_coupling(intervals, uniform, 0.3, eval_mesh=[0.2, 0.5])
-    real = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, "quantile", ctx)
+    ctx = prepare_coupling(intervals, uniform, 0.3, eval_mesh=[0.2, 0.5], method="quantile")
+    real = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, ctx)
     assert real.points is None and real.mesh_gauss.shape == (2,)
     assert real.sup_grid == np.abs(real.y_sum - real.z_sum).max()
     assert real.transport_cost == ((real.y_sum - real.z_sum) ** 2).sum()
     # The grid sums are counts, and every stream is its own: another tag, another pair.
     sums = real.y_sum * 64.0 + 4096 * ctx.grid_means
     assert np.allclose(sums, np.round(sums), rtol=0.0, atol=1e-9)
-    again = construct_joint(intervals, uniform, 4096, 0.3, 512, seed, "quantile", ctx)
+    again = construct_joint(intervals, uniform, 4096, 0.3, 512, seed, ctx)
     assert (again.sup_grid, again.sup_mesh) == (real.sup_grid, real.sup_mesh)
-    other = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, "quantile", ctx, tag=1)
+    other = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, ctx, tag=1)
     assert other.sup_grid != real.sup_grid
 
 
@@ -343,7 +343,7 @@ def test_quantile_mesh_is_pinned_at_the_grid_centers(law, n):
     ctx = prepare_coupling(cls, P, eps, eval_mesh=mesh, method="quantile")
     at = [mesh.index(c) for c in centers]
     for stream in range(5):
-        y0, z0, _, mesh_sums, mesh_gauss = coupling._tree_pair(cls, n, SeedSpec(31, stream), ctx, 0)
+        _, y0, z0, _, mesh_sums, mesh_gauss = coupling._tree_pair(cls, P, n, 1, SeedSpec(31, stream), ctx, 0)
         assert np.allclose(mesh_gauss[at], z0, rtol=0.0, atol=1e-12)
         grid_counts = np.round(y0 * math.sqrt(n) + n * ctx.grid_means)
         assert np.array_equal(mesh_sums[at], grid_counts)
@@ -357,38 +357,53 @@ def test_quantile_context_holds_no_dense_law(intervals, uniform, seed):
     eps, mesh = select_epsilon_vc(2**30, 1.0), np.linspace(0.0, 1.0, 4000)
     start = time.perf_counter()
     ctx = prepare_coupling(intervals, uniform, eps, eval_mesh=mesh, method="quantile")
-    real = construct_joint(intervals, uniform, 2**30, eps, 1, seed, "quantile", ctx)
+    real = construct_joint(intervals, uniform, 2**30, eps, 1, seed, ctx)
     assert time.perf_counter() - start < 1.0
     assert ctx.law is None and ctx.model is None
     assert real.mesh_gauss.shape == (4000,) and np.isfinite(real.sup_mesh)
 
 
-def test_exact_method_refuses_a_quantile_context(intervals, uniform, seed):
-    ctx = prepare_coupling(intervals, uniform, 0.5, method="quantile")
-    with pytest.raises(ConfigError, match="the exact method .* quantile method"):
-        construct_joint(intervals, uniform, 64, 0.5, 8, seed, "exact", ctx)
+@pytest.mark.parametrize("master", [1, 2, 3])
+def test_quantile_tree_is_exact_at_its_largest_n(uniform, master, monkeypatch):
+    """At n = 2^51 the tree's binomial quantile raises no RuntimeWarning
+    (an error under this suite's filter) and its counts sum to n exactly."""
+    cls, n = FunctionClass("intervals", mesh_size=9), 2**51
+    eps = select_epsilon_vc(n, 1.0)
+    trees = []
+    tree = coupling._binomial_tree
+
+    def spy(*args):
+        trees.append(tree(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(coupling, "_binomial_tree", spy)
+    ctx = prepare_coupling(cls, uniform, eps, method="quantile")
+    real = construct_joint(cls, uniform, n, eps, 1, SeedSpec(master), ctx)
+    counts = trees[0][0]
+    assert counts.sum() == n and (counts >= 0).all() and np.array_equal(counts, np.round(counts))
+    assert np.isfinite(real.sup_mesh)
 
 
-def test_construct_joint_prepares_for_its_own_method(intervals, uniform, seed, monkeypatch):
-    methods = []
+def test_construct_joint_without_a_context_prepares_exact(intervals, uniform, seed, monkeypatch):
+    contexts = []
     prepare = coupling.prepare_coupling
 
     def spy(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return prepare(*args, **kwargs)
+        contexts.append(prepare(*args, **kwargs))
+        return contexts[-1]
 
     monkeypatch.setattr(coupling, "prepare_coupling", spy)
-    quantile = construct_joint(intervals, uniform, 64, 0.5, 1, seed, "quantile")
-    exact = construct_joint(intervals, uniform, 64, 0.5, 8, seed, "exact")
-    assert methods == ["quantile", "exact"]
-    assert quantile.mesh_gauss.shape == exact.mesh_gauss.shape == (len(intervals.mesh),)
+    real = construct_joint(intervals, uniform, 64, 0.5, 8, seed)
+    assert [ctx.method for ctx in contexts] == ["exact"]
+    assert contexts[0].law is not None and real.points.shape == (64,)
+    assert real.mesh_gauss.shape == (len(intervals.mesh),)
 
 
-def test_quantile_method_takes_interval_classes_only(uniform, seed):
+def test_quantile_method_takes_interval_classes_only(uniform):
     with pytest.raises(ConfigError, match="intervals classes only, not holder"):
-        construct_joint(FunctionClass("holder"), uniform, 64, 0.5, 1, seed, "quantile")
+        prepare_coupling(FunctionClass("holder"), uniform, 0.5, method="quantile")
     with pytest.raises(ConfigError, match="unknown coupling method 'sinkhorn'"):
-        construct_joint(FunctionClass("intervals"), uniform, 64, 0.5, 1, seed, "sinkhorn")
+        prepare_coupling(FunctionClass("intervals"), uniform, 0.5, method="sinkhorn")
 
 
 @pytest.mark.parametrize("method", ["exact", "quantile"])
@@ -396,10 +411,10 @@ def test_summand_check_refuses_an_envelope_lie(intervals, uniform, seed, method)
     # The grid is built for M = 1; with M = 0.1 every point's centered summand
     # breaks the bound M sqrt(g / n), and the quantile method sees it in the
     # occupied cells alone.
-    ctx = prepare_coupling(intervals, uniform, 0.5)
+    ctx = prepare_coupling(intervals, uniform, 0.5, method=method)
     lie = FunctionClass("intervals", envelope=0.1, mesh_size=201)
     with pytest.raises(NumericError, match="summand norm"):
-        construct_joint(lie, uniform, 64, 0.5, 8, seed, method, ctx)
+        construct_joint(lie, uniform, 64, 0.5, 8, seed, ctx)
 
 
 @pytest.fixture()

@@ -37,6 +37,7 @@ from empbridge import (
     select_delta_t,
     select_epsilon_vc,
 )
+from empbridge import cli, experiments
 from empbridge.cli import _KIND_BY_COMMAND
 from empbridge.experiments import (
     _BLOCKS,
@@ -224,12 +225,17 @@ def _acceptance_specs() -> list:
     return specs
 
 
+def _perfbench(name: str):
+    """The benchmark script ``perfbench/<name>.py``, loaded by path."""
+    loader = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
 def _benchmark_specs() -> list:
     """The configs of every benchmark workload: timed, accuracy and couple files."""
-    bench = ROOT / "perfbench"
-    loader = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
-    run = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(run)
+    bench, run = ROOT / "perfbench", _perfbench("run")
     specs = [json.loads((bench / name).read_text()) for name in ("couple.json", "couple-accuracy.json")]
     for work in run.WORKLOADS.values():
         if "spec" in work:
@@ -252,6 +258,32 @@ def test_acceptance_and_benchmark_configs_parse():
     assert len(acceptance) >= 4 and len(benchmark) >= 5 and len(golden) >= 14
     kinds = {config_from_dict(spec).kind for spec in acceptance + benchmark + golden}
     assert {"gauss-approx", "strong-approx", "couple", "entropy", "bounds-audit"} <= kinds
+
+
+def test_benchmark_tracer_sees_every_required_layer():
+    """Each benchmark workload, run once under the layer tracer, calls every
+    layer that its traced run requires, and construct_joint as often as its
+    config implies; a call site moved away from the tracer's names fails
+    here rather than only in a traced benchmark run."""
+    run, tracer = _perfbench("run"), _perfbench("tracer").Tracer()
+    for name, work in run.WORKLOADS.items():
+        tracer.reset()
+        tracer.install()
+        try:
+            if work["kind"] == "cli":
+                codes = [cli.main(run.cli_argv(cmd, 20260815, 0)) for cmd in run.CLI_COMMANDS]
+                assert codes == [0] * len(run.CLI_COMMANDS), name
+                joint_calls = 1
+            else:
+                spec = dict(work["spec"](20260815), workers=1)
+                runner = {"approx": experiments.run_gauss_approx, "strong": experiments.run_strong_approx}
+                runner[work["kind"]](config_from_dict(spec))
+                joint_calls = run.expected_joint_calls(work["kind"], spec)
+        finally:
+            tracer.uninstall()
+        counts = tracer.counts()
+        assert [layer for layer in work["layers"] if counts[layer]["calls"] == 0] == [], name
+        assert counts["coupling.construct_joint"]["calls"] == joint_calls, name
 
 
 def test_load_config(tmp_path):

@@ -56,14 +56,11 @@ def test_binomial_quantile_matches_scipy_stats():
     assert np.array_equal(_binom_ppf(uu, NN, qq), binom.ppf(uu, NN, qq))
 
 
-def quantile_realizations(P, eps, method, R=2000, n=64):
+def quantile_realizations(P, eps, R=2000, n=64):
     """R quantile realizations at n on ``MESH``, streams 0..R-1, from a
-    context prepared for ``method``."""
-    ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=MESH, method=method)
-    reals = [
-        construct_joint(INTERVALS, P, n, eps, 1, SeedSpec(4099, r), "quantile", ctx)
-        for r in range(R)
-    ]
+    context prepared for the quantile method."""
+    ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=MESH, method="quantile")
+    reals = [construct_joint(INTERVALS, P, n, eps, 1, SeedSpec(4099, r), ctx) for r in range(R)]
     return ctx, reals
 
 
@@ -96,7 +93,7 @@ def test_quantile_grid_pair_has_the_gram_second_moments(law):
     adds a term of order 1/n to its Wishart spread, which the threshold
     absorbs. A center with P(X <= c) = 1 has zero variance.
     """
-    ctx, reals = quantile_realizations(*LAW_CASES[law], "exact")
+    ctx, reals = quantile_realizations(*LAW_CASES[law])
     sides = {side: np.array([getattr(r, side) for r in reals]) for side in ("y_sum", "z_sum")}
     assert_second_moments(sides, ctx.grid.gram, tests=2)
 
@@ -111,7 +108,7 @@ def test_quantile_mesh_gaussian_has_the_bridge_second_moments(law):
     0.1 and 0.9 have zero variance.
     """
     P, eps = LAW_CASES[law]
-    ctx, reals = quantile_realizations(P, eps, "quantile")
+    ctx, reals = quantile_realizations(P, eps)
     assert ctx.law is None
     joint = np.array([np.concatenate([r.z_sum, r.mesh_gauss]) for r in reals])
     K = covariance(INTERVALS, P, list(ctx.grid.centers) + list(MESH))
@@ -138,13 +135,13 @@ def test_tree_and_mesh_cell_counts_have_the_multinomial_law(law):
     """
     P = LAW_CASES[law][0]
     n, R, eps, mesh = 4, 4000, 0.45, (0.1, 0.6)
-    ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=mesh)
+    ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=mesh, method="quantile")
     cuts = np.concatenate([ctx.grid.centers, mesh])
     order = np.argsort(cuts, kind="stable")
     masses = np.diff(np.concatenate([[0.0], P.cdf(cuts[order]), [1.0]]))
     seen = Counter()
     for r in range(R):
-        y0, _, _, mesh_sums, _ = _tree_pair(INTERVALS, n, SeedSpec(8191, r), ctx, 0)
+        _, y0, _, _, mesh_sums, _ = _tree_pair(INTERVALS, P, n, 1, SeedSpec(8191, r), ctx, 0)
         grid_sums = y0 * math.sqrt(n) + n * ctx.grid_means
         cumulative = np.round(np.concatenate([grid_sums, mesh_sums])[order])
         seen[tuple(np.diff(np.concatenate([[0.0], cumulative, [n]])).astype(int))] += 1
