@@ -321,16 +321,7 @@ def run_sequential(
     done = 0
     for k, ctx in enumerate(contexts):
         n_k = schedule.n[k]
-        real = construct_joint(
-            cls,
-            P,
-            n_k,
-            ctx.grid.epsilon,
-            m,
-            seed,
-            context=ctx,
-            tag=tag_offset + k,
-        )
+        real = construct_joint(ctx, n_k, m, seed, tag=tag_offset + k)
         steps = l_eval @ seed.rng("fill", tag_offset + k).standard_normal((n_k, g)).T
         values = cls.evaluate_matrix(eval_mesh, real.points)
         walk = _gap_walk(values, steps, math.sqrt(n_k) * real.mesh_gauss, ctx.mesh_means, gap)

@@ -1,13 +1,15 @@
 """Grid-level coupling of the empirical process with the Gaussian field.
 
-One realization works as follows. A grid of centers is built at radius
-epsilon; the empirical process on the grid is one mean-zero random vector
-(the Y-sum) whose summands are bounded by M sqrt(N/n). It is coupled with a
-Gaussian vector carrying the grid covariance by the method that the
-``CouplingContext`` was prepared for, the Gaussian partner is extended to a
-wider evaluation mesh, and the sup discrepancies on grid and mesh are
-recorded. There are two methods, concrete stand-ins for the abstract coupling
-whose existence the exponential inequality asserts.
+A ``CouplingContext`` (``prepare_coupling``) fixes, once per radius, the
+class, the law, a grid of centers built at radius epsilon, an evaluation mesh
+and the method; ``construct_joint(context, n, m, seed)`` reads all of them
+from it. One realization works as follows. The empirical process on the grid
+is one mean-zero random vector (the Y-sum) whose summands are bounded by
+M sqrt(N/n). It is coupled with a Gaussian vector carrying the grid
+covariance by the context's method, the Gaussian partner is extended to the
+evaluation mesh, and the sup discrepancies on grid and mesh are recorded.
+There are two methods, concrete stand-ins for the abstract coupling whose
+existence the exponential inequality asserts.
 
 Under ``"exact"`` a batch of m independent Y-sums is paired with m
 independent Gaussian vectors by a minimum-cost squared-Euclidean assignment.
@@ -81,7 +83,9 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .function_classes import EntropyRegime, FunctionClass, Grid, build_grid, covariance, mean_vector
+from .function_classes import (
+    EntropyRegime, FunctionClass, Grid, _monotone_cdf, build_grid, covariance, mean_vector
+)
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
@@ -131,14 +135,12 @@ class TransportPlan:
             raise DomainError("stored cost does not match the assignment")
 
 
-def ot_couple(source: np.ndarray, target: np.ndarray, method: str = "exact") -> TransportPlan:
+def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:
     """Pair batches by the exact minimum squared-Euclidean assignment."""
     source = np.atleast_2d(np.asarray(source, dtype=float))
     target = np.atleast_2d(np.asarray(target, dtype=float))
     if source.shape != target.shape:
         raise ShapeError(f"batch shapes differ: {source.shape} vs {target.shape}")
-    if method != "exact":
-        raise ConfigError(f"unknown coupling method {method!r}")
     m = source.shape[0]
     if m > OT_EXACT_LIMIT:
         raise CapacityError(f"exact assignment limited to {OT_EXACT_LIMIT} points, got {m}")
@@ -230,18 +232,18 @@ class IntervalCells:
 
 def interval_cells(P: Distribution, centers, mesh=()) -> IntervalCells:
     """Sort order and P-masses of the cells cut out by interval centers, and
-    their refinement by the interval parameters ``mesh``."""
+    their refinement by the interval parameters ``mesh``. Both read the
+    monotone CDF that the Gram and the means read, so a cell past t = 1 has
+    mass exactly 0."""
     thetas = np.asarray(centers, dtype=float)
     order = np.argsort(thetas, kind="stable")
-    F = np.asarray(P.cdf(thetas[order]), dtype=float)
-    masses = np.clip(np.diff(np.concatenate([[0.0], F, [1.0]])), 0.0, None)
+    masses = np.diff(np.concatenate([[0.0], _monotone_cdf(P, thetas[order]), [1.0]]))
     # Every cut, the centers first among ties. Finer cell i ends at sorted cut
     # i (the last one at +inf) and lies in the grid cell numbered by the
     # centers among the cuts before it.
     cuts = np.concatenate([thetas[order], np.asarray(mesh, dtype=float)])
     sort = np.argsort(cuts, kind="stable")
-    F = np.maximum.accumulate(np.asarray(P.cdf(cuts[sort]), dtype=float))
-    fine = np.clip(np.diff(np.concatenate([[0.0], F, [1.0]])), 0.0, None)
+    fine = np.diff(np.concatenate([[0.0], _monotone_cdf(P, cuts[sort]), [1.0]]))
     cell = np.concatenate([[0], np.cumsum(sort < len(thetas))])
     first = np.searchsorted(cell, np.arange(len(masses)))
     col = np.arange(len(cell)) - first[cell]
@@ -288,7 +290,9 @@ def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tupl
 
 @dataclass(frozen=True, eq=False)
 class CouplingContext:
-    """Reusable per-(grid, mesh) state shared across replications."""
+    """What every realization on it reads: class, law, grid (its epsilon is
+    the radius), evaluation mesh and method, with the state prepared for
+    them; shared across replications."""
 
     cls: FunctionClass
     P: Distribution
@@ -339,7 +343,6 @@ def prepare_coupling(
 @dataclass(frozen=True, eq=False)
 class CouplingRealization:
     n: int
-    epsilon: float
     grid: Grid
     y_sum: np.ndarray
     z_sum: np.ndarray
@@ -353,7 +356,7 @@ class CouplingRealization:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "epsilon": self.epsilon,
+            "epsilon": self.grid.epsilon,
             "grid_size": self.grid.size,
             "sup_grid": self.sup_grid,
             "sup_mesh": self.sup_mesh,
@@ -371,12 +374,12 @@ def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -
         raise NumericError(f"summand norm {norm:.6g} exceeds the bound {limit:.6g}")
 
 
-def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
+def _batch_pair(context, n, m, seed, tag) -> tuple:
     """The ``"exact"`` method: the designated sample (``sample`` phase,
     index 0), its grid pair (y0, z0) by batch transport, the batch's mean
     squared cost, the sample's mesh sums and the mesh Gaussian drawn from the
     context's conditional law given z0."""
-    grid, model = context.grid, context.model
+    cls, P, grid = context.cls, context.P, context.grid
     centers = list(grid.centers)
     g = grid.size
     designated = P.draw(n, seed.rng("sample", tag, 0))
@@ -395,7 +398,7 @@ def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
             xs = P.draw(k * n, aux)
             sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape((k, n) + xs.shape[1:]))
     y_batch = (sums - n * context.grid_means) / math.sqrt(n)
-    z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
+    z_batch = (context.model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch)
     z0 = z_batch[plan.assignment[0]]
     mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
@@ -403,7 +406,7 @@ def _batch_pair(cls, P, n, m, seed, context, tag) -> tuple:
     return designated, y_batch[0], z0, plan.cost, mesh_sums, mesh_gauss
 
 
-def _tree_pair(cls, P, n, m, seed, context, tag) -> tuple:
+def _tree_pair(context, n, m, seed, tag) -> tuple:
     """The ``"quantile"`` method (interval classes only), count-only: no
     point is drawn (the first value is None) and m is not used. The grid
     pair (y0, z0), its squared gap ||y0 - z0||^2, the mesh counts and the
@@ -417,15 +420,13 @@ def _tree_pair(cls, P, n, m, seed, context, tag) -> tuple:
     conditioned on summing to G_j: w_k G_j + sqrt(p_j) (sqrt(w_k) e_k -
     w_k sum_l sqrt(w_l) e_l) for standard normals e. Cells are independent
     given their masses, so this is the mesh's exact law given z0."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
     if n > TREE_N_LIMIT:
         raise DomainError(f"the quantile method takes n up to 2^51 = {TREE_N_LIMIT}, got n = {n}")
     cells, g = context.cells, context.grid.size
     counts, gauss = _binomial_tree(cells.masses, n, seed.rng("tree", tag))
     # A point of cell j has grid values cells.grid_sums(e_j): its summand.
     summands = cells.grid_sums(np.eye(g + 1)) - context.grid_means
-    _check_summand_norm((summands[counts > 0] ** 2) @ np.ones(g), cls.envelope, g, n)
+    _check_summand_norm((summands[counts > 0] ** 2) @ np.ones(g), context.cls.envelope, g, n)
     y0 = (cells.grid_sums(counts) - n * context.grid_means) / math.sqrt(n)
     z0 = cells.grid_sums(gauss)
     fine = seed.rng("refine", tag).multinomial(counts.astype(np.int64), cells.within)
@@ -451,18 +452,11 @@ def check_method(method: str, cls: FunctionClass) -> None:
 
 
 def construct_joint(
-    cls: FunctionClass,
-    P: Distribution,
-    n: int,
-    epsilon: float,
-    m: int,
-    seed: SeedSpec,
-    context: CouplingContext | None = None,
-    tag: int = 0,
+    context: CouplingContext, n: int, m: int, seed: SeedSpec, tag: int = 0
 ) -> CouplingRealization:
-    """Run one full coupling realization by the method ``context`` was
-    prepared for (see ``_batch_pair`` and ``_tree_pair``); without
-    ``context`` one is prepared for ``"exact"`` on the class's own mesh.
+    """Run one full coupling realization of n points on ``context``: its
+    class, law, grid (and so radius), evaluation mesh and method, which is
+    ``_batch_pair`` or ``_tree_pair``.
 
     ``tag`` namespaces the random streams so several couplings (for example
     blocks of a sequential construction) can share one seed spec. The
@@ -470,25 +464,15 @@ def construct_joint(
     its Gaussian partner on the evaluation mesh, which the sequential
     construction fills in between.
     """
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
     if m < 1:
         raise DomainError("batch size must be >= 1")
-    if context is None:
-        context = prepare_coupling(cls, P, epsilon)
     pair = _PAIRS[context.method]
-    designated, y0, z0, cost, mesh_sums, mesh_gauss = pair(cls, P, n, m, seed, context, tag)
+    designated, y0, z0, cost, mesh_sums, mesh_gauss = pair(context, n, m, seed, tag)
     sup_grid = float(np.abs(y0 - z0).max())
     mesh_emp = (mesh_sums - n * context.mesh_means) / math.sqrt(n)
     sup_mesh = float(np.abs(mesh_emp - mesh_gauss).max())
     return CouplingRealization(
-        n,
-        float(epsilon),
-        context.grid,
-        y0,
-        z0,
-        sup_grid,
-        sup_mesh,
-        cost,
-        seed,
-        designated,
-        mesh_gauss,
+        n, context.grid, y0, z0, sup_grid, sup_mesh, cost, seed, designated, mesh_gauss
     )

@@ -492,8 +492,8 @@ def _eval_mesh(cls: FunctionClass, size: int) -> tuple:
     return tuple(mesh[i] for i in idx)
 
 
-def _couple_task(cls, dist, n, eps, batch, master, rep, **kw):
-    real = construct_joint(cls, dist, n, eps, batch, replication_seed(master, rep), **kw)
+def _couple_task(context, n, batch, master, rep):
+    real = construct_joint(context, n, batch, replication_seed(master, rep))
     return real.sup_grid, real.sup_mesh, real.transport_cost
 
 
@@ -564,9 +564,7 @@ def run_gauss_approx(config: ExperimentConfig) -> ResultTable:
         eps, delta, t = _select_radius(config, n)
         ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh, method=config.method)
         selected.append((n, eps, delta, t))
-        task = partial(
-            _couple_task, config.cls, config.dist, n, eps, config.batch_for(i), config.seed, context=ctx
-        )
+        task = partial(_couple_task, ctx, n, config.batch_for(i), config.seed)
         tasks.append((f"n={n}", n, task))
     done, meta = _replicate(config, tasks)
     rows = []
@@ -706,15 +704,7 @@ def run_couple(config: ExperimentConfig) -> dict:
     eps, delta, t = _select_radius(config, n)
     mesh = _eval_mesh(config.cls, config.eval_mesh_size)
     ctx = prepare_coupling(config.cls, config.dist, eps, eval_mesh=mesh, method=config.method)
-    real = construct_joint(
-        config.cls,
-        config.dist,
-        n,
-        eps,
-        config.batch_for(0),
-        replication_seed(config.seed, 0),
-        context=ctx,
-    )
+    real = construct_joint(ctx, n, config.batch_for(0), replication_seed(config.seed, 0))
     doc = real.to_json_dict()
     doc["delta"] = delta
     doc["t"] = t

@@ -478,14 +478,14 @@ def _orthant_mass(P: Distribution, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _monotone_cdf(P: Distribution, thetas) -> np.ndarray:
     """P's CDF at interval parameters, raised to its running maximum in
     sorted parameter order: scipy's beta CDF can fall by one ulp near 1, and
-    interval moments, covers and brackets need it nondecreasing. It is
-    exactly 1 from t = 1 on, where a discrete law's weights may sum to one
-    ulp less."""
+    interval moments, covers, brackets and cells need it nondecreasing. It
+    never exceeds 1 and is exactly 1 from t = 1 on, where a discrete law's
+    weights may sum to a little more or less."""
     _require_dim(P, 1)
     t = np.asarray(thetas, dtype=float)
     order = np.argsort(t, kind="stable")
     F = np.empty(len(t))
-    F[order] = np.maximum.accumulate(np.asarray(P.cdf(t[order]), dtype=float))
+    F[order] = np.minimum(np.maximum.accumulate(np.asarray(P.cdf(t[order]), dtype=float)), 1.0)
     F[t >= 1.0] = 1.0
     return F
 

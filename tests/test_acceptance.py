@@ -202,9 +202,7 @@ def test_criterion_5_error_budget_dominance():
     for n in (100, 1000, 10_000):
         sups[n] = np.array(
             [
-                construct_joint(
-                    cls, P, n, epsilon, 128, SeedSpec(MASTER, 500 + rep), context=ctx, tag=n
-                ).sup_grid
+                construct_joint(ctx, n, 128, SeedSpec(MASTER, 500 + rep), tag=n).sup_grid
                 for rep in range(reps)
             ]
         )
@@ -262,7 +260,7 @@ def test_criterion_6_oracle_equivalences():
     rng = np.random.default_rng(MASTER)
     y = rng.normal(size=(64, 1))
     z = rng.normal(size=(64, 1))
-    plan = ot_couple(y, z, "exact")
+    plan = ot_couple(y, z)
     sorted_cost = float(((np.sort(y[:, 0]) - np.sort(z[:, 0])) ** 2).mean())
     sorted_assignment = np.empty(64, dtype=int)
     sorted_assignment[np.argsort(y[:, 0])] = np.argsort(z[:, 0])

@@ -320,16 +320,7 @@ def _reference_fill(cls, P, schedule, seed, m, eval_mesh, selector):
         if ctx is None:
             ctx = prepare_coupling(cls, P, eps, eval_mesh=eval_mesh)
             contexts[eps] = ctx
-        real = construct_joint(
-            cls,
-            P,
-            n_k,
-            eps,
-            m,
-            seed,
-            context=ctx,
-            tag=tag_offset + k,
-        )
+        real = construct_joint(ctx, n_k, m, seed, tag=tag_offset + k)
         per_block.append(real.sup_grid)
         root = math.sqrt(n_k)
         gauss_total = root * real.mesh_gauss

@@ -71,8 +71,9 @@ def test_y_sum_rejects_envelope_lie(uniform, seed):
         mesh_size=201,
         regime=EntropyRegime("vc", c0=400.0, nu0=2.0),
     )
+    ctx = prepare_coupling(lying, uniform, 0.4)
     with pytest.raises(NumericError, match="summand norm"):
-        construct_joint(lying, uniform, 50, 0.4, 8, seed)
+        construct_joint(ctx, 50, 8, seed)
 
 
 # -- transport plans ---------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_exact_matching_equals_sorted_one_dimensional(seed):
     rng = seed.rng("generic")
     src = rng.standard_normal((64, 1))
     tgt = rng.standard_normal((64, 1))
-    plan = ot_couple(src, tgt, method="exact")
+    plan = ot_couple(src, tgt)
     src_order = np.argsort(src[:, 0])
     tgt_order = np.argsort(tgt[:, 0])
     sorted_cost = float(((src[src_order, 0] - tgt[tgt_order, 0]) ** 2).mean())
@@ -126,14 +127,12 @@ def test_transport_plan_validation():
         TransportPlan(src, tgt, np.array([0, 1, 2]), 0.5)
     with pytest.raises(ShapeError):
         ot_couple(np.zeros((3, 1)), np.zeros((4, 1)))
-    with pytest.raises(ConfigError):
-        ot_couple(src, tgt, method="sinkhorn")
 
 
 def test_exact_capacity_limit():
     big = np.zeros((513, 1))
     with pytest.raises(CapacityError):
-        ot_couple(big, big, method="exact")
+        ot_couple(big, big)
 
 
 # -- radius selections -----------------------------------------------------------
@@ -187,7 +186,7 @@ def test_delta_t_selection_formulas():
 
 
 def test_construct_joint_smoke(intervals, uniform, seed):
-    real = construct_joint(intervals, uniform, n=128, epsilon=0.45, m=16, seed=seed)
+    real = construct_joint(prepare_coupling(intervals, uniform, 0.45), n=128, m=16, seed=seed)
     assert real.n == 128
     assert real.sup_grid >= 0.0
     assert real.sup_mesh >= 0.0
@@ -199,7 +198,7 @@ def test_construct_joint_smoke(intervals, uniform, seed):
 
 
 def test_construct_joint_json_schema(intervals, uniform, seed):
-    real = construct_joint(intervals, uniform, n=64, epsilon=0.5, m=4, seed=seed)
+    real = construct_joint(prepare_coupling(intervals, uniform, 0.5), n=64, m=4, seed=seed)
     doc = real.to_json_dict()
     assert list(doc) == [
         "n",
@@ -215,23 +214,24 @@ def test_construct_joint_json_schema(intervals, uniform, seed):
 
 
 def test_construct_joint_is_deterministic(intervals, uniform):
-    a = construct_joint(intervals, uniform, 64, 0.5, 8, SeedSpec(42, 1))
-    b = construct_joint(intervals, uniform, 64, 0.5, 8, SeedSpec(42, 1))
-    c = construct_joint(intervals, uniform, 64, 0.5, 8, SeedSpec(42, 2))
+    ctx = prepare_coupling(intervals, uniform, 0.5)
+    a = construct_joint(ctx, 64, 8, SeedSpec(42, 1))
+    b = construct_joint(ctx, 64, 8, SeedSpec(42, 1))
+    c = construct_joint(ctx, 64, 8, SeedSpec(42, 2))
     assert a.sup_grid == b.sup_grid and a.sup_mesh == b.sup_mesh
     assert a.sup_grid != c.sup_grid
 
 
 def test_construct_joint_tag_namespaces_draws(intervals, uniform, seed):
     ctx = prepare_coupling(intervals, uniform, 0.5)
-    a = construct_joint(intervals, uniform, 64, 0.5, 8, seed, context=ctx, tag=0)
-    b = construct_joint(intervals, uniform, 64, 0.5, 8, seed, context=ctx, tag=1)
+    a = construct_joint(ctx, 64, 8, seed, tag=0)
+    b = construct_joint(ctx, 64, 8, seed, tag=1)
     assert a.sup_grid != b.sup_grid
 
 
 def test_construct_joint_keep_sample(intervals, uniform, seed, empirical_process):
     ctx = prepare_coupling(intervals, uniform, 0.5, eval_mesh=[0.3, 0.7])
-    real = construct_joint(intervals, uniform, 64, 0.5, 4, seed, context=ctx)
+    real = construct_joint(ctx, 64, 4, seed)
     assert real.points.shape == (64,)
     assert real.mesh_gauss.shape == (2,)
     # The reported mesh discrepancy is reproducible from the kept pieces.
@@ -240,10 +240,14 @@ def test_construct_joint_keep_sample(intervals, uniform, seed, empirical_process
 
 
 def test_construct_joint_validation(intervals, uniform, seed):
-    with pytest.raises(DomainError):
-        construct_joint(intervals, uniform, 64, 0.5, 0, seed)
+    ctx = prepare_coupling(intervals, uniform, 0.5)
+    with pytest.raises(DomainError, match="batch size"):
+        construct_joint(ctx, 64, 0, seed)
     with pytest.raises(CapacityError):
-        construct_joint(intervals, uniform, 8, 0.5, 600, seed)
+        construct_joint(ctx, 8, 600, seed)
+    for method in ("exact", "quantile"):
+        with pytest.raises(DomainError, match="sample size"):
+            construct_joint(prepare_coupling(intervals, uniform, 0.5, method=method), 0, 1, seed)
 
 
 # -- interval cell counts ------------------------------------------------------------
@@ -316,18 +320,37 @@ def test_mesh_cells_refine_the_grid_cells(law, centers, mesh):
     assert np.allclose(cumulative[cells.mesh_at], P.cdf(np.asarray(mesh, float)), rtol=0.0, atol=1e-12)
 
 
+def test_no_mass_past_one():
+    """The cells read the monotone CDF, which is exactly 1 from t = 1 on,
+    although these weights sum to one ulp less."""
+    P = Distribution("discrete", atoms=(0.2, 0.5, 1.0), weights=(0.7, 0.2, 0.1))
+    for mesh in ((), (0.2, 0.7, 1.0)):
+        cells = interval_cells(P, [0.5, 1.0], mesh)
+        assert cells.masses[-1] == 0.0
+
+
+@pytest.mark.parametrize("method", ["exact", "quantile"])
+def test_cells_of_weights_summing_above_one(intervals, seed, method):
+    """Weights may sum to 1 + 5e-13; the CDF stays capped at 1, so no cell
+    mass is negative and the mesh multinomial accepts every row."""
+    P = Distribution("discrete", atoms=(0.2, 0.5, 0.7), weights=(0.5, 0.25, 0.25 + 5e-13))
+    ctx = prepare_coupling(intervals, P, 0.4, eval_mesh=(0.3, 0.75, 0.9), method=method)
+    assert (ctx.cells.masses >= 0).all() and (ctx.cells.within >= 0).all()
+    assert np.isfinite(construct_joint(ctx, 100, 8, seed).sup_mesh)
+
+
 def test_quantile_realization_is_count_only(intervals, uniform, seed):
     ctx = prepare_coupling(intervals, uniform, 0.3, eval_mesh=[0.2, 0.5], method="quantile")
-    real = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, ctx)
+    real = construct_joint(ctx, 4096, 1, seed)
     assert real.points is None and real.mesh_gauss.shape == (2,)
     assert real.sup_grid == np.abs(real.y_sum - real.z_sum).max()
     assert real.transport_cost == ((real.y_sum - real.z_sum) ** 2).sum()
     # The grid sums are counts, and every stream is its own: another tag, another pair.
     sums = real.y_sum * 64.0 + 4096 * ctx.grid_means
     assert np.allclose(sums, np.round(sums), rtol=0.0, atol=1e-9)
-    again = construct_joint(intervals, uniform, 4096, 0.3, 512, seed, ctx)
+    again = construct_joint(ctx, 4096, 512, seed)
     assert (again.sup_grid, again.sup_mesh) == (real.sup_grid, real.sup_mesh)
-    other = construct_joint(intervals, uniform, 4096, 0.3, 1, seed, ctx, tag=1)
+    other = construct_joint(ctx, 4096, 1, seed, tag=1)
     assert other.sup_grid != real.sup_grid
 
 
@@ -343,7 +366,7 @@ def test_quantile_mesh_is_pinned_at_the_grid_centers(law, n):
     ctx = prepare_coupling(cls, P, eps, eval_mesh=mesh, method="quantile")
     at = [mesh.index(c) for c in centers]
     for stream in range(5):
-        _, y0, z0, _, mesh_sums, mesh_gauss = coupling._tree_pair(cls, P, n, 1, SeedSpec(31, stream), ctx, 0)
+        _, y0, z0, _, mesh_sums, mesh_gauss = coupling._tree_pair(ctx, n, 1, SeedSpec(31, stream), 0)
         assert np.allclose(mesh_gauss[at], z0, rtol=0.0, atol=1e-12)
         grid_counts = np.round(y0 * math.sqrt(n) + n * ctx.grid_means)
         assert np.array_equal(mesh_sums[at], grid_counts)
@@ -357,7 +380,7 @@ def test_quantile_context_holds_no_dense_law(intervals, uniform, seed):
     eps, mesh = select_epsilon_vc(2**30, 1.0), np.linspace(0.0, 1.0, 4000)
     start = time.perf_counter()
     ctx = prepare_coupling(intervals, uniform, eps, eval_mesh=mesh, method="quantile")
-    real = construct_joint(intervals, uniform, 2**30, eps, 1, seed, ctx)
+    real = construct_joint(ctx, 2**30, 1, seed)
     assert time.perf_counter() - start < 1.0
     assert ctx.law is None and ctx.model is None
     assert real.mesh_gauss.shape == (4000,) and np.isfinite(real.sup_mesh)
@@ -378,25 +401,10 @@ def test_quantile_tree_is_exact_at_its_largest_n(uniform, master, monkeypatch):
 
     monkeypatch.setattr(coupling, "_binomial_tree", spy)
     ctx = prepare_coupling(cls, uniform, eps, method="quantile")
-    real = construct_joint(cls, uniform, n, eps, 1, SeedSpec(master), ctx)
+    real = construct_joint(ctx, n, 1, SeedSpec(master))
     counts = trees[0][0]
     assert counts.sum() == n and (counts >= 0).all() and np.array_equal(counts, np.round(counts))
     assert np.isfinite(real.sup_mesh)
-
-
-def test_construct_joint_without_a_context_prepares_exact(intervals, uniform, seed, monkeypatch):
-    contexts = []
-    prepare = coupling.prepare_coupling
-
-    def spy(*args, **kwargs):
-        contexts.append(prepare(*args, **kwargs))
-        return contexts[-1]
-
-    monkeypatch.setattr(coupling, "prepare_coupling", spy)
-    real = construct_joint(intervals, uniform, 64, 0.5, 8, seed)
-    assert [ctx.method for ctx in contexts] == ["exact"]
-    assert contexts[0].law is not None and real.points.shape == (64,)
-    assert real.mesh_gauss.shape == (len(intervals.mesh),)
 
 
 def test_quantile_method_takes_interval_classes_only(uniform):
@@ -407,14 +415,18 @@ def test_quantile_method_takes_interval_classes_only(uniform):
 
 
 @pytest.mark.parametrize("method", ["exact", "quantile"])
-def test_summand_check_refuses_an_envelope_lie(intervals, uniform, seed, method):
-    # The grid is built for M = 1; with M = 0.1 every point's centered summand
-    # breaks the bound M sqrt(g / n), and the quantile method sees it in the
-    # occupied cells alone.
-    ctx = prepare_coupling(intervals, uniform, 0.5, method=method)
-    lie = FunctionClass("intervals", envelope=0.1, mesh_size=201)
+def test_summand_check_refuses_an_envelope_lie(uniform, seed, method):
+    # With M = 0.1 every point's centered summand breaks the bound
+    # M sqrt(g / n), and the quantile method sees it in the occupied cells
+    # alone. The regime's constants are large enough that the grid is built.
+    from empbridge import EntropyRegime
+
+    lie = FunctionClass(
+        "intervals", envelope=0.1, mesh_size=201, regime=EntropyRegime("vc", c0=400.0, nu0=2.0)
+    )
+    ctx = prepare_coupling(lie, uniform, 0.5, method=method)
     with pytest.raises(NumericError, match="summand norm"):
-        construct_joint(lie, uniform, 64, 0.5, 8, seed, ctx)
+        construct_joint(ctx, 64, 8, seed)
 
 
 @pytest.fixture()
@@ -424,9 +436,9 @@ def transport_sources(monkeypatch):
     batches = []
     real_ot = coupling.ot_couple
 
-    def spy(source, target, method="exact"):
+    def spy(source, target):
         batches.append(source.copy())
-        return real_ot(source, target, method)
+        return real_ot(source, target)
 
     monkeypatch.setattr(coupling, "ot_couple", spy)
     return batches
@@ -444,7 +456,7 @@ def test_auxiliary_y_sums_have_the_grid_law(transport_sources, intervals, law):
     P, n = CELL_LAWS[law], 256
     ctx = prepare_coupling(intervals, P, 0.4)
     for stream in range(8):
-        construct_joint(intervals, P, n, 0.4, 512, SeedSpec(97, stream), context=ctx)
+        construct_joint(ctx, n, 512, SeedSpec(97, stream))
     y = np.concatenate([source[1:] for source in transport_sources])
     assert y.shape == (8 * 511, ctx.grid.size)
     # The sums behind the Y-sums are counts: rebuilt cell counts are
@@ -460,7 +472,7 @@ def test_auxiliary_y_sums_have_the_grid_law(transport_sources, intervals, law):
 
 
 def test_designated_sample_keeps_its_stream(intervals, uniform, seed, empirical_process):
-    real = construct_joint(intervals, uniform, 128, 0.45, 16, seed, tag=3)
+    real = construct_joint(prepare_coupling(intervals, uniform, 0.45), 128, 16, seed, tag=3)
     x = uniform.draw(128, seed.rng("sample", 3, 0))
     assert np.array_equal(real.points, x)
     alpha = empirical_process(intervals, uniform, x, list(real.grid.centers))
@@ -500,7 +512,7 @@ def test_auxiliary_sums_do_not_depend_on_the_chunk_size(monkeypatch, transport_s
     reals = []
     for chunk in (coupling.AUX_CHUNK_POINTS, 3 * n + 1, 1):
         monkeypatch.setattr(coupling, "AUX_CHUNK_POINTS", chunk)
-        reals.append(construct_joint(cls, P, n, eps, m, SeedSpec(5, 2), context=ctx))
+        reals.append(construct_joint(ctx, n, m, SeedSpec(5, 2)))
     first = bits(transport_sources[0])
     assert all(np.array_equal(bits(source), first) for source in transport_sources[1:])
     for real in reals[1:]:
@@ -529,7 +541,7 @@ def test_holder_auxiliary_y_sums_have_the_grid_second_moments(transport_sources)
     cls, P, n = FunctionClass("holder", envelope=1.0, mesh_size=64), Distribution("uniform"), 256
     ctx = prepare_coupling(cls, P, 0.12)
     for stream in range(8):
-        construct_joint(cls, P, n, 0.12, 512, SeedSpec(613, stream), context=ctx)
+        construct_joint(ctx, n, 512, SeedSpec(613, stream))
     y = np.concatenate([source[1:] for source in transport_sources])
     K, (R, g) = ctx.grid.gram, y.shape
     assert R == 8 * 511 and g >= 4

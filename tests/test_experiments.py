@@ -460,10 +460,10 @@ def test_gauss_approx_isolates_rare_failures(monkeypatch):
 
     real = exp.construct_joint
 
-    def flaky(cls, dist, n, eps, m, seed, **kw):
+    def flaky(context, n, m, seed):
         if seed.stream == 37:
             raise NumericError("planted failure")
-        return real(cls, dist, n, eps, m, seed, **kw)
+        return real(context, n, m, seed)
 
     monkeypatch.setattr(exp, "construct_joint", flaky)
     cfg = small_config(n_grid=(64,), reps=120, ot_batch=8)

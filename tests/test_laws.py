@@ -60,7 +60,7 @@ def quantile_realizations(P, eps, R=2000, n=64):
     """R quantile realizations at n on ``MESH``, streams 0..R-1, from a
     context prepared for the quantile method."""
     ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=MESH, method="quantile")
-    reals = [construct_joint(INTERVALS, P, n, eps, 1, SeedSpec(4099, r), ctx) for r in range(R)]
+    reals = [construct_joint(ctx, n, 1, SeedSpec(4099, r)) for r in range(R)]
     return ctx, reals
 
 
@@ -141,7 +141,7 @@ def test_tree_and_mesh_cell_counts_have_the_multinomial_law(law):
     masses = np.diff(np.concatenate([[0.0], P.cdf(cuts[order]), [1.0]]))
     seen = Counter()
     for r in range(R):
-        _, y0, _, _, mesh_sums, _ = _tree_pair(INTERVALS, P, n, 1, SeedSpec(8191, r), ctx, 0)
+        _, y0, _, _, mesh_sums, _ = _tree_pair(ctx, n, 1, SeedSpec(8191, r), 0)
         grid_sums = y0 * math.sqrt(n) + n * ctx.grid_means
         cumulative = np.round(np.concatenate([grid_sums, mesh_sums])[order])
         seen[tuple(np.diff(np.concatenate([[0.0], cumulative, [n]])).astype(int))] += 1
