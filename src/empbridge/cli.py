@@ -13,6 +13,7 @@ or out-of-memory error, 4 failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,7 +51,14 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after.
+
+    Reuse is safe: ``parse_args`` returns a fresh namespace on every call,
+    usage and errors go to the ``sys.stdout``/``sys.stderr`` of the moment,
+    and a rejected flag leaves the parser as it was.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON experiment config")
     common.add_argument("--seed", type=_u64, metavar="U64", help="master seed override")
@@ -118,7 +126,9 @@ def _dispatch(args) -> int:
 def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ConfigError(f"{flag}: {text!r} has a zero denominator") from None
+    except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
 
 

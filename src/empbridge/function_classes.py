@@ -141,7 +141,7 @@ class FunctionClass:
     def mesh(self) -> tuple:
         """Declared verification mesh of parameters."""
         if self.kind == "intervals":
-            return tuple(float(t) for t in np.linspace(0.0, 1.0, self.mesh_size))
+            return tuple(np.linspace(0.0, 1.0, self.mesh_size).tolist())
         if self.kind == "rectangles":
             per_axis = max(2, int(round(self.mesh_size ** (1.0 / self.dim))))
             axis = np.linspace(0.0, 1.0, per_axis)

@@ -10,6 +10,7 @@ import pytest
 
 import empbridge
 
+from empbridge import cli
 from empbridge.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -101,6 +102,22 @@ def test_rates_rejects_bad_rational(capsys):
     code, _, err = run_cli(capsys, "rates", "--nu0", "three sevenths")
     assert code == EXIT_CONFIG
     assert "--nu0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--nu0", "1/0"),
+        ("--nu0", "1", "--alpha", "1/0"),
+        ("--r0", "1/0"),
+    ],
+    ids=["nu0", "alpha", "r0"],
+)
+def test_rates_names_a_zero_denominator(capsys, argv):
+    code, out, err = run_cli(capsys, "rates", *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: {argv[-2]}: '1/0' has a zero denominator\n"
 
 
 def test_rates_check(capsys):
@@ -288,6 +305,34 @@ def test_seed_flag_rejects_oversized_values(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["couple", "--seed", str(2**64)])
     assert exc.value.code == 2
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_rejected_flags_leave_the_shared_parser_intact(capsys):
+    code, before, _ = run_cli(capsys, "couple", "--seed", "5")
+    assert code == EXIT_OK
+    for argv in (["couple", "--seed", str(2**64)], ["couple", "--workers", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: empbridge couple")
+    code, after, _ = run_cli(capsys, "couple", "--seed", "5")
+    assert code == EXIT_OK
+    assert after == before
+
+
+def test_no_flag_leaks_between_calls(capsys):
+    _, partial, _ = run_cli(capsys, "rates", "--nu0", "1")
+    assert [line.split(" = ")[0] for line in partial.strip().split("\n")] == ["tau1", "tau2"]
+    _, full, _ = run_cli(capsys, "rates")
+    names = [line.split(" = ")[0] for line in full.strip().split("\n")]
+    assert names == ["tau1", "tau2", "tau(alpha)", "kappa", "theta", "tau"]
 
 
 # -- malformed configs are rejected before any replication runs ---------------------

@@ -45,6 +45,13 @@ from empbridge.function_classes import (
 # -- indicators ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 1000])
+def test_interval_mesh_is_linspace_as_python_floats(size):
+    mesh = FunctionClass(kind="intervals", mesh_size=size).mesh
+    assert all(type(t) is float for t in mesh)
+    assert [t.hex() for t in mesh] == [float(t).hex() for t in np.linspace(0.0, 1.0, size)]
+
+
 def test_interval_indicator_evaluates_exactly(intervals):
     assert intervals.evaluate_matrix([0.5], [0.3, 0.7, 0.5]).tolist() == [[1.0], [0.0], [1.0]]
 
