@@ -68,6 +68,7 @@ from .errors import (
     DomainError,
     UnsupportedOperationError,
 )
+from .seeds import PHASES
 
 KINDS = ("intervals", "rectangles", "holder", "finite")
 FINITE_FORMS = ("interval", "rectangle", "constant")
@@ -162,7 +163,7 @@ class FunctionClass:
         function is always member 0.
         """
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.mesh_seed, spawn_key=(7,)))
+            np.random.PCG64(np.random.SeedSequence(self.mesh_seed, spawn_key=(PHASES["mesh"],)))
         )
         xs = self.knots
         s, radius, half = self.holder_exponent, self.holder_radius, self.envelope / 2.0

@@ -30,11 +30,11 @@ PHASES = {
     "target": 4,
     "extend": 5,
     "fill": 6,
-    "mesh": 7,
-    "holdout": 8,
+    "mesh": 7,  # a Hoelder class's admissible mesh, keyed by the class's mesh_seed alone
+    "holdout": 8,  # no consumer; reserved
     "auxiliary": 9,  # the m - 1 auxiliary transport samples of a coupling
     "tree": 10,  # the node normals of a quantile coupling's dyadic tree
-    "refine": 11,  # the mesh-cell counts of a quantile coupling, given its grid cells
+    "refine": 11,  # quantile finer-cell counts: one multinomial per grid cell, in cell order
 }
 
 

@@ -309,15 +309,33 @@ def test_cell_counts_give_the_column_sums(law, n, seed, data):
     mesh=st.lists(st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.6, 0.75, 1.0]), max_size=8),
 )
 def test_mesh_cells_refine_the_grid_cells(law, centers, mesh):
-    """Row j of ``within`` is a law on grid cell j's finer cells, and the
-    cumulative masses of all finer cells read at ``mesh_at`` are the CDF at
-    the mesh points, ties between centers and mesh points included."""
+    """The finer cells are listed left to right (``cell`` never decreases),
+    their masses given their grid cell sum to 1 in every grid cell that has
+    mass (to 0 in a massless one), and the cumulative masses of all finer
+    cells read at ``mesh_at`` are the CDF at the mesh points, ties between
+    centers and mesh points included."""
     P = CELL_LAWS[law]
     cells = interval_cells(P, centers, mesh)
-    assert cells.within.shape[0] == len(centers) + 1 and (cells.within >= 0).all()
-    assert np.allclose(cells.within.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-    cumulative = np.cumsum(cells.within * cells.masses[:, None])
+    assert cells.within.ndim == cells.cell.ndim == cells.mesh_at.ndim == 1
+    assert (cells.within >= 0).all() and (np.diff(cells.cell) >= 0).all()
+    per_cell = np.bincount(cells.cell, cells.within)
+    assert np.allclose(per_cell, cells.masses > 0, rtol=0.0, atol=1e-12)
+    assert len(per_cell) == len(centers) + 1
+    cumulative = np.cumsum(cells.within * cells.masses[cells.cell])
     assert np.allclose(cumulative[cells.mesh_at], P.cdf(np.asarray(mesh, float)), rtol=0.0, atol=1e-12)
+
+
+def test_refinement_holds_one_entry_per_finer_cell():
+    """At the vc radius for n = 2^30, beta(0.5, 5) on a 20,000-point interval
+    mesh gives 82 grid cells, the widest of which holds over 9,000 of the
+    mesh's finer cells. The refinement stores each finer cell once, with no
+    grid cell padded to the widest."""
+    cls = FunctionClass("intervals", mesh_size=20_000)
+    P = Distribution("beta", a=0.5, b=5.0)
+    ctx = prepare_coupling(cls, P, select_epsilon_vc(2**30, 1.0), method="quantile")
+    size = ctx.grid.size + len(ctx.eval_mesh) + 1
+    assert ctx.cells.within.shape == (size,)
+    assert ctx.cells.cell.shape == (size,) and ctx.cells.mesh_at.shape == (len(ctx.eval_mesh),)
 
 
 def test_no_mass_past_one():

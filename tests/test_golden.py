@@ -330,7 +330,12 @@ CASES = {
 # when the quantile method was added, and re-recorded when its mesh Gaussian
 # moved from the dense conditional law to the cell-by-cell refinement of the
 # grid cells' Gaussian masses: the same "extend" phase and the same law given
-# z_sum, but a new map from normals to draws, so only sup_mesh moves.
+# z_sum, but a new map from normals to draws, so only sup_mesh moves. Both
+# were re-recorded again when the refinement moved from a zero-padded
+# grid-cell by widest-cell array to one flat list of finer cells: the same
+# "refine" and "extend" phases and the same law, but a new map from draws to
+# finer cells (one multinomial per grid cell, one normal per finer cell and
+# none for padding), so again only sup_mesh moves.
 DIGESTS = {
     "approx-finite-beta": "99998cfa59819c81772741934ec066767b2f372241df66042ae8584edd66d3a6",
     "approx-finite-discrete": "1274eaf112308ca7c07d82a26199be4ae92ce131cc670ad1e19971e3f64d6238",
@@ -341,12 +346,12 @@ DIGESTS = {
     "approx-intervals-beta": "75575fbc946d88a2fedfd59c467d039b49db2bc9e39c0d6e323580a662361d99",
     "approx-intervals-discrete": "1f2358f67539b64dba6454b4080d055e883999a5972fa8d9ef8824e97af2288c",
     "approx-intervals-json-labels": "0a4055b915e382b9f66d5d9fd7903d869078c58d60a8c98facd16fa52280519e",
-    "approx-intervals-quantile": "df55773a72301241f0c4d28ed88b112dec84054d6888d02f10865a7b2192287a",
+    "approx-intervals-quantile": "65f4184b56695bfc5b32713fadaa5e51f0774cc7b95789dd9f3af87f4885f245",
     "approx-intervals-uniform": "e51c41b7bba341fb1752dd5e6241081acc25553e33b747a151c30c66d18a1890",
     "approx-rectangles-discrete": "d7113d3931c8917f5ce57d5e6ecec4583e7e930a32ea6b17a77e97b028d0e949",
     "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "d4a7a00c4401a0b55124c5e17e34d5c209697cccf4647ca767a62df80ac40a1b",
-    "couple-intervals-quantile": "0c9aef46c6342108437d758ac42f46dc6bf6e9ddc1e7a14e45127347517b283b",
+    "couple-intervals-quantile": "d937fbdb891c2d7bfbcd7b9f113fbcee3eed2c13ea6cf6ce2162018880834e75",
     "couple-rectangles": "49cd4ea64c2f26541a96f68b1723d52d4d808555e53cf3dbca1058cdd3736ed2",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-holder-beta": "ad6697a747db59936be3c7ec3036d12ea3a809492d103d7072b1177526b73ce3",

@@ -122,7 +122,17 @@ def _compositions(n: int, k: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-@pytest.mark.parametrize("law", ["beta", "discrete"])
+# The laws of the cell-count test: the unequal ones of LAW_CASES, and
+# beta(0.5, 5), whose density piles up near 0. At radius 0.45 its four grid
+# cells have masses from 0.011 to 0.41, and the mesh cuts only the last two.
+COUNT_LAWS = {
+    "beta": LAW_CASES["beta"][0],
+    "discrete": LAW_CASES["discrete"][0],
+    "skewed-beta": Distribution("beta", a=0.5, b=5.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(COUNT_LAWS))
 def test_tree_and_mesh_cell_counts_have_the_multinomial_law(law):
     """At n = 4 the counts of the finer cells that grid centers and mesh
     points cut out together are Multinomial(n, their masses).
@@ -133,7 +143,7 @@ def test_tree_and_mesh_cell_counts_have_the_multinomial_law(law):
     pooled into one bin. The chi-square p-value must exceed 0.001, the
     false-alarm rate. A massless cell must stay empty.
     """
-    P = LAW_CASES[law][0]
+    P = COUNT_LAWS[law]
     n, R, eps, mesh = 4, 4000, 0.45, (0.1, 0.6)
     ctx = prepare_coupling(INTERVALS, P, eps, eval_mesh=mesh, method="quantile")
     cuts = np.concatenate([ctx.grid.centers, mesh])
