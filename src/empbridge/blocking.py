@@ -107,8 +107,9 @@ def _floor_power(k: int, alpha: Fraction) -> int:
     return _int_root(k**alpha.numerator, alpha.denominator)
 
 
-def schedule_vc(alpha, tau1, tau2, N: int, beta: float | None = None) -> BlockingSchedule:
-    """Polynomial block schedule gated by 1/2 < tau1 alpha < 1 exactly."""
+def schedule_vc(alpha, tau1, tau2, N: int) -> BlockingSchedule:
+    """Polynomial block schedule gated by 1/2 < tau1 alpha < 1 exactly; its
+    ``s_of_N`` window exponent is beta = alpha / (1 + alpha)."""
     alpha_f, tau1_f = _as_fraction(alpha), _as_fraction(tau1)
     tau2_f = _as_fraction(tau2)
     if N < 2:
@@ -119,10 +120,6 @@ def schedule_vc(alpha, tau1, tau2, N: int, beta: float | None = None) -> Blockin
             f"block exponent alpha = {alpha_f} requires 1/2 < tau1 alpha < 1; "
             f"got tau1 alpha = {product}"
         )
-    if beta is None:
-        beta = float(alpha_f / (1 + alpha_f))
-    if not (0.0 < beta < 1.0):
-        raise DomainError("beta must lie in (0, 1)")
     n = [1] + [_floor_power(k, alpha_f) for k in range(1, N + 1)]
     cum = [0]
     for size in n:
@@ -133,18 +130,18 @@ def schedule_vc(alpha, tau1, tau2, N: int, beta: float | None = None) -> Blockin
         "tau2": float(tau2_f),
         "tau_alpha": float(rate_thm1(alpha_f, tau1_f)),
     }
-    return BlockingSchedule("vc", N, float(beta), tuple(n), tuple(cum), params)
+    beta = float(alpha_f / (1 + alpha_f))
+    return BlockingSchedule("vc", N, beta, tuple(n), tuple(cum), params)
 
 
-def schedule_br(kappa, N: int, beta: float = 0.7) -> BlockingSchedule:
-    """Stretched-exponential block schedule with a unit starter block."""
+def schedule_br(kappa, N: int) -> BlockingSchedule:
+    """Stretched-exponential block schedule with a unit starter block; its
+    ``s_of_N`` window exponent is beta = 0.7."""
     kappa_f = _as_fraction(kappa)
     if not (0 < kappa_f < Fraction(1, 2)):
         raise DomainError("kappa must lie in (0, 1/2)")
     if N < 2:
         raise DomainError("need at least N = 2 blocks")
-    if not (0.0 < beta < 1.0):
-        raise DomainError("beta must lie in (0, 1)")
     kf = float(kappa_f)
     exponents = [k ** (1.0 - kf) for k in range(1, N + 1)]
     if max(exponents) > _EXP_ARG_LIMIT:
@@ -156,7 +153,7 @@ def schedule_br(kappa, N: int, beta: float = 0.7) -> BlockingSchedule:
         cum.append(cum[-1] + size)
     theta, tau = rate_thm2(kappa_f)
     params = {"kappa": kf, "theta": float(theta), "tau": float(tau)}
-    return BlockingSchedule("br", N, float(beta), tuple(n), tuple(cum), params)
+    return BlockingSchedule("br", N, 0.7, tuple(n), tuple(cum), params)
 
 
 def s_of_N(schedule: BlockingSchedule, N: int | None = None) -> float:

@@ -1,13 +1,12 @@
-"""Closed-form tail and moment bounds, rate formulas, and the error budget.
+"""Closed-form tail and moment bounds and the error budget.
 
 Every bound is an explicit function of its inputs and a set of named
 constants. Universal constants that the underlying inequalities leave
 unspecified default to 1 and are always echoed in the report, so an
 overridden value is visible in every output. Reports carry the right-hand
 side, the event threshold where one exists, and a precondition verdict; a
-failing precondition never raises, it flags the report as advisory.
-
-Rate exponents are computed in exact rational arithmetic.
+failing precondition never raises, it flags the report as advisory. The
+rate exponents, in exact rational arithmetic, live in ``exponents``.
 """
 
 from __future__ import annotations

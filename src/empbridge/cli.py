@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Six subcommands: ``rates`` prints exact rate exponents; ``entropy``,
-``couple``, ``approx``, ``strong``, and ``bounds-audit`` each run one
-experiment kind from a JSON config (or built-in defaults), writing tables to
-``--out`` or stdout. Every subcommand accepts ``--check``, which appends
+Six subcommands: ``rates`` prints exact rate exponents and reads no config;
+``entropy``, ``couple``, ``approx``, ``strong``, and ``bounds-audit`` each run
+one experiment kind from a JSON config (or built-in defaults), writing tables
+to ``--out`` or stdout. Every subcommand accepts ``--check``, which appends
 one pass/fail line per self-check and exits 4 on any failure.
 
 Exit codes: 0 success, 2 configuration or domain error, 3 numeric, capacity
@@ -60,14 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
     and a rejected flag leaves the parser as it was.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    common.add_argument("--seed", type=_u64, metavar="U64", help="master seed override")
-    common.add_argument("--out", metavar="DIR", help="output directory (default: stdout)")
-    common.add_argument("--workers", type=_positive, metavar="N", help="process pool size")
     common.add_argument("--format", choices=("csv", "json"), help="table output format")
     common.add_argument(
         "--check", action="store_true", help="run self-checks; exit 4 on failure"
     )
+    run = argparse.ArgumentParser(add_help=False, parents=[common])
+    run.add_argument("--config", metavar="PATH", help="JSON experiment config")
+    run.add_argument("--seed", type=_u64, metavar="U64", help="master seed override")
+    run.add_argument("--out", metavar="DIR", help="output directory (default: stdout)")
+    run.add_argument("--workers", type=_positive, metavar="N", help="process pool size")
 
     parser = argparse.ArgumentParser(
         prog="empbridge",
@@ -82,13 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--alpha", metavar="Q", help="block growth exponent (rational)")
     rates.add_argument("--r0", metavar="Q", help="exponential entropy index (rational)")
 
-    sub.add_parser("entropy", parents=[common], help="covering/bracketing counts and fits")
-    sub.add_parser("couple", parents=[common], help="one coupling realization as JSON")
-    sub.add_parser("approx", parents=[common], help="replicated couplings across an n grid")
-    sub.add_parser("strong", parents=[common], help="sequential block constructions")
-    sub.add_parser(
-        "bounds-audit", parents=[common], help="evaluate the inequality battery"
-    )
+    sub.add_parser("entropy", parents=[run], help="covering/bracketing counts and fits")
+    sub.add_parser("couple", parents=[run], help="one coupling realization as JSON")
+    sub.add_parser("approx", parents=[run], help="replicated couplings across an n grid")
+    sub.add_parser("strong", parents=[run], help="sequential block constructions")
+    sub.add_parser("bounds-audit", parents=[run], help="evaluate the inequality battery")
     return parser
 
 

@@ -51,7 +51,7 @@ class Distribution:
             pts = self._atom_array()
             if pts.ndim != 2 or pts.shape[1] != self.dim:
                 raise ConfigError("atom dimension does not match dim")
-            if np.any(pts < 0.0) or np.any(pts > 1.0):
+            if not np.all((pts >= 0.0) & (pts <= 1.0)):  # NaN fails too
                 raise ConfigError("atoms must lie in [0,1]^d")
 
     def _atom_array(self) -> np.ndarray:

@@ -75,7 +75,19 @@ COUPLE_HEADER = (
 STRONG_HEADER = ("run_id", "regime", "N", "t_N", "m_star", "max_discrepancy", "normalized")
 ENTROPY_HEADER = ("epsilon", "cover_lower", "cover_upper", "exact", "bracketing")
 
-KINDS = ("gauss-approx", "strong-approx", "bounds-audit", "entropy", "couple")
+# The top-level keys and blocks each kind's run reads. config_from_dict refuses
+# any other given, non-null key but the run settings, which mirror the CLI flags.
+_READ_BY = {
+    "gauss-approx": ("class", "distribution", "selection", "n_grid", "ot_batch", "method",
+                     "eval_mesh_size", "gamma1", "gamma2", "reps", "labels"),
+    "couple": ("class", "distribution", "selection", "n_grid", "ot_batch", "method",
+               "eval_mesh_size", "gamma1", "gamma2"),
+    "strong-approx": ("class", "distribution", "selection", "reps", "labels", "schedule"),
+    "entropy": ("class", "distribution", "entropy"),
+    "bounds-audit": ("selection", "gamma1", "gamma2", "constants", "audit"),
+}
+_RUN_SETTINGS = ("kind", "seed", "out", "format", "workers")
+KINDS = tuple(_READ_BY)
 
 # The failures one replication may have without ending the run; programming
 # and config errors propagate.
@@ -256,7 +268,6 @@ _SCHEDULE = {
     "budget": (_int, 500_000),
     "eval_mesh_size": (_int, 9),
     "alpha": (_fraction, Fraction(5)),
-    "beta": (_optional(float), None),  # None: alpha / (1 + alpha) for vc, 0.7 for br
     "kappa": (_optional(_fraction), None),  # None: (1 - r0) / (2 r0)
 }
 _ENTROPY = {"radii": (_list_of(float), (0.6, 0.45, 0.3, 0.2, 0.15))}
@@ -333,11 +344,6 @@ class ExperimentConfig:
             quantile = self.kind == "couple" and self.cls.kind == "intervals"
             object.__setattr__(self, "method", "quantile" if quantile else "exact")
         check_method(self.method, self.cls)
-        if self.method == "quantile" and self.kind == "strong-approx":
-            raise ConfigError(
-                "the quantile method draws no sample points, and strong-approx runs fill "
-                "in between them; use method exact"
-            )
         if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
             raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
         if self.eval_mesh_size < 1:
@@ -384,18 +390,8 @@ _FIELDS = {
 _CONFIG_FIELDS = {"class": "cls", "distribution": "dist"}
 
 
-# Config key -> ("kind" or "selection", the kinds or selection types that read
-# it), for keys that only some runs read; any other run rejects the key.
-_READERS = {
-    "n_grid": ("kind", ("gauss-approx", "couple")),
-    "ot_batch": ("kind", ("gauss-approx", "couple")),
-    "eval_mesh_size": ("kind", ("gauss-approx", "couple")),
-    "method": ("kind", ("gauss-approx", "strong-approx", "couple")),
-    "gamma1": ("kind", ("gauss-approx", "couple", "bounds-audit")),
-    "gamma2": ("kind", ("gauss-approx", "couple", "bounds-audit")),
-    "schedule.alpha": ("selection", ("vc",)),
-    "schedule.kappa": ("selection", ("br",)),
-}
+# Schedule key -> the selection types whose block schedule reads it.
+_READERS = {"alpha": ("vc",), "kappa": ("br",)}
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
@@ -405,14 +401,20 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
     config = ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
     # Checked on the given keys, not in __post_init__, whose fields already
     # hold every default; an explicit null is the default and reads nothing.
-    run = {"kind": config.kind, "selection": config.selection.kind}
-    for key, (what, readers) in _READERS.items():
-        block, _, name = key.rpartition(".")
-        given = spec.get(block, {}) if block else spec
-        if given.get(name) is not None and run[what] not in readers:
+    reads = [
+        (key, [kind for kind, read in _READ_BY.items() if key in read], "kind", config.kind)
+        for key, value in spec.items()
+        if value is not None and key not in _RUN_SETTINGS
+    ] + [
+        (f"schedule.{key}", readers, "selection", config.selection.kind)
+        for key, readers in _READERS.items()
+        if spec.get("schedule", {}).get(key) is not None
+    ]
+    for key, readers, what, run in reads:
+        if run not in readers:
             raise ConfigError(
                 f"config field {key!r} is read only under a {' or '.join(readers)} {what}, "
-                f"not {run[what]}"
+                f"not {run}"
             )
     return config
 
@@ -578,14 +580,14 @@ def build_schedule(config: ExperimentConfig, N: int):
     spec, sel = config.schedule, config.selection
     if sel.kind == "vc":
         tau1, tau2 = rate_vc(sel.nu0)
-        return schedule_vc(spec["alpha"], tau1, tau2, N, beta=spec["beta"])
+        return schedule_vc(spec["alpha"], tau1, tau2, N)
     kappa = rate_br(sel.r0) if spec["kappa"] is None else spec["kappa"]
     if spec["kappa"] is None and kappa >= Fraction(1, 2):  # every r0 <= 1/2
         raise ConfigError(
             f"selection.r0 = {sel.r0} gives the default schedule.kappa = (1 - r0) / (2 r0)"
             f" = {kappa}, outside (0, 1/2); set schedule.kappa or take r0 in (1/2, 1)"
         )
-    return schedule_br(kappa, N, beta=0.7 if spec["beta"] is None else spec["beta"])
+    return schedule_br(kappa, N)
 
 
 def run_strong_approx(config: ExperimentConfig) -> ResultTable:

@@ -77,10 +77,9 @@ def test_alpha_gate_enforced_exactly():
 
 
 def test_beta_defaults_and_window():
-    sched = schedule_vc(5, TAU1, TAU2, 4)
-    assert sched.beta == pytest.approx(5.0 / 6.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        schedule_vc(5, TAU1, TAU2, 4, beta=1.0)
+    # beta, the exponent of s_of_N's window floor(N^beta) .. N, is fixed by the regime.
+    assert schedule_vc(5, TAU1, TAU2, 4).beta == pytest.approx(5.0 / 6.0, rel=1e-15)
+    assert schedule_br(Fraction(1, 6), 4).beta == 0.7
     with pytest.raises(DomainError):
         schedule_vc(5, TAU1, TAU2, 1)
 
@@ -107,7 +106,6 @@ def test_floor_power_matches_integer_brute_force(k, alpha):
 GATE_FRACTIONS = st.builds(Fraction, st.integers(6, 18), st.just(16))
 KAPPAS = st.builds(Fraction, st.integers(-1, 21), st.just(40))
 NU0S = st.sampled_from([1, 2, Fraction(1, 2)])
-BETAS = st.floats(0.0, 1.0)
 
 
 def assert_cumulative_identity(sched):
@@ -116,22 +114,22 @@ def assert_cumulative_identity(sched):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(f=GATE_FRACTIONS, nu0=NU0S, N=st.integers(0, 10), beta=st.none() | BETAS)
-def test_polynomial_schedule_cumulative_identity(f, nu0, N, beta):
+@given(f=GATE_FRACTIONS, nu0=NU0S, N=st.integers(0, 10))
+def test_polynomial_schedule_cumulative_identity(f, nu0, N):
     tau1, tau2 = rate_vc(nu0)
     alpha = f / tau1
     try:
-        sched = schedule_vc(alpha, tau1, tau2, N, beta=beta)
+        sched = schedule_vc(alpha, tau1, tau2, N)
     except (ScheduleInvalidError, DomainError):
         return
     assert_cumulative_identity(sched)
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(kappa=KAPPAS, N=st.integers(0, 60), beta=BETAS)
-def test_exponential_schedule_cumulative_identity(kappa, N, beta):
+@given(kappa=KAPPAS, N=st.integers(0, 60))
+def test_exponential_schedule_cumulative_identity(kappa, N):
     try:
-        sched = schedule_br(kappa, N, beta=beta)
+        sched = schedule_br(kappa, N)
     except (ScheduleInvalidError, DomainError):
         return
     assert_cumulative_identity(sched)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import resource
 import subprocess
 import sys
@@ -128,6 +129,19 @@ def test_rates_check(capsys):
     assert all(line.startswith("check rates") and line.endswith("pass") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--config", "c.json"], ["--out", "results"], ["--seed", "5"], ["--workers", "3"]],
+    ids=["config", "out", "seed", "workers"],
+)
+def test_rates_refuses_the_run_flags(capsys, argv):
+    # rates reads no config and writes no file; a run flag on it is a mistake.
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", *argv])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -213,6 +227,62 @@ def test_couple_check_passes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "couple", "--config", cfg, "--check")
     assert code == EXIT_OK
     assert "check couple values finite: pass" in out
+
+
+# Fixed-seed approx and strong runs whose --check passes and fails, each with
+# the pattern of its last line: the vc selection checks the log-log slope, the
+# br one the slope against log log n.
+BR = {"type": "br", "r0": 0.75}
+APPROX_CHECKS = {
+    "vc-pass": (
+        {"n_grid": [256, 1024, 4096, 16384], "reps": 4, "method": "quantile", "eval_mesh_size": 9},
+        EXIT_OK, r"pass",
+    ),
+    "vc-fail": (
+        {"n_grid": [64, 256, 1024], "reps": 4, "ot_batch": 4, "eval_mesh_size": 9},
+        EXIT_CHECK, r"fail \(slope 0\.\d+, need <= -0\.07, theory -0\.1429\)",
+    ),
+    "br-pass": (
+        {"n_grid": [256, 4096, 65536], "reps": 4, "method": "quantile", "eval_mesh_size": 9,
+         "selection": BR},
+        EXIT_OK, r"pass",
+    ),
+    "br-fail": (
+        {"n_grid": [64, 256, 1024], "reps": 4, "ot_batch": 8, "eval_mesh_size": 9, "selection": BR},
+        EXIT_CHECK, r"fail \(slope 0\.\d+ vs log log n, need < 0\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(APPROX_CHECKS))
+def test_approx_check(capsys, tmp_path, case):
+    spec, want, verdict = APPROX_CHECKS[case]
+    cfg = write_config(tmp_path, "approx.json", spec)
+    code, out, _ = run_cli(capsys, "approx", "--config", cfg, "--check")
+    assert code == want
+    assert re.fullmatch(f"check approx decay rate: {verdict}", out.strip().split("\n")[-1])
+
+
+STRONG_CHECKS = {
+    "pass": ({"seed": 1, "schedule": {"N_grid": [3, 6]}}, EXIT_OK, r"pass"),
+    "fail": (
+        {"seed": 3, "schedule": {"N_grid": [3, 6]}},
+        EXIT_CHECK, r"fail \(normalized medians \['0\.\d+', '1\.\d+'\]\)",
+    ),
+    "one-block-count": (
+        {"seed": 1, "schedule": {"N_grid": [3]}}, EXIT_CHECK, r"fail \(need at least 2 block counts\)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRONG_CHECKS))
+def test_strong_check(capsys, tmp_path, case):
+    spec, want, verdict = STRONG_CHECKS[case]
+    spec = dict(spec, reps=3, schedule=dict(spec["schedule"], m=4, eval_mesh_size=5))
+    cfg = write_config(tmp_path, "strong.json", spec)
+    code, out, _ = run_cli(capsys, "strong", "--config", cfg, "--check")
+    assert code == want
+    assert re.fullmatch(f"check strong normalized trend: {verdict}", out.strip().split("\n")[-1])
 
 
 # -- output plumbing -----------------------------------------------------------------
@@ -370,6 +440,11 @@ NAN = float("nan")
             {"distribution": {"kind": "discrete", "atoms": [0.25, 0.75], "weights": [0.5, NAN]}},
             "weights must be nonnegative",
         ),
+        (
+            "couple",
+            {"distribution": {"kind": "discrete", "atoms": [NAN, 0.5], "weights": [0.5, 0.5]}},
+            "atoms must lie in [0,1]^d",
+        ),
         ("bounds-audit", {"constants": {"A": NAN}}, "constant A must be positive, got nan"),
         ("strong", {"schedule": {"N_grid": []}}, "'schedule.N_grid' must be a nonempty list"),
         ("entropy", {"entropy": {"radii": []}}, "'entropy.radii' must be a nonempty list"),
@@ -377,7 +452,7 @@ NAN = float("nan")
         ("bounds-audit", {"audit": {"t_grid": [NAN]}}, "'audit.t_grid' must hold values > 0"),
     ],
     ids=[
-        "M", "R", "c0", "nu0", "a", "b", "weights", "A", "N_grid", "radii", "radii-nan", "t_grid-nan"
+        "M", "R", "c0", "nu0", "a", "b", "weights", "atoms", "A", "N_grid", "radii", "radii-nan", "t_grid-nan"
     ],
 )
 def test_nan_and_empty_list_fields_are_config_errors(capsys, tmp_path, command, spec, needle):
@@ -457,8 +532,10 @@ def test_quantile_method_on_a_non_interval_class_is_a_config_error(
 
 
 def test_quantile_method_under_strong_is_a_config_error(capsys, tmp_path):
+    # Strong runs always couple by exact, so they read no method.
     spec = {"method": "quantile", "schedule": {"N_grid": [4], "m": 8}}
-    assert_config_error(capsys, tmp_path, "strong", spec, "the quantile method draws no sample points")
+    needle = "config field 'method' is read only under a gauss-approx or couple kind, not strong-approx"
+    assert_config_error(capsys, tmp_path, "strong", spec, needle)
 
 
 @pytest.mark.parametrize(
@@ -517,7 +594,7 @@ def test_nonpositive_strong_batch_is_a_config_error(capsys, tmp_path):
 
 
 def test_oversized_exact_strong_batch_is_a_config_error(capsys, tmp_path):
-    spec = dict(STRONG, method="exact", schedule={"N_grid": [4], "m": 600})
+    spec = dict(STRONG, schedule={"N_grid": [4], "m": 600})
     assert_config_error(capsys, tmp_path, "strong", spec, "schedule m must be <= 512")
 
 
@@ -542,7 +619,6 @@ def test_nonpositive_strong_eval_mesh_size_is_a_config_error(capsys, tmp_path, s
 # A value of the wrong type under each key: one "error:" line that names it.
 MISTYPED = {
     "schedule.N_grid": ("strong", dict(STRONG, schedule={"N_grid": 4})),
-    "schedule.beta": ("strong", dict(STRONG, schedule={"N_grid": [4], "beta": "0.5x"})),
     "entropy.radii": ("entropy", {"kind": "entropy", "entropy": {"radii": 0.3}}),
     "audit.t_grid": ("bounds-audit", {"kind": "bounds-audit", "audit": {"t_grid": 1.0}}),
     "audit.budget_n_grid": ("bounds-audit", {"audit": {"budget_n_grid": 1024}}),
@@ -712,10 +788,7 @@ def test_top_level_key_a_strong_run_ignores_is_a_config_error(
 @pytest.mark.parametrize("command", ["entropy", "bounds-audit"])
 def test_method_under_a_run_without_transport_is_a_config_error(capsys, tmp_path, command):
     # These commands run the kind of the same name, which couples nothing.
-    needle = (
-        "config field 'method' is read only under a gauss-approx or strong-approx or couple "
-        f"kind, not {command}"
-    )
+    needle = f"config field 'method' is read only under a gauss-approx or couple kind, not {command}"
     assert_config_error(capsys, tmp_path, command, {"method": "exact"}, needle)
 
 
@@ -758,3 +831,54 @@ def test_non_integral_integer_field_is_a_config_error(capsys, tmp_path, key, com
 def test_nonpositive_gamma_is_a_config_error(capsys, tmp_path, spec):
     spec = dict(COUPLE, **spec)
     assert_config_error(capsys, tmp_path, "couple", spec, "gamma1 and gamma2 must be > 0")
+
+
+# The settings that a kind's run never read, each given a value that parses:
+# exit 2 with one "error:" line that names the key and the kinds that read it.
+UNREAD = {
+    "gauss-approx": ("constants", "schedule", "entropy", "audit"),
+    "couple": ("reps", "constants", "labels", "schedule", "entropy", "audit"),
+    "strong-approx": ("method", "constants", "entropy", "audit"),
+    "entropy": ("selection", "reps", "constants", "labels", "schedule", "audit"),
+    "bounds-audit": ("class", "distribution", "reps", "labels", "schedule", "entropy"),
+}
+UNREAD_VALUES = {
+    "class": {"kind": "intervals", "mesh_size": 51},
+    "distribution": {"kind": "beta", "a": 2.0},
+    "selection": {"type": "vc", "nu0": 2.0},
+    "method": "exact",
+    "reps": 50,
+    "labels": {"lambda": 0.1},
+    "constants": {"A1": 2.0},
+    "schedule": {"m": 8},
+    "entropy": {"radii": [0.5, 0.25]},
+    "audit": {"n": 512},
+}
+UNREAD_READERS = {
+    "class": "gauss-approx or couple or strong-approx or entropy",
+    "distribution": "gauss-approx or couple or strong-approx or entropy",
+    "selection": "gauss-approx or couple or strong-approx or bounds-audit",
+    "method": "gauss-approx or couple",
+    "reps": "gauss-approx or strong-approx",
+    "labels": "gauss-approx or strong-approx",
+    "constants": "bounds-audit",
+    "schedule": "strong-approx",
+    "entropy": "entropy",
+    "audit": "bounds-audit",
+}
+COMMAND_BY_KIND = {kind: command for command, kind in cli._KIND_BY_COMMAND.items()}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, keys in UNREAD.items() for key in keys]
+)
+def test_setting_a_kind_never_reads_is_a_config_error(capsys, tmp_path, kind, key):
+    needle = f"config field {key!r} is read only under a {UNREAD_READERS[key]} kind, not {kind}"
+    spec = {"kind": kind, key: UNREAD_VALUES[key]}
+    assert_config_error(capsys, tmp_path, COMMAND_BY_KIND[kind], spec, needle)
+
+
+def test_schedule_beta_is_an_unknown_config_field(capsys, tmp_path):
+    # No run reads the schedule's beta, which only s_of_N uses.
+    spec = dict(STRONG, schedule={"N_grid": [4], "beta": 0.5})
+    assert_config_error(capsys, tmp_path, "strong", spec, "unknown config fields: ['schedule.beta']")

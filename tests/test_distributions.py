@@ -66,6 +66,10 @@ def test_validation_rejects_bad_specs():
         Distribution("discrete", atoms=(0.2, 0.6), weights=(0.5, 0.6))
     with pytest.raises(ConfigError):
         Distribution("discrete", atoms=(1.2,), weights=(1.0,))
+    with pytest.raises(ConfigError, match=r"atoms must lie in \[0,1\]\^d"):
+        Distribution("discrete", atoms=(float("nan"), 0.5), weights=(0.5, 0.5))
+    with pytest.raises(ConfigError, match=r"atoms must lie in \[0,1\]\^d"):
+        Distribution("discrete", dim=2, atoms=((0.5, float("nan")),), weights=(1.0,))
     with pytest.raises(ConfigError):
         Distribution("uniform", dim=2)
     with pytest.raises(ConfigError):

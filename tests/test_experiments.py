@@ -43,7 +43,9 @@ from empbridge.experiments import (
     _BLOCKS,
     _CLASSES,
     _DISTRIBUTIONS,
+    _READ_BY,
     _REGIMES,
+    _RUN_SETTINGS,
     COUPLE_HEADER,
     KINDS,
     _eval_mesh,
@@ -86,28 +88,28 @@ def test_config_validation():
 
 def test_config_from_dict_round_trip():
     spec = {
-        "kind": "couple",
+        "kind": "gauss-approx",
         "class": {"kind": "intervals", "M": 1.0, "mesh_size": 101},
         "distribution": {"kind": "beta", "a": 2.0, "b": 3.0},
         "selection": {"type": "br", "b0": 1.5, "r0": 0.75},
         "n_grid": [128, 512],
         "reps": 3,
         "seed": 99,
-        "constants": {"A1": 2.0},
         "gamma1": 0.5,
         "workers": 2,
         "format": "json",
         "labels": {"lambda": 0.1},
     }
     cfg = config_from_dict(spec)
-    assert cfg.kind == "couple"
+    assert cfg.kind == "gauss-approx"
     assert cfg.cls.envelope == 1.0 and cfg.cls.mesh_size == 101
     assert cfg.dist.kind == "beta"
     assert cfg.selection.kind == "br" and cfg.selection.r0 == 0.75
-    assert cfg.n_grid == (128, 512)
-    assert cfg.constants.A1 == 2.0 and cfg.constants.A == 1.0
+    assert cfg.n_grid == (128, 512) and cfg.reps == 3
     assert cfg.gamma1 == 0.5
     assert cfg.labels == {"lambda": 0.1}
+    cfg = config_from_dict({"kind": "bounds-audit", "constants": {"A1": 2.0}})
+    assert cfg.constants.A1 == 2.0 and cfg.constants.A == 1.0
 
 
 def test_config_from_dict_rejects_unknowns():
@@ -195,11 +197,42 @@ def test_sym_moment_is_kept_as_given():
 
 
 def test_readme_config_block_is_the_defaults():
-    """The README's commented config block parses to ExperimentConfig()."""
+    """The README's commented config block, cut to each kind's keys and the
+    run settings, parses to ExperimentConfig(kind=...); the README's per-kind
+    key table is the parser's."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     spec = json.loads(re.sub(r"//.*", "", block))
-    assert config_from_dict(spec) == ExperimentConfig()
+    assert set(spec) == set(_RUN_SETTINGS).union(*_READ_BY.values())
+    for kind, keys in _READ_BY.items():
+        cut = {key: spec[key] for key in (*_RUN_SETTINGS, *keys)}
+        assert config_from_dict(dict(cut, kind=kind)) == ExperimentConfig(kind=kind), kind
+    rows = re.findall(r"^\| `([a-z-]+)` \| (`.*`) \|$", readme, flags=re.MULTILINE)
+    assert {kind: tuple(re.findall(r"`(\w+)`", keys)) for kind, keys in rows} == _READ_BY
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, keys in _READ_BY.items() for key in keys]
+)
+def test_every_key_a_kind_reads_parses_under_it(kind, key):
+    value = {
+        "class": {"kind": "intervals", "mesh_size": 51},
+        "distribution": {"kind": "beta", "a": 2.0},
+        "selection": {"type": "vc", "nu0": 2.0},
+        "n_grid": [64, 128],
+        "ot_batch": 8,
+        "method": "exact" if kind == "couple" else "quantile",  # not the default
+        "eval_mesh_size": 9,
+        "gamma1": 0.5,
+        "gamma2": 2.0,
+        "reps": 2,
+        "labels": {"lambda": 0.1},
+        "schedule": {"m": 8},
+        "entropy": {"radii": [0.5, 0.25]},
+        "constants": {"A1": 2.0},
+        "audit": {"n": 512},
+    }[key]
+    assert config_from_dict({"kind": kind, key: value}) != ExperimentConfig(kind=kind)
 
 
 def _acceptance_specs() -> list:

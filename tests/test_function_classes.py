@@ -781,6 +781,40 @@ def test_packing_exact_cover_and_greedy_cover_are_ordered(mesh, epsilon, law):
     assert 1 <= packing <= exact <= len(_greedy_cover(d < epsilon))
 
 
+def brute_force_cover_size(ball: np.ndarray) -> int:
+    """The fewest rows of ``ball`` whose union covers every column."""
+    n = ball.shape[0]
+    return next(
+        k
+        for k in range(1, n + 1)
+        if any(ball[list(rows)].any(axis=0).all() for rows in itertools.combinations(range(n), k))
+    )
+
+
+def test_exact_cover_beats_greedy_on_a_five_point_path():
+    # Points 0-3-2-4-1 in a path: greedy takes the middle point 2 first and
+    # then needs both ends, while the balls around 3 and 4 cover everything.
+    ball = np.eye(5, dtype=bool)
+    for i, j in ((0, 3), (3, 2), (2, 4), (4, 1)):
+        ball[i, j] = ball[j, i] = True
+    assert _greedy_cover(ball) == [2, 0, 1]
+    assert _exact_cover_size(ball) == brute_force_cover_size(ball) == 2
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(1, 9),
+    density=st.sampled_from([0.2, 0.35, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_cover_size_is_the_brute_force_minimum(n, density, seed):
+    """On symmetric reflexive ball matrices, as distances below a radius give,
+    the branch and bound finds the minimum, also where greedy overshoots it."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    ball = upper | upper.T | np.eye(n, dtype=bool)
+    assert _exact_cover_size(ball) == brute_force_cover_size(ball)
+
+
 def test_certificate_reuses_given_distances(uniform):
     cls = holder_class(mesh_size=40)
     d = dP_matrix(cls, uniform, list(cls.mesh))
