@@ -414,7 +414,9 @@ def _tree_pair(context, n, m, seed, tag) -> tuple:
     finer cells of relative masses w_k are independent N(0, p_j w_k) pieces
     conditioned on summing to G_j: w_k G_j + sqrt(p_j) (sqrt(w_k) e_k -
     w_k sum_l sqrt(w_l) e_l) for standard normals e. Cells are independent
-    given their masses, so this is the mesh's exact law given z0."""
+    given their masses, so this is the mesh's exact law given z0. A center
+    or mesh point with no mass to its right (CDF 1, variance 0) gets
+    Gaussian value exactly 0."""
     if n > TREE_N_LIMIT:
         raise DomainError(f"the quantile method takes n up to 2^51 = {TREE_N_LIMIT}, got n = {n}")
     cells, g = context.cells, context.grid.size
@@ -424,6 +426,9 @@ def _tree_pair(context, n, m, seed, tag) -> tuple:
     _check_summand_norm((summands[counts > 0] ** 2) @ np.ones(g), context.cls.envelope, g, n)
     y0 = (cells.grid_sums(counts) - n * context.grid_means) / math.sqrt(n)
     z0 = cells.grid_sums(gauss)
+    # Past the last cell with mass the bridge is pinned at the root's 0, which
+    # floating sums of the leaf masses need not return to: set it exactly.
+    z0[cells.order[np.flatnonzero(cells.masses)[-1] :]] = 0.0
     w, cell = cells.within, cells.cell
     refine = seed.rng("refine", tag)
     rows = zip(counts.astype(np.int64), np.split(w, np.flatnonzero(np.diff(cell)) + 1))
@@ -433,6 +438,7 @@ def _tree_pair(context, n, m, seed, tag) -> tuple:
     pinned = pieces - w * np.bincount(cell, pieces)[cell]
     fine_gauss = w * gauss[cell] + np.sqrt(cells.masses)[cell] * pinned
     mesh_gauss = np.cumsum(fine_gauss)[cells.mesh_at]
+    mesh_gauss[cells.mesh_at >= np.flatnonzero(w)[-1]] = 0.0
     return None, y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums, mesh_gauss
 
 

@@ -58,6 +58,7 @@ from .function_classes import (
     covering_certificate,
     dP_matrix,
     fit_entropy_counts,
+    mesh_cdf,
 )
 from .seeds import replication_seed
 
@@ -673,14 +674,19 @@ def fit_rate(
 def run_entropy(config: ExperimentConfig) -> ResultTable:
     """Covering, packing, and bracketing counts across a radius ladder."""
     radii = config.entropy["radii"]
-    distances = None  # interval meshes are counted by a sweep, with no matrix
-    if config.cls.kind != "intervals":
-        distances = dP_matrix(config.cls, config.dist, list(config.cls.mesh))
+    cls, P = config.cls, config.dist
+    # Read once for the whole ladder: interval meshes are counted by a sweep
+    # over the mesh CDF, which their brackets read too; others on the matrix.
+    distances = cdf = None
+    if cls.kind == "intervals":
+        cdf = mesh_cdf(cls, P)
+    else:
+        distances = dP_matrix(cls, P, list(cls.mesh))
     rows = []
     for eps in radii:
-        cert = covering_certificate(config.cls, config.dist, eps, distances=distances)
+        cert = covering_certificate(cls, P, eps, distances=distances, cdf=cdf)
         try:
-            brack = bracketing_number(config.cls, config.dist, eps)
+            brack = bracketing_number(cls, P, eps, cdf)
         except (UnsupportedOperationError, CapacityError):
             # Rectangles and finite classes have no brackets; a Hoelder
             # bracketing can exceed its cell budget.
@@ -689,7 +695,7 @@ def run_entropy(config: ExperimentConfig) -> ResultTable:
     meta: dict = {"kind": config.kind}
     counts = [r[2] for r in rows]
     try:
-        fit = fit_entropy_counts(radii, counts, config.cls.regime.kind)
+        fit = fit_entropy_counts(radii, counts, cls.regime.kind)
         meta["fit"] = {
             "model": fit.model,
             "constants": fit.constants,

@@ -142,7 +142,7 @@ class FunctionClass:
     def mesh(self) -> tuple:
         """Declared verification mesh of parameters."""
         if self.kind == "intervals":
-            return tuple(np.linspace(0.0, 1.0, self.mesh_size).tolist())
+            return tuple(self.mesh_array.tolist())
         if self.kind == "rectangles":
             per_axis = max(2, int(round(self.mesh_size ** (1.0 / self.dim))))
             axis = np.linspace(0.0, 1.0, per_axis)
@@ -150,6 +150,18 @@ class FunctionClass:
         if self.kind == "holder":
             return self._holder_mesh()
         return self.members
+
+    @cached_property
+    def mesh_array(self) -> np.ndarray:
+        """``mesh`` as one read-only float array, a row per member (one value
+        per interval, where it is the array that ``mesh`` lists). Finite
+        classes, whose members are descriptors, have none."""
+        if self.kind == "intervals":
+            arr = np.linspace(0.0, 1.0, self.mesh_size)
+        else:
+            arr = np.asarray(self.mesh, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def knots(self) -> np.ndarray:
@@ -491,6 +503,12 @@ def _monotone_cdf(P: Distribution, thetas) -> np.ndarray:
     return F
 
 
+def mesh_cdf(cls: FunctionClass, P: Distribution) -> np.ndarray:
+    """``_monotone_cdf`` on an interval class's mesh: what its covers and
+    brackets read, computed once by a caller that takes several radii."""
+    return _monotone_cdf(P, cls.mesh_array)
+
+
 def _cell_moments(P: Distribution, knots: np.ndarray) -> np.ndarray:
     """C[k, j] = E[(X - knots[j])^k; X in knot cell j], k = 0, 1, 2, under a
     beta or discrete law; shape (3, K - 1). Cell j is [knots[j], knots[j+1]),
@@ -569,7 +587,7 @@ def build_grid(cls: FunctionClass, P: Distribution, epsilon: float) -> Grid:
     return Grid(float(epsilon), tuple(centers), covariance(cls, P, centers))
 
 
-def _interval_cover(cls: FunctionClass, P: Distribution, epsilon: float):
+def _interval_cover(cls: FunctionClass, P: Distribution, epsilon: float, cdf=None):
     """Mesh indices of a minimum strict epsilon-cover of an interval mesh.
 
     On a mesh sorted by parameter, ``dP_matrix`` gives d[i, k] for k >= i as
@@ -577,23 +595,25 @@ def _interval_cover(cls: FunctionClass, P: Distribution, epsilon: float):
     ``_monotone_cdf`` on the mesh, and is bitwise symmetric (q is F(min);
     addition commutes). That expression is nondecreasing in k (rounded
     addition is monotone), so the ball about i reaches right up to hi[i],
-    the first k with d[i, k] >= epsilon, which ``_right_edges`` finds in the
-    same arithmetic. With hi nondecreasing too, every ball is an index
-    window whose ends are nondecreasing in its center, and the sweep is the
-    minimum cover of a line by such windows: the first uncovered point i
-    takes the rightmost center covering it, hi[i] - 1, and the next
-    uncovered point is that center's right edge.
+    the first k with d[i, k] >= epsilon. ``_right_edges`` finds it by one
+    sorted search of F for F[i] + epsilon^2, checked row by row in that same
+    arithmetic, and bisects the rows whose check fails. With hi nondecreasing
+    too, every ball is an index window whose ends are nondecreasing in its
+    center, and the sweep is the minimum cover of a line by such windows: the
+    first uncovered point i takes the rightmost center covering it,
+    hi[i] - 1, and the next uncovered point is that center's right edge.
 
+    ``cdf`` is ``mesh_cdf(cls, P)`` when the caller already has it, as a
+    ladder of radii over one mesh does; it is computed here otherwise.
     Returns None for other classes, and when the mesh is not strictly
     increasing or hi falls somewhere (rounding can make it fall); the caller
     then works on the matrix.
     """
     if cls.kind != "intervals":
         return None
-    thetas = np.asarray(cls.mesh, dtype=float)
-    if np.any(np.diff(thetas) <= 0):
+    if np.any(np.diff(cls.mesh_array) <= 0):
         return None
-    hi = _right_edges(_monotone_cdf(P, thetas), epsilon)
+    hi = _right_edges(mesh_cdf(cls, P) if cdf is None else cdf, epsilon)
     if np.any(np.diff(hi) < 0):
         return None
     hi = hi.tolist()
@@ -643,7 +663,7 @@ class CoverCertificate:
 
 
 def covering_certificate(
-    cls: FunctionClass, P: Distribution, epsilon: float, distances=None
+    cls: FunctionClass, P: Distribution, epsilon: float, distances=None, cdf=None
 ) -> CoverCertificate:
     """Minimal strict-ball cover of the class mesh.
 
@@ -654,13 +674,14 @@ def covering_certificate(
     lower bound from a first-fit 2*epsilon-separated subset (an open
     epsilon-ball contains at most one point of such a subset).
 
-    ``distances`` is ``dP_matrix(cls, P, cls.mesh)`` when the caller already
-    has it, as a ladder of radii over one mesh does; it is computed here
-    otherwise. Only the matrix path reads it.
+    ``distances`` is ``dP_matrix(cls, P, cls.mesh)`` and ``cdf`` is
+    ``mesh_cdf(cls, P)`` when the caller already has them, as a ladder of
+    radii over one mesh does; each is computed here otherwise. Only the
+    matrix path reads ``distances``, and only the interval sweep ``cdf``.
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
-    picks = _interval_cover(cls, P, epsilon)
+    picks = _interval_cover(cls, P, epsilon, cdf)
     if picks is not None:
         return CoverCertificate(len(picks), len(picks), True)
     d = dP_matrix(cls, P, list(cls.mesh)) if distances is None else distances
@@ -676,17 +697,42 @@ def covering_certificate(
 def _right_edges(F: np.ndarray, radius: float) -> np.ndarray:
     """For each i, the first k >= i with d[i, k] >= radius, or len(F).
 
-    d[i, k] is ``dP_matrix``'s expression on the CDF values F. One bisection
-    step per bit of len(F) halves every bracket [lo, hi] at once; it needs
-    d[i, k] nondecreasing in k, which holds when F is nondecreasing.
+    d[i, k] is ``dP_matrix``'s expression on the CDF values F; for F
+    nondecreasing it is nondecreasing in k, so the answer is the one k with
+    d[i, k - 1] < radius (or k = i) and d[i, k] >= radius (or k = len(F)).
+    One sorted search of F for F[i] + radius^2 guesses k for every row, and
+    each guess is accepted only if that pair of conditions holds in d's own
+    arithmetic, which makes it exact. The search compares F[k] with the
+    rounded F[i] + radius^2, not d[i, k] with radius, so it can miss by a
+    place where d[i, k] sits at the radius; the rows whose guess fails take
+    the bisection.
     """
     n = len(F)
-    twice = 2.0 * F
-    lo, hi = np.arange(n), np.full(n, n)
+    rows = np.arange(n)
+    edge = np.maximum(np.searchsorted(F, F + radius * radius), rows)
+    inside = (edge == rows) | ~_far(F, F.take(edge - 1, mode="clip"), radius)
+    reached = (edge == n) | _far(F, F.take(edge, mode="clip"), radius)
+    missed = np.flatnonzero(~(inside & reached))
+    if len(missed):
+        edge[missed] = _bisect_edges(F, missed, radius)
+    return edge
+
+
+def _far(Fi: np.ndarray, Fk: np.ndarray, radius: float) -> np.ndarray:
+    """d[i, k] >= radius from the CDF values F[i] and F[k], elementwise, in
+    ``dP_matrix``'s arithmetic."""
+    d2 = (Fi + Fk) - 2.0 * Fi
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2) >= radius
+
+
+def _bisect_edges(F: np.ndarray, rows: np.ndarray, radius: float) -> np.ndarray:
+    """``_right_edges`` of the given rows by bisection: one step per bit of
+    len(F) halves every bracket [lo, hi] at once."""
+    n, Fi = len(F), F[rows]
+    lo, hi = rows.copy(), np.full(len(rows), n)
     for _ in range(n.bit_length()):
         mid = (lo + hi) >> 1
-        d2 = (F + np.take(F, mid, mode="clip")) - twice
-        far = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2) >= radius
+        far = _far(Fi, F.take(mid, mode="clip"), radius)
         np.copyto(hi, mid, where=far)
         np.copyto(lo, mid + 1, where=~far)
         np.minimum(lo, hi, out=lo)  # a closed bracket stays closed
@@ -761,11 +807,14 @@ class BracketSet:
     brackets: tuple  # pairs of (lower, upper) descriptors, kind-specific
 
 
-def bracketing_set(cls: FunctionClass, P: Distribution, epsilon: float) -> BracketSet:
+def bracketing_set(cls: FunctionClass, P: Distribution, epsilon: float, cdf=None) -> BracketSet:
+    """Brackets of width at most epsilon that cover the class mesh. ``cdf``
+    is ``mesh_cdf(cls, P)`` when the caller already has it; only interval
+    classes read it."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
     if cls.kind == "intervals":
-        return _interval_brackets(cls, P, epsilon)
+        return _interval_brackets(cls, P, epsilon, cdf)
     if cls.kind == "holder":
         return _holder_brackets(cls, P, epsilon)
     raise UnsupportedOperationError(
@@ -773,17 +822,17 @@ def bracketing_set(cls: FunctionClass, P: Distribution, epsilon: float) -> Brack
     )
 
 
-def bracketing_number(cls: FunctionClass, P: Distribution, epsilon: float) -> int:
-    return bracketing_set(cls, P, epsilon).count
+def bracketing_number(cls: FunctionClass, P: Distribution, epsilon: float, cdf=None) -> int:
+    return bracketing_set(cls, P, epsilon, cdf).count
 
 
-def _interval_brackets(cls, P, epsilon) -> BracketSet:
+def _interval_brackets(cls, P, epsilon, cdf) -> BracketSet:
     # Monotone chain: brackets [1{x<=a}, 1{x<=b}] with CDF gap <= eps^2, so
     # the bracket width is d_P(l, u) = sqrt(F(b) - F(a)) <= eps.
     k = int(math.ceil(1.0 / (epsilon * epsilon)))
     qs = np.linspace(0.0, 1.0, k + 1)
-    mesh = np.asarray(cls.mesh, dtype=float)
-    F = _monotone_cdf(P, mesh)
+    mesh = cls.mesh_array
+    F = mesh_cdf(cls, P) if cdf is None else cdf
     # Map CDF levels back to parameter boundaries on the mesh.
     bounds = mesh[np.searchsorted(F, qs, side="left").clip(0, len(mesh) - 1)].tolist()
     bounds[0], bounds[-1] = 0.0, 1.0

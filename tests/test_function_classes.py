@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import empbridge.function_classes as function_classes
 from empbridge import (
     CapacityError,
     ConfigError,
@@ -986,6 +987,55 @@ def test_interval_certificate_guard_falls_back_to_the_matrix(monkeypatch):
         grid = build_grid(cls, UNIFORM, r)
         assert grid.size == matrix_certificate(cls, UNIFORM, r).upper
         assert net_radius(cls, UNIFORM, grid) < r
+
+
+def bisected_right_edges(F, radius):
+    """Reference right edges: one bisection pass per bit of len(F) over every
+    row at once, in ``dP_matrix``'s arithmetic."""
+    n = len(F)
+    twice = 2.0 * F
+    lo, hi = np.arange(n), np.full(n, n)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        d2 = (F + np.take(F, mid, mode="clip")) - twice
+        far = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2) >= radius
+        np.copyto(hi, mid, where=far)
+        np.copyto(lo, mid + 1, where=~far)
+        np.minimum(lo, hi, out=lo)  # a closed bracket stays closed
+    return lo
+
+
+def test_right_edges_match_the_bisection(monkeypatch):
+    """The checked sorted search gives the bisection's edges on 2,000 random
+    nondecreasing F: linspace, sorted uniforms, skewed powers and heavy ties
+    on a few levels, at random radii and at radii whose square is exactly a
+    CDF gap. Some rows fail the search's check and take the bisection."""
+    fallbacks = []
+    bisect = function_classes._bisect_edges
+
+    def counted(F, rows, radius):
+        fallbacks.append(len(rows))
+        return bisect(F, rows, radius)
+
+    monkeypatch.setattr(function_classes, "_bisect_edges", counted)
+    rng = np.random.default_rng(20260815)
+    for case in range(2000):
+        n = int(rng.integers(1, 300))
+        shape = case % 4
+        if shape == 0:
+            F = np.linspace(0.0, 1.0, n)
+        elif shape == 1:
+            F = np.sort(rng.uniform(size=n))
+        elif shape == 2:
+            F = np.sort(rng.uniform(size=n)) ** rng.choice([0.1, 0.3, 3.0, 8.0])
+        else:
+            levels = np.sort(rng.uniform(size=int(rng.integers(2, 12))))
+            F = np.sort(rng.choice(np.append(np.round(levels * 16) / 16, 1.0), n))
+        i, k = np.sort(rng.integers(0, n, 2))
+        gap = (F[i] + F[k]) - 2.0 * F[i]
+        r = math.sqrt(gap) if case % 2 and gap > 0 else float(rng.uniform(0.01, 0.99))
+        assert np.array_equal(_right_edges(F, r), bisected_right_edges(F, r)), (case, r)
+    assert len(fallbacks) > 0
 
 
 # -- bracketing ----------------------------------------------------------------------

@@ -172,6 +172,14 @@ CASES = {
         {"kind": "entropy", "seed": SEED},
         "entropy.csv",
     ),
+    # The same ladder under beta(0.5, 5), whose CDF gaps on the mesh are the
+    # most uneven: 0.078 at the first mesh point, 1.2e-5 or less over the
+    # last 300, down to one ulp.
+    "entropy-intervals-skewed": (
+        "entropy",
+        {"kind": "entropy", "distribution": {"kind": "beta", "a": 0.5, "b": 5.0}, "seed": SEED},
+        "entropy.csv",
+    ),
     # 101 uniform mesh points 0.01 apart: at these radii many pairs sit
     # exactly on a cover ball's edge.
     "entropy-intervals-ties": (
@@ -290,6 +298,11 @@ CASES = {
 # reproduce byte for byte.
 # "entropy-holder" was recorded before the shared distance matrix, the
 # incremental greedy cover and the per-parameter interval counts.
+# "entropy-intervals-skewed" was recorded before the right edges of the
+# interval sweep moved from bisection to a checked sorted search, as the byte
+# guard for that change. Its bytes equal those of "entropy-intervals": the
+# bracket count is ceil(1 / epsilon^2) under any law, and the minimum covers
+# have the same sizes on this ladder.
 # "entropy-intervals" and "entropy-intervals-ties" were re-recorded when
 # interval certificates became the exact minimum cover of one index-window
 # sweep, in place of a greedy upper and a packing lower bound: every row is
@@ -356,6 +369,7 @@ DIGESTS = {
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-holder-beta": "ad6697a747db59936be3c7ec3036d12ea3a809492d103d7072b1177526b73ce3",
     "entropy-intervals": "1f8f70352e31db3c19e744c4e3906a8ecf988e44cfc38a60c064131856f4d917",
+    "entropy-intervals-skewed": "1f8f70352e31db3c19e744c4e3906a8ecf988e44cfc38a60c064131856f4d917",
     "entropy-intervals-ties": "eff94c5166d9d8bbbbc10deff057ca3b4f890fbcacd8cf67e5a91fc2eeb87d6a",
     "entropy-rectangles": "292cd14682be446021a829fada5082d43323f180c7710b10ccdba38c80db163b",
     "strong-intervals": "44558f78a5488e96a8435f3a882aedeadd179548d96de6a389353937e84f9430",

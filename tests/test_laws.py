@@ -37,12 +37,15 @@ from empbridge.function_classes import covariance
 INTERVALS = FunctionClass("intervals", envelope=1.0, mesh_size=201)
 MESH = (0.1, 0.35, 0.6, 0.9)
 # (law, radius): seven grid cells padded to eight leaves; fourteen cells
-# padded to sixteen under unequal masses; and a discrete law whose first and
-# last cells are massless, with a center at 1 whose coordinate has variance 0.
+# padded to sixteen under unequal masses; a discrete law whose first and
+# last cells are massless, with a center at 1 whose coordinate has variance 0;
+# and beta(0.5, 5), whose density piles up near 0, with centers at 0 and 1
+# (both variance 0) and a last, massless cell past the center at 1.
 LAW_CASES = {
     "uniform": (Distribution("uniform"), 0.3),
     "beta": (Distribution("beta", a=2.0, b=3.0), 0.2),
     "discrete": (Distribution("discrete", atoms=(0.25, 0.5, 0.75), weights=(0.3, 0.5, 0.2)), 0.3),
+    "skewed-beta": (Distribution("beta", a=0.5, b=5.0), 0.2),
 }
 
 
@@ -122,14 +125,10 @@ def _compositions(n: int, k: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-# The laws of the cell-count test: the unequal ones of LAW_CASES, and
-# beta(0.5, 5), whose density piles up near 0. At radius 0.45 its four grid
-# cells have masses from 0.011 to 0.41, and the mesh cuts only the last two.
-COUNT_LAWS = {
-    "beta": LAW_CASES["beta"][0],
-    "discrete": LAW_CASES["discrete"][0],
-    "skewed-beta": Distribution("beta", a=0.5, b=5.0),
-}
+# The laws of the cell-count test: the unequal ones of LAW_CASES. At radius
+# 0.45 the four grid cells of beta(0.5, 5) have masses from 0.011 to 0.41,
+# and the mesh cuts only the last two.
+COUNT_LAWS = {law: LAW_CASES[law][0] for law in ("beta", "discrete", "skewed-beta")}
 
 
 @pytest.mark.parametrize("law", sorted(COUNT_LAWS))
