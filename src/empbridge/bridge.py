@@ -42,14 +42,13 @@ _PINV_CUT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class BridgeModel:
-    params: tuple
     K: np.ndarray
     L: np.ndarray
     repair: float  # magnitude of the eigenvalue clamp applied to K
 
     @property
     def size(self) -> int:
-        return len(self.params)
+        return self.K.shape[0]
 
 
 def _clamped_factor(S: np.ndarray) -> tuple[np.ndarray, float]:
@@ -58,7 +57,7 @@ def _clamped_factor(S: np.ndarray) -> tuple[np.ndarray, float]:
     return v * np.sqrt(np.clip(w, 0.0, None))[None, :], float(w.min(initial=0.0))
 
 
-def factorize(K: np.ndarray, params=()) -> BridgeModel:
+def factorize(K: np.ndarray) -> BridgeModel:
     """Factor a covariance matrix, repairing tiny negative eigenvalues.
 
     Eigenvalues in [-1e-9, 0) are clamped to zero and the clamp magnitude is
@@ -69,18 +68,14 @@ def factorize(K: np.ndarray, params=()) -> BridgeModel:
         raise NotACovarianceError(f"covariance must be square, got shape {K.shape}")
     if np.abs(K - K.T).max(initial=0.0) > _SYM_TOL:
         raise NotACovarianceError("covariance matrix is not symmetric")
-    params = tuple(params) if params else tuple(range(K.shape[0]))
-    if len(params) != K.shape[0]:
-        raise NotACovarianceError("parameter list does not match matrix size")
     L, w_min = _clamped_factor(K)
     if w_min < _EIG_FLOOR:
         raise NotACovarianceError(f"eigenvalue {w_min:.3e} below the repair floor {_EIG_FLOOR:.0e}")
-    return BridgeModel(params, K, L, max(0.0, -w_min))
+    return BridgeModel(K, L, max(0.0, -w_min))
 
 
 def build_bridge(cls: FunctionClass, P: Distribution, params) -> BridgeModel:
-    params = list(params)
-    return factorize(covariance(cls, P, params), params)
+    return factorize(covariance(cls, P, list(params)))
 
 
 def sample_bridge_batch(model: BridgeModel, seed: SeedSpec, reps: int) -> np.ndarray:

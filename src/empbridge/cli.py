@@ -307,29 +307,22 @@ def _cmd_bounds_audit(config, check: bool) -> int:
                     str(rep["failing_condition"]),
                 )
             )
-    checks.append(_quick_gaussian_check(config.seed))
+    checks.append(_gaussian_tail_check())
     return _report_checks(checks)
 
 
-def _quick_gaussian_check(seed: int):
-    """Cheap Monte Carlo validity probe of the Gaussian concentration tail."""
-    import numpy as np
-
+def _gaussian_tail_check():
+    """The Borell tail of |Z|, Z ~ N(0, 1), about its median m = Phi^-1(3/4)
+    against the exact tail P(|Z| > m + t) = erfc((m + t) / sqrt(2))."""
     from .bounds import borell_tail
 
-    rng = np.random.default_rng(seed)
-    draws = np.abs(rng.standard_normal(20_000))
-    med = float(np.median(draws))
-    worst = ""
-    ok = True
+    median = 0.6744897501960817
+    fails = []
     for t in (0.5, 1.0, 2.0):
-        emp = float(np.mean(draws > med + t))
-        bound = borell_tail(t, 1.0)
-        se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / draws.size)
-        if emp > bound + 3.0 * se:
-            ok = False
-            worst = f"t={t}: empirical {emp:.5f} > bound {bound:.5f} + 3se"
-    return ("bounds gaussian tail Monte Carlo", ok, worst)
+        exact, bound = math.erfc((median + t) / math.sqrt(2.0)), borell_tail(t, 1.0)
+        if exact > bound:
+            fails.append(f"t={t}: exact {exact:.5f} > bound {bound:.5f}")
+    return ("bounds gaussian tail exact", not fails, "; ".join(fails))
 
 
 if __name__ == "__main__":

@@ -317,7 +317,7 @@ def prepare_coupling(
     mesh = tuple(eval_mesh if eval_mesh is not None else cls.mesh)
     model = law = None
     if method == "exact":
-        model = factorize(grid.gram, grid.centers)
+        model = factorize(grid.gram)
         joint = covariance(cls, P, list(grid.centers) + list(mesh))
         g = grid.size
         law = conditional_law(model, joint[g:, :g], joint[g:, g:])

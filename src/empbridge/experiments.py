@@ -76,8 +76,9 @@ COUPLE_HEADER = (
 STRONG_HEADER = ("run_id", "regime", "N", "t_N", "m_star", "max_discrepancy", "normalized")
 ENTROPY_HEADER = ("epsilon", "cover_lower", "cover_upper", "exact", "bracketing")
 
-# The top-level keys and blocks each kind's run reads. config_from_dict refuses
-# any other given, non-null key but the run settings, which mirror the CLI flags.
+# The top-level keys and blocks each kind's run reads. ExperimentConfig refuses
+# any other set field but the run settings, which every kind reads and which
+# mirror the CLI flags.
 _READ_BY = {
     "gauss-approx": ("class", "distribution", "selection", "n_grid", "ot_batch", "method",
                      "eval_mesh_size", "gamma1", "gamma2", "reps", "labels"),
@@ -98,11 +99,10 @@ REPLICATION_ERRORS = (NumericError, CapacityError, np.linalg.LinAlgError)
 #
 # Each config object is described by one table, key -> (converter, default),
 # and read by ``_parse``: a key that its table does not list, or a value that
-# its converter refuses, is a ConfigError naming the dotted key, and an absent
-# key takes its default. Objects with a "kind" (or "type") pick their table by
-# it, through ``_parse_tagged``.
-
-_UNSET = object()  # default of a key that is left out when absent
+# its converter refuses, is a ConfigError naming the dotted key. Objects with a
+# "kind" (or "type") pick their table by it, through ``_parse_tagged``, and an
+# absent key takes its default; ExperimentConfig fills its fields and blocks
+# through ``_gated``.
 
 
 def _text(value) -> str:
@@ -114,7 +114,7 @@ def _text(value) -> str:
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"must be an object, got {type(value).__name__}")
-    return value
+    return dict(value)  # a copy, so that no two configs share a default
 
 
 def _list_of(convert):
@@ -163,20 +163,14 @@ def _convert(name: str, convert, value):
 
 
 def _parse(path: str, table: dict, spec) -> dict:
-    """Every key of ``table`` from config object ``spec`` at dotted ``path``."""
+    """The keys given in config object ``spec`` at dotted ``path``, converted."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config field {path!r} must be an object")
     prefix = f"{path}." if path else ""
     unknown = sorted(f"{prefix}{key}" for key in spec if key not in table)
     if unknown:
         raise ConfigError(f"unknown config fields: {unknown}")
-    out = {}
-    for key, (convert, default) in table.items():
-        if key in spec:
-            out[key] = _convert(prefix + key, convert, spec[key])
-        elif default is not _UNSET:
-            out[key] = default
-    return out
+    return {key: _convert(prefix + key, table[key][0], value) for key, value in spec.items()}
 
 
 def _parse_tagged(path: str, tables: dict, spec, tag: str = "kind") -> dict:
@@ -186,7 +180,26 @@ def _parse_tagged(path: str, tables: dict, spec, tag: str = "kind") -> dict:
     name = spec[tag]
     if not isinstance(name, str) or name not in tables:
         raise ConfigError(f"unknown {path} {tag} {name!r}")
-    return _parse(path, {tag: (_text, _UNSET), **tables[name]}, spec)
+    table = {tag: (_text, name), **tables[name]}
+    return {key: default for key, (_, default) in table.items()} | _parse(path, table, spec)
+
+
+def _gated(path: str, table: dict, given: dict, readers: dict, what: str, run: str) -> dict:
+    """The keys of ``table`` that a ``run`` reads, each its ``given`` value or,
+    left out or None (unset), its default converted. ``readers`` maps a dotted
+    key to the ``what`` values that read it, every one where it lists none; a
+    key that ``run`` does not read is left out, and a ConfigError if set."""
+    out = {}
+    for key, (convert, default) in table.items():
+        value, read = given.get(key), readers.get(path + key, (run,))
+        if run in read:
+            out[key] = _convert(path + key, convert, default) if value is None else value
+        elif value is not None:
+            raise ConfigError(
+                f"config field {path + key!r} is read only under a {' or '.join(read)} "
+                f"{what}, not {run}"
+            )
+    return out
 
 
 _REGIMES = {
@@ -201,7 +214,7 @@ def regime_from_spec(spec: dict, field: str) -> EntropyRegime:
     return EntropyRegime(keys.pop("type"), **keys)
 
 
-_MEMBER = {"form": (_text, _UNSET), "theta": (lambda v: v, _UNSET)}  # both required
+_MEMBER = {"form": (_text, None), "theta": (lambda v: v, None)}  # both required
 
 
 def _member(value) -> tuple:
@@ -262,7 +275,7 @@ def distribution_from_spec(spec: dict) -> Distribution:
     return Distribution(**keys)
 
 
-# The blocks that only some kinds read; ExperimentConfig fills them in full.
+# The blocks that only some kinds read.
 _SCHEDULE = {
     "N_grid": (_list_of(_int), (4, 6, 8)),
     "m": (_int, 48),
@@ -281,75 +294,130 @@ _AUDIT = {  # Talagrand-tail inputs first, then vc-moment, br-moment and error-b
     "epsilon": (float, 0.25), "budget_n_grid": (_list_of(_int), (1024, 4096, 16384)),
 }
 _BLOCKS = {"schedule": _SCHEDULE, "entropy": _ENTROPY, "audit": _AUDIT}
+# Schedule key -> the selection types whose block schedule reads it.
+_READERS = {"schedule.alpha": ("vc",), "schedule.kappa": ("br",)}
+
+# Top-level config key -> (converter, default), the default as a config gives it.
+_FIELDS = {
+    "kind": (_text, "gauss-approx"),
+    "class": (class_from_spec, {"kind": "intervals"}),
+    "distribution": (distribution_from_spec, {"kind": "uniform"}),
+    "selection": (lambda v: regime_from_spec(v, "selection"), {"type": "vc"}),
+    "n_grid": (_list_of(_int), (256, 1024, 4096)),
+    "reps": (_int, 1),
+    "seed": (_int, 20260815),
+    "constants": (lambda v: BoundConstants(**v), {}),
+    "gamma1": (float, 1.0),
+    "gamma2": (float, 1.0),
+    "ot_batch": (_batch, 256),
+    "method": (_optional(_text), None),  # None: quantile for couple runs of intervals, else exact
+    "eval_mesh_size": (_int, 201),
+    "workers": (_int, 1),
+    "out": (_optional(_text), None),
+    "format": (_text, "csv"),
+    "labels": (_object, {}),
+    "schedule": (_object, {}),
+    "entropy": (_object, {}),
+    "audit": (_object, {}),
+}
+# Config keys named otherwise in ExperimentConfig.
+_CONFIG_FIELDS = {"class": "cls", "distribution": "dist"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str = "gauss-approx"
-    cls: FunctionClass = field(default_factory=lambda: FunctionClass("intervals"))
-    dist: Distribution = field(default_factory=lambda: Distribution("uniform"))
-    selection: EntropyRegime = field(default_factory=lambda: EntropyRegime("vc", c0=1.0, nu0=1.0))
-    n_grid: tuple = (256, 1024, 4096)
-    reps: int = 1
-    seed: int = 20260815
-    constants: BoundConstants = field(default_factory=BoundConstants)
-    gamma1: float = 1.0
-    gamma2: float = 1.0
-    ot_batch: int | tuple = 256
-    method: str | None = None  # None: quantile for couple runs of interval classes, else exact
-    eval_mesh_size: int = 201
-    workers: int = 1
+    """One experiment, checked as a run of its ``kind``.
+
+    A field left None is unset. A field that the kind reads takes its
+    ``_FIELDS`` default when unset, and its blocks their table defaults; a
+    field that it does not read stays None, and setting one is a ConfigError.
+    The schedule keys that one selection type reads (``_READERS``) follow the
+    same rule, left out of the block where unread.
+    """
+
+    kind: str | None = None
+    cls: FunctionClass | None = None
+    dist: Distribution | None = None
+    selection: EntropyRegime | None = None
+    n_grid: tuple | None = None
+    reps: int | None = None
+    seed: int | None = None
+    constants: BoundConstants | None = None
+    gamma1: float | None = None
+    gamma2: float | None = None
+    ot_batch: int | tuple | None = None
+    method: str | None = None
+    eval_mesh_size: int | None = None
+    workers: int | None = None
     out: str | None = None
-    format: str = "csv"
-    labels: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=dict)
-    entropy: dict = field(default_factory=dict)
-    audit: dict = field(default_factory=dict)
+    format: str | None = None
+    labels: dict | None = None
+    schedule: dict | None = None
+    entropy: dict | None = None
+    audit: dict | None = None
 
     def __post_init__(self):
+        kind = _FIELDS["kind"][1] if self.kind is None else self.kind
+        if kind not in KINDS:
+            raise ConfigError(f"unknown experiment kind {kind!r}")
+        given = {key: getattr(self, _CONFIG_FIELDS.get(key, key)) for key in _FIELDS}
+        readers = {key: [k for k, read in _READ_BY.items() if key in read]
+                   for key in _FIELDS if key not in _RUN_SETTINGS}
+        fields = _gated("", _FIELDS, given, readers, "kind", kind)
+        for key in _FIELDS:
+            object.__setattr__(self, _CONFIG_FIELDS.get(key, key), fields.get(key))
+        selection = getattr(self.selection, "kind", None)
         for block, table in _BLOCKS.items():
-            object.__setattr__(self, block, _parse(block, table, getattr(self, block)))
+            if getattr(self, block) is None:
+                continue
+            keys = _parse(block, table, getattr(self, block))
+            object.__setattr__(
+                self, block, _gated(f"{block}.", table, keys, _READERS, "selection", selection)
+            )
             for key, value in getattr(self, block).items():
                 if value == ():
                     raise ConfigError(f"config field '{block}.{key}' must be a nonempty list")
-        # Each test is written so that NaN fails it.
-        radii, t_grid = self.entropy["radii"], self.audit["t_grid"]
-        if not (all(0 < r < 1 for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
+        # Each test checks a field that the kind reads, and is written so that NaN fails it.
+        if self.entropy is not None:
+            radii = self.entropy["radii"]
+            if not (all(0 < r < 1 for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
+                raise ConfigError(
+                    "config field 'entropy.radii' must decrease strictly within (0, 1), "
+                    f"got {radii}"
+                )
+        if self.audit is not None and not all(t > 0 for t in self.audit["t_grid"]):
             raise ConfigError(
-                f"config field 'entropy.radii' must decrease strictly within (0, 1), got {radii}"
+                f"config field 'audit.t_grid' must hold values > 0, got {self.audit['t_grid']}"
             )
-        if not all(t > 0 for t in t_grid):
-            raise ConfigError(f"config field 'audit.t_grid' must hold values > 0, got {t_grid}")
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.reps < 1:
+        if self.reps is not None and self.reps < 1:
             raise ConfigError("replication count must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not self.n_grid:
+        if self.n_grid is not None and not self.n_grid:
             raise ConfigError("n grid must be nonempty")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+        if self.n_grid is not None and any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n grid must be strictly increasing")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
-        if not (self.gamma1 > 0 and self.gamma2 > 0):  # NaN fails too
+        if self.gamma1 is not None and not (self.gamma1 > 0 and self.gamma2 > 0):
             raise ConfigError(f"gamma1 and gamma2 must be > 0, got {self.gamma1}, {self.gamma2}")
-        batches = self.ot_batch if isinstance(self.ot_batch, tuple) else (self.ot_batch,)
-        if any(int(b) < 1 for b in batches):
-            raise ConfigError("ot_batch entries must be >= 1")
-        if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
-            raise ConfigError("per-n ot_batch needs one entry per n_grid value")
-        if self.method is None:
-            quantile = self.kind == "couple" and self.cls.kind == "intervals"
-            object.__setattr__(self, "method", "quantile" if quantile else "exact")
-        check_method(self.method, self.cls)
-        if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
-            raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
-        if self.eval_mesh_size < 1:
-            raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
-        if self.kind == "strong-approx":
+        if self.ot_batch is not None:  # read with method and eval_mesh_size by approx and couple
+            batches = self.ot_batch if isinstance(self.ot_batch, tuple) else (self.ot_batch,)
+            if any(int(b) < 1 for b in batches):
+                raise ConfigError("ot_batch entries must be >= 1")
+            if isinstance(self.ot_batch, tuple) and len(self.ot_batch) != len(self.n_grid):
+                raise ConfigError("per-n ot_batch needs one entry per n_grid value")
+            if self.method is None:
+                quantile = self.kind == "couple" and self.cls.kind == "intervals"
+                object.__setattr__(self, "method", "quantile" if quantile else "exact")
+            check_method(self.method, self.cls)
+            if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
+                raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
+            if self.eval_mesh_size < 1:
+                raise ConfigError(f"eval_mesh_size must be >= 1, got {self.eval_mesh_size}")
+        if self.schedule is not None:
             m, mesh_size = self.schedule["m"], self.schedule["eval_mesh_size"]
             if m < 1:
                 raise ConfigError(f"schedule m must be >= 1, got {m}")
@@ -363,61 +431,11 @@ class ExperimentConfig:
         return int(self.ot_batch[i]) if isinstance(self.ot_batch, tuple) else int(self.ot_batch)
 
 
-# Top-level config key -> (converter, default): an absent key takes its
-# ExperimentConfig field default.
-_FIELDS = {
-    "kind": (_text, _UNSET),
-    "class": (class_from_spec, _UNSET),
-    "distribution": (distribution_from_spec, _UNSET),
-    "selection": (lambda v: regime_from_spec(v, "selection"), _UNSET),
-    "n_grid": (_list_of(_int), _UNSET),
-    "reps": (_int, _UNSET),
-    "seed": (_int, _UNSET),
-    "constants": (lambda v: BoundConstants(**v), _UNSET),
-    "gamma1": (float, _UNSET),
-    "gamma2": (float, _UNSET),
-    "ot_batch": (_batch, _UNSET),
-    "method": (_optional(_text), _UNSET),
-    "eval_mesh_size": (_int, _UNSET),
-    "workers": (_int, _UNSET),
-    "out": (_optional(_text), _UNSET),
-    "format": (_text, _UNSET),
-    "labels": (_object, _UNSET),
-    "schedule": (_object, _UNSET),
-    "entropy": (_object, _UNSET),
-    "audit": (_object, _UNSET),
-}
-# Config keys named otherwise in ExperimentConfig.
-_CONFIG_FIELDS = {"class": "cls", "distribution": "dist"}
-
-
-# Schedule key -> the selection types whose block schedule reads it.
-_READERS = {"alpha": ("vc",), "kappa": ("br",)}
-
-
 def config_from_dict(spec: dict) -> ExperimentConfig:
     if not isinstance(spec, dict):
         raise ConfigError("config must be a JSON object")
     keys = _parse("", _FIELDS, spec)
-    config = ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
-    # Checked on the given keys, not in __post_init__, whose fields already
-    # hold every default; an explicit null is the default and reads nothing.
-    reads = [
-        (key, [kind for kind, read in _READ_BY.items() if key in read], "kind", config.kind)
-        for key, value in spec.items()
-        if value is not None and key not in _RUN_SETTINGS
-    ] + [
-        (f"schedule.{key}", readers, "selection", config.selection.kind)
-        for key, readers in _READERS.items()
-        if spec.get("schedule", {}).get(key) is not None
-    ]
-    for key, readers, what, run in reads:
-        if run not in readers:
-            raise ConfigError(
-                f"config field {key!r} is read only under a {' or '.join(readers)} {what}, "
-                f"not {run}"
-            )
-    return config
+    return ExperimentConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in keys.items()})
 
 
 def load_config(path: str, kind: str | None = None) -> ExperimentConfig:

@@ -153,13 +153,10 @@ class FunctionClass:
 
     @cached_property
     def mesh_array(self) -> np.ndarray:
-        """``mesh`` as one read-only float array, a row per member (one value
-        per interval, where it is the array that ``mesh`` lists). Finite
-        classes, whose members are descriptors, have none."""
-        if self.kind == "intervals":
-            arr = np.linspace(0.0, 1.0, self.mesh_size)
-        else:
-            arr = np.asarray(self.mesh, dtype=float)
+        """An interval class's mesh, ``linspace(0, 1, mesh_size)``, as one
+        read-only float array: the array that ``mesh`` lists. Only interval
+        classes read their mesh this way."""
+        arr = np.linspace(0.0, 1.0, self.mesh_size)
         arr.flags.writeable = False
         return arr
 
@@ -605,13 +602,10 @@ def _interval_cover(cls: FunctionClass, P: Distribution, epsilon: float, cdf=Non
 
     ``cdf`` is ``mesh_cdf(cls, P)`` when the caller already has it, as a
     ladder of radii over one mesh does; it is computed here otherwise.
-    Returns None for other classes, and when the mesh is not strictly
-    increasing or hi falls somewhere (rounding can make it fall); the caller
-    then works on the matrix.
+    Returns None for other classes, and when hi falls somewhere (rounding
+    can make it fall); the caller then works on the matrix.
     """
     if cls.kind != "intervals":
-        return None
-    if np.any(np.diff(cls.mesh_array) <= 0):
         return None
     hi = _right_edges(mesh_cdf(cls, P) if cdf is None else cdf, epsilon)
     if np.any(np.diff(hi) < 0):

@@ -46,7 +46,6 @@ def test_factorize_identity():
     model = factorize(np.eye(3))
     assert np.array_equal(model.L, np.eye(3))
     assert model.repair == 0.0
-    assert model.params == (0, 1, 2)
 
 
 def test_factorize_singular_uses_eigh():
@@ -82,8 +81,6 @@ def test_factorize_rejections():
         factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
     with pytest.raises(NotACovarianceError):
         factorize(np.zeros((2, 3)))
-    with pytest.raises(NotACovarianceError):
-        factorize(np.eye(2), params=(0.5,))
 
 
 EPS = np.finfo(float).eps

@@ -12,7 +12,12 @@ import pytest
 import empbridge
 
 from empbridge import cli
+from empbridge.bounds import BoundConstants
 from empbridge.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from empbridge.distributions import Distribution
+from empbridge.errors import ConfigError
+from empbridge.experiments import ExperimentConfig
+from empbridge.function_classes import EntropyRegime, FunctionClass
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +209,7 @@ def test_bounds_audit_check_passes_on_defaults(capsys):
     code, out, _ = run_cli(capsys, "bounds-audit", "--check")
     assert code == EXIT_OK
     lines = [line for line in out.strip().split("\n") if line.startswith("check ")]
-    assert len(lines) == 15  # 14 reports plus the Monte Carlo probe
+    assert len(lines) == 15  # 14 reports plus the exact Gaussian tail
     assert all(line.endswith("pass") for line in lines)
 
 
@@ -599,9 +604,9 @@ def test_oversized_exact_strong_batch_is_a_config_error(capsys, tmp_path):
 
 
 def test_greedy_method_is_a_config_error(capsys, tmp_path):
-    # The greedy assignment was removed; exact is the only transport method.
-    spec = dict(STRONG, method="greedy", schedule={"N_grid": [4], "m": 600})
-    assert_config_error(capsys, tmp_path, "strong", spec, "unknown coupling method 'greedy'")
+    # The greedy assignment was removed; exact and quantile are the transport methods.
+    spec = dict(COUPLE, method="greedy")
+    assert_config_error(capsys, tmp_path, "couple", spec, "unknown coupling method 'greedy'")
 
 
 @pytest.mark.parametrize("size", [0, -4])
@@ -876,6 +881,50 @@ def test_setting_a_kind_never_reads_is_a_config_error(capsys, tmp_path, kind, ke
     needle = f"config field {key!r} is read only under a {UNREAD_READERS[key]} kind, not {kind}"
     spec = {"kind": kind, key: UNREAD_VALUES[key]}
     assert_config_error(capsys, tmp_path, COMMAND_BY_KIND[kind], spec, needle)
+
+
+# UNREAD_VALUES as a Python caller passes them to ExperimentConfig.
+UNREAD_ARGUMENTS = {
+    "class": {"cls": FunctionClass("intervals", mesh_size=51)},
+    "distribution": {"dist": Distribution("beta", a=2.0)},
+    "selection": {"selection": EntropyRegime("vc", nu0=2.0)},
+    "method": {"method": "exact"},
+    "reps": {"reps": 50},
+    "labels": {"labels": {"lambda": 0.1}},
+    "constants": {"constants": BoundConstants(A1=2.0)},
+    "schedule": {"schedule": {"m": 8}},
+    "entropy": {"entropy": {"radii": [0.5, 0.25]}},
+    "audit": {"audit": {"n": 512}},
+}
+# Every (kind, key) of UNREAD, then the schedule keys that the other selection
+# type reads: the arguments and the message of the file route.
+DIRECT_UNREAD = {
+    **{
+        f"{kind}-{key}": (
+            dict(kind=kind, **UNREAD_ARGUMENTS[key]),
+            f"config field {key!r} is read only under a {UNREAD_READERS[key]} kind, not {kind}",
+        )
+        for kind, keys in UNREAD.items()
+        for key in keys
+    },
+    "br-schedule.alpha": (
+        dict(kind="strong-approx", selection=EntropyRegime("br", b0=0.2, r0=0.75),
+             schedule={"alpha": 3}),
+        "config field 'schedule.alpha' is read only under a vc selection, not br",
+    ),
+    "vc-schedule.kappa": (
+        dict(kind="strong-approx", selection=EntropyRegime("vc"), schedule={"kappa": 3}),
+        "config field 'schedule.kappa' is read only under a br selection, not vc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_UNREAD))
+def test_constructing_a_config_with_a_field_its_kind_never_reads_is_a_config_error(case):
+    arguments, message = DIRECT_UNREAD[case]
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(**arguments)
+    assert str(exc.value) == message
 
 
 def test_schedule_beta_is_an_unknown_config_field(capsys, tmp_path):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -180,9 +181,14 @@ def test_config_from_dict_raises_only_config_errors(spec):
 def test_blocks_are_filled_with_their_defaults():
     for kind in KINDS:
         assert ExperimentConfig(kind=kind) == config_from_dict({"kind": kind})
+        assert replace(ExperimentConfig(kind=kind), seed=7, workers=2).seed == 7  # CLI flags
+    br = ExperimentConfig(kind="strong-approx", selection=EntropyRegime("br", r0=0.75))
+    assert "alpha" not in br.schedule and replace(br, seed=7).schedule == br.schedule
     cfg = ExperimentConfig(kind="strong-approx", schedule={"m": 4.0})
     assert cfg.schedule["m"] == 4 and cfg.schedule["N_grid"] == (4, 6, 8)
-    assert cfg.audit["sigma"] is None and cfg.entropy["radii"][0] == 0.6
+    assert cfg.audit is None and cfg.entropy is None  # blocks that strong runs do not read
+    assert ExperimentConfig(kind="bounds-audit").audit["sigma"] is None
+    assert ExperimentConfig(kind="entropy").entropy["radii"][0] == 0.6
 
 
 def test_sym_moment_is_kept_as_given():
@@ -193,7 +199,7 @@ def test_sym_moment_is_kept_as_given():
         assert type(report["inputs"]["sym_moment"]) is type(value)
     for value in ([1], "1", True, None):
         with pytest.raises(ConfigError, match="'audit.sym_moment'"):
-            config_from_dict({"audit": {"sym_moment": value}})
+            config_from_dict({"kind": "bounds-audit", "audit": {"sym_moment": value}})
 
 
 def test_readme_config_block_is_the_defaults():
@@ -610,8 +616,9 @@ def test_unset_method_resolves_per_run_kind_and_class_kind():
     assert ExperimentConfig(kind="couple").method == "quantile"
     assert config_from_dict({"kind": "couple", "method": None}).method == "quantile"
     assert ExperimentConfig(kind="couple", cls=FunctionClass("holder")).method == "exact"
-    for kind in ("gauss-approx", "strong-approx", "entropy", "bounds-audit"):
-        assert ExperimentConfig(kind=kind).method == "exact"
+    assert ExperimentConfig(kind="gauss-approx").method == "exact"
+    for kind in ("strong-approx", "entropy", "bounds-audit"):  # kinds that read no method
+        assert ExperimentConfig(kind=kind).method is None
     assert ExperimentConfig(kind="gauss-approx", method="quantile").method == "quantile"
     assert ExperimentConfig(kind="couple", method="exact").method == "exact"
 
@@ -621,9 +628,10 @@ def test_strong_schedule_batch_is_checked_at_config_time():
         ExperimentConfig(kind="strong-approx", schedule={"m": 0})
     with pytest.raises(ConfigError, match="schedule m must be <= 512"):
         ExperimentConfig(kind="strong-approx", schedule={"m": 513})
-    with pytest.raises(ConfigError, match="unknown coupling method 'greedy'"):
-        ExperimentConfig(kind="strong-approx", method="greedy", schedule={"m": 600})
-    ExperimentConfig(kind="gauss-approx", schedule={"m": 600})
+    with pytest.raises(ConfigError, match="'method' is read only under a gauss-approx or couple"):
+        ExperimentConfig(kind="strong-approx", method="greedy", schedule={"m": 4})
+    with pytest.raises(ConfigError, match="'schedule' is read only under a strong-approx kind"):
+        ExperimentConfig(kind="gauss-approx", schedule={"m": 600})
 
 
 def test_eval_mesh_sizes_are_checked_at_config_time():
@@ -632,7 +640,8 @@ def test_eval_mesh_sizes_are_checked_at_config_time():
     with pytest.raises(ConfigError, match="schedule eval_mesh_size must be >= 1, got 0"):
         ExperimentConfig(kind="strong-approx", schedule={"eval_mesh_size": 0})
     # Only strong runs read the schedule block.
-    ExperimentConfig(kind="gauss-approx", schedule={"eval_mesh_size": 0})
+    with pytest.raises(ConfigError, match="'schedule' is read only under a strong-approx kind"):
+        ExperimentConfig(kind="gauss-approx", schedule={"eval_mesh_size": 0})
 
 
 def test_gammas_must_be_positive():

@@ -126,6 +126,19 @@ CASES = {
         },
         "strong-approx.json",
     ),
+    # A br selection: the br path envelope and block schedule.
+    "strong-intervals-br-json": (
+        "strong",
+        {
+            "kind": "strong-approx",
+            "class": {"kind": "intervals", "mesh_size": 201},
+            "selection": {"type": "br", "b0": 0.2, "r0": 0.75},
+            "reps": 2,
+            "format": "json",
+            "schedule": {"N_grid": [3, 4], "m": 8},
+        },
+        "strong-approx.json",
+    ),
     "bounds-audit-default": ("bounds-audit", {"kind": "bounds-audit"}, "bounds-audit.json"),
     "couple-intervals": (
         "couple",
@@ -327,6 +340,9 @@ CASES = {
 # max_discrepancy and normalized move in their last digits.
 # "strong-intervals-path" was recorded before that change and holds after it:
 # it pins every strong column that the rounding leaves alone.
+# "strong-intervals-br-json" was recorded before ExperimentConfig became the
+# one config gate, as the byte guard for that change; it is the only case that
+# runs a strong path under a br selection.
 # The four "approx-holder*" digests, "approx-intervals-uniform",
 # "approx-intervals-json-labels" and "couple-intervals" were re-recorded when
 # bridge.factorize dropped its Cholesky branch for the one clamped
@@ -373,6 +389,7 @@ DIGESTS = {
     "entropy-intervals-ties": "eff94c5166d9d8bbbbc10deff057ca3b4f890fbcacd8cf67e5a91fc2eeb87d6a",
     "entropy-rectangles": "292cd14682be446021a829fada5082d43323f180c7710b10ccdba38c80db163b",
     "strong-intervals": "44558f78a5488e96a8435f3a882aedeadd179548d96de6a389353937e84f9430",
+    "strong-intervals-br-json": "ca728c1768ea047a93ad908ceb33cdb15398a397659262679cb8697f4007f9e2",
     "strong-intervals-json": "fef2ac0fd45d1df4317131d27fc3c536fda4506fc5c4c26bf32dee228f5e44d5",
     "strong-intervals-path": "2b56cf13d1d7dababf3050da8d7803844f57c978a43154b27eb1af1cf784f09a",
 }
