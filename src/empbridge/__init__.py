@@ -8,7 +8,11 @@ each step. Everything is deterministic given a master seed.
 
 The public names below are loaded on first access (PEP 562), so that
 ``import empbridge`` and the ``rates`` command do not pay for numpy and
-scipy; ``from empbridge import X`` works as with an eager import.
+scipy; ``from empbridge import X`` works as with an eager import. Quantile
+couplings, entropy certificates and the bounds audit load numpy and
+scipy.special; only exact (batch transport) couplings also load
+scipy.optimize and scipy.spatial, about 22 MB more resident memory, when
+their context is prepared.
 """
 
 import importlib

@@ -52,6 +52,13 @@ quantile (over 78 equal cells the tree took 0.19 ms at n = 2^10, 2.2 ms at
 2^30 and 26 ms at 2^50 on one core of a 2-core Xeon), which is exact up to
 n = 2^51 (``TREE_N_LIMIT``); a larger n is refused.
 
+Only ``"exact"`` needs scipy.optimize and scipy.spatial (the assignment
+solver and the distance kernel, about 22 MB resident), so this module does
+not import them: ``prepare_coupling`` does when it prepares an exact context,
+before any worker process is forked, and ``ot_couple`` does for a direct
+call. A process that runs only quantile couplings loads numpy and
+scipy.special.
+
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
 convergence-rate experiments.
@@ -63,8 +70,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 from scipy.special._ufuncs import _binom_ppf  # the boost quantile behind scipy.stats.binom.ppf
 
@@ -135,8 +140,18 @@ class TransportPlan:
             raise DomainError("stored cost does not match the assignment")
 
 
+def _transport_solvers() -> tuple:
+    """scipy's assignment solver and distance kernel, imported on first use
+    (see the module docstring)."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    return linear_sum_assignment, cdist
+
+
 def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:
     """Pair batches by the exact minimum squared-Euclidean assignment."""
+    linear_sum_assignment, cdist = _transport_solvers()
     source = np.atleast_2d(np.asarray(source, dtype=float))
     target = np.atleast_2d(np.asarray(target, dtype=float))
     if source.shape != target.shape:
@@ -317,6 +332,7 @@ def prepare_coupling(
     mesh = tuple(eval_mesh if eval_mesh is not None else cls.mesh)
     model = law = None
     if method == "exact":
+        _transport_solvers()  # here, so a pool forked after set-up inherits them
         model = factorize(grid.gram)
         joint = covariance(cls, P, list(grid.centers) + list(mesh))
         g = grid.size

@@ -575,19 +575,38 @@ def test_quantile_method_accepts_and_ignores_ot_batch(capsys, tmp_path, command)
     assert len(set(outputs)) == 1
 
 
-def test_couple_on_an_interval_class_leaves_scipy_stats_unloaded(tmp_path, child_env):
-    # The binomial quantile comes from scipy.special; importing scipy.stats
-    # would cost about 19 MB of resident memory per process.
-    probe = (
-        "import sys, empbridge.cli as c; "
-        "assert c.main(['couple', '--out', sys.argv[1]]) == 0; "
-        "print('scipy.stats' in sys.modules)"
+def test_only_batch_transport_loads_scipy_optimize_and_spatial(tmp_path, child_env):
+    # Quantile couplings, covers and bounds need only scipy.special (the
+    # binomial quantile among them). scipy.stats would cost about 19 MB of
+    # resident memory per process, scipy.optimize and scipy.spatial about
+    # 22 MB; an exact context loads the last two when it is prepared.
+    quantile = write_config(
+        tmp_path, "q.json", {"n_grid": [64, 256], "reps": 2, "method": "quantile"}
     )
+    probe = "\n".join([
+        "import sys, empbridge.cli as c",
+        "heavy = ('scipy.optimize', 'scipy.spatial', 'scipy.stats')",
+        "out, quantile = sys.argv[1:]",
+        "for argv in (['couple'], ['approx', '--config', quantile], ['entropy'], ['bounds-audit']):",
+        "    assert c.main(argv + ['--out', out]) == 0, argv",
+        "    print('loaded', argv[0], [m for m in heavy if m in sys.modules])",
+        "from empbridge import Distribution, FunctionClass, prepare_coupling",
+        "prepare_coupling(FunctionClass('intervals'), Distribution('uniform'), 0.3, method='exact')",
+        "print('loaded exact', [m for m in heavy if m in sys.modules])",
+    ])
     proc = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path)],
+        [sys.executable, "-c", probe, str(tmp_path), quantile],
         capture_output=True, text=True, check=True, env=child_env,
     )
-    assert proc.stdout.strip().split("\n")[-1] == "False"
+    # Each run also prints the path it wrote.
+    loaded = [line for line in proc.stdout.split("\n") if line.startswith("loaded ")]
+    assert loaded == [
+        "loaded couple []",
+        "loaded approx []",
+        "loaded entropy []",
+        "loaded bounds-audit []",
+        "loaded exact ['scipy.optimize', 'scipy.spatial']",
+    ]
 
 
 STRONG = {"kind": "strong-approx", "class": {"kind": "intervals", "mesh_size": 201}, "reps": 2}

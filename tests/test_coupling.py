@@ -1,6 +1,8 @@
 """Transport plans, tail bounds, radius selections, and joint realizations."""
 
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -133,6 +135,48 @@ def test_exact_capacity_limit():
     big = np.zeros((513, 1))
     with pytest.raises(CapacityError):
         ot_couple(big, big)
+
+
+def _fresh(child_env, *lines) -> list:
+    """The words printed by a fresh interpreter that runs ``lines``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)],
+        capture_output=True, text=True, check=True, env=child_env,
+    )
+    return proc.stdout.split()
+
+
+def test_a_direct_ot_couple_loads_its_solvers_itself(child_env):
+    # No context is prepared first: ot_couple imports scipy.optimize itself.
+    rng = np.random.default_rng(5)
+    src, tgt = rng.standard_normal((2, 40, 3))
+    out = _fresh(
+        child_env,
+        "import sys, numpy as np",
+        "from empbridge import ot_couple",
+        "print('scipy.optimize' in sys.modules)",
+        "src, tgt = np.random.default_rng(5).standard_normal((2, 40, 3))",
+        "print(*ot_couple(src, tgt).assignment)",
+    )
+    assert out[0] == "False"
+    assert [int(a) for a in out[1:]] == ot_couple(src, tgt).assignment.tolist()
+
+
+def test_pool_workers_inherit_the_solvers_from_the_parent(child_env):
+    # The exact contexts are prepared before the pool forks, so the parent
+    # has imported scipy.optimize once and each worker inherits it; were the
+    # import only in ot_couple, which runs in the workers, it would not.
+    out = _fresh(
+        child_env,
+        "import sys",
+        "from empbridge import ExperimentConfig, run_strong_approx",
+        "print('scipy.optimize' in sys.modules)",
+        "cfg = ExperimentConfig(kind='strong-approx', reps=2, workers=2,",
+        "    schedule={'N_grid': [3, 4], 'm': 4, 'eval_mesh_size': 5})",
+        "assert run_strong_approx(cfg).meta['failures'] == 0",
+        "print('scipy.optimize' in sys.modules)",
+    )
+    assert out == ["False", "True"]
 
 
 # -- radius selections -----------------------------------------------------------

@@ -771,6 +771,14 @@ def test_eval_mesh_subsampling(intervals):
     assert sub[0] == intervals.mesh[0] and sub[-1] == intervals.mesh[-1]
 
 
+def test_an_eval_mesh_size_past_the_class_mesh_is_capped_to_it():
+    cls = FunctionClass("intervals")
+    assert len(cls.mesh) == 1000
+    assert _eval_mesh(cls, 2000) == cls.mesh
+    capped = run_couple(ExperimentConfig(kind="couple", n_grid=(64,), eval_mesh_size=2000))
+    assert capped == run_couple(ExperimentConfig(kind="couple", n_grid=(64,), eval_mesh_size=1000))
+
+
 def test_eval_mesh_in_run_is_deterministic():
     a = run_couple(ExperimentConfig(kind="couple", n_grid=(64,), seed=3, ot_batch=4))
     b = run_couple(ExperimentConfig(kind="couple", n_grid=(64,), seed=3, ot_batch=4))
