@@ -109,7 +109,6 @@ _EXPORTS = {
         "EntropyReport",
         "FunctionClass",
         "Grid",
-        "bracketing_number",
         "bracketing_set",
         "build_grid",
         "covariance",

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bridge import build_bridge
-from .coupling import construct_joint, prepare_coupling, select_epsilon
+from .coupling import check_method, construct_joint, prepare_coupling, select_epsilon
 from .distributions import Distribution
 from .errors import (
     CapacityError,
@@ -304,9 +304,8 @@ def run_sequential(
     started from the signed gap that the previous block ended on. m_star is
     the first sample count at which some mesh point reaches the maximum.
     """
-    for ctx in contexts:
-        if ctx.method != "exact":
-            raise ConfigError(f"the {ctx.method} method draws no sample points to fill in between")
+    for ctx in contexts:  # every block fills in between its designated points
+        check_method(ctx.method, ctx.cls, points=True)
     # Block 0 is the unit starter block of either regime.
     cls, P, eval_mesh = contexts[0].cls, contexts[0].P, list(contexts[0].eval_mesh)
     g = len(eval_mesh)

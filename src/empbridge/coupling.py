@@ -9,16 +9,22 @@ M sqrt(N/n). It is coupled with a Gaussian vector carrying the grid
 covariance by the context's method, the Gaussian partner is extended to the
 evaluation mesh, and the sup discrepancies on grid and mesh are recorded.
 There are two methods, concrete stand-ins for the abstract coupling whose
-existence the exponential inequality asserts.
+existence the exponential inequality asserts. Each is one row of
+``_METHODS``, all that a new method supplies: the class kinds it couples, a
+prepare step that builds the context's one ``state`` field once per radius,
+the grid pair that ``construct_joint`` runs, and whether its realizations
+carry the sample points that ``run_sequential`` fills in between.
 
 Under ``"exact"`` a batch of m independent Y-sums is paired with m
 independent Gaussian vectors by a minimum-cost squared-Euclidean assignment.
 The designated realization (batch index 0) keeps its matched Gaussian vector,
-which is extended to the mesh by Gaussian conditioning. The realization
-carries the designated sample points and their mesh Gaussian values, from
-which the sequential construction fills in the partial sums of a block. Only
-the designated sample is drawn point by point and evaluated as a matrix,
-since its per-summand bound is checked; its mesh values are column sums
+which is extended to the mesh by Gaussian conditioning. The state holds the
+grid factor, that dense conditional law and, for interval classes, the grid
+cells (masses and order, no mesh refinement). The realization carries the
+designated sample points and their mesh Gaussian values, from which the
+sequential construction fills in the partial sums of a block. Only the
+designated sample is drawn point by point and evaluated as a matrix, since
+its per-summand bound is checked; its mesh values are column sums
 (``FunctionClass.column_sums``). The m - 1 auxiliary Y-sums all come from one
 generator, the ``auxiliary`` seed phase. For interval indicators the grid
 Y-sum of a sample depends only on the multinomial counts of the g+1 cells
@@ -46,18 +52,18 @@ cuts each grid cell into finer cells, one flat list with no padding; their
 counts are one multinomial per grid cell given its count. The mesh Gaussian
 refines the grid cells' Gaussian masses the same way: the bridge is Markov,
 so given those masses its pieces inside the cells are independent pinned
-Brownian pieces, each drawn from that exact conditional law. No dense
-conditional law is formed. The cost grows with n only through the binomial
-quantile (over 78 equal cells the tree took 0.19 ms at n = 2^10, 2.2 ms at
-2^30 and 26 ms at 2^50 on one core of a 2-core Xeon), which is exact up to
-n = 2^51 (``TREE_N_LIMIT``); a larger n is refused.
+Brownian pieces, each drawn from that exact conditional law. The state is
+the cells and their refinement alone: no grid factor, no dense law. The cost
+grows with n only through the binomial quantile (over 78 equal cells the tree
+took 0.19 ms at n = 2^10, 2.2 ms at 2^30 and 26 ms at 2^50 on one core of a
+2-core Xeon), which is exact up to n = 2^51 (``TREE_N_LIMIT``); a larger n is
+refused.
 
 Only ``"exact"`` needs scipy.optimize and scipy.spatial (the assignment
 solver and the distance kernel, about 22 MB resident), so this module does
-not import them: ``prepare_coupling`` does when it prepares an exact context,
-before any worker process is forked, and ``ot_couple`` does for a direct
-call. A process that runs only quantile couplings loads numpy and
-scipy.special.
+not import them: the exact prepare step does, before any worker process is
+forked, and ``ot_couple`` does for a direct call. A process that runs only
+quantile couplings loads numpy and scipy.special.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -73,13 +79,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.special._ufuncs import _binom_ppf  # the boost quantile behind scipy.stats.binom.ppf
 
-from .bridge import (
-    BridgeModel,
-    ConditionalLaw,
-    conditional_law,
-    extend_from_law,
-    factorize,
-)
+from .bridge import conditional_law, extend_from_law, factorize
 from .distributions import Distribution
 from .errors import (
     CapacityError,
@@ -89,7 +89,7 @@ from .errors import (
     ShapeError,
 )
 from .function_classes import (
-    EntropyRegime, FunctionClass, Grid, _monotone_cdf, build_grid, covariance, mean_vector
+    KINDS, EntropyRegime, FunctionClass, Grid, _monotone_cdf, build_grid, covariance, mean_vector
 )
 from .seeds import SeedSpec
 
@@ -301,19 +301,17 @@ def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tupl
 @dataclass(frozen=True, eq=False)
 class CouplingContext:
     """What every realization on it reads: class, law, grid (its epsilon is
-    the radius), evaluation mesh and method, with the state prepared for
-    them; shared across replications."""
+    the radius), evaluation mesh, mean vectors, method and the state that
+    the method's prepare step built; shared across replications."""
 
     cls: FunctionClass
     P: Distribution
     grid: Grid
-    model: BridgeModel | None  # None when prepared for the quantile method
     eval_mesh: tuple
-    law: ConditionalLaw | None  # None when prepared for the quantile method
     mesh_means: np.ndarray
     grid_means: np.ndarray
-    method: str  # "exact" or "quantile": what ``construct_joint`` runs on it
-    cells: IntervalCells | None = None  # interval classes only
+    method: str  # a name in ``_METHODS``: what ``construct_joint`` runs on it
+    state: object  # what the method's prepare step returned
 
 
 def prepare_coupling(
@@ -323,31 +321,21 @@ def prepare_coupling(
     eval_mesh=None,
     method: str = "exact",
 ) -> CouplingContext:
-    """The grid, mean vectors and, for interval classes, cells at radius
-    epsilon; for ``"exact"`` also the grid factor and the mesh's dense
-    conditional law given the grid, which ``"quantile"`` does not use. The
-    context fixes the method that every realization on it runs."""
+    """The grid and mean vectors at radius epsilon and the state that the
+    method's prepare step builds on them; every realization on it runs that
+    method."""
     check_method(method, cls)
     grid = build_grid(cls, P, epsilon)
     mesh = tuple(eval_mesh if eval_mesh is not None else cls.mesh)
-    model = law = None
-    if method == "exact":
-        _transport_solvers()  # here, so a pool forked after set-up inherits them
-        model = factorize(grid.gram)
-        joint = covariance(cls, P, list(grid.centers) + list(mesh))
-        g = grid.size
-        law = conditional_law(model, joint[g:, :g], joint[g:, g:])
     return CouplingContext(
         cls,
         P,
         grid,
-        model,
         mesh,
-        law,
         mean_vector(cls, P, list(mesh)),
         mean_vector(cls, P, list(grid.centers)),
         method,
-        interval_cells(P, grid.centers, mesh) if cls.kind == "intervals" else None,
+        _METHODS[method][1](cls, P, grid, mesh),
     )
 
 
@@ -385,12 +373,24 @@ def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -
         raise NumericError(f"summand norm {norm:.6g} exceeds the bound {limit:.6g}")
 
 
+def _prepare_batch(cls, P, grid, mesh) -> tuple:
+    """The ``"exact"`` state: grid factor, mesh law given the grid and, for
+    interval classes, cells without a mesh (``_batch_pair`` reads no more)."""
+    _transport_solvers()  # here, so a pool forked after set-up inherits them
+    model = factorize(grid.gram)
+    joint = covariance(cls, P, list(grid.centers) + list(mesh))
+    g = grid.size
+    law = conditional_law(model, joint[g:, :g], joint[g:, g:])
+    return model, law, interval_cells(P, grid.centers) if cls.kind == "intervals" else None
+
+
 def _batch_pair(context, n, m, seed, tag) -> tuple:
     """The ``"exact"`` method: the designated sample (``sample`` phase,
     index 0), its grid pair (y0, z0) by batch transport, the batch's mean
     squared cost, the sample's mesh sums and the mesh Gaussian drawn from the
     context's conditional law given z0."""
     cls, P, grid = context.cls, context.P, context.grid
+    model, law, cells = context.state
     centers = list(grid.centers)
     g = grid.size
     designated = P.draw(n, seed.rng("sample", tag, 0))
@@ -400,8 +400,8 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
     sums = np.empty((m, g))
     sums[0] = vals.sum(axis=0)
     aux = seed.rng("auxiliary", tag)
-    if context.cells is not None:
-        sums[1:] = context.cells.grid_sums(aux.multinomial(n, context.cells.masses, size=m - 1))
+    if cells is not None:
+        sums[1:] = cells.grid_sums(aux.multinomial(n, cells.masses, size=m - 1))
     else:
         rows = max(1, AUX_CHUNK_POINTS // n)
         for b in range(1, m, rows):
@@ -409,12 +409,17 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
             xs = P.draw(k * n, aux)
             sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape((k, n) + xs.shape[1:]))
     y_batch = (sums - n * context.grid_means) / math.sqrt(n)
-    z_batch = (context.model.L @ seed.rng("target", tag).standard_normal((g, m))).T
+    z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch)
     z0 = z_batch[plan.assignment[0]]
     mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
-    mesh_gauss = extend_from_law(context.law, z0, seed, rep=tag)
+    mesh_gauss = extend_from_law(law, z0, seed, rep=tag)
     return designated, y_batch[0], z0, plan.cost, mesh_sums, mesh_gauss
+
+
+def _prepare_tree(cls, P, grid, mesh) -> IntervalCells:
+    """The ``"quantile"`` state: the grid cells and their mesh refinement."""
+    return interval_cells(P, grid.centers, mesh)
 
 
 def _tree_pair(context, n, m, seed, tag) -> tuple:
@@ -435,7 +440,7 @@ def _tree_pair(context, n, m, seed, tag) -> tuple:
     Gaussian value exactly 0."""
     if n > TREE_N_LIMIT:
         raise DomainError(f"the quantile method takes n up to 2^51 = {TREE_N_LIMIT}, got n = {n}")
-    cells, g = context.cells, context.grid.size
+    cells, g = context.state, context.grid.size
     counts, gauss = _binomial_tree(cells.masses, n, seed.rng("tree", tag))
     # A point of cell j has grid values cells.grid_sums(e_j): its summand.
     summands = cells.grid_sums(np.eye(g + 1)) - context.grid_means
@@ -458,36 +463,41 @@ def _tree_pair(context, n, m, seed, tag) -> tuple:
     return None, y0, z0, float(((y0 - z0) ** 2).sum()), mesh_sums, mesh_gauss
 
 
-# The grid pair of each coupling method, by the name a context is prepared for.
-_PAIRS = {"exact": _batch_pair, "quantile": _tree_pair}
+# name -> (class kinds, prepare step, grid pair, realizations carry points)
+_METHODS = {
+    "exact": (KINDS, _prepare_batch, _batch_pair, True),
+    "quantile": (("intervals",), _prepare_tree, _tree_pair, False),
+}
 
 
-def check_method(method: str, cls: FunctionClass) -> None:
-    """Refuse a coupling method that ``construct_joint`` cannot run on ``cls``."""
-    if method not in _PAIRS:
+def check_method(method: str, cls: FunctionClass, points: bool = False) -> None:
+    """Refuse a coupling method that ``construct_joint`` cannot run on
+    ``cls`` or, with ``points``, whose realizations carry no sample points."""
+    if method not in _METHODS:
         raise ConfigError(f"unknown coupling method {method!r}")
-    if method == "quantile" and cls.kind != "intervals":
-        raise ConfigError(f"the quantile method couples intervals classes only, not {cls.kind}")
+    kinds, _, _, carries_points = _METHODS[method]
+    if cls.kind not in kinds:
+        only = ", ".join(kinds)
+        raise ConfigError(f"the {method} method couples {only} classes only, not {cls.kind}")
+    if points and not carries_points:
+        raise ConfigError(f"the {method} method draws no sample points to fill in between")
 
 
 def construct_joint(
     context: CouplingContext, n: int, m: int, seed: SeedSpec, tag: int = 0
 ) -> CouplingRealization:
     """Run one full coupling realization of n points on ``context``: its
-    class, law, grid (and so radius), evaluation mesh and method, which is
-    ``_batch_pair`` or ``_tree_pair``.
-
-    ``tag`` namespaces the random streams so several couplings (for example
-    blocks of a sequential construction) can share one seed spec. The
-    realization carries the designated sample (None under ``"quantile"``) and
-    its Gaussian partner on the evaluation mesh, which the sequential
-    construction fills in between.
+    class, law, grid (and so radius), evaluation mesh and the grid pair of
+    its method's row. ``tag`` namespaces the random streams so several
+    couplings (for example blocks of a sequential construction) can share
+    one seed spec. The realization carries the designated sample (None when
+    the method draws none) and its Gaussian partner on the evaluation mesh.
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
     if m < 1:
         raise DomainError("batch size must be >= 1")
-    pair = _PAIRS[context.method]
+    pair = _METHODS[context.method][2]
     designated, y0, z0, cost, mesh_sums, mesh_gauss = pair(context, n, m, seed, tag)
     sup_grid = float(np.abs(y0 - z0).max())
     mesh_emp = (mesh_sums - n * context.mesh_means) / math.sqrt(n)

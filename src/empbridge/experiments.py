@@ -54,7 +54,7 @@ from .errors import (
 from .function_classes import (
     EntropyRegime,
     FunctionClass,
-    bracketing_number,
+    bracketing_set,
     covering_certificate,
     dP_matrix,
     fit_entropy_counts,
@@ -704,7 +704,7 @@ def run_entropy(config: ExperimentConfig) -> ResultTable:
     for eps in radii:
         cert = covering_certificate(cls, P, eps, distances=distances, cdf=cdf)
         try:
-            brack = bracketing_number(cls, P, eps, cdf)
+            brack = bracketing_set(cls, P, eps, cdf).count
         except (UnsupportedOperationError, CapacityError):
             # Rectangles and finite classes have no brackets; a Hoelder
             # bracketing can exceed its cell budget.

@@ -247,10 +247,6 @@ class FunctionClass:
             return _interp_column_sums(self.knots, np.asarray(params, dtype=float), batch)
         return np.stack([self.column_sums(params, xs) for xs in batch])
 
-    def grid_bound(self, epsilon: float) -> float:
-        """Declared covering-number bound evaluated at epsilon/2."""
-        return regime_grid_bound(self.regime, epsilon, self.envelope)
-
     def to_spec(self) -> dict:
         spec = {"kind": self.kind, "M": self.envelope, "mesh_size": self.mesh_size}
         r = self.regime
@@ -575,7 +571,7 @@ def build_grid(cls: FunctionClass, P: Distribution, epsilon: float) -> Grid:
         raise CapacityError(
             f"grid needs {len(centers)} centers, exceeding the budget of {GRID_BUDGET}"
         )
-    bound = cls.grid_bound(epsilon)
+    bound = regime_grid_bound(cls.regime, epsilon, cls.envelope)
     if len(centers) > bound:
         raise DomainError(
             f"grid size {len(centers)} exceeds the declared entropy bound {bound:.3g} "
@@ -814,10 +810,6 @@ def bracketing_set(cls: FunctionClass, P: Distribution, epsilon: float, cdf=None
     raise UnsupportedOperationError(
         f"bracketing is defined for interval and holder kinds, not {cls.kind!r}"
     )
-
-
-def bracketing_number(cls: FunctionClass, P: Distribution, epsilon: float, cdf=None) -> int:
-    return bracketing_set(cls, P, epsilon, cdf).count
 
 
 def _interval_brackets(cls, P, epsilon, cdf) -> BracketSet:

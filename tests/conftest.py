@@ -1,5 +1,6 @@
-"""Shared fixtures: a uniform law, a small interval class, a fixed seed, the
-empirical process, and the environment for child interpreters."""
+"""Shared fixtures: a uniform law, a small interval class, one small class of
+each kind, a fixed seed, the empirical process, and the environment for child
+interpreters."""
 
 import math
 import os
@@ -34,6 +35,23 @@ def uniform():
 @pytest.fixture(scope="session")
 def intervals():
     return FunctionClass("intervals", envelope=1.0, mesh_size=201)
+
+
+@pytest.fixture(scope="session")
+def class_of_kind():
+    """One small class of each kind, with a law it can be coupled under."""
+    return {
+        "intervals": (FunctionClass("intervals", mesh_size=201), Distribution("uniform")),
+        "rectangles": (
+            FunctionClass("rectangles", dim=2, mesh_size=25),
+            Distribution("product-uniform", dim=2),
+        ),
+        "holder": (FunctionClass("holder"), Distribution("uniform")),
+        "finite": (
+            FunctionClass("finite", members=(("interval", 0.5), ("constant", 0.25))),
+            Distribution("uniform"),
+        ),
+    }
 
 
 @pytest.fixture()

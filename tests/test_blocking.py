@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +32,11 @@ from empbridge import (
     schedule_vc,
 )
 import empbridge.blocking as blocking
+import empbridge.coupling as coupling
 from empbridge.blocking import _floor_power
 from empbridge.bridge import covariance, factorize
 from empbridge.coupling import construct_joint, prepare_coupling, select_epsilon
-from empbridge.function_classes import mean_vector
+from empbridge.function_classes import KINDS, mean_vector
 
 TAU1, TAU2 = rate_vc(1)
 
@@ -451,13 +453,34 @@ def test_each_block_draws_one_fill_generator(intervals, uniform, monkeypatch):
     assert opened == [((7 + k,), (n_k, 9)) for k, n_k in enumerate(sched.n)]
 
 
-def test_run_sequential_refuses_the_quantile_method(intervals, uniform, monkeypatch):
+class BlockStarted(Exception):
+    """Raised in place of a block's coupling."""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("method", sorted(coupling._METHODS))
+def test_run_sequential_refuses_the_quantile_method(class_of_kind, method, kind, monkeypatch):
     # A path fills in between the designated points, which the count-only
-    # quantile method never draws; the refusal comes before any block runs.
-    tau1, tau2 = rate_vc(1)
-    schedule = schedule_vc(5, tau1, tau2, 2)
-    exact = prepare_coupling(intervals, uniform, 0.5)
-    quantile = prepare_coupling(intervals, uniform, 0.5, method="quantile")
-    monkeypatch.setattr(blocking, "construct_joint", None)  # any block run fails otherwise
-    with pytest.raises(ConfigError, match="the quantile method draws no sample points"):
-        run_sequential(schedule, (exact, exact, quantile), SeedSpec(1))
+    # quantile method never draws. A block context whose method carries no
+    # points, or does not couple its class, is refused before any block runs;
+    # any other passes and block 0 starts.
+    cls, P = class_of_kind[kind]
+    kinds, _, _, points = coupling._METHODS[method]
+    exact = prepare_coupling(cls, P, 0.5, eval_mesh=cls.mesh[:9])
+    if kind in kinds:
+        ctx = prepare_coupling(cls, P, 0.5, eval_mesh=cls.mesh[:9], method=method)
+    else:
+        ctx = replace(exact, method=method)
+    schedule = schedule_vc(5, TAU1, TAU2, 2)
+
+    def started(*args, **kwargs):
+        raise BlockStarted
+
+    monkeypatch.setattr(blocking, "construct_joint", started)
+    if kind in kinds and points:
+        with pytest.raises(BlockStarted):
+            run_sequential(schedule, (exact, exact, ctx), SeedSpec(1))
+        return
+    refusal = "draws no sample points" if kind in kinds else f"couples .* classes only, not {kind}"
+    with pytest.raises(ConfigError, match=f"the {method} method {refusal}"):
+        run_sequential(schedule, (exact, exact, ctx), SeedSpec(1))

@@ -30,7 +30,8 @@ from empbridge import (
     zaitsev_grid_tail,
 )
 import empbridge.coupling as coupling
-from empbridge.coupling import interval_cells
+from empbridge.coupling import IntervalCells, interval_cells
+from empbridge.function_classes import KINDS
 
 
 # -- exponential tail ----------------------------------------------------------
@@ -378,8 +379,8 @@ def test_refinement_holds_one_entry_per_finer_cell():
     P = Distribution("beta", a=0.5, b=5.0)
     ctx = prepare_coupling(cls, P, select_epsilon_vc(2**30, 1.0), method="quantile")
     size = ctx.grid.size + len(ctx.eval_mesh) + 1
-    assert ctx.cells.within.shape == (size,)
-    assert ctx.cells.cell.shape == (size,) and ctx.cells.mesh_at.shape == (len(ctx.eval_mesh),)
+    assert ctx.state.within.shape == (size,)
+    assert ctx.state.cell.shape == (size,) and ctx.state.mesh_at.shape == (len(ctx.eval_mesh),)
 
 
 def test_no_mass_past_one():
@@ -394,10 +395,19 @@ def test_no_mass_past_one():
 @pytest.mark.parametrize("method", ["exact", "quantile"])
 def test_cells_of_weights_summing_above_one(intervals, seed, method):
     """Weights may sum to 1 + 5e-13; the CDF stays capped at 1, so no cell
-    mass is negative and the mesh multinomial accepts every row."""
+    mass is negative and the mesh multinomial accepts every row. The exact
+    state's cells carry no mesh refinement, and their masses and order are
+    the quantile state's, bit for bit."""
     P = Distribution("discrete", atoms=(0.2, 0.5, 0.7), weights=(0.5, 0.25, 0.25 + 5e-13))
-    ctx = prepare_coupling(intervals, P, 0.4, eval_mesh=(0.3, 0.75, 0.9), method=method)
-    assert (ctx.cells.masses >= 0).all() and (ctx.cells.within >= 0).all()
+    mesh = (0.3, 0.75, 0.9)
+    ctx = prepare_coupling(intervals, P, 0.4, eval_mesh=mesh, method=method)
+    quantile = prepare_coupling(intervals, P, 0.4, eval_mesh=mesh, method="quantile").state
+    cells = ctx.state[2] if method == "exact" else ctx.state
+    if method == "exact":
+        assert cells.mesh_at.shape == (0,) and cells.within.shape == (ctx.grid.size + 1,)
+    assert cells.masses.tobytes() == quantile.masses.tobytes()
+    assert cells.order.tobytes() == quantile.order.tobytes()
+    assert (cells.masses >= 0).all() and (cells.within >= 0).all()
     assert np.isfinite(construct_joint(ctx, 100, 8, seed).sup_mesh)
 
 
@@ -436,15 +446,15 @@ def test_quantile_mesh_is_pinned_at_the_grid_centers(law, n):
 
 def test_quantile_context_holds_no_dense_law(intervals, uniform, seed):
     """Prepared for the quantile method at the n = 2^30 radius on a
-    4,000-point mesh, a context holds no factor and no conditional law, and
-    set-up plus one realization stay far inside a second; the dense law
-    needs seconds and a gigabyte there."""
+    4,000-point mesh, a context's state is its interval cells alone, with no
+    factor and no conditional law, and set-up plus one realization stay far
+    inside a second; the dense law needs seconds and a gigabyte there."""
     eps, mesh = select_epsilon_vc(2**30, 1.0), np.linspace(0.0, 1.0, 4000)
     start = time.perf_counter()
     ctx = prepare_coupling(intervals, uniform, eps, eval_mesh=mesh, method="quantile")
     real = construct_joint(ctx, 2**30, 1, seed)
     assert time.perf_counter() - start < 1.0
-    assert ctx.law is None and ctx.model is None
+    assert type(ctx.state) is IntervalCells
     assert real.mesh_gauss.shape == (4000,) and np.isfinite(real.sup_mesh)
 
 
@@ -469,11 +479,21 @@ def test_quantile_tree_is_exact_at_its_largest_n(uniform, master, monkeypatch):
     assert np.isfinite(real.sup_mesh)
 
 
-def test_quantile_method_takes_interval_classes_only(uniform):
-    with pytest.raises(ConfigError, match="intervals classes only, not holder"):
-        prepare_coupling(FunctionClass("holder"), uniform, 0.5, method="quantile")
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("method", sorted(coupling._METHODS))
+def test_quantile_method_takes_interval_classes_only(class_of_kind, method, kind):
+    """Each method prepares a context for the class kinds of its row and
+    refuses the others by name, as it refuses a name outside the table."""
+    cls, P = class_of_kind[kind]
+    kinds = coupling._METHODS[method][0]
+    if kind in kinds:
+        assert prepare_coupling(cls, P, 0.5, eval_mesh=cls.mesh[:9], method=method).method == method
+    else:
+        needle = f"the {method} method couples {', '.join(kinds)} classes only, not {kind}"
+        with pytest.raises(ConfigError, match=needle):
+            prepare_coupling(cls, P, 0.5, method=method)
     with pytest.raises(ConfigError, match="unknown coupling method 'sinkhorn'"):
-        prepare_coupling(FunctionClass("intervals"), uniform, 0.5, method="sinkhorn")
+        prepare_coupling(cls, P, 0.5, method="sinkhorn")
 
 
 @pytest.mark.parametrize("method", ["exact", "quantile"])
@@ -525,7 +545,7 @@ def test_auxiliary_y_sums_have_the_grid_law(transport_sources, intervals, law):
     # nonnegative integers and every row sums to n.
     sums = y * math.sqrt(n) + n * ctx.grid_means
     assert np.allclose(sums, np.round(sums), atol=1e-8)
-    ordered = np.round(sums[:, ctx.cells.order])
+    ordered = np.round(sums[:, ctx.state[2].order])
     zeros, full = np.zeros((len(y), 1)), np.full((len(y), 1), float(n))
     counts = np.diff(np.hstack([zeros, ordered, full]), axis=1)
     assert (counts >= 0).all() and (counts.sum(axis=1) == n).all()

@@ -707,7 +707,7 @@ def test_entropy_bracketing_absorbs_only_its_own_errors(monkeypatch):
     def broken(*args):
         raise TypeError("bug inside the bracketing code")
 
-    monkeypatch.setattr(exp, "bracketing_number", broken)
+    monkeypatch.setattr(exp, "bracketing_set", broken)
     with pytest.raises(TypeError, match="bug inside"):
         run_entropy(ExperimentConfig(kind="entropy"))
 

@@ -31,6 +31,7 @@ from empbridge import (
     fit_entropy_counts,
     mean_vector,
     net_radius,
+    regime_grid_bound,
     run_entropy,
     second_moment_matrix,
 )
@@ -663,7 +664,8 @@ def test_grid_rejects_undeclared_entropy(uniform):
 
 def test_grid_bound_hand_value(intervals):
     # Default interval regime: c0 = 4, nu0 = 2, envelope 1.
-    assert intervals.grid_bound(0.5) == pytest.approx(16.0, rel=1e-12)
+    bound = regime_grid_bound(intervals.regime, 0.5, intervals.envelope)
+    assert bound == pytest.approx(16.0, rel=1e-12)
 
 
 def test_epsilon_domain(intervals, uniform):

@@ -6,6 +6,8 @@ the law of the designated pair, not only the size of its gap:
 
 - the second moments of ``y_sum`` and ``z_sum`` against the grid Gram, and
   of ``z_sum`` joined with the mesh Gaussian against the bridge covariance;
+- for the exact method on rectangles and finite classes, the means and
+  second moments of ``y_sum`` and ``z_sum``;
 - the tree's cell counts, and the finer mesh-cell counts drawn given them,
   against their exact multinomial law at tiny n;
 - the mean grid gap against the largest per-coordinate 1-Wasserstein
@@ -31,7 +33,7 @@ from empbridge import (
     run_gauss_approx,
     select_epsilon_vc,
 )
-from empbridge.coupling import _binom_ppf, _tree_pair
+from empbridge.coupling import IntervalCells, _binom_ppf, _tree_pair
 from empbridge.function_classes import covariance
 
 INTERVALS = FunctionClass("intervals", envelope=1.0, mesh_size=201)
@@ -112,10 +114,57 @@ def test_quantile_mesh_gaussian_has_the_bridge_second_moments(law):
     """
     P, eps = LAW_CASES[law]
     ctx, reals = quantile_realizations(P, eps)
-    assert ctx.law is None
+    assert type(ctx.state) is IntervalCells
     joint = np.array([np.concatenate([r.z_sum, r.mesh_gauss]) for r in reals])
     K = covariance(INTERVALS, P, list(ctx.grid.centers) + list(MESH))
     assert_second_moments({"joint": joint}, K, tests=1)
+
+
+# (class, law, radius) of the exact pair's law check: a 2-D rectangles class
+# under product-uniform, and a finite class with a constant member under
+# beta(2, 3). Each grid holds one coordinate of variance 0: the full
+# rectangle, or the constant member.
+EXACT_CASES = {
+    "rectangles": (
+        FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=25),
+        Distribution("product-uniform", dim=2),
+        0.45,
+    ),
+    "finite": (
+        FunctionClass(
+            "finite",
+            envelope=1.0,
+            members=(("interval", 0.2), ("interval", 0.5), ("interval", 0.8), ("constant", 0.25)),
+        ),
+        Distribution("beta", a=2.0, b=3.0),
+        0.3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_grid_pair_has_mean_zero_and_the_gram_second_moments(case):
+    """E y0 = E z0 = 0 and E y0 y0' = E z0 z0' = K, the grid Gram, for the
+    designated pair of the exact method on classes other than intervals.
+
+    R = 3000 realizations at n = 32 with batch m = 8. Each mean's z-score,
+    its absolute value over sqrt(K_jj / R), must stay below the two-sided
+    Bonferroni threshold for a family-wise false-alarm rate of 0.001 over
+    both sides' coordinates; a coordinate with variance 0 must be 0 to
+    rounding. The second moments are checked as in the quantile tests.
+    """
+    cls, P, eps = EXACT_CASES[case]
+    ctx = prepare_coupling(cls, P, eps, eval_mesh=cls.mesh[:2])
+    R, K = 3000, ctx.grid.gram
+    reals = [construct_joint(ctx, 32, 8, SeedSpec(4111, r)) for r in range(R)]
+    sides = {side: np.array([getattr(r, side) for r in reals]) for side in ("y_sum", "z_sum")}
+    sd = np.sqrt(np.diag(K) / R)
+    threshold = norm.isf(0.001 / (2 * 2 * len(K)))
+    for side, v in sides.items():
+        mean = v.mean(axis=0)
+        assert np.abs(mean[sd == 0.0]).max(initial=0.0) < 1e-12, side
+        assert (np.abs(mean[sd > 0]) / sd[sd > 0]).max() < threshold, (side, mean, threshold)
+    assert_second_moments(sides, K, tests=2)
 
 
 def _compositions(n: int, k: int):
