@@ -59,11 +59,15 @@ took 0.19 ms at n = 2^10, 2.2 ms at 2^30 and 26 ms at 2^50 on one core of a
 2-core Xeon), which is exact up to n = 2^51 (``TREE_N_LIMIT``); a larger n is
 refused.
 
-Only ``"exact"`` needs scipy.optimize and scipy.spatial (the assignment
-solver and the distance kernel, about 22 MB resident), so this module does
-not import them: the exact prepare step does, before any worker process is
-forked, and ``ot_couple`` does for a direct call. A process that runs only
-quantile couplings loads numpy and scipy.special.
+Only ``"exact"`` needs scipy's assignment solver and squared-distance
+kernel. Both are compiled modules (``scipy.optimize._lsap``, the solver that
+``scipy.optimize`` exports, and ``scipy.spatial._distance_pybind``, the
+kernel behind ``cdist(..., "sqeuclidean")``), loaded from their files on
+first use without the packages around them, which would cost about 21 MB
+resident and 0.2 s; the two modules take about 1 ms and under 1 MB. The
+exact prepare step loads them, before any worker process is forked, and
+``ot_couple`` does for a direct call. A process that runs only quantile
+couplings loads numpy and scipy.special.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -72,10 +76,15 @@ convergence-rate experiments.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.special import ndtr
 from scipy.special._ufuncs import _binom_ppf  # the boost quantile behind scipy.stats.binom.ppf
 
@@ -140,18 +149,37 @@ class TransportPlan:
             raise DomainError("stored cost does not match the assignment")
 
 
-def _transport_solvers() -> tuple:
-    """scipy's assignment solver and distance kernel, imported on first use
-    (see the module docstring)."""
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
+def _scipy_extension(package: str, name: str):
+    """The compiled module ``scipy.<package>.<name>``, loaded from its file
+    without importing ``scipy.<package>`` and registered under its own name,
+    so that a later import of the package reuses it."""
+    full = f"scipy.{package}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        finder = importlib.machinery.FileFinder(os.path.join(scipy.__path__[0], package), loader)
+        spec = finder.find_spec(full)
+        if spec is None:
+            raise ImportError(f"no compiled module {full} in scipy {scipy.__version__}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return module
 
-    return linear_sum_assignment, cdist
+
+def _transport_solvers() -> tuple:
+    """scipy's assignment solver (the one ``scipy.optimize`` exports) and the
+    kernel that ``cdist(..., "sqeuclidean")`` runs on float input, loaded on
+    first use (see the module docstring)."""
+    return (
+        _scipy_extension("optimize", "_lsap").linear_sum_assignment,
+        _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean,
+    )
 
 
 def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:
     """Pair batches by the exact minimum squared-Euclidean assignment."""
-    linear_sum_assignment, cdist = _transport_solvers()
+    linear_sum_assignment, sqeuclidean = _transport_solvers()
     source = np.atleast_2d(np.asarray(source, dtype=float))
     target = np.atleast_2d(np.asarray(target, dtype=float))
     if source.shape != target.shape:
@@ -159,7 +187,7 @@ def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:
     m = source.shape[0]
     if m > OT_EXACT_LIMIT:
         raise CapacityError(f"exact assignment limited to {OT_EXACT_LIMIT} points, got {m}")
-    costs = cdist(source, target, metric="sqeuclidean")
+    costs = sqeuclidean(source, target)
     _, cols = linear_sum_assignment(costs)
     assignment = cols.astype(int)
     cost = float(costs[np.arange(m), assignment].mean())

@@ -575,37 +575,47 @@ def test_quantile_method_accepts_and_ignores_ot_batch(capsys, tmp_path, command)
     assert len(set(outputs)) == 1
 
 
-def test_only_batch_transport_loads_scipy_optimize_and_spatial(tmp_path, child_env):
+def test_only_exact_runs_load_the_transport_kernels(tmp_path, child_env):
     # Quantile couplings, covers and bounds need only scipy.special (the
-    # binomial quantile among them). scipy.stats would cost about 19 MB of
-    # resident memory per process, scipy.optimize and scipy.spatial about
-    # 22 MB; an exact context loads the last two when it is prepared.
+    # binomial quantile among them). An exact context loads scipy's two
+    # compiled transport kernels when it is prepared, before any pool forks,
+    # and no run imports scipy.optimize, scipy.spatial or scipy.stats, which
+    # would cost about 21 MB (the first two) and 19 MB of resident memory per
+    # process.
     quantile = write_config(
         tmp_path, "q.json", {"n_grid": [64, 256], "reps": 2, "method": "quantile"}
     )
+    couple = write_config(tmp_path, "c.json", {"n_grid": [64], "ot_batch": 8, "method": "exact"})
+    approx = write_config(tmp_path, "a.json", {"n_grid": [64, 256], "ot_batch": 8, "reps": 2})
+    strong = write_config(
+        tmp_path, "s.json", {"schedule": {"N_grid": [3, 4], "m": 4, "eval_mesh_size": 5}, "reps": 2}
+    )
     probe = "\n".join([
         "import sys, empbridge.cli as c",
-        "heavy = ('scipy.optimize', 'scipy.spatial', 'scipy.stats')",
-        "out, quantile = sys.argv[1:]",
-        "for argv in (['couple'], ['approx', '--config', quantile], ['entropy'], ['bounds-audit']):",
+        "watched = ('scipy.optimize', 'scipy.spatial', 'scipy.stats',",
+        "           'scipy.optimize._lsap', 'scipy.spatial._distance_pybind')",
+        "out, quantile, couple, approx, strong = sys.argv[1:]",
+        "for argv in (['couple'], ['approx', '--config', quantile], ['entropy'], ['bounds-audit'],",
+        "             ['couple', '--config', couple], ['approx', '--config', approx],",
+        "             ['strong', '--config', strong, '--workers', '2']):",
         "    assert c.main(argv + ['--out', out]) == 0, argv",
-        "    print('loaded', argv[0], [m for m in heavy if m in sys.modules])",
-        "from empbridge import Distribution, FunctionClass, prepare_coupling",
-        "prepare_coupling(FunctionClass('intervals'), Distribution('uniform'), 0.3, method='exact')",
-        "print('loaded exact', [m for m in heavy if m in sys.modules])",
+        "    print('loaded', argv[0], [m for m in watched if m in sys.modules])",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path), quantile],
+        [sys.executable, "-c", probe, str(tmp_path), quantile, couple, approx, strong],
         capture_output=True, text=True, check=True, env=child_env,
     )
     # Each run also prints the path it wrote.
     loaded = [line for line in proc.stdout.split("\n") if line.startswith("loaded ")]
+    kernels = "['scipy.optimize._lsap', 'scipy.spatial._distance_pybind']"
     assert loaded == [
         "loaded couple []",
         "loaded approx []",
         "loaded entropy []",
         "loaded bounds-audit []",
-        "loaded exact ['scipy.optimize', 'scipy.spatial']",
+        f"loaded couple {kernels}",
+        f"loaded approx {kernels}",
+        f"loaded strong {kernels}",
     ]
 
 

@@ -1,6 +1,7 @@
 """Transport plans, tail bounds, radius selections, and joint realizations."""
 
 import math
+import re
 import subprocess
 import sys
 import time
@@ -147,37 +148,101 @@ def _fresh(child_env, *lines) -> list:
     return proc.stdout.split()
 
 
+KERNELS = ("scipy.optimize._lsap", "scipy.spatial._distance_pybind")
+# A fresh interpreter's report of which of the watched modules it holds.
+LOADED = "\n".join([
+    f"watched = {('scipy.optimize', 'scipy.spatial', 'scipy.stats') + KERNELS!r}",
+    "def loaded():",
+    "    return ','.join(m for m in watched if m in sys.modules) or '-'",
+])
+
+
+@pytest.mark.parametrize("m", [1, 48, 512])
+def test_ot_couple_is_scipys_public_assignment_bit_for_bit(m):
+    # ot_couple calls scipy's compiled kernels directly; the public route is
+    # the reference. Interval Y-sums at small n sit on a lattice, so batches
+    # hold duplicate rows and the solver's choice among tied assignments
+    # follows the last bit of the costs. The Gaussian batch is a transposed
+    # view, as z_batch is.
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(m)
+    g, n = 5, 4
+    cdf = np.arange(1, g + 1) / (g + 1)
+    counts = rng.multinomial(n, np.full(g + 1, 1.0 / (g + 1)), size=m)
+    lattice = (np.cumsum(counts[:, :g], axis=1) - n * cdf) / math.sqrt(n)
+    gauss = (rng.standard_normal((g, g)) @ rng.standard_normal((g, m))).T
+    for tgt in (gauss, np.ascontiguousarray(gauss), lattice[rng.permutation(m)]):
+        costs = cdist(lattice, tgt, "sqeuclidean")
+        _, cols = linear_sum_assignment(costs)
+        plan = ot_couple(lattice, tgt)
+        assert plan.assignment.tolist() == cols.tolist()
+        assert plan.cost.hex() == float(costs[np.arange(m), cols].mean()).hex()
+
+
+def test_a_missing_transport_kernel_is_an_import_error():
+    # No fallback to importing the package: a scipy without the file fails
+    # loudly, naming the module and the installed version.
+    import scipy
+
+    want = rf"scipy\.optimize\._no_such_kernel in scipy {re.escape(scipy.__version__)}$"
+    with pytest.raises(ImportError, match=want):
+        coupling._scipy_extension("optimize", "_no_such_kernel")
+    assert "scipy.optimize._no_such_kernel" not in sys.modules
+
+
 def test_a_direct_ot_couple_loads_its_solvers_itself(child_env):
-    # No context is prepared first: ot_couple imports scipy.optimize itself.
+    # No context is prepared first: ot_couple loads scipy's two compiled
+    # transport kernels itself, and neither package around them.
     rng = np.random.default_rng(5)
     src, tgt = rng.standard_normal((2, 40, 3))
     out = _fresh(
         child_env,
         "import sys, numpy as np",
         "from empbridge import ot_couple",
-        "print('scipy.optimize' in sys.modules)",
+        LOADED,
+        "print(loaded())",
         "src, tgt = np.random.default_rng(5).standard_normal((2, 40, 3))",
         "print(*ot_couple(src, tgt).assignment)",
+        "print(loaded())",
     )
-    assert out[0] == "False"
-    assert [int(a) for a in out[1:]] == ot_couple(src, tgt).assignment.tolist()
+    assert out[0] == "-"
+    assert out[-1] == ",".join(KERNELS)
+    assert [int(a) for a in out[1:-1]] == ot_couple(src, tgt).assignment.tolist()
 
 
-def test_pool_workers_inherit_the_solvers_from_the_parent(child_env):
+def test_pool_workers_inherit_the_solvers_from_the_parent(child_env, tmp_path):
     # The exact contexts are prepared before the pool forks, so the parent
-    # has imported scipy.optimize once and each worker inherits it; were the
-    # import only in ot_couple, which runs in the workers, it would not.
+    # loads the two kernels once and each worker finds them at its first
+    # ot_couple; were they loaded only in ot_couple, it would not. No process
+    # of the run imports scipy.optimize, scipy.spatial or scipy.stats.
+    log = tmp_path / "calls"
     out = _fresh(
         child_env,
-        "import sys",
+        "import os, sys",
+        "import empbridge.coupling as c",
         "from empbridge import ExperimentConfig, run_strong_approx",
-        "print('scipy.optimize' in sys.modules)",
+        LOADED,
+        f"log = {str(log)!r}",
+        "def ot_couple(source, target, inner=c.ot_couple):",
+        "    before = loaded()",
+        "    plan = inner(source, target)",
+        "    with open(log, 'a') as f:",
+        "        print(os.getpid(), before, loaded(), file=f)",
+        "    return plan",
+        "c.ot_couple = ot_couple",
+        "print(os.getpid(), loaded())",
         "cfg = ExperimentConfig(kind='strong-approx', reps=2, workers=2,",
         "    schedule={'N_grid': [3, 4], 'm': 4, 'eval_mesh_size': 5})",
         "assert run_strong_approx(cfg).meta['failures'] == 0",
-        "print('scipy.optimize' in sys.modules)",
+        "print(loaded())",
     )
-    assert out == ["False", "True"]
+    parent, kernels = out[0], ",".join(KERNELS)
+    assert out[1:] == ["-", kernels]
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert calls and all(pid != parent for pid, _, _ in calls)
+    assert {(before, after) for _, before, after in calls} == {(kernels, kernels)}
 
 
 # -- radius selections -----------------------------------------------------------
