@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .distributions import Distribution
 from .errors import (
@@ -139,6 +138,8 @@ def dudley_integral(entropy_model, sigma: float) -> float:
     if sigma == 0.0:
         return 0.0
     if form == "power":
+        from scipy import special
+
         c, v = float(consts["c"]), float(consts["v"])
         if c <= 0 or v <= 0:
             raise ConfigError("power-law entropy needs c > 0 and v > 0")

@@ -66,8 +66,12 @@ kernel behind ``cdist(..., "sqeuclidean")``), loaded from their files on
 first use without the packages around them, which would cost about 21 MB
 resident and 0.2 s; the two modules take about 1 ms and under 1 MB. The
 exact prepare step loads them, before any worker process is forked, and
-``ot_couple`` does for a direct call. A process that runs only quantile
-couplings loads numpy and scipy.special.
+``ot_couple`` does for a direct call. Of the two methods only
+``"quantile"`` needs scipy.special (the normal CDF and the binomial
+quantile; the package costs about 25 MB and 0.16 s); its prepare step loads
+them, and ``_binomial_tree`` for a direct call. A process that runs only
+exact couplings, under any law but beta (whose CDF is scipy's), loads numpy
+and the two kernels alone.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -85,8 +89,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.special import ndtr
-from scipy.special._ufuncs import _binom_ppf  # the boost quantile behind scipy.stats.binom.ppf
 
 from .bridge import conditional_law, extend_from_law, factorize
 from .distributions import Distribution
@@ -175,6 +177,16 @@ def _transport_solvers() -> tuple:
         _scipy_extension("optimize", "_lsap").linear_sum_assignment,
         _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean,
     )
+
+
+def _tree_kernels() -> tuple:
+    """The normal CDF and the boost binomial quantile behind
+    ``scipy.stats.binom.ppf``, from ``scipy.special``, imported on first use
+    (see the module docstring)."""
+    from scipy.special import ndtr
+    from scipy.special._ufuncs import _binom_ppf
+
+    return ndtr, _binom_ppf
 
 
 def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:
@@ -309,6 +321,7 @@ def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tupl
     level order. Returns the counts (as floats) and the Gaussian masses of the
     given cells.
     """
+    ndtr, binom_ppf = _tree_kernels()
     leaves = 1 << (len(masses) - 1).bit_length()
     normals = rng.standard_normal(leaves - 1)
     p = np.zeros(leaves)
@@ -320,7 +333,7 @@ def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tupl
         q = np.divide(left, left + right, out=np.zeros_like(left), where=left + right > 0)
         e = normals[len(counts) - 1 : 2 * len(counts) - 1]
         g_left = q * gauss + np.sqrt(q * right) * e
-        n_left = _binom_ppf(ndtr(e), counts, q)
+        n_left = binom_ppf(ndtr(e), counts, q)
         counts = np.stack([n_left, counts - n_left], axis=1).ravel()
         gauss = np.stack([g_left, gauss - g_left], axis=1).ravel()
     return counts[: len(masses)], gauss[: len(masses)]
@@ -447,6 +460,7 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
 
 def _prepare_tree(cls, P, grid, mesh) -> IntervalCells:
     """The ``"quantile"`` state: the grid cells and their mesh refinement."""
+    _tree_kernels()  # here, so a pool forked after set-up inherits them
     return interval_cells(P, grid.centers, mesh)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DomainError
 
@@ -84,6 +83,8 @@ class Distribution:
         if self.kind == "uniform" or self.kind == "product-uniform":
             out = np.clip(xs, 0.0, 1.0)
         elif self.kind == "beta":
+            from scipy import special
+
             out = special.betainc(self.a, self.b, np.clip(xs, 0.0, 1.0))
         else:
             pts = self._atom_array()[:, 0]

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .distributions import Distribution
 from .errors import (
@@ -515,6 +514,8 @@ def _cell_moments(P: Distribution, knots: np.ndarray) -> np.ndarray:
     """
     left = knots[:-1]
     if P.kind == "beta":
+        from scipy import special
+
         a, b = P.a, P.b
         scale = np.array([1.0, a / (a + b), a * (a + 1.0) / ((a + b) * (a + b + 1.0))])
         incomplete = special.betainc(a + np.arange(3.0)[:, None], b, knots)

@@ -576,12 +576,11 @@ def test_quantile_method_accepts_and_ignores_ot_batch(capsys, tmp_path, command)
 
 
 def test_only_exact_runs_load_the_transport_kernels(tmp_path, child_env):
-    # Quantile couplings, covers and bounds need only scipy.special (the
-    # binomial quantile among them). An exact context loads scipy's two
-    # compiled transport kernels when it is prepared, before any pool forks,
-    # and no run imports scipy.optimize, scipy.spatial or scipy.stats, which
-    # would cost about 21 MB (the first two) and 19 MB of resident memory per
-    # process.
+    # Quantile couplings, covers and bounds load no transport kernel. An
+    # exact context loads scipy's two compiled transport kernels when it is
+    # prepared, before any pool forks, and no run imports scipy.optimize,
+    # scipy.spatial or scipy.stats, which would cost about 21 MB (the first
+    # two) and 19 MB of resident memory per process.
     quantile = write_config(
         tmp_path, "q.json", {"n_grid": [64, 256], "reps": 2, "method": "quantile"}
     )
@@ -616,6 +615,54 @@ def test_only_exact_runs_load_the_transport_kernels(tmp_path, child_env):
         f"loaded couple {kernels}",
         f"loaded approx {kernels}",
         f"loaded strong {kernels}",
+    ]
+
+
+def test_only_special_functions_load_scipy_special(tmp_path, child_env):
+    # scipy.special (about 25 MB and 0.16 s in a fresh interpreter) loads
+    # where a special function is evaluated: the quantile tree's binomial
+    # quantile, the beta CDF and the bounds' entropy integral. Exact runs
+    # under the uniform law and the entropy certificates evaluate none, pool
+    # workers included. Each loading run starts from the state those runs
+    # leave, in a forked copy of the interpreter.
+    strong = write_config(
+        tmp_path, "s.json", {"schedule": {"N_grid": [3, 4], "m": 4, "eval_mesh_size": 5}, "reps": 2}
+    )
+    beta = write_config(
+        tmp_path,
+        "b.json",
+        {"n_grid": [64], "ot_batch": 8, "reps": 2, "distribution": {"kind": "beta", "a": 2.0}},
+    )
+    probe = "\n".join([
+        "import os, sys, empbridge.cli as c",
+        "out, strong, beta = sys.argv[1:]",
+        "def run(argv):",
+        "    assert c.main(argv + ['--out', out]) == 0, argv",
+        "    print('loaded', argv[0], 'scipy.special' in sys.modules, flush=True)",
+        "for argv in (['approx'], ['strong', '--config', strong, '--workers', '2'], ['entropy']):",
+        "    run(argv)",
+        "for argv in (['couple'], ['bounds-audit'], ['approx', '--config', beta]):",
+        "    pid = os.fork()",
+        "    if pid == 0:",
+        "        try:",
+        "            run(argv)",
+        "        finally:",
+        "            os._exit(0)",
+        "    os.waitpid(pid, 0)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path), strong, beta],
+        capture_output=True, text=True, check=True, env=child_env,
+    )
+    # Each run also prints the path it wrote.
+    loaded = [line for line in proc.stdout.split("\n") if line.startswith("loaded ")]
+    assert loaded == [
+        "loaded approx False",
+        "loaded strong False",
+        "loaded entropy False",
+        "loaded couple True",
+        "loaded bounds-audit True",
+        "loaded approx True",
     ]
 
 

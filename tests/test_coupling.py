@@ -245,6 +245,47 @@ def test_pool_workers_inherit_the_solvers_from_the_parent(child_env, tmp_path):
     assert {(before, after) for _, before, after in calls} == {(kernels, kernels)}
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "method='quantile'",
+        "ot_batch=8, dist=Distribution('beta', a=2.0, b=3.0)",
+    ],
+    ids=["quantile", "beta-exact"],
+)
+def test_pool_workers_inherit_scipy_special_from_the_parent(child_env, tmp_path, spec):
+    # The quantile prepare step loads the tree's special functions, and a
+    # beta law's CDF loads them while the grid and covariance are built, both
+    # before the pool forks: every worker finds scipy.special at its first
+    # realization and none imports it. Were it loaded only in the tree, each
+    # worker would.
+    log = tmp_path / "calls"
+    out = _fresh(
+        child_env,
+        "import os, sys",
+        "import empbridge.experiments as e",
+        "from empbridge import Distribution, ExperimentConfig, run_gauss_approx",
+        "def loaded():",
+        "    return 'scipy.special' in sys.modules",
+        f"log = {str(log)!r}",
+        "def construct_joint(*args, inner=e.construct_joint):",
+        "    before = loaded()",
+        "    real = inner(*args)",
+        "    with open(log, 'a') as f:",
+        "        print(os.getpid(), before, loaded(), file=f)",
+        "    return real",
+        "e.construct_joint = construct_joint",
+        "print(os.getpid(), loaded())",
+        f"cfg = ExperimentConfig(kind='gauss-approx', n_grid=(64, 256), reps=4, workers=2, {spec})",
+        "assert run_gauss_approx(cfg).meta['failures'] == 0",
+        "print(loaded())",
+    )
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert len(calls) == 8 and all(pid != out[0] for pid, _, _ in calls)
+    assert {(before, after) for _, before, after in calls} == {("True", "True")}
+    assert out[1:] == ["False", "True"]
+
+
 # -- radius selections -----------------------------------------------------------
 
 

@@ -6,8 +6,8 @@ the law of the designated pair, not only the size of its gap:
 
 - the second moments of ``y_sum`` and ``z_sum`` against the grid Gram, and
   of ``z_sum`` joined with the mesh Gaussian against the bridge covariance;
-- for the exact method on rectangles and finite classes, the means and
-  second moments of ``y_sum`` and ``z_sum``;
+- for the exact method on one class of each kind, the means and second
+  moments of ``y_sum`` and ``z_sum``;
 - the tree's cell counts, and the finer mesh-cell counts drawn given them,
   against their exact multinomial law at tiny n;
 - the mean grid gap against the largest per-coordinate 1-Wasserstein
@@ -33,7 +33,7 @@ from empbridge import (
     run_gauss_approx,
     select_epsilon_vc,
 )
-from empbridge.coupling import IntervalCells, _binom_ppf, _tree_pair
+from empbridge.coupling import IntervalCells, _tree_kernels, _tree_pair
 from empbridge.function_classes import covariance
 
 INTERVALS = FunctionClass("intervals", envelope=1.0, mesh_size=201)
@@ -52,13 +52,14 @@ LAW_CASES = {
 
 
 def test_binomial_quantile_matches_scipy_stats():
-    """The private boost quantile is scipy.stats.binom.ppf, bit for bit, on a
-    fixed grid of (u, N, q) with N up to 2^30."""
+    """The private boost quantile that the tree uses is scipy.stats.binom.ppf,
+    bit for bit, on a fixed grid of (u, N, q) with N up to 2^30."""
+    _, binom_ppf = _tree_kernels()
     u = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12])
     N = np.array([1, 2, 7, 64, 1000, 12345, 2**20, 10**7, 2**30], dtype=float)
     q = np.array([1e-9, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1e-3])
     uu, NN, qq = (a.ravel() for a in np.meshgrid(u, N, q, indexing="ij"))
-    assert np.array_equal(_binom_ppf(uu, NN, qq), binom.ppf(uu, NN, qq))
+    assert np.array_equal(binom_ppf(uu, NN, qq), binom.ppf(uu, NN, qq))
 
 
 def quantile_realizations(P, eps, R=2000, n=64):
@@ -120,11 +121,15 @@ def test_quantile_mesh_gaussian_has_the_bridge_second_moments(law):
     assert_second_moments({"joint": joint}, K, tests=1)
 
 
-# (class, law, radius) of the exact pair's law check: a 2-D rectangles class
-# under product-uniform, and a finite class with a constant member under
-# beta(2, 3). Each grid holds one coordinate of variance 0: the full
-# rectangle, or the constant member.
+# (class, law, radius) of the exact pair's law check: an interval class and
+# a Hoelder class under the uniform law, a 2-D rectangles class under
+# product-uniform, and a finite class with a constant member under
+# beta(2, 3). Each grid holds one coordinate of variance 0: the interval up
+# to 1, the Hoelder member that is 0 everywhere, the full rectangle, or the
+# constant member. The Hoelder grid's Gram, on 13 coordinates, is singular.
 EXACT_CASES = {
+    "intervals": (INTERVALS, Distribution("uniform"), 0.35),
+    "holder": (FunctionClass("holder", envelope=1.0), Distribution("uniform"), 0.1),
     "rectangles": (
         FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=25),
         Distribution("product-uniform", dim=2),
@@ -145,7 +150,7 @@ EXACT_CASES = {
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
 def test_exact_grid_pair_has_mean_zero_and_the_gram_second_moments(case):
     """E y0 = E z0 = 0 and E y0 y0' = E z0 z0' = K, the grid Gram, for the
-    designated pair of the exact method on classes other than intervals.
+    designated pair of the exact method.
 
     R = 3000 realizations at n = 32 with batch m = 8. Each mean's z-score,
     its absolute value over sqrt(K_jj / R), must stay below the two-sided
