@@ -19,26 +19,25 @@ Under ``"exact"`` a batch of m independent Y-sums is paired with m
 independent Gaussian vectors by a minimum-cost squared-Euclidean assignment.
 The designated realization (batch index 0) keeps its matched Gaussian vector,
 which is extended to the mesh by Gaussian conditioning. The state holds the
-grid factor, that dense conditional law and, for interval classes, the grid
-cells (masses and order, no mesh refinement). The realization carries the
-designated sample points and their mesh Gaussian values, from which the
-sequential construction fills in the partial sums of a block. Only the
-designated sample is drawn point by point and evaluated as a matrix, since
-its per-summand bound is checked; its mesh values are column sums
+grid factor, that dense conditional law and, for every class but Hoelder,
+the grid cells (``OrthantCells``, no mesh refinement). The realization
+carries the designated sample points and their mesh Gaussian values, from
+which the sequential construction fills in the partial sums of a block. Only
+the designated sample is drawn point by point and evaluated as a matrix,
+since its per-summand bound is checked; its mesh values are column sums
 (``FunctionClass.column_sums``). The m - 1 auxiliary Y-sums all come from one
-generator, the ``auxiliary`` seed phase. For interval indicators the grid
-Y-sum of a sample depends only on the multinomial counts of the g+1 cells
-that the sorted centers cut out (the grid reduction of Dudley and Philipp),
-so the auxiliary Y-sums are drawn as multinomial cell counts and turned into
-grid sums by a cumulative sum, with the same law as from full samples. Other
-classes draw the m - 1 auxiliary samples as consecutive rows of that
-generator, in chunks of at most ``AUX_CHUNK_POINTS`` points, and reduce each
-chunk to its rows' column sums (``FunctionClass.batch_column_sums``) without
-evaluating it point by point where the class allows: a one-dimensional
+generator, the ``auxiliary`` seed phase. Every indicator class (intervals,
+rectangles, finite) has members w 1{x <= t}, and the grid Y-sum of a sample
+depends only on its multinomial counts in the cells that the grid corners
+cut out (the grid reduction of Dudley and Philipp), so its auxiliary Y-sums
+are drawn as multinomial cell counts and turned into grid sums by a
+cumulative sum along each axis, with the same law as from full samples.
+Only Hoelder classes draw auxiliary points, n to a row, and reduce each
+chunk of rows to its column sums (``FunctionClass.batch_column_sums``): a
 Hoelder sum needs only the count and point sum of each knot cell, and one
-kernel takes them for every row of a chunk. Consecutive draws from one
-generator give the bits of one larger draw, so the chunk size changes no
-output.
+kernel takes them for every row of a chunk. Rows come in chunks of at most
+``AUX_CHUNK_POINTS`` points or cells. Consecutive draws from one generator
+give the bits of one larger draw, so the chunk size changes no output.
 
 The ``"quantile"`` method (interval classes only) draws no sample at all.
 The grid Y-sum depends only on the g+1 cell counts, and the Gaussian grid
@@ -100,7 +99,8 @@ from .errors import (
     ShapeError,
 )
 from .function_classes import (
-    KINDS, EntropyRegime, FunctionClass, Grid, _monotone_cdf, build_grid, covariance, mean_vector
+    KINDS, EntropyRegime, FunctionClass, Grid, _monotone_cdf, _orthant, _orthant_mass, build_grid,
+    covariance, mean_vector,
 )
 from .seeds import SeedSpec
 
@@ -261,51 +261,76 @@ def select_delta_t(
 
 
 @dataclass(frozen=True, eq=False)
-class IntervalCells:
-    """The g+1 cells that interval grid centers cut out, with their masses.
+class OrthantCells:
+    """The cells that the corners of members w 1{x <= t} cut out, with masses.
 
-    Cell 0 is x <= c_(1), cell j is c_(j) < x <= c_(j+1) and cell g is
-    x > c_(g), for the centers sorted as c_(1) <= ... <= c_(g); ``order`` is
-    that sort's permutation of the grid order. The mesh points cut each cell
-    further, into finer cells listed from left to right: ``within`` holds
-    each finer cell's mass given its grid cell (all 0 in a massless grid
-    cell), ``cell`` the grid cell it lies in (nondecreasing), and
-    ``mesh_at`` the index of the finer cell that ends at each mesh point.
+    Along each axis the sorted corner coordinates u_1 <= ... <= u_k (all of
+    them in one dimension, the distinct ones in more) cut out x <= u_1,
+    u_j < x <= u_(j+1) and x > u_k; the cells are their products, in C order
+    over ``shape``. ``corner`` is the flat index of each member's corner
+    cell, ``weights`` the members' weights (None for unit weights). In one
+    dimension the mesh points cut the cells into finer cells, left to right:
+    ``within`` holds each one's mass given its grid cell (all 0 in a massless
+    grid cell), ``cell`` that grid cell (nondecreasing) and ``mesh_at`` the
+    finer cell that ends at each mesh point. In more dimensions all are None.
     """
 
-    order: np.ndarray
     masses: np.ndarray
-    within: np.ndarray
-    cell: np.ndarray
-    mesh_at: np.ndarray
+    shape: tuple
+    corner: np.ndarray
+    weights: np.ndarray | None
+    within: np.ndarray | None = None
+    cell: np.ndarray | None = None
+    mesh_at: np.ndarray | None = None
+
+    @property
+    def order(self) -> np.ndarray:
+        """The members in the order of their corner cells: in one dimension,
+        the sort of the corners."""
+        return np.argsort(self.corner, kind="stable")
 
     def grid_sums(self, counts: np.ndarray) -> np.ndarray:
-        """Per-center counts sum_i 1{x_i <= c} from cell counts, in grid order."""
-        out = np.empty(counts.shape[:-1] + (len(self.order),))
-        out[..., self.order] = np.cumsum(counts[..., :-1], axis=-1)
-        return out
+        """Per-member sums sum_i w 1{x_i <= t} from cell counts, in grid order:
+        the cumulative counts along every axis, read at each member's corner
+        and times its weight."""
+        cum = counts.reshape(counts.shape[:-1] + self.shape)
+        for axis in range(-len(self.shape), 0):
+            cum = np.cumsum(cum, axis=axis)
+        out = cum.reshape(counts.shape)[..., self.corner]
+        return out if self.weights is None else out * self.weights
 
 
-def interval_cells(P: Distribution, centers, mesh=()) -> IntervalCells:
-    """Sort order and P-masses of the cells cut out by interval centers, and
-    their refinement by the interval parameters ``mesh``. Both read the
-    monotone CDF that the Gram and the means read, so a cell past t = 1 has
-    mass exactly 0."""
-    thetas = np.asarray(centers, dtype=float)
-    order = np.argsort(thetas, kind="stable")
-    masses = np.diff(np.concatenate([[0.0], _monotone_cdf(P, thetas[order]), [1.0]]))
-    # Every cut, the centers first among ties. Finer cell i ends at sorted cut
+def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCells:
+    """The cells of member corners t (g, d), or of interval parameters, and
+    in one dimension their refinement by the interval parameters ``mesh``.
+    The masses are the d-fold differences of ``_orthant_mass`` (the means'
+    and the Gram's arithmetic) at the cells' upper corners, rounding-level
+    negatives set to 0. In one dimension that is the monotone CDF, so a cell
+    past t = 1 has mass exactly 0."""
+    d = P.dim
+    t = np.asarray(corners, dtype=float).reshape(-1, d)
+    axes = [np.sort(u) if d == 1 else np.unique(u) for u in t.T]
+    shape = tuple(len(u) + 1 for u in axes)
+    upper = np.meshgrid(*[np.append(u, 1.0) for u in axes], indexing="ij")
+    mass = _orthant_mass(P, np.stack(upper, -1).reshape(-1, d), np.ones((1, d))).reshape(shape)
+    for axis in range(d):
+        mass = np.diff(mass, axis=axis, prepend=0.0)
+    masses = np.maximum(mass.ravel(), 0.0)
+    corner = np.ravel_multi_index(tuple(np.searchsorted(u, c) for u, c in zip(axes, t.T)), shape)
+    if d > 1:
+        return OrthantCells(masses, shape, corner, weights)
+    # Every cut, the corners first among ties. Finer cell i ends at sorted cut
     # i (the last one at +inf) and lies in the grid cell numbered by the
-    # centers among the cuts before it.
-    cuts = np.concatenate([thetas[order], np.asarray(mesh, dtype=float)])
+    # corners among the cuts before it.
+    cuts = np.concatenate([axes[0], np.asarray(mesh, dtype=float)])
     sort = np.argsort(cuts, kind="stable")
     fine = np.diff(np.concatenate([[0.0], _monotone_cdf(P, cuts[sort]), [1.0]]))
-    cell = np.concatenate([[0], np.cumsum(sort < len(thetas))])
+    cell = np.concatenate([[0], np.cumsum(sort < len(t))])
     total = np.bincount(cell, fine)[cell]
     within = np.divide(fine, total, out=np.zeros_like(fine), where=total > 0)
     place = np.empty(len(cuts), dtype=int)
     place[sort] = np.arange(len(cuts))
-    return IntervalCells(order, masses, within, cell, place[len(thetas):])
+    return OrthantCells(masses, shape, corner, weights, within, cell, place[len(t) :])
 
 
 def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tuple:
@@ -416,13 +441,17 @@ def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -
 
 def _prepare_batch(cls, P, grid, mesh) -> tuple:
     """The ``"exact"`` state: grid factor, mesh law given the grid and, for
-    interval classes, cells without a mesh (``_batch_pair`` reads no more)."""
+    every class but Hoelder, the grid's cells without a mesh (``_batch_pair``
+    reads no more)."""
     _transport_solvers()  # here, so a pool forked after set-up inherits them
     model = factorize(grid.gram)
     joint = covariance(cls, P, list(grid.centers) + list(mesh))
     g = grid.size
     law = conditional_law(model, joint[g:, :g], joint[g:, g:])
-    return model, law, interval_cells(P, grid.centers) if cls.kind == "intervals" else None
+    if cls.kind == "holder":
+        return model, law, None
+    w, t = _orthant(cls, list(grid.centers), P.dim)
+    return model, law, orthant_cells(P, t, weights=w)
 
 
 def _batch_pair(context, n, m, seed, tag) -> tuple:
@@ -441,14 +470,15 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
     sums = np.empty((m, g))
     sums[0] = vals.sum(axis=0)
     aux = seed.rng("auxiliary", tag)
-    if cells is not None:
-        sums[1:] = cells.grid_sums(aux.multinomial(n, cells.masses, size=m - 1))
-    else:
-        rows = max(1, AUX_CHUNK_POINTS // n)
-        for b in range(1, m, rows):
-            k = min(rows, m - b)
+    # A row of cell counts stands for a row of n points.
+    rows = max(1, AUX_CHUNK_POINTS // (n if cells is None else len(cells.masses)))
+    for b in range(1, m, rows):
+        k = min(rows, m - b)
+        if cells is not None:
+            sums[b : b + k] = cells.grid_sums(aux.multinomial(n, cells.masses, size=k))
+        else:
             xs = P.draw(k * n, aux)
-            sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape((k, n) + xs.shape[1:]))
+            sums[b : b + k] = cls.batch_column_sums(centers, xs.reshape(k, n))
     y_batch = (sums - n * context.grid_means) / math.sqrt(n)
     z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch)
@@ -458,10 +488,10 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
     return designated, y_batch[0], z0, plan.cost, mesh_sums, mesh_gauss
 
 
-def _prepare_tree(cls, P, grid, mesh) -> IntervalCells:
+def _prepare_tree(cls, P, grid, mesh) -> OrthantCells:
     """The ``"quantile"`` state: the grid cells and their mesh refinement."""
     _tree_kernels()  # here, so a pool forked after set-up inherits them
-    return interval_cells(P, grid.centers, mesh)
+    return orthant_cells(P, grid.centers, mesh)
 
 
 def _tree_pair(context, n, m, seed, tag) -> tuple:

@@ -27,7 +27,10 @@ and ``_cell_moments`` under any other.
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
 f_theta(x_i) for a parameter list and a sample (indicators compare the
 points with the corners), ``column_sums`` its column sums, and
-``batch_column_sums`` the column sums of each sample in a stack.
+``batch_column_sums`` the column sums of each Hoelder sample in a stack. The
+auxiliary samples of a batch coupling are drawn only for Hoelder classes:
+every indicator class draws their cell counts (``coupling.orthant_cells``),
+whose cumulative sums give the column sums without a point.
 Holder classes are evaluated by one binary search of the knots per sample
 point, shared by every parameter, with np.interp's slopes and order of
 operations, so the matrix is bit-identical to one np.interp call per
@@ -234,17 +237,18 @@ class FunctionClass:
         return self.evaluate_matrix(params, xs).sum(axis=0)
 
     def batch_column_sums(self, params, batch: np.ndarray) -> np.ndarray:
-        """Row r is ``column_sums(params, batch[r])``; shape (rows, len(params)).
+        """Row r is ``column_sums(params, batch[r])`` for a Hoelder class;
+        shape (rows, len(params)).
 
-        ``batch`` stacks samples of equal size: (rows, n) for one-dimensional
-        points, (rows, n, d) otherwise. One-dimensional Hoelder samples are
-        reduced together by one knot-cell kernel whose rows equal the one-row
-        calls bit for bit; other classes sum each row by ``column_sums``.
+        ``batch`` stacks one-dimensional samples of equal size, (rows, n),
+        and one knot-cell kernel reduces them together, its rows equal to the
+        one-row calls bit for bit. Only Hoelder classes draw auxiliary
+        samples; every indicator class draws cell counts in their place.
         """
-        batch = np.asarray(batch, dtype=float)
-        if self.kind == "holder" and batch.ndim == 2 and len(params):
-            return _interp_column_sums(self.knots, np.asarray(params, dtype=float), batch)
-        return np.stack([self.column_sums(params, xs) for xs in batch])
+        if self.kind != "holder":
+            raise UnsupportedOperationError(f"only holder classes take batch sums, not {self.kind}")
+        vals = np.asarray(params, dtype=float).reshape(len(params), self.knot_count)
+        return _interp_column_sums(self.knots, vals, np.asarray(batch, dtype=float))
 
     def to_spec(self) -> dict:
         spec = {"kind": self.kind, "M": self.envelope, "mesh_size": self.mesh_size}

@@ -32,7 +32,7 @@ PHASES = {
     "fill": 6,
     "mesh": 7,  # a Hoelder class's admissible mesh, keyed by the class's mesh_seed alone
     "holdout": 8,  # no consumer; reserved
-    "auxiliary": 9,  # the m - 1 auxiliary transport samples of a coupling
+    "auxiliary": 9,  # the m - 1 auxiliary transport rows of a coupling: cell counts or points
     "tree": 10,  # the node normals of a quantile coupling's dyadic tree
     "refine": 11,  # quantile finer-cell counts: one multinomial per grid cell, in cell order
 }

@@ -31,8 +31,8 @@ from empbridge import (
     zaitsev_grid_tail,
 )
 import empbridge.coupling as coupling
-from empbridge.coupling import IntervalCells, interval_cells
-from empbridge.function_classes import KINDS
+from empbridge.coupling import OrthantCells, orthant_cells
+from empbridge.function_classes import KINDS, _orthant
 
 
 # -- exponential tail ----------------------------------------------------------
@@ -401,7 +401,7 @@ def test_construct_joint_validation(intervals, uniform, seed):
             construct_joint(prepare_coupling(intervals, uniform, 0.5, method=method), 0, 1, seed)
 
 
-# -- interval cell counts ------------------------------------------------------------
+# -- cell counts of orthant classes -----------------------------------------------------
 
 CELL_LAWS = {
     "uniform": Distribution("uniform"),
@@ -410,12 +410,34 @@ CELL_LAWS = {
 }
 
 
-def own_cell_counts(centers, xs):
-    """How many points fall in each cell c_(j) < x <= c_(j+1) of the sorted centers."""
-    edges = np.sort(np.asarray(centers, dtype=float))
-    lower = np.concatenate([[-np.inf], edges])
-    upper = np.concatenate([edges, [np.inf]])
-    return ((xs[:, None] > lower) & (xs[:, None] <= upper)).sum(axis=0)
+# The cell-count test's classes beyond intervals: rectangles under a 2-D
+# product-uniform and a 2-D discrete law, and finite classes with constant
+# members under 1-D beta and discrete laws and under 2-D product-uniform.
+PLANE = Distribution("product-uniform", dim=2)
+PLANE_ATOMS = Distribution(
+    "discrete",
+    dim=2,
+    atoms=((0.2, 0.3), (0.5, 0.9), (0.8, 0.4), (0.4, 0.6)),
+    weights=(0.1, 0.2, 0.3, 0.4),
+)
+CELL_CASES = {
+    **{f"intervals-{law}": (P, "interval") for law, P in CELL_LAWS.items()},
+    "rectangles-uniform": (PLANE, "rectangle"),
+    "rectangles-discrete": (PLANE_ATOMS, "rectangle"),
+    "finite-beta": (CELL_LAWS["beta"], "finite"),
+    "finite-discrete": (CELL_LAWS["discrete"], "finite"),
+    "finite-uniform-2d": (PLANE, "finite"),
+}
+
+
+def own_cell_counts(cuts, xs):
+    """How many points fall in each product cell of the sorted cuts along
+    each axis: along an axis with cuts c_(1) <= ... <= c_(k), cell j holds
+    c_(j) < x <= c_(j+1), so a point's cell is the number of cuts below it."""
+    pts = xs.reshape(len(xs), len(cuts))
+    index = tuple((pts[:, [a]] > np.asarray(c)[None]).sum(axis=1) for a, c in enumerate(cuts))
+    shape = tuple(len(c) + 1 for c in cuts)
+    return np.bincount(np.ravel_multi_index(index, shape), minlength=math.prod(shape))
 
 
 def bits(a):
@@ -424,33 +446,56 @@ def bits(a):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(
-    law=st.sampled_from(sorted(CELL_LAWS)),
+    case=st.sampled_from(sorted(CELL_CASES)),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_cell_counts_give_the_column_sums(law, n, seed, data):
-    """Grid sums from a sample's own cell counts equal its column sums bit for bit.
+def test_cell_counts_give_the_column_sums(case, n, seed, data):
+    """Grid sums from a sample's own cell counts equal its column sums: bit
+    for bit for members of weight 1, to rounding for weighted constants.
 
-    Centers mix free values, the sample's own points, the discrete law's atoms
-    and the ends 0 and 1, unsorted and with repeats.
+    Corner coordinates mix free values, the sample's own coordinates, the
+    discrete laws' atoms and the ends 0 and 1, unsorted and with repeats.
+    Interval and rectangle classes take the corners as parameters; a finite
+    class takes them as interval or rectangle members beside one to three
+    constants. In one dimension the g centers cut out g + 1 cells, repeats
+    included; in two each axis is cut at its distinct coordinates.
     """
-    P = CELL_LAWS[law]
+    P, form = CELL_CASES[case]
     xs = P.draw(n, np.random.default_rng(seed))
-    center = st.one_of(
+    coordinate = st.one_of(
         st.floats(0.0, 1.0),
-        st.sampled_from(xs.tolist()),
+        st.sampled_from(xs.ravel().tolist()),
         st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
     )
-    centers = data.draw(st.lists(center, max_size=16))
-    cells = interval_cells(P, centers)
-    counts = own_cell_counts(centers, xs)
+    corner = coordinate if P.dim == 1 else st.tuples(*[coordinate] * P.dim)
+    centers = data.draw(st.lists(corner, max_size=16))
+    if form == "interval":
+        cls, params = FunctionClass("intervals"), centers
+    elif form == "rectangle":
+        cls, params = FunctionClass("rectangles", dim=P.dim), centers
+    else:
+        constants = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+        indicator = "interval" if P.dim == 1 else "rectangle"
+        members = {(indicator, c) for c in centers} | {("constant", c) for c in constants}
+        cls = FunctionClass("finite", members=tuple(sorted(members)))
+        params = list(cls.members)
+    w, t = _orthant(cls, params, P.dim)
+    cells = orthant_cells(P, t, weights=w)
+    cuts = [np.sort(c) if P.dim == 1 else np.unique(c) for c in t.T]
+    counts = own_cell_counts(cuts, xs)
     assert counts.sum() == n
-    assert cells.masses.shape == (len(centers) + 1,) and (cells.masses >= 0).all()
+    size = math.prod(len(c) + 1 for c in cuts)
+    assert cells.masses.shape == (size,) and (cells.masses >= 0).all()
+    assert P.dim > 1 or size == len(params) + 1
     assert math.isclose(cells.masses.sum(), 1.0, abs_tol=1e-12)
-    want = bits(FunctionClass("intervals").column_sums(centers, xs))
-    assert np.array_equal(bits(cells.grid_sums(counts)), want)
-    assert np.array_equal(bits(cells.grid_sums(np.stack([counts, counts]))[1]), want)
+    sums = cls.column_sums(params, xs)
+    unit = np.ones(len(params), dtype=bool) if w is None else w == 1.0
+    want = bits(sums[unit])
+    assert np.array_equal(bits(cells.grid_sums(counts)[unit]), want)
+    assert np.array_equal(bits(cells.grid_sums(np.stack([counts, counts]))[1][unit]), want)
+    assert np.allclose(cells.grid_sums(counts)[~unit], sums[~unit], rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -466,7 +511,7 @@ def test_mesh_cells_refine_the_grid_cells(law, centers, mesh):
     cells read at ``mesh_at`` are the CDF at the mesh points, ties between
     centers and mesh points included."""
     P = CELL_LAWS[law]
-    cells = interval_cells(P, centers, mesh)
+    cells = orthant_cells(P, centers, mesh)
     assert cells.within.ndim == cells.cell.ndim == cells.mesh_at.ndim == 1
     assert (cells.within >= 0).all() and (np.diff(cells.cell) >= 0).all()
     per_cell = np.bincount(cells.cell, cells.within)
@@ -494,7 +539,7 @@ def test_no_mass_past_one():
     although these weights sum to one ulp less."""
     P = Distribution("discrete", atoms=(0.2, 0.5, 1.0), weights=(0.7, 0.2, 0.1))
     for mesh in ((), (0.2, 0.7, 1.0)):
-        cells = interval_cells(P, [0.5, 1.0], mesh)
+        cells = orthant_cells(P, [0.5, 1.0], mesh)
         assert cells.masses[-1] == 0.0
 
 
@@ -560,7 +605,7 @@ def test_quantile_context_holds_no_dense_law(intervals, uniform, seed):
     ctx = prepare_coupling(intervals, uniform, eps, eval_mesh=mesh, method="quantile")
     real = construct_joint(ctx, 2**30, 1, seed)
     assert time.perf_counter() - start < 1.0
-    assert type(ctx.state) is IntervalCells
+    assert type(ctx.state) is OrthantCells
     assert real.mesh_gauss.shape == (4000,) and np.isfinite(real.sup_mesh)
 
 
@@ -667,7 +712,7 @@ def test_designated_sample_keeps_its_stream(intervals, uniform, seed, empirical_
     assert np.allclose(real.y_sum, alpha, atol=1e-12)
 
 
-# -- auxiliary samples of other classes ------------------------------------------------
+# -- auxiliary rows in chunks ------------------------------------------------------------
 
 HOLDER = FunctionClass("holder", envelope=1.0, knot_count=5, mesh_size=24)
 FINITE = FunctionClass(
@@ -688,19 +733,42 @@ CHUNK_CASES = {
 }
 
 
+@pytest.fixture()
+def auxiliary_chunks(monkeypatch):
+    """The chunks of auxiliary rows that ``construct_joint`` reduces: one
+    (reduction, rows) entry per call of a grid sum of cell counts or of a
+    Hoelder batch sum."""
+    chunks = []
+    for owner, name in ((coupling.OrthantCells, "grid_sums"), (FunctionClass, "batch_column_sums")):
+
+        def spy(*args, name=name, reduce=getattr(owner, name)):
+            chunks.append((name, len(args[-1])))
+            return reduce(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    return chunks
+
+
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
-def test_auxiliary_sums_do_not_depend_on_the_chunk_size(monkeypatch, transport_sources, case):
-    """The auxiliary samples are consecutive rows of one generator, so drawing
-    and reducing them in chunks of 11 rows, of 3 rows (the last one short) or
-    one row at a time gives the same bits, and so the same realization."""
+def test_auxiliary_sums_do_not_depend_on_the_chunk_size(
+    monkeypatch, transport_sources, auxiliary_chunks, case
+):
+    """The auxiliary rows (Hoelder samples, or cell counts of every other
+    class) are consecutive rows of one generator, so drawing and reducing
+    them all at once, in chunks of 3 Hoelder rows (the last one short) and
+    of 121 // (cell count) count rows, or one row at a time gives the same
+    bits, and so the same realization. One row at a time takes m - 1 chunks."""
     cls, P, eps = CHUNK_CASES[case]
     n, m = 40, 12
     ctx = prepare_coupling(cls, P, eps)
     assert ctx.grid.size >= 2
-    reals = []
+    reals, calls = [], []
     for chunk in (coupling.AUX_CHUNK_POINTS, 3 * n + 1, 1):
         monkeypatch.setattr(coupling, "AUX_CHUNK_POINTS", chunk)
         reals.append(construct_joint(ctx, n, m, SeedSpec(5, 2)))
+        calls.append(len(auxiliary_chunks))
+        auxiliary_chunks.clear()
+    assert calls[0] == 1 and calls[2] == m - 1
     first = bits(transport_sources[0])
     assert all(np.array_equal(bits(source), first) for source in transport_sources[1:])
     for real in reals[1:]:
@@ -709,6 +777,27 @@ def test_auxiliary_sums_do_not_depend_on_the_chunk_size(monkeypatch, transport_s
             reals[0].sup_mesh,
             reals[0].transport_cost,
         )
+
+
+@pytest.mark.parametrize("case", ["rectangles", "finite"])
+def test_indicator_classes_draw_only_the_designated_sample(monkeypatch, auxiliary_chunks, case):
+    """An exact realization of a rectangles or finite class draws points once,
+    for the designated sample, and reduces no Hoelder batch: its m - 1
+    auxiliary rows are cell counts."""
+    cls, P, eps = CHUNK_CASES[case]
+    ctx = prepare_coupling(cls, P, eps)
+    draws, draw = [], Distribution.draw
+
+    def spy(self, n, rng):
+        draws.append(n)
+        return draw(self, n, rng)
+
+    monkeypatch.setattr(Distribution, "draw", spy)
+    real = construct_joint(ctx, 40, 12, SeedSpec(5, 2))
+    assert draws == [40]
+    assert np.array_equal(real.points, draw(P, 40, SeedSpec(5, 2).rng("sample", 0, 0)))
+    assert auxiliary_chunks == [("grid_sums", 11)]
+    assert type(ctx.state[2]) is OrthantCells
 
 
 def test_holder_auxiliary_y_sums_have_the_grid_second_moments(transport_sources):

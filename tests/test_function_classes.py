@@ -383,16 +383,13 @@ def test_holder_matrix_gives_nan_the_last_knot_value(knot_count):
     assert np.allclose(sums, got.sum(axis=0), rtol=0.0, atol=holder_sum_tolerance(len(xs)))
 
 
-def test_batch_column_sums_of_other_classes_are_row_column_sums():
-    rng = np.random.default_rng(5)
-    rect = FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=9)
-    batch = rng.random((3, 40, 2))
-    got = rect.batch_column_sums(list(rect.mesh), batch)
-    assert np.array_equal(got, np.stack([rect.column_sums(list(rect.mesh), xs) for xs in batch]))
-    thetas = [0.1, 0.5, 0.9]
-    batch = rng.random((4, 30))
-    got = FunctionClass("intervals").batch_column_sums(thetas, batch)
-    assert np.array_equal(got, np.stack([(xs[:, None] <= thetas).sum(axis=0) for xs in batch]))
+@pytest.mark.parametrize("kind", ["intervals", "rectangles", "finite"])
+def test_batch_column_sums_refuse_indicator_classes(class_of_kind, kind):
+    """Indicator classes draw cell counts, not auxiliary samples, so only
+    Hoelder classes take batch column sums."""
+    cls, _ = class_of_kind[kind]
+    with pytest.raises(UnsupportedOperationError, match=f"not {kind}"):
+        cls.batch_column_sums(list(cls.mesh[:3]), np.zeros((2, 5)))
 
 
 # -- rectangles ----------------------------------------------------------------

@@ -352,7 +352,14 @@ CASES = {
 # "couple-rectangles", "approx-rectangles-discrete", "approx-finite-beta",
 # "approx-finite-discrete" and "entropy-rectangles" were recorded before
 # rectangle and finite members moved onto the one lower-orthant moment path,
-# as the byte guard for that change.
+# as the byte guard for that change. The four coupling cases among them
+# ("entropy-rectangles" draws nothing) were re-recorded when rectangle and
+# finite classes began to draw their auxiliary transport rows as multinomial
+# counts of the cells that the grid corners cut out, as interval classes do:
+# the same law from the same "auxiliary" phase, which now feeds one
+# multinomial row per auxiliary sum in place of n points, so the transport
+# assignments, and with them sup_grid, sup_mesh and transport_cost, change as
+# under a new seed.
 # "couple-intervals" gained "method": "exact" when the quantile tree became
 # the couple default for interval classes, and kept its digest.
 # "couple-intervals-quantile" and "approx-intervals-quantile" were recorded
@@ -366,8 +373,8 @@ CASES = {
 # finer cells (one multinomial per grid cell, one normal per finer cell and
 # none for padding), so again only sup_mesh moves.
 DIGESTS = {
-    "approx-finite-beta": "99998cfa59819c81772741934ec066767b2f372241df66042ae8584edd66d3a6",
-    "approx-finite-discrete": "1274eaf112308ca7c07d82a26199be4ae92ce131cc670ad1e19971e3f64d6238",
+    "approx-finite-beta": "53f4904a0d566961c7ea4577534df86fa1efc5d76db4c4adab3a04f37652aa4a",
+    "approx-finite-discrete": "787a4d9f495cf4cb6a246482d689593c66445641efa6f207ac827b9945441705",
     "approx-holder": "03e528c9702156e783dd5082a4ce305155a0fd8215b00f71216638bebc125986",
     "approx-holder-br": "9463470c22e2e275a602a74abbc769963f5fba9e894de0fa91a1b97aea7e9b8f",
     "approx-holder-br-sup-grid": "20da586244123c31736fa7fe71f886c94bfbc88871e82f7e7893d843491cdaa8",
@@ -377,11 +384,11 @@ DIGESTS = {
     "approx-intervals-json-labels": "0a4055b915e382b9f66d5d9fd7903d869078c58d60a8c98facd16fa52280519e",
     "approx-intervals-quantile": "65f4184b56695bfc5b32713fadaa5e51f0774cc7b95789dd9f3af87f4885f245",
     "approx-intervals-uniform": "e51c41b7bba341fb1752dd5e6241081acc25553e33b747a151c30c66d18a1890",
-    "approx-rectangles-discrete": "d7113d3931c8917f5ce57d5e6ecec4583e7e930a32ea6b17a77e97b028d0e949",
+    "approx-rectangles-discrete": "34752912b328ac18f70ba8d66dad0c913156c1ad721d32842b938be2d9da3d42",
     "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "d4a7a00c4401a0b55124c5e17e34d5c209697cccf4647ca767a62df80ac40a1b",
     "couple-intervals-quantile": "d937fbdb891c2d7bfbcd7b9f113fbcee3eed2c13ea6cf6ce2162018880834e75",
-    "couple-rectangles": "49cd4ea64c2f26541a96f68b1723d52d4d808555e53cf3dbca1058cdd3736ed2",
+    "couple-rectangles": "762a79697e320655ffdc9f20c95aeb7a8a4d800f7b5ec5f842b1319a750ddba7",
     "entropy-holder": "df3a00f71216242dc1a95ee565791ee73e54b4bc4befa35c9adf0e09efaa74e5",
     "entropy-holder-beta": "ad6697a747db59936be3c7ec3036d12ea3a809492d103d7072b1177526b73ce3",
     "entropy-intervals": "1f8f70352e31db3c19e744c4e3906a8ecf988e44cfc38a60c064131856f4d917",

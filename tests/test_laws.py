@@ -33,7 +33,7 @@ from empbridge import (
     run_gauss_approx,
     select_epsilon_vc,
 )
-from empbridge.coupling import IntervalCells, _tree_kernels, _tree_pair
+from empbridge.coupling import OrthantCells, _tree_kernels, _tree_pair
 from empbridge.function_classes import covariance
 
 INTERVALS = FunctionClass("intervals", envelope=1.0, mesh_size=201)
@@ -115,7 +115,7 @@ def test_quantile_mesh_gaussian_has_the_bridge_second_moments(law):
     """
     P, eps = LAW_CASES[law]
     ctx, reals = quantile_realizations(P, eps)
-    assert type(ctx.state) is IntervalCells
+    assert type(ctx.state) is OrthantCells
     joint = np.array([np.concatenate([r.z_sum, r.mesh_gauss]) for r in reals])
     K = covariance(INTERVALS, P, list(ctx.grid.centers) + list(MESH))
     assert_second_moments({"joint": joint}, K, tests=1)
@@ -170,6 +170,56 @@ def test_exact_grid_pair_has_mean_zero_and_the_gram_second_moments(case):
         assert np.abs(mean[sd == 0.0]).max(initial=0.0) < 1e-12, side
         assert (np.abs(mean[sd > 0]) / sd[sd > 0]).max() < threshold, (side, mean, threshold)
     assert_second_moments(sides, K, tests=2)
+
+
+# The cell test's cases: the indicator classes of EXACT_CASES, whose 2-D
+# grid is symmetric in its two axes, a rectangles class under a 2-D discrete
+# law whose axes are cut at different coordinates, and a 2-D finite class
+# with a constant member.
+CELL_CASES = {
+    **{case: EXACT_CASES[case] for case in ("intervals", "rectangles", "finite")},
+    "rectangles-discrete": (
+        FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=25),
+        Distribution(
+            "discrete",
+            dim=2,
+            atoms=((0.2, 0.3), (0.5, 0.9), (0.8, 0.4), (0.4, 0.6)),
+            weights=(0.1, 0.2, 0.3, 0.4),
+        ),
+        0.3,
+    ),
+    "finite-2d": (
+        FunctionClass(
+            "finite",
+            envelope=1.0,
+            members=(
+                ("rectangle", (0.25, 0.75)),
+                ("rectangle", (0.5, 0.5)),
+                ("rectangle", (1.0, 0.25)),
+                ("constant", 0.25),
+            ),
+        ),
+        Distribution("product-uniform", dim=2),
+        0.3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_CASES))
+def test_exact_cells_carry_the_grid_mean_and_gram(case):
+    """The cells of an exact indicator context give the grid vector's exact
+    law: with V = grid_sums(I) the members' values on each cell and p the
+    cell masses, the mean p V and the covariance V' diag(p) V - (p V)(p V)'
+    equal the grid means and Gram, the moment engine's own numbers, within
+    1e-12."""
+    cls, P, eps = CELL_CASES[case]
+    ctx = prepare_coupling(cls, P, eps, eval_mesh=cls.mesh[:2])
+    cells = ctx.state[2]
+    V = cells.grid_sums(np.eye(len(cells.masses)))
+    mean = cells.masses @ V
+    second = V.T @ (cells.masses[:, None] * V)
+    assert np.allclose(mean, ctx.grid_means, rtol=0.0, atol=1e-12)
+    assert np.allclose(second - np.outer(mean, mean), ctx.grid.gram, rtol=0.0, atol=1e-12)
 
 
 def _compositions(n: int, k: int):
