@@ -41,7 +41,7 @@ from .errors import (
     ScheduleInvalidError,
 )
 from .exponents import _as_fraction, rate_thm1, rate_thm2
-from .function_classes import EntropyRegime, FunctionClass
+from .function_classes import EntropyRegime, FunctionClass, row_blocks
 from .seeds import SeedSpec
 
 REGIMES = ("vc", "br")
@@ -260,15 +260,31 @@ def block_contexts(
     return out
 
 
-def _gap_walk(values, steps, total, means, gap) -> np.ndarray:
+def _fill(l_eval: np.ndarray, fill: np.random.Generator, n: int) -> np.ndarray:
+    """One block's Gaussian fill steps s_i = L xi_i, shape (g, n), with L the
+    (g, g) mesh covariance factor and xi_i the rows of one (n, g) standard
+    normal draw from ``fill``. The normals are drawn and multiplied one row
+    block (``row_blocks``) at a time into the one step array: consecutive
+    draws from a generator give the bits of one larger draw, and each block's
+    product is its columns of L xi^T."""
+    steps = np.empty((len(l_eval), n))
+    blocks = row_blocks(n)
+    z = np.empty((max(b - a for a, b in blocks), len(l_eval)))
+    for a, b in blocks:
+        fill.standard_normal(out=z[: b - a])
+        np.matmul(l_eval, z[: b - a].T, out=steps[:, a:b])
+    return steps
+
+
+def _gap_walk(cls, eval_mesh, points, steps, total, means, gap) -> np.ndarray:
     """One block's signed path gaps, shape (g, n), computed in ``steps``.
 
-    ``values`` is the block's (n, g) mesh evaluation v_i (for one-dimensional
-    indicators the transpose of a contiguous (g, n) array, so that
-    ``values.T`` reads in order), ``steps`` the (g, n)
-    Gaussian fill steps s_i with partial sums W_m, ``total`` the coupled
-    endpoint T = sqrt(n) mesh_gauss, ``means`` the mesh means mu and ``gap``
-    the signed gap c carried in from the previous block. Column m - 1 is
+    ``points`` are the block's n sample points, whose values v_i on
+    ``eval_mesh`` the walk evaluates one row block (``row_blocks``) at a
+    time, ``steps`` the (g, n) Gaussian fill steps s_i with partial sums W_m,
+    ``total`` the coupled endpoint T = sqrt(n) mesh_gauss, ``means`` the mesh
+    means mu and ``gap`` the signed gap c carried in from the previous block.
+    Column m - 1 is
 
         c + sum_{i <= m} (v_i - mu) - (W_m - (m/n) W_n + (m/n) T),
 
@@ -276,12 +292,20 @@ def _gap_walk(values, steps, total, means, gap) -> np.ndarray:
     c + sum_{i <= m} d_i with d_i = v_i - s_i + beta and
     beta = (W_n - T) / n - mu, so one cumulative sum along the contiguous
     axis gives every column; the last is the gap the next block carries.
+    W_n is one sum over all of ``steps``; then each row block turns its
+    steps into d and sums them on from the column before it, which adds in
+    the order of one cumulative sum over the whole block.
     """
     beta = (steps.sum(axis=1) - total) / steps.shape[1] - means
-    np.subtract(values.T, steps, out=steps)
-    steps += beta[:, None]
-    steps[:, 0] += gap
-    return np.cumsum(steps, axis=1, out=steps)
+    carry = gap
+    for a, b in row_blocks(len(points)):
+        block = steps[:, a:b]
+        np.subtract(cls.evaluate_matrix(eval_mesh, points[a:b]).T, block, out=block)
+        block += beta[:, None]
+        block[:, 0] += carry
+        np.cumsum(block, axis=1, out=block)
+        carry = block[:, -1]
+    return steps
 
 
 def run_sequential(
@@ -300,9 +324,12 @@ def run_sequential(
     coupled endpoint: a cumulative sum of i.i.d. mesh-covariance draws is
     bridged to zero and the pinned endpoint is added back linearly. Neither
     partial sum is formed: each block's gaps between them are one signed
-    difference walk (``_gap_walk``) in the block's Gaussian step array,
-    started from the signed gap that the previous block ended on. m_star is
-    the first sample count at which some mesh point reaches the maximum.
+    difference walk (``_gap_walk``) in the block's Gaussian step array
+    (``_fill``), started from the signed gap that the previous block ended
+    on. The fill, the mesh values and the walk run one row block at a time,
+    so a block holds its (mesh, n) step array and row-block buffers, and it
+    frees them before the next block is coupled. m_star is the first sample
+    count at which some mesh point reaches the maximum.
     """
     for ctx in contexts:  # every block fills in between its designated points
         check_method(ctx.method, ctx.cls, points=True)
@@ -318,14 +345,15 @@ def run_sequential(
     for k, ctx in enumerate(contexts):
         n_k = schedule.n[k]
         real = construct_joint(ctx, n_k, m, seed, tag=tag_offset + k)
-        steps = l_eval @ seed.rng("fill", tag_offset + k).standard_normal((n_k, g)).T
-        values = cls.evaluate_matrix(eval_mesh, real.points)
-        walk = _gap_walk(values, steps, math.sqrt(n_k) * real.mesh_gauss, ctx.mesh_means, gap)
+        steps = _fill(l_eval, seed.rng("fill", tag_offset + k), n_k)
+        endpoint = math.sqrt(n_k) * real.mesh_gauss
+        walk = _gap_walk(cls, eval_mesh, real.points, steps, endpoint, ctx.mesh_means, gap)
         gap = walk[:, -1].copy()
         np.abs(walk, out=walk)
         # The first m at which some mesh point reaches the block maximum.
         first = np.argmax(walk, axis=1)
         peaks = walk[np.arange(g), first]
+        del real, steps, walk  # gone before the next block is coupled
         top = peaks.max()
         if top > best:
             best = float(top)

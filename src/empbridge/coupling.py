@@ -154,7 +154,9 @@ class TransportPlan:
 def _scipy_extension(package: str, name: str):
     """The compiled module ``scipy.<package>.<name>``, loaded from its file
     without importing ``scipy.<package>`` and registered under its own name,
-    so that a later import of the package reuses it."""
+    so that a later import of the package reuses it. A module that fails to
+    load is unregistered again, as the import system does, so a later call
+    raises too."""
     full = f"scipy.{package}.{name}"
     module = sys.modules.get(full)
     if module is None:
@@ -165,7 +167,11 @@ def _scipy_extension(package: str, name: str):
             raise ImportError(f"no compiled module {full} in scipy {scipy.__version__}", name=full)
         module = importlib.util.module_from_spec(spec)
         sys.modules[full] = module
-        spec.loader.exec_module(module)
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            sys.modules.pop(full, None)
+            raise
     return module
 
 
@@ -311,8 +317,12 @@ def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCel
     t = np.asarray(corners, dtype=float).reshape(-1, d)
     axes = [np.sort(u) if d == 1 else np.unique(u) for u in t.T]
     shape = tuple(len(u) + 1 for u in axes)
-    upper = np.meshgrid(*[np.append(u, 1.0) for u in axes], indexing="ij")
-    mass = _orthant_mass(P, np.stack(upper, -1).reshape(-1, d), np.ones((1, d))).reshape(shape)
+    upper = [np.append(u, 1.0) for u in axes]
+    if d == 1:  # _orthant_mass(P, u, 1) is the CDF at u, which is 1 from u = 1 on
+        mass = _monotone_cdf(P, upper[0])
+    else:
+        corner_grid = np.stack(np.meshgrid(*upper, indexing="ij"), -1).reshape(-1, d)
+        mass = _orthant_mass(P, corner_grid, np.ones((1, d))).reshape(shape)
     for axis in range(d):
         mass = np.diff(mass, axis=axis, prepend=0.0)
     masses = np.maximum(mass.ravel(), 0.0)
@@ -465,10 +475,15 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
     g = grid.size
     designated = P.draw(n, seed.rng("sample", tag, 0))
     vals = cls.evaluate_matrix(centers, designated)
-    # One temporary, squared in place and freed before the transport step.
-    _check_summand_norm(((vals - context.grid_means) ** 2) @ np.ones(g), cls.envelope, g, n)
     sums = np.empty((m, g))
     sums[0] = vals.sum(axis=0)
+    # The summand check centres and squares the matrix in place once its
+    # column sums are taken, so no second n x g array is made; the matrix is
+    # freed before the transport step.
+    vals -= context.grid_means
+    np.square(vals, out=vals)
+    _check_summand_norm(vals @ np.ones(g), cls.envelope, g, n)
+    del vals
     aux = seed.rng("auxiliary", tag)
     # A row of cell counts stands for a row of n points.
     rows = max(1, AUX_CHUNK_POINTS // (n if cells is None else len(cells.masses)))

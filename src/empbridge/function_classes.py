@@ -76,6 +76,7 @@ KINDS = ("intervals", "rectangles", "holder", "finite")
 FINITE_FORMS = ("interval", "rectangle", "constant")
 GRID_BUDGET = 4096  # most centers a grid may hold
 EXACT_COVER_LIMIT = 24  # largest matrix-path mesh whose cover is counted exactly
+ROW_BLOCK = 1 << 12  # points per row block of per-point work; the last block takes the rest
 
 
 @dataclass(frozen=True)
@@ -313,6 +314,25 @@ def _canonical_member(member, envelope: float) -> tuple:
     return (form, param)
 
 
+def row_blocks(n: int) -> list:
+    """The row ranges (a, b) that cover rows 0..n-1 in order: blocks of
+    ``ROW_BLOCK`` rows, the last one taking the remainder, so a block holds
+    ``ROW_BLOCK`` to 2 ``ROW_BLOCK`` - 1 rows and fewer rows are one block.
+
+    Per-point work taken block by block holds a bounded working set.
+    Elementwise work gives the same bits at any block size. A BLAS product
+    (the strong fill) can round a column by a kernel that depends on the
+    width of the call: one column is a matrix-vector product, and OpenBLAS
+    takes the last (width mod 8) columns of a wide call by another kernel.
+    So a block is two rows at least unless n is 1, and blocks start at
+    multiples of ``ROW_BLOCK`` (a multiple of 8) with the last one ending at
+    n: the last columns stay where the product over all rows has them.
+    """
+    size = max(ROW_BLOCK, 2)
+    starts = [size * i for i in range(max(1, n // size))]
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Column j is np.interp(xs, knots, vals[j]), bit for bit for every
     non-NaN point; shape (n, g).
@@ -327,7 +347,9 @@ def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.nd
     takes the last knot's value where np.interp gives NaN, as it does in the
     column sums (``_interp_column_sums``), so the two agree.
     The result is C-ordered (n, g), so its column sums add in the
-    same order as those of the column-stacked matrix.
+    same order as those of the column-stacked matrix. The knot values are
+    gathered and added one row block (``row_blocks``) at a time, so no second
+    n x g array is formed.
     """
     pos = np.searchsorted(knots, xs, side="right") - 1
     j = np.clip(pos, 0, len(knots) - 2)
@@ -335,7 +357,8 @@ def _interp_matrix(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.nd
     out = np.take(np.ascontiguousarray(slopes.T), j, axis=0)
     out *= (np.clip(xs, knots[0], knots[-1]) - knots[j])[:, None]
     table = np.ascontiguousarray(vals.T)
-    out += np.take(table, j, axis=0)
+    for a, b in row_blocks(len(xs)):
+        out[a:b] += np.take(table, j[a:b], axis=0)
     fixed = (pos != j) | (xs == knots[j])
     if fixed.any():
         out[fixed] = table[np.clip(pos[fixed], 0, len(knots) - 1)]

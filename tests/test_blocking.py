@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from empbridge import (
 )
 import empbridge.blocking as blocking
 import empbridge.coupling as coupling
+import empbridge.function_classes as function_classes
 from empbridge.blocking import _floor_power
 from empbridge.bridge import covariance, factorize
 from empbridge.coupling import construct_joint, prepare_coupling, select_epsilon
@@ -433,16 +435,18 @@ def test_carried_gap_is_the_reference_prefix_difference(kind, law, regime, N, me
 def test_each_block_draws_one_fill_generator(intervals, uniform, monkeypatch):
     sched = schedule_vc(5, TAU1, TAU2, 3)
     (contexts,) = contexts_of(intervals, uniform, sched)
-    opened = []
+    opened = []  # [tag, normals drawn] per fill generator, in the order opened
     rng = SeedSpec.rng
 
     class Recorded:
         def __init__(self, gen, tag):
-            self.gen, self.tag = gen, tag
+            self.gen, self.record = gen, [tag, 0]
+            opened.append(self.record)
 
-        def standard_normal(self, size):
-            opened.append((self.tag, size))
-            return self.gen.standard_normal(size)
+        def standard_normal(self, size=None, out=None):
+            drawn = self.gen.standard_normal(size, out=out)
+            self.record[1] += np.size(drawn)
+            return drawn
 
     def spy(self, phase="generic", *indices):
         gen = rng(self, phase, *indices)
@@ -450,7 +454,90 @@ def test_each_block_draws_one_fill_generator(intervals, uniform, monkeypatch):
 
     monkeypatch.setattr(SeedSpec, "rng", spy)
     run_sequential(sched, contexts, SeedSpec(5, 0), m=4, tag_offset=7)
-    assert opened == [((7 + k,), (n_k, 9)) for k, n_k in enumerate(sched.n)]
+    assert opened == [[(7 + k,), n_k * 9] for k, n_k in enumerate(sched.n)]
+
+
+DEFAULT_ROW_BLOCK = function_classes.ROW_BLOCK
+
+
+def path_bits(sched, contexts, rows, monkeypatch) -> str:
+    """Every field of one path run in row blocks of ``rows`` points, as a repr
+    that tells any two floats with different bits apart."""
+    monkeypatch.setattr(function_classes, "ROW_BLOCK", rows)
+    return repr(astuple(run_sequential(sched, contexts, SeedSpec(11, 0), m=4)))
+
+
+@pytest.mark.parametrize("rows", [1, 7, DEFAULT_ROW_BLOCK])
+@pytest.mark.parametrize("kind", KINDS)
+def test_paths_do_not_depend_on_the_row_block(class_of_kind, kind, rows, monkeypatch):
+    # The fill, the mesh values and the walk run one row block at a time; a
+    # row block as large as the path makes every block one row block, the
+    # unblocked computation. The largest block, 16,807 points, spans four
+    # default row blocks and ends off a multiple of 8. On nine mesh points or
+    # fewer the fill's BLAS product rounds a column alike at every width of
+    # two or more (see ``test_fill_is_the_whole_block_product`` for wider
+    # meshes).
+    cls, P = class_of_kind[kind]
+    sched = schedule_vc(5, TAU1, TAU2, 7)
+    mesh = tuple(cls.mesh)  # nine spread points, or every point of a smaller mesh
+    (contexts,) = block_contexts(cls, P, [sched], cls.regime, mesh[:: max(1, len(mesh) // 9)][:9])
+    whole = path_bits(sched, contexts, sched.total, monkeypatch)
+    assert path_bits(sched, contexts, rows, monkeypatch) == whole
+
+
+@pytest.mark.parametrize("law", sorted(FILL_LAWS))
+@pytest.mark.parametrize("kind", sorted(FILL_CLASSES))
+def test_fill_case_paths_do_not_depend_on_the_row_block(kind, law, monkeypatch):
+    # Nine mesh points, for the reason given in the test above.
+    for regime, N in (("vc", 4), ("br", 4)):
+        _, _, sched, _, _, contexts, _ = fill_case(kind, law, regime, N, 9, 0)
+        whole = path_bits(sched, contexts, sched.total, monkeypatch)
+        for rows in (1, 7, DEFAULT_ROW_BLOCK):
+            assert path_bits(sched, contexts, rows, monkeypatch) == whole
+
+
+@pytest.mark.parametrize("g", [9, 12, 40])
+def test_fill_is_the_whole_block_product(g):
+    # A BLAS product may round a column by a kernel that depends on the width
+    # of the call: one column is a matrix-vector product, and OpenBLAS takes
+    # the last (width mod 8) columns of a wide call by another kernel once
+    # the mesh has 12 or more points. Default row blocks start at multiples
+    # of 8 and the last one, at least a row block wide, ends the block, so
+    # every column keeps the bits of the whole block's product, also in
+    # blocks that end a few points past a row block.
+    rng = np.random.default_rng(g)
+    l_eval = np.tril(rng.standard_normal((g, g)))
+    R = DEFAULT_ROW_BLOCK
+    for n in (1, 2, 7, R - 1, R, 2 * R + 1, 3 * R + 100, 4 * R + 423, 8 * R + 7):
+        want = l_eval @ np.random.default_rng(n).standard_normal((n, g)).T
+        got = blocking._fill(l_eval, np.random.default_rng(n), n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_a_path_holds_one_step_array_at_a_time(intervals, uniform):
+    # The largest block, 32,768 points on a nine-point mesh, has a (9, 32768)
+    # float step array. The fill's normals and the mesh values take row
+    # blocks, the summand check squares its matrix in place, and the previous
+    # block's walk is gone before the next block is coupled, so the traced
+    # peak of a whole path stays within 1.6 such arrays (a full-size normal
+    # draw next to the step array reaches 2.1).
+    sched = schedule_vc(5, TAU1, TAU2, 8)
+    (contexts,) = contexts_of(intervals, uniform, sched)
+    g, n_max = len(contexts[0].eval_mesh), max(sched.n)
+    assert (g, n_max) == (9, 32768)
+    run_sequential(sched, contexts, SeedSpec(5, 0), m=8)  # first-use loads and caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_sequential(sched, contexts, SeedSpec(5, 0), m=8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.6 * 8 * g * n_max
 
 
 class BlockStarted(Exception):

@@ -192,6 +192,24 @@ def test_a_missing_transport_kernel_is_an_import_error():
     assert "scipy.optimize._no_such_kernel" not in sys.modules
 
 
+def test_a_kernel_that_fails_to_load_is_not_left_registered(monkeypatch):
+    # A module whose file is found but whose initialisation raises must not
+    # stay in sys.modules half made: a second call would return it silently.
+    import importlib.machinery
+
+    full = "scipy.spatial._ckdtree"
+    monkeypatch.delitem(sys.modules, full, raising=False)
+
+    def refuse(self, module):
+        raise ImportError(f"refused {module.__name__}")
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", refuse)
+    for _ in range(2):
+        with pytest.raises(ImportError, match=rf"refused {re.escape(full)}$"):
+            coupling._scipy_extension("spatial", "_ckdtree")
+        assert full not in sys.modules
+
+
 def test_a_direct_ot_couple_loads_its_solvers_itself(child_env):
     # No context is prepared first: ot_couple loads scipy's two compiled
     # transport kernels itself, and neither package around them.

@@ -225,6 +225,27 @@ def test_holder_matrix_is_bit_equal_to_interp(knot_count, n, g, tie_share, seed)
     assert np.allclose(sums, want.sum(axis=0), rtol=0.0, atol=holder_sum_tolerance(n))
 
 
+DEFAULT_ROW_BLOCK = function_classes.ROW_BLOCK
+
+
+@pytest.mark.parametrize("rows", [1, 7, DEFAULT_ROW_BLOCK])
+def test_holder_matrix_is_bit_equal_to_interp_across_row_blocks(rows, monkeypatch):
+    # The knot values are gathered one row block at a time. The sample spans
+    # three default blocks and a part, and so many blocks of any size; it
+    # mixes uniform points with knots and points outside the unit interval.
+    monkeypatch.setattr(function_classes, "ROW_BLOCK", rows)
+    cls = FunctionClass("holder")
+    rng = np.random.default_rng(rows)
+    n = 3 * DEFAULT_ROW_BLOCK + 5
+    pool = np.concatenate([[0.0, 1.0, -0.25, 1.25], cls.knots])
+    xs = np.where(rng.random(n) < 0.2, rng.choice(pool, n), rng.random(n))
+    vals = rng.uniform(-1.0, 1.0, (7, cls.knot_count))
+    want = np.column_stack([np.interp(xs, cls.knots, v) for v in vals])
+    got = cls.evaluate_matrix([tuple(v) for v in vals], xs)
+    assert got.shape == (n, 7) and got.flags.c_contiguous
+    assert np.array_equal(bits(got), bits(want))
+
+
 def holder_sum_tolerance(n: int) -> float:
     """Absolute gap allowed between Hoelder column sums from knot-cell
     statistics and from the n x g matrix: both add n terms of magnitude at
