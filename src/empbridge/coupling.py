@@ -20,24 +20,25 @@ independent Gaussian vectors by a minimum-cost squared-Euclidean assignment.
 The designated realization (batch index 0) keeps its matched Gaussian vector,
 which is extended to the mesh by Gaussian conditioning. The state holds the
 grid factor, that dense conditional law and, for every class but Hoelder,
-the grid cells (``OrthantCells``, no mesh refinement). The realization
+the grid and mesh cells (``OrthantCells``, unrefined). The realization
 carries the designated sample points and their mesh Gaussian values, from
 which the sequential construction fills in the partial sums of a block. Only
-the designated sample is drawn point by point and evaluated as a matrix,
-since its per-summand bound is checked; its mesh values are column sums
-(``FunctionClass.column_sums``). The m - 1 auxiliary Y-sums all come from one
-generator, the ``auxiliary`` seed phase. Every indicator class (intervals,
-rectangles, finite) has members w 1{x <= t}, and the grid Y-sum of a sample
-depends only on its multinomial counts in the cells that the grid corners
-cut out (the grid reduction of Dudley and Philipp), so its auxiliary Y-sums
-are drawn as multinomial cell counts and turned into grid sums by a
-cumulative sum along each axis, with the same law as from full samples.
-Only Hoelder classes draw auxiliary points, n to a row, and reduce each
-chunk of rows to its column sums (``FunctionClass.batch_column_sums``): a
-Hoelder sum needs only the count and point sum of each knot cell, and one
-kernel takes them for every row of a chunk. Rows come in chunks of at most
-``AUX_CHUNK_POINTS`` points or cells. Consecutive draws from one generator
-give the bits of one larger draw, so the chunk size changes no output.
+the designated sample is drawn point by point and evaluated on the grid as a
+matrix, since its per-summand bound is checked; its mesh sums are cell counts
+(``OrthantCells.sample_sums``) or Hoelder knot-cell sums. The m - 1 auxiliary
+Y-sums all come from one generator, the ``auxiliary`` seed phase. Every
+indicator class (intervals, rectangles, finite) has members w 1{x <= t}, and
+the grid Y-sum of a sample depends only on its multinomial counts in the
+cells that the grid corners cut out (the grid reduction of Dudley and
+Philipp), so its auxiliary Y-sums are drawn as multinomial cell counts and
+turned into grid sums by a cumulative sum along each axis, with the same law
+as from full samples. Only Hoelder classes draw auxiliary points, n to a row,
+and reduce each chunk of rows to its column sums
+(``FunctionClass.batch_column_sums``): a Hoelder sum needs only the count and
+point sum of each knot cell, and one kernel takes them for every row of a
+chunk. Rows come in chunks of at most ``AUX_CHUNK_POINTS`` points or cells.
+Consecutive draws from one generator give the bits of one larger draw, so the
+chunk size changes no output.
 
 The ``"quantile"`` method (interval classes only) draws no sample at all.
 The grid Y-sum depends only on the g+1 cell counts, and the Gaussian grid
@@ -270,8 +271,8 @@ def select_delta_t(
 class OrthantCells:
     """The cells that the corners of members w 1{x <= t} cut out, with masses.
 
-    Along each axis the sorted corner coordinates u_1 <= ... <= u_k (all of
-    them in one dimension, the distinct ones in more) cut out x <= u_1,
+    Along each axis the sorted corner coordinates u_1 <= ... <= u_k (``axes``;
+    all of them in one dimension, the distinct ones in more) cut out x <= u_1,
     u_j < x <= u_(j+1) and x > u_k; the cells are their products, in C order
     over ``shape``. ``corner`` is the flat index of each member's corner
     cell, ``weights`` the members' weights (None for unit weights). In one
@@ -282,12 +283,16 @@ class OrthantCells:
     """
 
     masses: np.ndarray
-    shape: tuple
+    axes: tuple
     corner: np.ndarray
     weights: np.ndarray | None
     within: np.ndarray | None = None
     cell: np.ndarray | None = None
     mesh_at: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(len(u) + 1 for u in self.axes)
 
     @property
     def order(self) -> np.ndarray:
@@ -305,6 +310,19 @@ class OrthantCells:
         out = cum.reshape(counts.shape)[..., self.corner]
         return out if self.weights is None else out * self.weights
 
+    def sample_sums(self, points: np.ndarray) -> np.ndarray:
+        """Per-member sums sum_i w 1{x_i <= t} over a sample, (n,) or (n, d):
+        its counts in the cells, by one sort of the points and a sorted search
+        of the cuts in one dimension, by one search per axis in more. A NaN
+        coordinate lies past every cut, so below no corner."""
+        x = np.asarray(points, dtype=float)
+        if len(self.axes) == 1:
+            below = np.searchsorted(np.sort(x.ravel()), self.axes[0], side="right")[self.corner]
+            return below.astype(float) if self.weights is None else below * self.weights
+        index = tuple(np.searchsorted(u, c) for u, c in zip(self.axes, x.T))
+        counts = np.bincount(np.ravel_multi_index(index, self.shape), minlength=len(self.masses))
+        return self.grid_sums(counts).astype(float)
+
 
 def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCells:
     """The cells of member corners t (g, d), or of interval parameters, and
@@ -315,7 +333,7 @@ def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCel
     past t = 1 has mass exactly 0."""
     d = P.dim
     t = np.asarray(corners, dtype=float).reshape(-1, d)
-    axes = [np.sort(u) if d == 1 else np.unique(u) for u in t.T]
+    axes = tuple(np.sort(u) if d == 1 else np.unique(u) for u in t.T)
     shape = tuple(len(u) + 1 for u in axes)
     upper = [np.append(u, 1.0) for u in axes]
     if d == 1:  # _orthant_mass(P, u, 1) is the CDF at u, which is 1 from u = 1 on
@@ -328,7 +346,7 @@ def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCel
     masses = np.maximum(mass.ravel(), 0.0)
     corner = np.ravel_multi_index(tuple(np.searchsorted(u, c) for u, c in zip(axes, t.T)), shape)
     if d > 1:
-        return OrthantCells(masses, shape, corner, weights)
+        return OrthantCells(masses, axes, corner, weights)
     # Every cut, the corners first among ties. Finer cell i ends at sorted cut
     # i (the last one at +inf) and lies in the grid cell numbered by the
     # corners among the cuts before it.
@@ -340,7 +358,7 @@ def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCel
     within = np.divide(fine, total, out=np.zeros_like(fine), where=total > 0)
     place = np.empty(len(cuts), dtype=int)
     place[sort] = np.arange(len(cuts))
-    return OrthantCells(masses, shape, corner, weights, within, cell, place[len(t) :])
+    return OrthantCells(masses, axes, corner, weights, within, cell, place[len(t) :])
 
 
 def _binomial_tree(masses: np.ndarray, n: int, rng: np.random.Generator) -> tuple:
@@ -440,10 +458,14 @@ class CouplingRealization:
         }
 
 
-def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -> None:
-    """Refuse a sample whose largest centered summand, sqrt(max row sum / n),
-    exceeds the envelope's bound M sqrt(g / n)."""
-    norm = math.sqrt(row_sums.max(initial=0.0) / n)
+def _check_summand_norm(rows: np.ndarray, means: np.ndarray, envelope: float, n: int) -> None:
+    """Refuse a sample whose largest centered summand, sqrt(max row sum of
+    (rows - means)^2 / n), exceeds the envelope's bound M sqrt(g / n). The
+    rows, grid values (n', g), are centred and squared in place."""
+    g = rows.shape[1]
+    rows -= means
+    np.square(rows, out=rows)
+    norm = math.sqrt((rows @ np.ones(g)).max(initial=0.0) / n)
     limit = envelope * math.sqrt(g / n)
     if norm > limit + 1e-12:
         raise NumericError(f"summand norm {norm:.6g} exceeds the bound {limit:.6g}")
@@ -451,17 +473,18 @@ def _check_summand_norm(row_sums: np.ndarray, envelope: float, g: int, n: int) -
 
 def _prepare_batch(cls, P, grid, mesh) -> tuple:
     """The ``"exact"`` state: grid factor, mesh law given the grid and, for
-    every class but Hoelder, the grid's cells without a mesh (``_batch_pair``
-    reads no more)."""
+    every class but Hoelder, the cells of the grid and of the mesh, neither
+    refined (``_batch_pair`` reads no more)."""
     _transport_solvers()  # here, so a pool forked after set-up inherits them
     model = factorize(grid.gram)
     joint = covariance(cls, P, list(grid.centers) + list(mesh))
     g = grid.size
     law = conditional_law(model, joint[g:, :g], joint[g:, g:])
     if cls.kind == "holder":
-        return model, law, None
+        return model, law, None, None
     w, t = _orthant(cls, list(grid.centers), P.dim)
-    return model, law, orthant_cells(P, t, weights=w)
+    mesh_w, mesh_t = _orthant(cls, list(mesh), P.dim)
+    return model, law, orthant_cells(P, t, weights=w), orthant_cells(P, mesh_t, weights=mesh_w)
 
 
 def _batch_pair(context, n, m, seed, tag) -> tuple:
@@ -470,19 +493,15 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
     squared cost, the sample's mesh sums and the mesh Gaussian drawn from the
     context's conditional law given z0."""
     cls, P, grid = context.cls, context.P, context.grid
-    model, law, cells = context.state
+    model, law, cells, mesh_cells = context.state
     centers = list(grid.centers)
     g = grid.size
     designated = P.draw(n, seed.rng("sample", tag, 0))
     vals = cls.evaluate_matrix(centers, designated)
     sums = np.empty((m, g))
     sums[0] = vals.sum(axis=0)
-    # The summand check centres and squares the matrix in place once its
-    # column sums are taken, so no second n x g array is made; the matrix is
-    # freed before the transport step.
-    vals -= context.grid_means
-    np.square(vals, out=vals)
-    _check_summand_norm(vals @ np.ones(g), cls.envelope, g, n)
+    # The check overwrites the matrix, which is freed before the transport step.
+    _check_summand_norm(vals, context.grid_means, cls.envelope, n)
     del vals
     aux = seed.rng("auxiliary", tag)
     # A row of cell counts stands for a row of n points.
@@ -498,7 +517,10 @@ def _batch_pair(context, n, m, seed, tag) -> tuple:
     z_batch = (model.L @ seed.rng("target", tag).standard_normal((g, m))).T
     plan = ot_couple(y_batch, z_batch)
     z0 = z_batch[plan.assignment[0]]
-    mesh_sums = cls.column_sums(list(context.eval_mesh), designated)
+    if mesh_cells is None:
+        mesh_sums = cls.batch_column_sums(list(context.eval_mesh), designated[None])[0]
+    else:
+        mesh_sums = mesh_cells.sample_sums(designated)
     mesh_gauss = extend_from_law(law, z0, seed, rep=tag)
     return designated, y_batch[0], z0, plan.cost, mesh_sums, mesh_gauss
 
@@ -529,9 +551,9 @@ def _tree_pair(context, n, m, seed, tag) -> tuple:
         raise DomainError(f"the quantile method takes n up to 2^51 = {TREE_N_LIMIT}, got n = {n}")
     cells, g = context.state, context.grid.size
     counts, gauss = _binomial_tree(cells.masses, n, seed.rng("tree", tag))
-    # A point of cell j has grid values cells.grid_sums(e_j): its summand.
-    summands = cells.grid_sums(np.eye(g + 1)) - context.grid_means
-    _check_summand_norm((summands[counts > 0] ** 2) @ np.ones(g), context.cls.envelope, g, n)
+    # A point of cell j has grid values cells.grid_sums(e_j).
+    occupied = cells.grid_sums(np.eye(g + 1))[counts > 0]
+    _check_summand_norm(occupied, context.grid_means, context.cls.envelope, n)
     y0 = (cells.grid_sums(counts) - n * context.grid_means) / math.sqrt(n)
     z0 = cells.grid_sums(gauss)
     # Past the last cell with mass the bridge is pinned at the root's 0, which

@@ -26,11 +26,10 @@ and ``_cell_moments`` under any other.
 
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
 f_theta(x_i) for a parameter list and a sample (indicators compare the
-points with the corners), ``column_sums`` its column sums, and
-``batch_column_sums`` the column sums of each Hoelder sample in a stack. The
-auxiliary samples of a batch coupling are drawn only for Hoelder classes:
-every indicator class draws their cell counts (``coupling.orthant_cells``),
-whose cumulative sums give the column sums without a point.
+points with the corners), and ``batch_column_sums`` the column sums of each
+Hoelder sample in a stack. An indicator class is summed over a sample
+through its counts in the cells that the corners cut out
+(``coupling.OrthantCells``), whose cumulative sums give the column sums.
 Holder classes are evaluated by one binary search of the knots per sample
 point, shared by every parameter, with np.interp's slopes and order of
 operations, so the matrix is bit-identical to one np.interp call per
@@ -216,35 +215,14 @@ class FunctionClass:
         # round differently.
         return out if w is None else np.multiply(out, w, order="C")
 
-    def column_sums(self, params, xs: np.ndarray) -> np.ndarray:
-        """sum_i f_theta(x_i) for each theta in params, shape (len(params),).
-
-        Neither indicator intervals nor one-dimensional Hoelder members build
-        the n x g matrix (g = len(params)). Interval indicators are counted:
-        one sort of the sample and a binary search per parameter; the counts
-        are integers, so they equal the matrix column sums bit for bit. A
-        Hoelder member is linear on each knot cell, so its sum needs only each
-        cell's point count and sum of offsets from the cell's left knot (see
-        ``_interp_column_sums``, here with one row); that adds in another
-        order than the matrix sum, so the two agree to rounding, not bit for
-        bit. Other classes sum the matrix.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == "intervals":
-            thetas = np.asarray(params, dtype=float)
-            return np.searchsorted(np.sort(xs), thetas, side="right").astype(float)
-        if self.kind == "holder" and xs.ndim == 1 and len(params):
-            return _interp_column_sums(self.knots, np.asarray(params, dtype=float), xs[None])[0]
-        return self.evaluate_matrix(params, xs).sum(axis=0)
-
     def batch_column_sums(self, params, batch: np.ndarray) -> np.ndarray:
-        """Row r is ``column_sums(params, batch[r])`` for a Hoelder class;
-        shape (rows, len(params)).
+        """Row r is sum_i f_theta(batch[r, i]) for each theta in params, for
+        a Hoelder class; shape (rows, len(params)).
 
         ``batch`` stacks one-dimensional samples of equal size, (rows, n),
-        and one knot-cell kernel reduces them together, its rows equal to the
-        one-row calls bit for bit. Only Hoelder classes draw auxiliary
-        samples; every indicator class draws cell counts in their place.
+        and one knot-cell kernel (``_interp_column_sums``) reduces them
+        together, each row equal to its one-row call bit for bit. Indicator
+        sums are cell counts (``coupling.OrthantCells``) instead.
         """
         if self.kind != "holder":
             raise UnsupportedOperationError(f"only holder classes take batch sums, not {self.kind}")

@@ -5,8 +5,8 @@ intrinsic distance is below a radius; the symmetrized modulus mu_n is the
 expected supremum over such a set of |n^{-1/2} sum_i e_i (f - f')(X_i)| for
 Rademacher signs e_i drawn independently of the sample. The empirical process
 alpha_n(f) = n^{-1/2} sum_i (f(X_i) - E f(X)) itself is formed where it is
-used, from ``FunctionClass.column_sums`` and ``mean_vector`` (see
-``coupling.construct_joint``).
+used, from the sample's sums (indicator cell counts, ``OrthantCells``, or
+Hoelder knot-cell sums) and ``mean_vector`` (see ``coupling.construct_joint``).
 
 All randomness flows through seed specs with disjoint phases, so the sign
 vectors are independent of the sample points by construction and every result

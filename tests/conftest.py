@@ -62,10 +62,13 @@ def seed():
 @pytest.fixture(scope="session")
 def empirical_process():
     """alpha_n(f) = n^{-1/2} sum_i (f(X_i) - E f(X)) for each parameter,
-    from column sums and exact means, as ``construct_joint`` forms it."""
+    from the column sums of the evaluation matrix and exact means: the
+    reference for the sums that ``construct_joint`` takes without the
+    matrix."""
 
     def alpha(cls, P, points, params):
         n = len(points)
-        return (cls.column_sums(params, points) - n * mean_vector(cls, P, params)) / math.sqrt(n)
+        sums = cls.evaluate_matrix(params, points).sum(axis=0)
+        return (sums - n * mean_vector(cls, P, params)) / math.sqrt(n)
 
     return alpha

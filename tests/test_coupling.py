@@ -428,9 +428,9 @@ CELL_LAWS = {
 }
 
 
-# The cell-count test's classes beyond intervals: rectangles under a 2-D
-# product-uniform and a 2-D discrete law, and finite classes with constant
-# members under 1-D beta and discrete laws and under 2-D product-uniform.
+# The cell tests' cases: every indicator kind under every law that takes it,
+# rectangles and finite classes in one, two and three dimensions, finite
+# classes with constant members beside their indicators.
 PLANE = Distribution("product-uniform", dim=2)
 PLANE_ATOMS = Distribution(
     "discrete",
@@ -438,13 +438,20 @@ PLANE_ATOMS = Distribution(
     atoms=((0.2, 0.3), (0.5, 0.9), (0.8, 0.4), (0.4, 0.6)),
     weights=(0.1, 0.2, 0.3, 0.4),
 )
+SPACE_LAWS = {
+    "uniform-3d": Distribution("product-uniform", dim=3),
+    "discrete-3d": Distribution(
+        "discrete",
+        dim=3,
+        atoms=((0.2, 0.3, 0.7), (0.5, 0.9, 0.1), (0.8, 0.4, 0.4), (0.4, 0.6, 1.0)),
+        weights=(0.1, 0.2, 0.3, 0.4),
+    ),
+}
 CELL_CASES = {
-    **{f"intervals-{law}": (P, "interval") for law, P in CELL_LAWS.items()},
-    "rectangles-uniform": (PLANE, "rectangle"),
-    "rectangles-discrete": (PLANE_ATOMS, "rectangle"),
-    "finite-beta": (CELL_LAWS["beta"], "finite"),
-    "finite-discrete": (CELL_LAWS["discrete"], "finite"),
-    "finite-uniform-2d": (PLANE, "finite"),
+    f"{kind}-{law}": (P, form)
+    for law, P in {**CELL_LAWS, "uniform-2d": PLANE, "discrete-2d": PLANE_ATOMS, **SPACE_LAWS}.items()
+    for kind, form in (("intervals", "interval"), ("rectangles", "rectangle"), ("finite", "finite"))
+    if P.dim == 1 or kind != "intervals"
 }
 
 
@@ -462,26 +469,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    case=st.sampled_from(sorted(CELL_CASES)),
-    n=st.integers(1, 300),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_cell_counts_give_the_column_sums(case, n, seed, data):
-    """Grid sums from a sample's own cell counts equal its column sums: bit
-    for bit for members of weight 1, to rounding for weighted constants.
-
-    Corner coordinates mix free values, the sample's own coordinates, the
-    discrete laws' atoms and the ends 0 and 1, unsorted and with repeats.
+def cell_class(P, form, xs, data):
+    """A class of the form's kind and its parameters, drawn for the cell
+    tests. Corner coordinates mix free values, the sample's own coordinates,
+    the discrete laws' atoms and the ends 0 and 1, unsorted and with repeats.
     Interval and rectangle classes take the corners as parameters; a finite
     class takes them as interval or rectangle members beside one to three
-    constants. In one dimension the g centers cut out g + 1 cells, repeats
-    included; in two each axis is cut at its distinct coordinates.
-    """
-    P, form = CELL_CASES[case]
-    xs = P.draw(n, np.random.default_rng(seed))
+    constants, which are not dyadic as a rule."""
     coordinate = st.one_of(
         st.floats(0.0, 1.0),
         st.sampled_from(xs.ravel().tolist()),
@@ -490,15 +484,66 @@ def test_cell_counts_give_the_column_sums(case, n, seed, data):
     corner = coordinate if P.dim == 1 else st.tuples(*[coordinate] * P.dim)
     centers = data.draw(st.lists(corner, max_size=16))
     if form == "interval":
-        cls, params = FunctionClass("intervals"), centers
-    elif form == "rectangle":
-        cls, params = FunctionClass("rectangles", dim=P.dim), centers
-    else:
-        constants = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
-        indicator = "interval" if P.dim == 1 else "rectangle"
-        members = {(indicator, c) for c in centers} | {("constant", c) for c in constants}
-        cls = FunctionClass("finite", members=tuple(sorted(members)))
-        params = list(cls.members)
+        return FunctionClass("intervals"), centers
+    if form == "rectangle":
+        return FunctionClass("rectangles", dim=P.dim), centers
+    constants = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    indicator = "interval" if P.dim == 1 else "rectangle"
+    members = {(indicator, c) for c in centers} | {("constant", c) for c in constants}
+    cls = FunctionClass("finite", members=tuple(sorted(members)))
+    return cls, list(cls.members)
+
+
+def assert_sums_match(got, want, w):
+    """Bit for bit for members of weight 1; within 1e-12 relative for
+    weighted constants, a count times w against n copies of w added in
+    turn."""
+    unit = np.ones(len(want), dtype=bool) if w is None else w == 1.0
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(bits(got[unit]), bits(want[unit]))
+    assert np.allclose(got[~unit], want[~unit], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    case=st.sampled_from(sorted(CELL_CASES)),
+    n=st.one_of(st.integers(1, 80), st.integers(256, 4096)),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.sampled_from([0.0, 0.2, 1.0]),
+    data=st.data(),
+)
+def test_cell_sample_sums_equal_matrix_sums(case, n, seed, share, data):
+    """A sample's sums through the cells equal the column sums of its
+    evaluation matrix (``assert_sums_match``). With probability ``share`` a
+    coordinate is replaced by a corner coordinate, so the point lies on a
+    cut, or by -0.5, 1.5, -inf, +inf or NaN."""
+    P, form = CELL_CASES[case]
+    rng = np.random.default_rng(seed)
+    xs = P.draw(n, rng)
+    cls, params = cell_class(P, form, xs, data)
+    w, t = _orthant(cls, params, P.dim)
+    odd = np.concatenate([t.ravel(), [-0.5, 1.5, -np.inf, np.inf, np.nan]])
+    xs = np.where(rng.random(xs.shape) < share, rng.choice(odd, xs.shape), xs)
+    want = cls.evaluate_matrix(params, xs).sum(axis=0)
+    assert_sums_match(orthant_cells(P, t, weights=w).sample_sums(xs), want, w)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    case=st.sampled_from(sorted(CELL_CASES)),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cell_counts_give_the_column_sums(case, n, seed, data):
+    """Grid sums from a sample's own cell counts equal the column sums of
+    its evaluation matrix (``assert_sums_match``). In one dimension the g
+    centers cut out g + 1 cells, repeats included; in more each axis is cut
+    at its distinct coordinates.
+    """
+    P, form = CELL_CASES[case]
+    xs = P.draw(n, np.random.default_rng(seed))
+    cls, params = cell_class(P, form, xs, data)
     w, t = _orthant(cls, params, P.dim)
     cells = orthant_cells(P, t, weights=w)
     cuts = [np.sort(c) if P.dim == 1 else np.unique(c) for c in t.T]
@@ -508,12 +553,9 @@ def test_cell_counts_give_the_column_sums(case, n, seed, data):
     assert cells.masses.shape == (size,) and (cells.masses >= 0).all()
     assert P.dim > 1 or size == len(params) + 1
     assert math.isclose(cells.masses.sum(), 1.0, abs_tol=1e-12)
-    sums = cls.column_sums(params, xs)
-    unit = np.ones(len(params), dtype=bool) if w is None else w == 1.0
-    want = bits(sums[unit])
-    assert np.array_equal(bits(cells.grid_sums(counts)[unit]), want)
-    assert np.array_equal(bits(cells.grid_sums(np.stack([counts, counts]))[1][unit]), want)
-    assert np.allclose(cells.grid_sums(counts)[~unit], sums[~unit], rtol=1e-12, atol=1e-12)
+    want = cls.evaluate_matrix(params, xs).sum(axis=0)
+    assert_sums_match(cells.grid_sums(counts).astype(float), want, w)
+    assert_sums_match(cells.grid_sums(np.stack([counts, counts]))[1].astype(float), want, w)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -753,18 +795,32 @@ CHUNK_CASES = {
 
 @pytest.fixture()
 def auxiliary_chunks(monkeypatch):
-    """The chunks of auxiliary rows that ``construct_joint`` reduces: one
-    (reduction, rows) entry per call of a grid sum of cell counts or of a
-    Hoelder batch sum."""
+    """``auxiliary_chunks(ctx)`` is a list of the chunks of auxiliary rows
+    that ``construct_joint`` reduces on ``ctx``: one (reduction, rows) entry
+    per call of a grid sum of cell counts on its grid cells or of a Hoelder
+    batch sum over its grid centers. The designated sample's mesh sums, which
+    the same two reductions take on the mesh, are left out."""
     chunks = []
-    for owner, name in ((coupling.OrthantCells, "grid_sums"), (FunctionClass, "batch_column_sums")):
 
-        def spy(*args, name=name, reduce=getattr(owner, name)):
-            chunks.append((name, len(args[-1])))
-            return reduce(*args)
+    def watch(ctx):
+        grid_cells, centers = ctx.state[2], list(ctx.grid.centers)
+        grid_sums, batch_sums = coupling.OrthantCells.grid_sums, FunctionClass.batch_column_sums
 
-        monkeypatch.setattr(owner, name, spy)
-    return chunks
+        def spy_cells(cells, counts):
+            if cells is grid_cells:
+                chunks.append(("grid_sums", len(counts)))
+            return grid_sums(cells, counts)
+
+        def spy_batch(cls, params, batch):
+            if list(params) == centers:
+                chunks.append(("batch_column_sums", len(batch)))
+            return batch_sums(cls, params, batch)
+
+        monkeypatch.setattr(coupling.OrthantCells, "grid_sums", spy_cells)
+        monkeypatch.setattr(FunctionClass, "batch_column_sums", spy_batch)
+        return chunks
+
+    return watch
 
 
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
@@ -780,12 +836,13 @@ def test_auxiliary_sums_do_not_depend_on_the_chunk_size(
     n, m = 40, 12
     ctx = prepare_coupling(cls, P, eps)
     assert ctx.grid.size >= 2
+    chunks = auxiliary_chunks(ctx)
     reals, calls = [], []
     for chunk in (coupling.AUX_CHUNK_POINTS, 3 * n + 1, 1):
         monkeypatch.setattr(coupling, "AUX_CHUNK_POINTS", chunk)
         reals.append(construct_joint(ctx, n, m, SeedSpec(5, 2)))
-        calls.append(len(auxiliary_chunks))
-        auxiliary_chunks.clear()
+        calls.append(len(chunks))
+        chunks.clear()
     assert calls[0] == 1 and calls[2] == m - 1
     first = bits(transport_sources[0])
     assert all(np.array_equal(bits(source), first) for source in transport_sources[1:])
@@ -804,6 +861,7 @@ def test_indicator_classes_draw_only_the_designated_sample(monkeypatch, auxiliar
     auxiliary rows are cell counts."""
     cls, P, eps = CHUNK_CASES[case]
     ctx = prepare_coupling(cls, P, eps)
+    chunks = auxiliary_chunks(ctx)
     draws, draw = [], Distribution.draw
 
     def spy(self, n, rng):
@@ -814,8 +872,31 @@ def test_indicator_classes_draw_only_the_designated_sample(monkeypatch, auxiliar
     real = construct_joint(ctx, 40, 12, SeedSpec(5, 2))
     assert draws == [40]
     assert np.array_equal(real.points, draw(P, 40, SeedSpec(5, 2).rng("sample", 0, 0)))
-    assert auxiliary_chunks == [("grid_sums", 11)]
+    assert chunks == [("grid_sums", 11)]
     assert type(ctx.state[2]) is OrthantCells
+
+
+CELL_METHODS = [(kind, method) for method, row in sorted(coupling._METHODS.items()) for kind in row[0]]
+
+
+@pytest.mark.parametrize("kind, method", CELL_METHODS)
+def test_construct_joint_builds_no_cells(monkeypatch, class_of_kind, kind, method):
+    """Cells are built by the prepare step, once per radius: the exact
+    method's grid and mesh cells (none for Hoelder), the quantile method's
+    refined grid cells. A realization builds none."""
+    cls, P = class_of_kind[kind]
+    built, init = [], OrthantCells.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrthantCells, "__init__", spy)
+    ctx = prepare_coupling(cls, P, 0.5, eval_mesh=cls.mesh[:9], method=method)
+    assert len(built) == (0 if kind == "holder" else 2 if method == "exact" else 1)
+    built.clear()
+    construct_joint(ctx, 64, 8, SeedSpec(5, 2))
+    assert built == []
 
 
 def test_holder_auxiliary_y_sums_have_the_grid_second_moments(transport_sources):

@@ -146,48 +146,6 @@ COLUMN_SUM_LAWS = {
 }
 
 
-def assert_column_sums_match_matrix(cls, params, xs):
-    sums = cls.column_sums(params, xs)
-    assert sums.dtype == np.float64 and sums.shape == (len(params),)
-    assert np.array_equal(sums, cls.evaluate_matrix(params, xs).sum(axis=0))
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    law=st.sampled_from(sorted(COLUMN_SUM_LAWS)),
-    n=st.one_of(st.integers(1, 80), st.integers(256, 4096)),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_interval_column_sums_equal_matrix_sums(law, n, seed, data):
-    """Counting is bit-equal to summing the indicator matrix, ties included.
-
-    Parameters mix free values, the sample's own points and the discrete law's
-    atoms, in any order and with repeats, on samples of 1 to 80 and of 256 to
-    4096 points.
-    """
-    xs = COLUMN_SUM_LAWS[law].draw(n, np.random.default_rng(seed))
-    theta = st.one_of(
-        st.floats(0.0, 1.0),
-        st.sampled_from(xs.tolist()),
-        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-    )
-    params = data.draw(st.lists(theta, max_size=16))
-    assert_column_sums_match_matrix(FunctionClass("intervals"), params, xs)
-
-
-@pytest.mark.parametrize(
-    "params, xs",
-    [
-        ([], [0.3, 0.7]),
-        ([0.5], [0.5]),
-        ([0.75, 0.25, 0.75, 0.0, 1.0, 0.25], [0.25, 0.75, 0.5, 0.25, 0.75]),
-    ],
-)
-def test_interval_column_sums_edge_cases(params, xs):
-    assert_column_sums_match_matrix(FunctionClass("intervals"), params, np.array(xs))
-
-
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -221,7 +179,7 @@ def test_holder_matrix_is_bit_equal_to_interp(knot_count, n, g, tie_share, seed)
     got = cls.evaluate_matrix(params, xs)
     assert got.shape == (n, g) and got.flags.c_contiguous
     assert np.array_equal(bits(got), bits(want))
-    sums = cls.column_sums(params, xs)
+    sums = cls.batch_column_sums(params, xs[None])[0]
     assert np.allclose(sums, want.sum(axis=0), rtol=0.0, atol=holder_sum_tolerance(n))
 
 
@@ -257,16 +215,6 @@ def holder_sum_tolerance(n: int) -> float:
     return 1e-12 * max(1, n)
 
 
-def test_column_sums_fall_back_to_matrix_sums():
-    rng = np.random.default_rng(3)
-    holder = FunctionClass("holder", envelope=1.0, mesh_size=6, knot_count=5)
-    xs = rng.random(40)
-    want = holder.evaluate_matrix(list(holder.mesh), xs).sum(axis=0)
-    assert np.allclose(holder.column_sums(list(holder.mesh), xs), want, rtol=0.0, atol=holder_sum_tolerance(40))
-    rect = FunctionClass("rectangles", envelope=1.0, dim=2, mesh_size=9)
-    assert_column_sums_match_matrix(rect, list(rect.mesh), rng.random((40, 2)))
-
-
 def knot_points(knots: np.ndarray) -> np.ndarray:
     """0, 1, every knot and its two floating-point neighbours, and points
     outside [0, 1], infinities included."""
@@ -299,7 +247,7 @@ def test_holder_column_sums_match_matrix_sums(knot_count, n, g, law, tie_share, 
     xs = COLUMN_SUM_LAWS[law].draw(n, rng)
     xs = np.where(rng.random(n) < tie_share, rng.choice(knot_points(cls.knots), n), xs)
     params = list(cls.mesh) + [tuple(v) for v in rng.uniform(-1.0, 1.0, (g, knot_count))]
-    sums = cls.column_sums(params, xs)
+    sums = cls.batch_column_sums(params, xs[None])[0]
     assert sums.dtype == np.float64 and sums.shape == (len(params),)
     want = cls.evaluate_matrix(params, xs).sum(axis=0)
     assert np.allclose(sums, want, rtol=0.0, atol=holder_sum_tolerance(n))
@@ -316,8 +264,8 @@ def test_holder_column_sums_match_matrix_sums(knot_count, n, g, law, tie_share, 
 )
 def test_holder_batch_rows_equal_one_row_sums(knot_count, rows, n, g, tie_share, seed):
     """Each row of the batched knot-cell kernel is bit for bit its one-row
-    call, which is ``column_sums``, and agrees with the row's matrix column
-    sums within ``holder_sum_tolerance``. Points are uniform on [0, 1] or,
+    call, and agrees with the row's matrix column sums within
+    ``holder_sum_tolerance``. Points are uniform on [0, 1] or,
     with probability ``tie_share``, taken from ``knot_points``."""
     cls = FunctionClass("holder", knot_count=knot_count)
     rng = np.random.default_rng(seed)
@@ -327,7 +275,7 @@ def test_holder_batch_rows_equal_one_row_sums(knot_count, rows, n, g, tie_share,
     got = cls.batch_column_sums(params, batch)
     assert got.dtype == np.float64 and got.shape == (rows, g)
     for r in range(rows):
-        assert np.array_equal(bits(got[r]), bits(cls.column_sums(params, batch[r])))
+        assert np.array_equal(bits(got[r]), bits(cls.batch_column_sums(params, batch[r : r + 1])[0]))
         want = cls.evaluate_matrix(params, batch[r]).sum(axis=0)
         assert np.allclose(got[r], want, rtol=0.0, atol=holder_sum_tolerance(n))
 

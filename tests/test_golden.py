@@ -292,6 +292,40 @@ CASES = {
         ),
         "gauss-approx.csv",
     ),
+    # Larger samples, where the designated mesh sums count points in the
+    # product cells of a 3-D mesh, and where a count times a non-dyadic
+    # constant need not equal the sum of that many copies of it.
+    "approx-rectangles-3d": (
+        "approx",
+        dict(
+            APPROX_SMALL,
+            **{
+                "class": {"kind": "rectangles", "M": 1.0, "dim": 3, "mesh_size": 125},
+                "distribution": {"kind": "product-uniform", "dim": 3},
+                "n_grid": [1024, 4096],
+            },
+        ),
+        "gauss-approx.csv",
+    ),
+    "approx-finite-2d": (
+        "approx",
+        dict(
+            APPROX_SMALL,
+            **{
+                "class": {
+                    "kind": "finite",
+                    "M": 2.0,
+                    "members": [
+                        ["rectangle", [0.3, 0.6]], ["rectangle", [0.7, 0.2]], ["rectangle", [0.5, 0.9]],
+                        ["constant", 0.3], ["constant", -0.7],
+                    ],
+                },
+                "distribution": {"kind": "product-uniform", "dim": 2},
+                "n_grid": [3000, 30000],
+            },
+        ),
+        "gauss-approx.csv",
+    ),
     "entropy-rectangles": (
         "entropy",
         {
@@ -372,7 +406,11 @@ CASES = {
 # "refine" and "extend" phases and the same law, but a new map from draws to
 # finer cells (one multinomial per grid cell, one normal per finer cell and
 # none for padding), so again only sup_mesh moves.
+# "approx-rectangles-3d" and "approx-finite-2d" were recorded before the
+# designated sample's mesh sums moved from the n x p indicator matrix to its
+# counts in the mesh's product cells, as the byte guard for that change.
 DIGESTS = {
+    "approx-finite-2d": "2dc2c9fdd87d1968cc60d76027e4d2d7fc146ae57911e529d8b1ce5a676063c8",
     "approx-finite-beta": "53f4904a0d566961c7ea4577534df86fa1efc5d76db4c4adab3a04f37652aa4a",
     "approx-finite-discrete": "787a4d9f495cf4cb6a246482d689593c66445641efa6f207ac827b9945441705",
     "approx-holder": "03e528c9702156e783dd5082a4ce305155a0fd8215b00f71216638bebc125986",
@@ -384,6 +422,7 @@ DIGESTS = {
     "approx-intervals-json-labels": "0a4055b915e382b9f66d5d9fd7903d869078c58d60a8c98facd16fa52280519e",
     "approx-intervals-quantile": "65f4184b56695bfc5b32713fadaa5e51f0774cc7b95789dd9f3af87f4885f245",
     "approx-intervals-uniform": "e51c41b7bba341fb1752dd5e6241081acc25553e33b747a151c30c66d18a1890",
+    "approx-rectangles-3d": "085068a624243e78f2e2307cae2ec4b76c32c3e4fd0a90d3fd887168c4d0e766",
     "approx-rectangles-discrete": "34752912b328ac18f70ba8d66dad0c913156c1ad721d32842b938be2d9da3d42",
     "bounds-audit-default": "41dd82168859e23b41faaa853ff0253cac02bdc0cf6ed74b19aa60468ef5ed70",
     "couple-intervals": "d4a7a00c4401a0b55124c5e17e34d5c209697cccf4647ca767a62df80ac40a1b",
