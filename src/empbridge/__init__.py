@@ -9,12 +9,13 @@ each step. Everything is deterministic given a master seed.
 The public names below are loaded on first access (PEP 562), so that
 ``import empbridge`` and the ``rates`` command do not pay for numpy and
 scipy; ``from empbridge import X`` works as with an eager import. The other
-commands load numpy. Only quantile couplings, beta laws and the bounds audit
-also load scipy.special, where they evaluate a special function; only exact
-(batch transport) couplings load scipy's compiled assignment solver and
-squared-distance kernel, without the scipy.optimize and scipy.spatial
-packages (about 1 ms and under 1 MB). Couplings load what they need when
-their context is prepared.
+commands load numpy. No command imports a scipy package: ``kernels`` loads
+the few compiled scipy modules the lab calls from their files. Only quantile
+couplings, beta laws and the bounds audit load scipy.special's compiled
+ufuncs (about 10 ms and 4 MB), where they evaluate a special function; only
+exact (batch transport) couplings load scipy's compiled assignment solver
+and squared-distance kernel (about 1 ms and under 1 MB). Couplings load what
+they need when their context is prepared.
 """
 
 import importlib

@@ -30,6 +30,7 @@ from .errors import (
     NotACovarianceError,
 )
 from .function_classes import FunctionClass, covariance
+from .kernels import special
 from .quadrature import adaptive_simpson
 from .seeds import SeedSpec
 
@@ -138,15 +139,13 @@ def dudley_integral(entropy_model, sigma: float) -> float:
     if sigma == 0.0:
         return 0.0
     if form == "power":
-        from scipy import special
-
         c, v = float(consts["c"]), float(consts["v"])
         if c <= 0 or v <= 0:
             raise ConfigError("power-law entropy needs c > 0 and v > 0")
         scale = c ** (1.0 / v)
         upper = min(sigma, scale)
         w0 = math.log(scale / upper)
-        tail = math.sqrt(w0) * math.exp(-w0) + (math.sqrt(math.pi) / 2.0) * special.erfc(
+        tail = math.sqrt(w0) * math.exp(-w0) + (math.sqrt(math.pi) / 2.0) * special().erfc(
             math.sqrt(w0)
         )
         return scale * math.sqrt(v) * tail

@@ -60,18 +60,16 @@ took 0.19 ms at n = 2^10, 2.2 ms at 2^30 and 26 ms at 2^50 on one core of a
 refused.
 
 Only ``"exact"`` needs scipy's assignment solver and squared-distance
-kernel. Both are compiled modules (``scipy.optimize._lsap``, the solver that
-``scipy.optimize`` exports, and ``scipy.spatial._distance_pybind``, the
-kernel behind ``cdist(..., "sqeuclidean")``), loaded from their files on
-first use without the packages around them, which would cost about 21 MB
-resident and 0.2 s; the two modules take about 1 ms and under 1 MB. The
-exact prepare step loads them, before any worker process is forked, and
-``ot_couple`` does for a direct call. Of the two methods only
-``"quantile"`` needs scipy.special (the normal CDF and the binomial
-quantile; the package costs about 25 MB and 0.16 s); its prepare step loads
-them, and ``_binomial_tree`` for a direct call. A process that runs only
-exact couplings, under any law but beta (whose CDF is scipy's), loads numpy
-and the two kernels alone.
+kernel (``scipy.optimize._lsap`` and ``scipy.spatial._distance_pybind``), and
+only ``"quantile"`` needs the normal CDF and the binomial quantile (ufuncs of
+``scipy.special._ufuncs``). ``kernels`` loads each compiled module from its
+file on first use, without the package around it: about 1 ms and under 1 MB
+for the two transport modules, about 10 ms and 4 MB for the special
+functions, against 21 MB and 24 MB for the packages. Each method's prepare
+step loads what it needs, before any worker process is forked;
+``ot_couple`` and ``_binomial_tree`` do so for a direct call. A process that
+runs only exact couplings, under any law but beta (whose CDF is scipy's
+``betainc``), loads numpy and the two transport modules alone.
 
 Also here: the exponential tail bound for the coupled sum, its grid
 specialization, and the radius and threshold selections used by the
@@ -80,15 +78,10 @@ convergence-rate experiments.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .bridge import conditional_law, extend_from_law, factorize
 from .distributions import Distribution
@@ -103,6 +96,7 @@ from .function_classes import (
     KINDS, EntropyRegime, FunctionClass, Grid, _monotone_cdf, _orthant, _orthant_mass, build_grid,
     covariance, mean_vector,
 )
+from .kernels import _transport_solvers, _tree_kernels
 from .seeds import SeedSpec
 
 OT_EXACT_LIMIT = 512
@@ -150,50 +144,6 @@ class TransportPlan:
         expect = float(((self.source - matched) ** 2).sum(axis=1).mean())
         if not math.isclose(expect, self.cost, rel_tol=1e-9, abs_tol=1e-12):
             raise DomainError("stored cost does not match the assignment")
-
-
-def _scipy_extension(package: str, name: str):
-    """The compiled module ``scipy.<package>.<name>``, loaded from its file
-    without importing ``scipy.<package>`` and registered under its own name,
-    so that a later import of the package reuses it. A module that fails to
-    load is unregistered again, as the import system does, so a later call
-    raises too."""
-    full = f"scipy.{package}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-        finder = importlib.machinery.FileFinder(os.path.join(scipy.__path__[0], package), loader)
-        spec = finder.find_spec(full)
-        if spec is None:
-            raise ImportError(f"no compiled module {full} in scipy {scipy.__version__}", name=full)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            sys.modules.pop(full, None)
-            raise
-    return module
-
-
-def _transport_solvers() -> tuple:
-    """scipy's assignment solver (the one ``scipy.optimize`` exports) and the
-    kernel that ``cdist(..., "sqeuclidean")`` runs on float input, loaded on
-    first use (see the module docstring)."""
-    return (
-        _scipy_extension("optimize", "_lsap").linear_sum_assignment,
-        _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean,
-    )
-
-
-def _tree_kernels() -> tuple:
-    """The normal CDF and the boost binomial quantile behind
-    ``scipy.stats.binom.ppf``, from ``scipy.special``, imported on first use
-    (see the module docstring)."""
-    from scipy.special import ndtr
-    from scipy.special._ufuncs import _binom_ppf
-
-    return ndtr, _binom_ppf
 
 
 def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:

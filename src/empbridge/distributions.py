@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .kernels import special
 
 KINDS = ("uniform", "product-uniform", "beta", "discrete")
 
@@ -83,9 +84,7 @@ class Distribution:
         if self.kind == "uniform" or self.kind == "product-uniform":
             out = np.clip(xs, 0.0, 1.0)
         elif self.kind == "beta":
-            from scipy import special
-
-            out = special.betainc(self.a, self.b, np.clip(xs, 0.0, 1.0))
+            out = special().betainc(self.a, self.b, np.clip(xs, 0.0, 1.0))
         else:
             pts = self._atom_array()[:, 0]
             w = np.asarray(self.weights, float)

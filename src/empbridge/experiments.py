@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -509,8 +508,10 @@ def _eval_mesh(cls: FunctionClass, size: int) -> tuple:
     mesh = list(cls.mesh)
     if size >= len(mesh):
         return tuple(mesh)
-    idx = np.unique(np.linspace(0, len(mesh) - 1, size).round().astype(int))
-    return tuple(mesh[i] for i in idx)
+    # The rounded indices are sorted; keep each one that differs from the one
+    # before it (np.unique would load numpy.ma).
+    idx = np.linspace(0, len(mesh) - 1, size).round().astype(int)
+    return tuple(mesh[i] for i in idx[np.diff(idx, prepend=-1) > 0])
 
 
 def _couple_task(context, n, batch, master, rep):
@@ -547,6 +548,8 @@ def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
     if config.workers == 1:
         outcomes = map(_attempt, jobs)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         order = sorted(range(len(jobs)), key=lambda j: -tasks[j // config.reps][1])
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunk = max(1, len(jobs) // (4 * config.workers))

@@ -69,6 +69,7 @@ from .errors import (
     DomainError,
     UnsupportedOperationError,
 )
+from .kernels import special
 from .seeds import PHASES
 
 KINDS = ("intervals", "rectangles", "holder", "finite")
@@ -519,11 +520,9 @@ def _cell_moments(P: Distribution, knots: np.ndarray) -> np.ndarray:
     """
     left = knots[:-1]
     if P.kind == "beta":
-        from scipy import special
-
         a, b = P.a, P.b
         scale = np.array([1.0, a / (a + b), a * (a + 1.0) / ((a + b) * (a + b + 1.0))])
-        incomplete = special.betainc(a + np.arange(3.0)[:, None], b, knots)
+        incomplete = special().betainc(a + np.arange(3.0)[:, None], b, knots)
         m0, m1, m2 = scale[:, None] * np.diff(incomplete)
         return np.stack([m0, m1 - left * m0, m2 - 2.0 * left * m1 + left * left * m0])
     x = P._atom_array()[:, 0]

@@ -619,12 +619,13 @@ def test_only_exact_runs_load_the_transport_kernels(tmp_path, child_env):
 
 
 def test_only_special_functions_load_scipy_special(tmp_path, child_env):
-    # scipy.special (about 25 MB and 0.16 s in a fresh interpreter) loads
-    # where a special function is evaluated: the quantile tree's binomial
-    # quantile, the beta CDF and the bounds' entropy integral. Exact runs
-    # under the uniform law and the entropy certificates evaluate none, pool
-    # workers included. Each loading run starts from the state those runs
-    # leave, in a forked copy of the interpreter.
+    # scipy.special's compiled ufuncs (about 4 MB and 10 ms in a fresh
+    # interpreter) load where a special function is evaluated: the quantile
+    # tree's binomial quantile, the beta CDF and the bounds' entropy
+    # integral. Exact runs under the uniform law and the entropy
+    # certificates evaluate none, pool workers included. No run imports the
+    # scipy.special package (about 24 MB more). Each loading run starts from
+    # the state those runs leave, in a forked copy of the interpreter.
     strong = write_config(
         tmp_path, "s.json", {"schedule": {"N_grid": [3, 4], "m": 4, "eval_mesh_size": 5}, "reps": 2}
     )
@@ -638,7 +639,8 @@ def test_only_special_functions_load_scipy_special(tmp_path, child_env):
         "out, strong, beta = sys.argv[1:]",
         "def run(argv):",
         "    assert c.main(argv + ['--out', out]) == 0, argv",
-        "    print('loaded', argv[0], 'scipy.special' in sys.modules, flush=True)",
+        "    ufuncs, package = 'scipy.special._ufuncs' in sys.modules, 'scipy.special' in sys.modules",
+        "    print('loaded', argv[0], ufuncs, package, flush=True)",
         "for argv in (['approx'], ['strong', '--config', strong, '--workers', '2'], ['entropy']):",
         "    run(argv)",
         "for argv in (['couple'], ['bounds-audit'], ['approx', '--config', beta]):",
@@ -657,13 +659,35 @@ def test_only_special_functions_load_scipy_special(tmp_path, child_env):
     # Each run also prints the path it wrote.
     loaded = [line for line in proc.stdout.split("\n") if line.startswith("loaded ")]
     assert loaded == [
-        "loaded approx False",
-        "loaded strong False",
-        "loaded entropy False",
-        "loaded couple True",
-        "loaded bounds-audit True",
-        "loaded approx True",
+        "loaded approx False False",
+        "loaded strong False False",
+        "loaded entropy False False",
+        "loaded couple True False",
+        "loaded bounds-audit True False",
+        "loaded approx True False",
     ]
+
+
+def test_single_process_runs_load_neither_numpy_ma_nor_multiprocessing(tmp_path, child_env):
+    # np.unique loads numpy.ma (about 1.2 MB) and the process pool loads
+    # multiprocessing (about 1.9 MB); a run with one worker needs neither.
+    strong = write_config(
+        tmp_path, "s.json", {"schedule": {"N_grid": [3, 4], "m": 4, "eval_mesh_size": 5}, "reps": 2}
+    )
+    probe = "\n".join([
+        "import sys, empbridge.cli as c",
+        "out, strong = sys.argv[1:]",
+        "for argv in (['approx'], ['strong', '--config', strong], ['couple']):",
+        "    assert c.main(argv + ['--out', out]) == 0, argv",
+        "    print('loaded', argv[0], [m for m in ('numpy.ma', 'multiprocessing') if m in sys.modules])",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path), strong],
+        capture_output=True, text=True, check=True, env=child_env,
+    )
+    # Each run also prints the path it wrote.
+    loaded = [line for line in proc.stdout.split("\n") if line.startswith("loaded ")]
+    assert loaded == ["loaded approx []", "loaded strong []", "loaded couple []"]
 
 
 STRONG = {"kind": "strong-approx", "class": {"kind": "intervals", "mesh_size": 201}, "reps": 2}

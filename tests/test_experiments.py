@@ -644,6 +644,16 @@ def test_eval_mesh_sizes_are_checked_at_config_time():
         ExperimentConfig(kind="gauss-approx", schedule={"eval_mesh_size": 0})
 
 
+def test_eval_mesh_is_the_distinct_rounded_linspace_points():
+    # np.unique of the rounded indices is the reference.
+    for cls in (FunctionClass("intervals", mesh_size=201), FunctionClass("holder")):
+        mesh = list(cls.mesh)
+        for size in range(1, len(mesh) + 2):
+            idx = np.unique(np.linspace(0, len(mesh) - 1, size).round().astype(int))
+            want = tuple(mesh) if size >= len(mesh) else tuple(mesh[i] for i in idx)
+            assert experiments._eval_mesh(cls, size) == want
+
+
 def test_gammas_must_be_positive():
     for gammas in ({"gamma1": -1.0}, {"gamma2": 0.0}, {"gamma1": math.nan}, {"gamma2": -math.inf}):
         with pytest.raises(ConfigError, match="gamma1 and gamma2 must be > 0"):

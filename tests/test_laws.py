@@ -33,8 +33,9 @@ from empbridge import (
     run_gauss_approx,
     select_epsilon_vc,
 )
-from empbridge.coupling import OrthantCells, _tree_kernels, _tree_pair
+from empbridge.coupling import OrthantCells, _tree_pair
 from empbridge.function_classes import covariance
+from empbridge.kernels import _tree_kernels
 
 INTERVALS = FunctionClass("intervals", envelope=1.0, mesh_size=201)
 MESH = (0.1, 0.35, 0.6, 0.9)
