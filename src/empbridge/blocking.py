@@ -8,7 +8,9 @@ n_k = t_k - t_{k-1}; a unit starter block makes the cumulative identity
 t_N = sum of all block sizes exact. No block of either regime is empty: a
 polynomial block is at least floor(1^alpha) = 1, and consecutive
 stretched-exponential times differ by more than (1 - kappa) e > 1 before the
-floor. A schedule with an empty block is rejected.
+floor. A schedule stores only its blocks: N and the cumulative boundaries
+are derived from them, so they cannot disagree. A schedule with no block, or
+with an empty one, is rejected.
 
 The sequential construction couples each block independently at its own
 radius, then fills within-block Gaussian partial sums by a bridge-style
@@ -25,9 +27,11 @@ uses them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -50,34 +54,34 @@ _EXP_ARG_LIMIT = 700.0
 
 @dataclass(frozen=True, eq=False)
 class BlockingSchedule:
-    """Block sizes n_k, k = 0..N, with cumulative boundaries.
+    """Block sizes n_k, k = 0..N; N and the boundaries are derived from them.
 
-    ``cum`` has length N + 2: cum[k] = n_0 + ... + n_{k-1}, so cum[-1] is the
-    total sample count. The native cumulative times of the construction are
-    cum[k] for the polynomial regime and cum[k+1] for the stretched-
-    exponential one (where they equal floor(exp(k^{1-kappa}))).
+    ``cum``, their prefix sums, has length N + 2: cum[k] = n_0 + ... + n_{k-1},
+    so cum[-1] is the total sample count. The native cumulative times of the
+    construction are cum[k] for the polynomial regime and cum[k+1] for the
+    stretched-exponential one (where they equal floor(exp(k^{1-kappa}))).
     """
 
     regime: str
-    N: int
     beta: float
     n: tuple
-    cum: tuple
     params: dict
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown schedule regime {self.regime!r}")
-        if len(self.n) != self.N + 1 or len(self.cum) != self.N + 2:
-            raise ScheduleInvalidError("block and boundary lengths are inconsistent")
+        if not self.n:
+            raise ScheduleInvalidError("a schedule needs at least one block")
         if any(size < 1 for size in self.n):
             raise ScheduleInvalidError("every block needs at least one sample")
-        run = 0
-        for k in range(self.N + 2):
-            if self.cum[k] != run:
-                raise ScheduleInvalidError("cumulative boundaries do not sum the blocks")
-            if k <= self.N:
-                run += self.n[k]
+
+    @property
+    def N(self) -> int:
+        return len(self.n) - 1
+
+    @cached_property
+    def cum(self) -> tuple:
+        return tuple(itertools.accumulate(self.n, initial=0))
 
     @property
     def total(self) -> int:
@@ -121,9 +125,6 @@ def schedule_vc(alpha, tau1, tau2, N: int) -> BlockingSchedule:
             f"got tau1 alpha = {product}"
         )
     n = [1] + [_floor_power(k, alpha_f) for k in range(1, N + 1)]
-    cum = [0]
-    for size in n:
-        cum.append(cum[-1] + size)
     params = {
         "alpha": float(alpha_f),
         "tau1": float(tau1_f),
@@ -131,7 +132,7 @@ def schedule_vc(alpha, tau1, tau2, N: int) -> BlockingSchedule:
         "tau_alpha": float(rate_thm1(alpha_f, tau1_f)),
     }
     beta = float(alpha_f / (1 + alpha_f))
-    return BlockingSchedule("vc", N, beta, tuple(n), tuple(cum), params)
+    return BlockingSchedule("vc", beta, tuple(n), params)
 
 
 def schedule_br(kappa, N: int) -> BlockingSchedule:
@@ -148,12 +149,9 @@ def schedule_br(kappa, N: int) -> BlockingSchedule:
         raise CapacityError(f"schedule with N = {N} blocks overflows the time range")
     t = [1] + [int(math.floor(math.exp(e))) for e in exponents]
     n = [1] + [t[k] - t[k - 1] for k in range(1, N + 1)]
-    cum = [0]
-    for size in n:
-        cum.append(cum[-1] + size)
     theta, tau = rate_thm2(kappa_f)
     params = {"kappa": kf, "theta": float(theta), "tau": float(tau)}
-    return BlockingSchedule("br", N, 0.7, tuple(n), tuple(cum), params)
+    return BlockingSchedule("br", 0.7, tuple(n), params)
 
 
 def s_of_N(schedule: BlockingSchedule, N: int | None = None) -> float:

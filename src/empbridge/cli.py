@@ -106,11 +106,11 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "rates":
         return _cmd_rates(args)
-    from .experiments import ExperimentConfig, load_config
+    from .experiments import _RUN_SETTINGS, ExperimentConfig, load_config
 
     kind = _KIND_BY_COMMAND[args.command]
     config = load_config(args.config, kind) if args.config else ExperimentConfig(kind=kind)
-    flags = {name: getattr(args, name) for name in ("seed", "out", "workers", "format")}
+    flags = {name: getattr(args, name) for name in _RUN_SETTINGS if name != "kind"}
     config = replace(config, **{name: v for name, v in flags.items() if v is not None})
     handler = {
         "gauss-approx": _cmd_approx,

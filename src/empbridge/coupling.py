@@ -283,7 +283,9 @@ def orthant_cells(P: Distribution, corners, mesh=(), weights=None) -> OrthantCel
     past t = 1 has mass exactly 0."""
     d = P.dim
     t = np.asarray(corners, dtype=float).reshape(-1, d)
-    axes = tuple(np.sort(u) if d == 1 else np.unique(u) for u in t.T)
+    axes = tuple(np.sort(u) for u in t.T)
+    if d > 1:  # each value once; np.unique would load numpy.ma
+        axes = tuple(np.concatenate([u[:1], u[1:][u[1:] != u[:-1]]]) for u in axes)
     shape = tuple(len(u) + 1 for u in axes)
     upper = [np.append(u, 1.0) for u in axes]
     if d == 1:  # _orthant_mass(P, u, 1) is the CDF at u, which is 1 from u = 1 on

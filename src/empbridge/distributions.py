@@ -91,15 +91,3 @@ class Distribution:
             out = (w[None, :] * (pts[None, :] <= xs.reshape(-1, 1))).sum(axis=1)
             out = out.reshape(xs.shape)
         return float(out) if np.isscalar(x) or xs.ndim == 0 else out
-
-    def to_spec(self) -> dict:
-        spec = {"kind": self.kind}
-        if self.kind == "product-uniform":
-            spec["dim"] = self.dim
-        if self.kind == "beta":
-            spec["a"] = self.a
-            spec["b"] = self.b
-        if self.kind == "discrete":
-            spec["atoms"] = [list(a) if hasattr(a, "__len__") else a for a in self.atoms]
-            spec["weights"] = list(self.weights)
-        return spec

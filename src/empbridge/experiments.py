@@ -274,6 +274,24 @@ def distribution_from_spec(spec: dict) -> Distribution:
     return Distribution(**keys)
 
 
+def _spec(value):
+    """The config form of ``value``, read from the parsers' tables: a class or
+    a law is its "kind" and each key of its kind's table (class keys read
+    through ``_CLASS_FIELDS``), a regime its "type" and ``_REGIMES`` keys, a
+    tuple a list, and anything else itself. The ``*_from_spec`` parsers
+    invert it."""
+    if isinstance(value, EntropyRegime):
+        return {"type": value.kind} | {key: getattr(value, key) for key in _REGIMES[value.kind]}
+    if isinstance(value, (FunctionClass, Distribution)):
+        is_class = isinstance(value, FunctionClass)
+        table, fields = (_CLASSES, _CLASS_FIELDS) if is_class else (_DISTRIBUTIONS, {})
+        keys = table[value.kind]
+        return {"kind": value.kind} | {k: _spec(getattr(value, fields.get(k, k))) for k in keys}
+    if isinstance(value, tuple):
+        return [_spec(v) for v in value]
+    return value
+
+
 # The blocks that only some kinds read.
 _SCHEDULE = {
     "N_grid": (_list_of(_int), (4, 6, 8)),

@@ -26,9 +26,9 @@ and ``_cell_moments`` under any other.
 
 Members are evaluated in batches: ``FunctionClass.evaluate_matrix`` gives
 f_theta(x_i) for a parameter list and a sample (indicators compare the
-points with the corners), and ``batch_column_sums`` the column sums of each
-Hoelder sample in a stack. An indicator class is summed over a sample
-through its counts in the cells that the corners cut out
+points with the corners one axis at a time), and ``batch_column_sums`` the
+column sums of each Hoelder sample in a stack. An indicator class is summed
+over a sample through its counts in the cells that the corners cut out
 (``coupling.OrthantCells``), whose cumulative sums give the column sums.
 Holder classes are evaluated by one binary search of the knots per sample
 point, shared by every parameter, with np.interp's slopes and order of
@@ -205,12 +205,13 @@ class FunctionClass:
             return _interp_matrix(self.knots, vals, xs)
         pts = xs if xs.ndim == 2 else xs[:, None]
         w, t = _orthant(self, params, pts.shape[1])
-        if t.shape[1] == 1:
-            # Laid out (p, n), so that the comparison's inner loop runs over
-            # the n points; the (n, p) result is its transpose view.
-            out = (pts[:, 0] <= t).astype(float).T
-        else:
-            out = np.all(pts[:, None, :] <= t, axis=2).astype(float)
+        # One axis at a time, each comparison laid out (p, n) so that its
+        # inner loop runs over the n points, and the axes ANDed together; the
+        # (n, p) result is its transpose view.
+        inside = pts[:, 0] <= t[:, :1]
+        for axis in range(1, t.shape[1]):
+            inside &= pts[:, axis] <= t[:, axis : axis + 1]
+        out = inside.astype(float).T
         # Weighted values keep the (n, p) layout, whose column sums add row by
         # row; over the transposed layout numpy adds them pairwise, which can
         # round differently.
@@ -229,31 +230,6 @@ class FunctionClass:
             raise UnsupportedOperationError(f"only holder classes take batch sums, not {self.kind}")
         vals = np.asarray(params, dtype=float).reshape(len(params), self.knot_count)
         return _interp_column_sums(self.knots, vals, np.asarray(batch, dtype=float))
-
-    def to_spec(self) -> dict:
-        spec = {"kind": self.kind, "M": self.envelope, "mesh_size": self.mesh_size}
-        r = self.regime
-        spec["regime"] = (
-            {"type": "vc", "c0": r.c0, "nu0": r.nu0}
-            if r.kind == "vc"
-            else {"type": "br", "b0": r.b0, "r0": r.r0}
-        )
-        if self.kind == "rectangles":
-            spec["dim"] = self.dim
-        if self.kind == "holder":
-            spec.update(
-                s=self.holder_exponent,
-                R=self.holder_radius,
-                knots=self.knot_count,
-                mesh_seed=self.mesh_seed,
-            )
-        if self.kind == "finite":  # its mesh is the member list, not mesh_size
-            del spec["mesh_size"]
-            spec["members"] = [
-                {"form": f, "theta": list(p) if isinstance(p, tuple) else p}
-                for f, p in self.members
-            ]
-        return spec
 
 
 def regime_grid_bound(regime: EntropyRegime, epsilon: float, M: float) -> float:

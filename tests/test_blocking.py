@@ -217,8 +217,10 @@ def test_ms_bound_transfer():
 
 def test_schedule_rejects_an_empty_block():
     # Hand-built, with block 1 empty; neither regime's formula makes one.
-    with pytest.raises(ScheduleInvalidError):
-        BlockingSchedule("vc", 3, 0.5, (1, 0, 2, 30), (0, 1, 1, 3, 33), {})
+    with pytest.raises(ScheduleInvalidError, match="at least one sample"):
+        BlockingSchedule("vc", 0.5, (1, 0, 2, 30), {})
+    with pytest.raises(ScheduleInvalidError, match="at least one block"):
+        BlockingSchedule("vc", 0.5, (), {})
 
 
 def contexts_of(cls, P, *schedules):

@@ -253,7 +253,9 @@ APPROX_CHECKS = {
         EXIT_OK, r"pass",
     ),
     "br-fail": (
-        {"n_grid": [64, 256, 1024], "reps": 4, "ot_batch": 8, "eval_mesh_size": 9, "selection": BR},
+        # Batch OT's error floor, pinned, is what fails the decay check.
+        {"n_grid": [64, 256, 1024], "reps": 4, "ot_batch": 8, "method": "exact",
+         "eval_mesh_size": 9, "selection": BR},
         EXIT_CHECK, r"fail \(slope 0\.\d+ vs log log n, need < 0\)",
     ),
 }
@@ -634,14 +636,16 @@ def test_only_special_functions_load_scipy_special(tmp_path, child_env):
         "b.json",
         {"n_grid": [64], "ot_batch": 8, "reps": 2, "distribution": {"kind": "beta", "a": 2.0}},
     )
+    exact = write_config(tmp_path, "e.json", {"method": "exact"})
     probe = "\n".join([
         "import os, sys, empbridge.cli as c",
-        "out, strong, beta = sys.argv[1:]",
+        "out, strong, beta, exact = sys.argv[1:]",
         "def run(argv):",
         "    assert c.main(argv + ['--out', out]) == 0, argv",
         "    ufuncs, package = 'scipy.special._ufuncs' in sys.modules, 'scipy.special' in sys.modules",
         "    print('loaded', argv[0], ufuncs, package, flush=True)",
-        "for argv in (['approx'], ['strong', '--config', strong, '--workers', '2'], ['entropy']):",
+        "for argv in (['approx', '--config', exact], ['strong', '--config', strong, '--workers', '2'],",
+        "             ['entropy']):",
         "    run(argv)",
         "for argv in (['couple'], ['bounds-audit'], ['approx', '--config', beta]):",
         "    pid = os.fork()",
@@ -653,7 +657,7 @@ def test_only_special_functions_load_scipy_special(tmp_path, child_env):
         "    os.waitpid(pid, 0)",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path), strong, beta],
+        [sys.executable, "-c", probe, str(tmp_path), strong, beta, exact],
         capture_output=True, text=True, check=True, env=child_env,
     )
     # Each run also prints the path it wrote.
@@ -670,24 +674,36 @@ def test_only_special_functions_load_scipy_special(tmp_path, child_env):
 
 def test_single_process_runs_load_neither_numpy_ma_nor_multiprocessing(tmp_path, child_env):
     # np.unique loads numpy.ma (about 1.2 MB) and the process pool loads
-    # multiprocessing (about 1.9 MB); a run with one worker needs neither.
+    # multiprocessing (about 1.9 MB); a run with one worker needs neither. The
+    # 2-D rectangles couple takes per-axis cuts of its corners.
     strong = write_config(
         tmp_path, "s.json", {"schedule": {"N_grid": [3, 4], "m": 4, "eval_mesh_size": 5}, "reps": 2}
     )
+    rectangles = write_config(
+        tmp_path,
+        "r.json",
+        {
+            "class": {"kind": "rectangles", "dim": 2, "mesh_size": 100},
+            "distribution": {"kind": "product-uniform", "dim": 2},
+            "n_grid": [1024],
+            "ot_batch": 16,
+        },
+    )
     probe = "\n".join([
         "import sys, empbridge.cli as c",
-        "out, strong = sys.argv[1:]",
-        "for argv in (['approx'], ['strong', '--config', strong], ['couple']):",
+        "out, strong, rectangles = sys.argv[1:]",
+        "for argv in (['approx'], ['strong', '--config', strong], ['couple'],",
+        "             ['couple', '--config', rectangles]):",
         "    assert c.main(argv + ['--out', out]) == 0, argv",
         "    print('loaded', argv[0], [m for m in ('numpy.ma', 'multiprocessing') if m in sys.modules])",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path), strong],
+        [sys.executable, "-c", probe, str(tmp_path), strong, rectangles],
         capture_output=True, text=True, check=True, env=child_env,
     )
     # Each run also prints the path it wrote.
     loaded = [line for line in proc.stdout.split("\n") if line.startswith("loaded ")]
-    assert loaded == ["loaded approx []", "loaded strong []", "loaded couple []"]
+    assert loaded == ["loaded approx []", "loaded strong []", "loaded couple []", "loaded couple []"]
 
 
 STRONG = {"kind": "strong-approx", "class": {"kind": "intervals", "mesh_size": 201}, "reps": 2}

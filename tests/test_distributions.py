@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from empbridge import (
-    ConfigError,
-    Distribution,
-    SeedSpec,
-    distribution_from_spec,
-)
+from empbridge import ConfigError, Distribution, SeedSpec
 
 
 def test_uniform_cdf_is_identity_with_clipping(uniform):
@@ -74,15 +69,3 @@ def test_validation_rejects_bad_specs():
         Distribution("uniform", dim=2)
     with pytest.raises(ConfigError):
         Distribution("no-such-law")
-
-
-def test_spec_round_trip():
-    for P in (
-        Distribution("uniform"),
-        Distribution("product-uniform", dim=2),
-        Distribution("beta", a=2.0, b=3.0),
-        Distribution("discrete", atoms=(0.25, 0.75), weights=(0.5, 0.5)),
-        Distribution("discrete", dim=2, atoms=((0.25, 0.5), (0.75, 1.0)), weights=(0.5, 0.5)),
-    ):
-        Q = distribution_from_spec(P.to_spec())
-        assert Q == P

@@ -26,7 +26,9 @@ from empbridge import (
     NumericError,
     PathDiscrepancy,
     ResultTable,
+    class_from_spec,
     config_from_dict,
+    distribution_from_spec,
     emit,
     fit_rate,
     load_config,
@@ -51,7 +53,9 @@ from empbridge.experiments import (
     KINDS,
     _eval_mesh,
     _replicate,
+    _spec,
     build_schedule,
+    regime_from_spec,
 )
 
 
@@ -111,6 +115,39 @@ def test_config_from_dict_round_trip():
     assert cfg.labels == {"lambda": 0.1}
     cfg = config_from_dict({"kind": "bounds-audit", "constants": {"A1": 2.0}})
     assert cfg.constants.A1 == 2.0 and cfg.constants.A == 1.0
+
+
+def test_spec_round_trip():
+    # _spec is the inverse of the class, law and regime parsers, through JSON.
+    # Every key here is off its default, and the parsers refuse a key that the
+    # kind's table does not list.
+    vc, br = EntropyRegime("vc", c0=3.0, nu0=1.5), EntropyRegime("br", b0=0.5, r0=0.25)
+    classes = (
+        FunctionClass("intervals", envelope=1.0, mesh_size=101, regime=br),
+        FunctionClass("rectangles", envelope=1.0, dim=3, mesh_size=27, regime=vc),
+        FunctionClass(
+            "holder", regime=vc, mesh_size=12, holder_exponent=0.5, holder_radius=2.0,
+            knot_count=6, mesh_seed=7,
+        ),
+        FunctionClass("finite", members=(("constant", 0.5), ("interval", 0.25))),
+        FunctionClass(
+            "finite", envelope=1.0, members=(("rectangle", (0.5, 0.25)), ("constant", -0.4))
+        ),
+    )
+    laws = (
+        Distribution("uniform"),
+        Distribution("product-uniform", dim=2),
+        Distribution("beta", a=2.0, b=3.0),
+        Distribution("discrete", atoms=(0.25, 0.75), weights=(0.5, 0.5)),
+        Distribution("discrete", dim=2, atoms=((0.25, 0.5), (0.75, 1.0)), weights=(0.5, 0.5)),
+    )
+    cases = [(r, partial(regime_from_spec, field="selection")) for r in (vc, br)]
+    cases += [(c, class_from_spec) for c in classes] + [(P, distribution_from_spec) for P in laws]
+    for value, parse in cases:
+        again = parse(json.loads(json.dumps(_spec(value))))
+        assert again == value
+    for cls in classes:
+        assert class_from_spec(_spec(cls)).mesh == cls.mesh
 
 
 def test_config_from_dict_rejects_unknowns():

@@ -24,7 +24,11 @@ BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 SEED = 20260815
 INTERVALS = {"kind": "intervals", "M": 1.0, "mesh_size": 201}
-APPROX = {"kind": "gauss-approx", "n_grid": [64, 256], "reps": 3, "ot_batch": 16, "seed": SEED}
+# Batch OT, pinned rather than left to the unset method's resolution.
+APPROX = {
+    "kind": "gauss-approx", "n_grid": [64, 256], "reps": 3, "ot_batch": 16, "method": "exact",
+    "seed": SEED,
+}
 APPROX_HOLDER = {
     "kind": "gauss-approx",
     "class": {"kind": "holder", "M": 1.0, "s": 1.0, "R": 1.0, "knots": 5, "mesh_size": 24},

@@ -49,10 +49,7 @@ UNPASSED_PARAMETERS = {
 
 # Methods and properties that no package code, acceptance test or benchmark
 # script reads.
-UNREAD_METHODS = {
-    "FunctionClass.to_spec": "item 5, the run manifest: its to_dict() consumes it",
-    "Distribution.to_spec": "item 5, the run manifest: its to_dict() consumes it",
-}
+UNREAD_METHODS = {}
 
 
 def _used_names(tree: ast.Module, skip: str | None = None) -> set:
