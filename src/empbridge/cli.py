@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Six subcommands: ``rates`` prints exact rate exponents and reads no config;
-``entropy``, ``couple``, ``approx``, ``strong``, and ``bounds-audit`` each run
-one experiment kind from a JSON config (or built-in defaults), writing tables
-to ``--out`` or stdout. Every subcommand accepts ``--check``, which appends
-one pass/fail line per self-check and exits 4 on any failure.
+Six subcommands. ``rates`` prints exact rate exponents and reads no config.
+The other five, listed once in ``_COMMANDS``, take one path: each names an
+experiment kind, builds its config from a JSON file (or built-in defaults)
+and the run-setting flags, runs it through ``experiments.run``, and writes
+the result to ``--out`` or stdout. Every subcommand accepts ``--check``,
+which appends one pass/fail line per self-check and exits 4 on any failure;
+a config command's checks are the entries that its kind's ``_CHECKS``
+function reads off the result.
 
 Exit codes: 0 success, 2 configuration or domain error, 3 numeric, capacity
 or out-of-memory error, 4 failed check.
@@ -28,12 +31,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
-_KIND_BY_COMMAND = {
-    "approx": "gauss-approx",
-    "strong": "strong-approx",
-    "entropy": "entropy",
-    "couple": "couple",
-    "bounds-audit": "bounds-audit",
+# Config-reading command -> (the experiment kind it runs, its help), in help order.
+_COMMANDS = {
+    "entropy": ("entropy", "covering/bracketing counts and fits"),
+    "couple": ("couple", "one coupling realization as JSON"),
+    "approx": ("gauss-approx", "replicated couplings across an n grid"),
+    "strong": ("strong-approx", "sequential block constructions"),
+    "bounds-audit": ("bounds-audit", "evaluate the inequality battery"),
 }
 
 
@@ -83,11 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--alpha", metavar="Q", help="block growth exponent (rational)")
     rates.add_argument("--r0", metavar="Q", help="exponential entropy index (rational)")
 
-    sub.add_parser("entropy", parents=[run], help="covering/bracketing counts and fits")
-    sub.add_parser("couple", parents=[run], help="one coupling realization as JSON")
-    sub.add_parser("approx", parents=[run], help="replicated couplings across an n grid")
-    sub.add_parser("strong", parents=[run], help="sequential block constructions")
-    sub.add_parser("bounds-audit", parents=[run], help="evaluate the inequality battery")
+    for command, (_, summary) in _COMMANDS.items():
+        sub.add_parser(command, parents=[run], help=summary)
     return parser
 
 
@@ -106,20 +107,15 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "rates":
         return _cmd_rates(args)
-    from .experiments import _RUN_SETTINGS, ExperimentConfig, load_config
+    from .experiments import _RUN_SETTINGS, ExperimentConfig, load_config, run
 
-    kind = _KIND_BY_COMMAND[args.command]
+    kind = _COMMANDS[args.command][0]
     config = load_config(args.config, kind) if args.config else ExperimentConfig(kind=kind)
     flags = {name: getattr(args, name) for name in _RUN_SETTINGS if name != "kind"}
     config = replace(config, **{name: v for name, v in flags.items() if v is not None})
-    handler = {
-        "gauss-approx": _cmd_approx,
-        "strong-approx": _cmd_strong,
-        "entropy": _cmd_entropy,
-        "couple": _cmd_couple,
-        "bounds-audit": _cmd_bounds_audit,
-    }[kind]
-    return handler(config, args.check)
+    result = run(config)
+    _write_or_print(config, result, kind)
+    return _report_checks(_CHECKS[kind](config, result)) if args.check else EXIT_OK
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -131,56 +127,55 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _cmd_rates(args) -> int:
+def _rates(nu0, alpha, r0) -> dict:
+    """The exponents that ``rates`` prints, by name, from the flags' texts:
+    the polynomial ones at ``nu0`` (with ``alpha``, the block growth one),
+    the exponential ones at ``r0``. With neither index given, nu0 = 1 and
+    r0 = 3/4, and alpha = 5 unless given."""
     from .exponents import rate_br, rate_thm1, rate_thm2, rate_vc
 
-    if args.check:
-        return _check_rates()
-    nu0, alpha, r0 = args.nu0, args.alpha, args.r0
     if nu0 is None and r0 is None:
         nu0, r0 = "1", "3/4"
         alpha = "5" if alpha is None else alpha
     values: dict[str, Fraction] = {}
     if nu0 is not None:
-        tau1, tau2 = rate_vc(_parse_fraction(nu0, "--nu0"))
-        values["tau1"] = tau1
-        values["tau2"] = tau2
+        values["tau1"], values["tau2"] = rate_vc(_parse_fraction(nu0, "--nu0"))
         if alpha is not None:
-            values["tau(alpha)"] = rate_thm1(_parse_fraction(alpha, "--alpha"), tau1)
+            values["tau(alpha)"] = rate_thm1(_parse_fraction(alpha, "--alpha"), values["tau1"])
     elif alpha is not None:
-        print("error: --alpha requires --nu0", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--alpha requires --nu0")
     if r0 is not None:
-        kappa = rate_br(_parse_fraction(r0, "--r0"))
-        theta, tau = rate_thm2(kappa)
-        values["kappa"] = kappa
-        values["theta"] = theta
-        values["tau"] = tau
+        values["kappa"] = rate_br(_parse_fraction(r0, "--r0"))
+        values["theta"], values["tau"] = rate_thm2(values["kappa"])
+    return values
+
+
+# The exponents at the default indices that ``rates --check`` knows:
+# (name, the indices it is taken at, its value).
+_KNOWN_RATES = (
+    ("tau1", "nu0=1", Fraction(1, 7)),
+    ("tau2", "nu0=1", Fraction(9, 14)),
+    ("tau(alpha)", "nu0=1 alpha=5", Fraction(1, 28)),
+    ("kappa", "r0=3/4", Fraction(1, 6)),
+    ("theta", "r0=3/4", Fraction(1, 18)),
+    ("tau", "r0=3/4", Fraction(1, 15)),
+)
+
+
+def _cmd_rates(args) -> int:
+    if args.check:
+        got = _rates(None, None, None)
+        return _report_checks(
+            (f"rates {name} at {at}", got[name] == want, f"got {got[name]}, want {want}")
+            for name, at, want in _KNOWN_RATES
+        )
+    values = _rates(args.nu0, args.alpha, args.r0)
     if args.format == "json":
         print(json.dumps({k: str(v) for k, v in values.items()}, indent=2))
     else:
         for name, value in values.items():
             print(f"{name} = {value}")
     return EXIT_OK
-
-
-def _check_rates() -> int:
-    from .exponents import rate_br, rate_thm1, rate_thm2, rate_vc
-
-    tau1, tau2 = rate_vc(1)
-    kappa = rate_br(Fraction(3, 4))
-    theta, tau = rate_thm2(kappa)
-    checks = [
-        ("rates tau1 at nu0=1", tau1, Fraction(1, 7)),
-        ("rates tau2 at nu0=1", tau2, Fraction(9, 14)),
-        ("rates tau(alpha) at nu0=1 alpha=5", rate_thm1(5, tau1), Fraction(1, 28)),
-        ("rates kappa at r0=3/4", kappa, Fraction(1, 6)),
-        ("rates theta at r0=3/4", theta, Fraction(1, 18)),
-        ("rates tau at r0=3/4", tau, Fraction(1, 15)),
-    ]
-    return _report_checks(
-        (name, got == want, f"got {got}, want {want}") for name, got, want in checks
-    )
 
 
 def _report_checks(checks) -> int:
@@ -206,14 +201,13 @@ def _write_or_print(config, obj, stem: str) -> None:
         sys.stdout.write(render(obj, fmt))
 
 
-def _cmd_approx(config, check: bool) -> int:
-    from .experiments import fit_rate, run_gauss_approx
+# -- self-checks: (config, result) -> [(name, ok, detail), ...] ------------------
+
+
+def _check_approx(config, table) -> list:
+    from .experiments import fit_rate
     from .exponents import rate_vc
 
-    table = run_gauss_approx(config)
-    _write_or_print(config, table, "gauss-approx")
-    if not check:
-        return EXIT_OK
     if config.selection.kind == "vc":
         tau1 = float(rate_vc(config.selection.nu0)[0])
         fit = fit_rate(table, "power")
@@ -223,92 +217,51 @@ def _cmd_approx(config, check: bool) -> int:
         fit = fit_rate(table, "logpower")
         ok = fit.slope < 0
         detail = f"slope {fit.slope:.4f} vs log log n, need < 0"
-    return _report_checks([("approx decay rate", ok, detail)])
+    return [("approx decay rate", ok, detail)]
 
 
-def _cmd_strong(config, check: bool) -> int:
-    from .experiments import run_strong_approx
+def _check_strong(config, table) -> list:
     import numpy as np
 
-    table = run_strong_approx(config)
-    _write_or_print(config, table, "strong-approx")
-    if not check:
-        return EXIT_OK
     groups: dict[int, list[float]] = {}
     for n_val, norm in zip(table.column("N"), table.column("normalized")):
         groups.setdefault(n_val, []).append(norm)
     medians = [float(np.median(groups[k])) for k in sorted(groups)]
     if len(medians) < 2:
-        return _report_checks(
-            [("strong normalized trend", False, "need at least 2 block counts")]
-        )
-    ok = medians[-1] < medians[0]
+        return [("strong normalized trend", False, "need at least 2 block counts")]
     detail = f"normalized medians {['%.4g' % v for v in medians]}"
-    return _report_checks([("strong normalized trend", ok, detail)])
+    return [("strong normalized trend", medians[-1] < medians[0], detail)]
 
 
-def _cmd_entropy(config, check: bool) -> int:
-    from .experiments import run_entropy
-
-    table = run_entropy(config)
-    _write_or_print(config, table, "entropy")
-    if not check:
-        return EXIT_OK
-    checks = []
+def _check_entropy(config, table) -> list:
     uppers = table.column("cover_upper")
     ok_mono = all(b >= a for a, b in zip(uppers, uppers[1:]))
-    checks.append(
-        ("entropy counts grow as radius shrinks", ok_mono, f"upper counts {uppers}")
-    )
-    ordered = True
-    tight = True
-    for eps, lo, up, exact, _ in table.rows:
-        ordered = ordered and lo <= up
-        tight = tight and (not exact or lo == up)
-    checks.append(("entropy lower bounds below upper", ordered, str(table.rows)))
-    checks.append(("entropy exact certificates tight", tight, str(table.rows)))
-    return _report_checks(checks)
+    ordered = all(lo <= up for _, lo, up, _, _ in table.rows)
+    tight = all(not exact or lo == up for _, lo, up, exact, _ in table.rows)
+    return [
+        ("entropy counts grow as radius shrinks", ok_mono, f"upper counts {uppers}"),
+        ("entropy lower bounds below upper", ordered, str(table.rows)),
+        ("entropy exact certificates tight", tight, str(table.rows)),
+    ]
 
 
-def _cmd_couple(config, check: bool) -> int:
-    from .experiments import run_couple
-
-    doc = run_couple(config)
-    _write_or_print(config, doc, "couple")
-    if not check:
-        return EXIT_OK
+def _check_couple(config, doc) -> list:
     finite = all(
         math.isfinite(doc[key]) for key in ("sup_grid", "sup_mesh", "transport_cost")
     )
-    checks = [
+    return [
         ("couple values finite", finite, str(doc)),
         ("couple cost nonnegative", doc["transport_cost"] >= 0.0, str(doc["transport_cost"])),
         ("couple grid nonempty", doc["grid_size"] >= 1, str(doc["grid_size"])),
     ]
-    return _report_checks(checks)
 
 
-def _cmd_bounds_audit(config, check: bool) -> int:
-    from .experiments import run_bounds_audit
-
-    reports = run_bounds_audit(config)
-    _write_or_print(config, reports, "bounds-audit")
-    if not check:
-        return EXIT_OK
-    checks = []
-    for rep in reports:
-        if rep["preconditions_ok"]:
-            checks.append((f"bounds {rep['name']} preconditions", True, ""))
-        else:
-            checks.append(
-                (
-                    f"bounds {rep['name']} preconditions",
-                    False,
-                    str(rep["failing_condition"]),
-                )
-            )
-    checks.append(_gaussian_tail_check())
-    return _report_checks(checks)
+def _check_bounds_audit(config, reports) -> list:
+    checks = [
+        (f"bounds {r['name']} preconditions", r["preconditions_ok"], str(r["failing_condition"]))
+        for r in reports
+    ]
+    return checks + [_gaussian_tail_check()]
 
 
 def _gaussian_tail_check():
@@ -323,6 +276,16 @@ def _gaussian_tail_check():
         if exact > bound:
             fails.append(f"t={t}: exact {exact:.5f} > bound {bound:.5f}")
     return ("bounds gaussian tail exact", not fails, "; ".join(fails))
+
+
+# Experiment kind -> its self-checks.
+_CHECKS = {
+    "gauss-approx": _check_approx,
+    "strong-approx": _check_strong,
+    "entropy": _check_entropy,
+    "couple": _check_couple,
+    "bounds-audit": _check_bounds_audit,
+}
 
 
 if __name__ == "__main__":

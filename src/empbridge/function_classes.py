@@ -452,8 +452,7 @@ def _orthant_mass(P: Distribution, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.where(s <= t.T, F[:, None], F if t is s else _monotone_cdf(P, t[:, 0]))
     if P.kind == "product-uniform":
         return np.minimum(s[:, None], t[None]).prod(axis=2)
-    if P.kind != "discrete":
-        raise DomainError(f"rectangle moments undefined under {P.kind}")
+    # Discrete: uniform and beta laws are one-dimensional.
     atoms = P._atom_array()[:, None, :]
     below_s = np.all(atoms <= s, axis=2).astype(float)
     below_t = below_s if t is s else np.all(atoms <= t, axis=2)

@@ -16,7 +16,7 @@ from empbridge.bounds import BoundConstants
 from empbridge.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from empbridge.distributions import Distribution
 from empbridge.errors import ConfigError
-from empbridge.experiments import ExperimentConfig
+from empbridge.experiments import KINDS, ExperimentConfig
 from empbridge.function_classes import EntropyRegime, FunctionClass
 
 
@@ -225,6 +225,20 @@ def test_entropy_check_passes(capsys, tmp_path):
     assert "check entropy exact certificates tight: pass" in out
 
 
+def test_entropy_check_passes_when_the_fit_has_nothing_to_fit(capsys, tmp_path):
+    # One member: every radius counts 1, the fit records its error in the
+    # table meta, and the checks, which read the counts alone, pass.
+    spec = {"kind": "entropy", "class": {"kind": "finite", "members": [["interval", 0.5]]}}
+    cfg = write_config(tmp_path, "entropy.json", spec)
+    code, out, _ = run_cli(capsys, "entropy", "--config", cfg, "--format", "json", "--check")
+    assert code == EXIT_OK
+    text, checks = out.split("\ncheck ", 1)
+    doc = json.loads(text)
+    assert doc["meta"]["fit"] == {"error": "all counts equal; nothing to fit"}
+    assert [row[2] for row in doc["rows"]] == [1] * 5
+    assert checks.count(": pass") == 3 and "fail" not in checks
+
+
 def test_couple_check_passes(capsys, tmp_path):
     cfg = write_config(
         tmp_path, "couple.json", {"kind": "couple", "n_grid": [64], "ot_batch": 8}
@@ -387,6 +401,14 @@ def test_seed_flag_rejects_oversized_values(capsys):
 # -- one parser per process ------------------------------------------------------
 
 
+def test_every_kind_has_one_command_and_its_checks():
+    # A kind that the config reader accepts but no command runs, or that runs
+    # without self-checks, fails here.
+    kinds = [kind for kind, _ in cli._COMMANDS.values()]
+    assert sorted(kinds) == sorted(KINDS)
+    assert sorted(cli._CHECKS) == sorted(KINDS)
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -457,14 +479,22 @@ NAN = float("nan")
         ("entropy", {"entropy": {"radii": []}}, "'entropy.radii' must be a nonempty list"),
         ("entropy", {"entropy": {"radii": [0.5, NAN, 0.2]}}, "'entropy.radii' must decrease"),
         ("bounds-audit", {"audit": {"t_grid": [NAN]}}, "'audit.t_grid' must hold values > 0"),
+        ("approx", {"ot_batch": 0}, "ot_batch entries must be >= 1"),
+        (
+            "approx",
+            {"n_grid": [256, 1024], "ot_batch": [8]},
+            "per-n ot_batch needs one entry per n_grid value",
+        ),
     ],
     ids=[
-        "M", "R", "c0", "nu0", "a", "b", "weights", "atoms", "A", "N_grid", "radii", "radii-nan", "t_grid-nan"
+        "M", "R", "c0", "nu0", "a", "b", "weights", "atoms", "A", "N_grid", "radii", "radii-nan",
+        "t_grid-nan", "ot_batch-zero", "ot_batch-length",
     ],
 )
 def test_nan_and_empty_list_fields_are_config_errors(capsys, tmp_path, command, spec, needle):
     # Rejected when the config is read: a check written as x <= 0 would let
-    # NaN through to a run that exits 0 or fails later inside numpy.
+    # NaN through to a run that exits 0 or fails later inside numpy. A batch
+    # below 1, or a per-n batch list of the wrong length, is refused there too.
     assert_config_error(capsys, tmp_path, command, spec, needle)
 
 
@@ -747,6 +777,7 @@ MISTYPED = {
     "n_grid": ("approx", {"n_grid": 5}),
     "ot_batch": ("approx", {"ot_batch": {"a": 1}}),
     "out": ("approx", {"out": 5}),
+    "schedule.alpha": ("strong", dict(STRONG, schedule={"N_grid": [4], "alpha": "abc"})),
 }
 
 
@@ -855,8 +886,13 @@ def test_nested_key_probe_is_a_config_error_naming_its_key(capsys, tmp_path, key
     [
         ({"form": "interval", "value": 0.5}, "unknown config fields: ['class.members.value']"),
         ({"form": "interval"}, "missing config fields: ['class.members.theta']"),
+        (5, "config field 'class.members': a member must be [form, theta], got 5"),
+        (
+            ["interval", 0.5, 3],
+            "config field 'class.members': a member must be [form, theta], got ['interval', 0.5, 3]",
+        ),
     ],
-    ids=["value", "no-theta"],
+    ids=["value", "no-theta", "scalar", "triple"],
 )
 def test_member_object_takes_exactly_form_and_theta(capsys, tmp_path, member, needle):
     spec = dict(COUPLE, **{"class": {"kind": "finite", "members": [member, ["interval", 0.75]]}})
@@ -987,7 +1023,7 @@ UNREAD_READERS = {
     "entropy": "entropy",
     "audit": "bounds-audit",
 }
-COMMAND_BY_KIND = {kind: command for command, kind in cli._KIND_BY_COMMAND.items()}
+COMMAND_BY_KIND = {kind: command for command, (kind, _) in cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ from empbridge import (
     select_epsilon_vc,
 )
 from empbridge import cli, experiments
-from empbridge.cli import _KIND_BY_COMMAND
+from empbridge.cli import _COMMANDS
 from empbridge.experiments import (
     _BLOCKS,
     _CLASSES,
@@ -326,7 +326,7 @@ def _golden_specs() -> list:
     golden = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(golden)
     cases = golden.CASES.values()
-    return [dict(spec, kind=_KIND_BY_COMMAND[command]) for command, spec, *_ in cases]
+    return [dict(spec, kind=_COMMANDS[command][0]) for command, spec, *_ in cases]
 
 
 def test_acceptance_and_benchmark_configs_parse():
