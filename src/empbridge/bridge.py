@@ -88,11 +88,11 @@ def sample_bridge_batch(model: BridgeModel, seed: SeedSpec, reps: int) -> np.nda
 class ConditionalLaw:
     """Gaussian law of new coordinates given the grid coordinates.
 
-    mean = projector @ grid_values; covariance = schur (factored in L).
+    mean = projector @ grid_values; covariance = L @ L.T, the clamped
+    factor of the Schur complement.
     """
 
     projector: np.ndarray
-    schur: np.ndarray
     L: np.ndarray
     repair: float
 
@@ -109,15 +109,13 @@ def conditional_law(model: BridgeModel, cross: np.ndarray, marginal: np.ndarray)
         raise DomainError("marginal covariance shape does not match cross covariance")
     k_pinv = np.linalg.pinv(model.K, rcond=_PINV_CUT, hermitian=True)
     projector = cross @ k_pinv
-    schur = marginal - projector @ cross.T
-    schur = (schur + schur.T) / 2.0
-    L, w_min = _clamped_factor(schur)
+    L, w_min = _clamped_factor(marginal - projector @ cross.T)
     if w_min < _SCHUR_FLOOR:
         raise InconsistentCovarianceError(
             f"conditional covariance has eigenvalue {w_min:.3e}; the joint "
             f"block matrix is not consistent"
         )
-    return ConditionalLaw(projector, schur, L, max(0.0, -w_min))
+    return ConditionalLaw(projector, L, max(0.0, -w_min))
 
 
 def extend_from_law(law: ConditionalLaw, grid_values, seed: SeedSpec, rep: int = 0):

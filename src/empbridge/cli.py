@@ -164,6 +164,12 @@ _KNOWN_RATES = (
 
 def _cmd_rates(args) -> int:
     if args.check:
+        flags = ("nu0", "alpha", "r0", "format")
+        given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(
+                f"rates --check checks the default indices only; drop {', '.join(given)}"
+            )
         got = _rates(None, None, None)
         return _report_checks(
             (f"rates {name} at {at}", got[name] == want, f"got {got[name]}, want {want}")
@@ -208,6 +214,8 @@ def _check_approx(config, table) -> list:
     from .experiments import fit_rate
     from .exponents import rate_vc
 
+    if len(set(table.column("n"))) < 3:
+        return [("approx decay rate", False, "need at least 3 sample sizes")]
     if config.selection.kind == "vc":
         tau1 = float(rate_vc(config.selection.nu0)[0])
         fit = fit_rate(table, "power")

@@ -544,12 +544,26 @@ def _strong_task(schedule, contexts, master, rep, **kw):
     return run_sequential(schedule, contexts, replication_seed(master, rep), **kw)
 
 
-def _attempt(job):
-    task, rep = job
+def _attempt(tasks: tuple, job):
+    i, rep = job
     try:
-        return True, task(rep)
+        return True, tasks[i](rep)
     except REPLICATION_ERRORS as exc:
         return False, f"{type(exc).__name__}: {exc}"
+
+
+# A pool worker's task callables, set once when the worker starts; the
+# process that runs the pool never sets it.
+_WORKER_TASKS: tuple = ()
+
+
+def _start_worker(callables: tuple) -> None:
+    global _WORKER_TASKS
+    _WORKER_TASKS = callables
+
+
+def _attempt_in_worker(job):
+    return _attempt(_WORKER_TASKS, job)
 
 
 def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
@@ -557,25 +571,30 @@ def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
 
     All jobs go out in one pass, through one process pool when
     ``config.workers`` exceeds one, and come back in (task, rep) order for
-    any worker count. The pool receives them heaviest first, by the task's
-    sample count ``size`` (stable among equal sizes), so that the largest
-    jobs do not all land in the last chunks; the order of dispatch changes no
-    result. A replication that fails with one of ``REPLICATION_ERRORS`` is
-    counted under ``"<label> rep=<rep>"``; the run aborts if more than one
-    percent of all replications fail. Returns the (task index, rep, result)
-    triples of the successes and the table meta.
+    any worker count. A job is a (task index, rep) pair; the task callables
+    reach each pool worker once, when it starts. The pool receives the jobs
+    heaviest first, by the task's sample count ``size`` (stable among equal
+    sizes), so that the largest jobs do not all land in the last chunks; the
+    order of dispatch changes no result. A replication that fails with one of
+    ``REPLICATION_ERRORS`` is counted under ``"<label> rep=<rep>"``; the run
+    aborts if more than one percent of all replications fail. Returns the
+    (task index, rep, result) triples of the successes and the table meta.
     """
-    jobs = [(task, rep) for _, _, task in tasks for rep in range(config.reps)]
+    callables = tuple(task for _, _, task in tasks)
+    jobs = [(i, rep) for i in range(len(tasks)) for rep in range(config.reps)]
     if config.workers == 1:
-        outcomes = map(_attempt, jobs)
+        outcomes = [_attempt(callables, job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         order = sorted(range(len(jobs)), key=lambda j: -tasks[j // config.reps][1])
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_start_worker, initargs=(callables,)
+        ) as pool:
             chunk = max(1, len(jobs) // (4 * config.workers))
             outcomes = [None] * len(jobs)
-            heaviest_first = pool.map(_attempt, [jobs[j] for j in order], chunksize=chunk)
+            jobs_in_order = [jobs[j] for j in order]
+            heaviest_first = pool.map(_attempt_in_worker, jobs_in_order, chunksize=chunk)
             for j, outcome in zip(order, heaviest_first):
                 outcomes[j] = outcome
     done, failures = [], []

@@ -121,7 +121,8 @@ def test_factorize_records_the_clamped_eigenvalue(n, clamp, seed):
 def test_conditioning_in_one_stage_equals_two_stages(sizes, seed):
     # (A, B) given G at once, against A given G and then B given (G, A):
     # composing the two stages gives the one-stage projector and Schur
-    # complement to 1e-14 cond(K) max(1, |K|).
+    # complement, each as the L @ L.T that draws come from, to
+    # 1e-14 cond(K) max(1, |K|).
     g, a, b = sizes
     n = g + a + b
     m = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
@@ -132,11 +133,12 @@ def test_conditioning_in_one_stage_equals_two_stages(sizes, seed):
     second = conditional_law(factorize(K[GA, GA]), K[B, GA], K[B, B])
     on_grid, on_a = second.projector[:, :g], second.projector[:, g:]
     projector = np.vstack([first.projector, on_grid + on_a @ first.projector])
-    cross = on_a @ first.schur
-    schur = np.block([[first.schur, cross.T], [cross, second.schur + cross @ on_a.T]])
+    first_cov, second_cov = first.L @ first.L.T, second.L @ second.L.T
+    cross = on_a @ first_cov
+    schur = np.block([[first_cov, cross.T], [cross, second_cov + cross @ on_a.T]])
     tol = 1e-14 * np.linalg.cond(K) * max(1.0, np.abs(K).max())
     assert np.abs(projector - one.projector).max() <= tol
-    assert np.abs(schur - one.schur).max() <= tol
+    assert np.abs(schur - one.L @ one.L.T).max() <= tol
 
 
 def test_bridge_draws_have_target_covariance(intervals, uniform, seed):
@@ -175,7 +177,7 @@ def test_conditional_mean_is_projection(intervals, uniform, seed):
     want = law.projector @ z
     # Average many conditional draws at fixed grid values.
     draws = np.array([extend_from_law(law, z, seed, rep=i) for i in range(8000)])
-    sd = math.sqrt(max(law.schur[0, 0], 1e-12) / 8000)
+    sd = math.sqrt(max((law.L[0] ** 2).sum(), 1e-12) / 8000)
     assert abs(draws.mean() - want[0]) < 4 * sd
 
 

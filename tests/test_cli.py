@@ -136,6 +136,27 @@ def test_rates_check(capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ("--nu0", "2"),
+        ("--alpha", "5"),
+        ("--r0", "1/2"),
+        ("--format", "json"),
+        ("--nu0", "2", "--format", "json"),
+    ],
+    ids=["nu0", "alpha", "r0", "format", "nu0-format"],
+)
+def test_rates_check_refuses_the_index_and_format_flags(capsys, argv):
+    # The known values are at the default indices; a check elsewhere would
+    # pass without checking what was asked.
+    code, out, err = run_cli(capsys, "rates", "--check", *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    drop = ", ".join(argv[::2])
+    assert err == f"error: rates --check checks the default indices only; drop {drop}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["--config", "c.json"], ["--out", "results"], ["--seed", "5"], ["--workers", "3"]],
     ids=["config", "out", "seed", "workers"],
 )
@@ -271,6 +292,11 @@ APPROX_CHECKS = {
         {"n_grid": [64, 256, 1024], "reps": 4, "ot_batch": 8, "method": "exact",
          "eval_mesh_size": 9, "selection": BR},
         EXIT_CHECK, r"fail \(slope 0\.\d+ vs log log n, need < 0\)",
+    ),
+    "two-n": (
+        # Too few sample sizes to fit is a failed check, not a config error.
+        {"n_grid": [64, 128], "ot_batch": 8, "eval_mesh_size": 9},
+        EXIT_CHECK, r"fail \(need at least 3 sample sizes\)",
     ),
 }
 

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import math
+import multiprocessing
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -529,6 +530,31 @@ def test_replicate_returns_task_order_for_heaviest_first_dispatch():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[1].endswith("first: n=a rep=5: NumericError: planted at a")
+
+
+class _Unpicklable:
+    """A task that refuses pickling, as a task holding a large context should
+    never need it: the pool hands the task list to each worker once."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def __call__(self, rep):
+        return self.label, rep
+
+    def __reduce__(self):
+        raise TypeError("tasks are not pickled per job")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the tasks without pickling only under fork",
+)
+def test_replicate_sends_tasks_to_each_worker_once():
+    tasks = [(f"n={c}", size, _Unpicklable(c)) for c, size in (("a", 10), ("b", 1000))]
+    done, meta = _replicate(ExperimentConfig(reps=12, workers=2), tasks)
+    assert done == [(i, rep, ("ab"[i], rep)) for i in range(2) for rep in range(12)]
+    assert meta["failures"] == 0
 
 
 def test_gauss_approx_isolates_rare_failures(monkeypatch):

@@ -35,7 +35,6 @@ UNREAD_FIELDS = {
     "CouplingRealization.z_sum": "tests check sup_grid as the sup of y_sum - z_sum",
     "BoundReport.extras": "tests check each bound's intermediate terms",
     "BracketSet.brackets": "tests check that the brackets tile and cover the class",
-    "ConditionalLaw.schur": "tests check staged conditioning against the one-stage Schur complement",
     "MomentEstimate.exhaustive": "tests check which path, exact or Monte Carlo, gave the estimate",
 }
 
