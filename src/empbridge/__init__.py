@@ -79,13 +79,9 @@ _EXPORTS = {
         "CapacityError",
         "ConfigError",
         "DegenerateFitError",
-        "DivergentIntegralError",
         "DomainError",
-        "InconsistentCovarianceError",
-        "NotACovarianceError",
         "NumericError",
         "ScheduleInvalidError",
-        "ShapeError",
         "UnsupportedOperationError",
     ),
     "experiments": (

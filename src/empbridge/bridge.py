@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import (
-    ConfigError,
-    DivergentIntegralError,
-    DomainError,
-    InconsistentCovarianceError,
-    NotACovarianceError,
-)
+from .errors import ConfigError, DomainError
 from .function_classes import FunctionClass, covariance
 from .kernels import special
 from .quadrature import adaptive_simpson
@@ -65,12 +59,12 @@ def factorize(K: np.ndarray) -> BridgeModel:
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise NotACovarianceError(f"covariance must be square, got shape {K.shape}")
+        raise DomainError(f"covariance must be square, got shape {K.shape}")
     if np.abs(K - K.T).max(initial=0.0) > _SYM_TOL:
-        raise NotACovarianceError("covariance matrix is not symmetric")
+        raise DomainError("covariance matrix is not symmetric")
     L, w_min = _clamped_factor(K)
     if w_min < _EIG_FLOOR:
-        raise NotACovarianceError(f"eigenvalue {w_min:.3e} below the repair floor {_EIG_FLOOR:.0e}")
+        raise DomainError(f"eigenvalue {w_min:.3e} below the repair floor {_EIG_FLOOR:.0e}")
     return BridgeModel(K, L, max(0.0, -w_min))
 
 
@@ -111,7 +105,7 @@ def conditional_law(model: BridgeModel, cross: np.ndarray, marginal: np.ndarray)
     projector = cross @ k_pinv
     L, w_min = _clamped_factor(marginal - projector @ cross.T)
     if w_min < _SCHUR_FLOOR:
-        raise InconsistentCovarianceError(
+        raise DomainError(
             f"conditional covariance has eigenvalue {w_min:.3e}; the joint "
             f"block matrix is not consistent"
         )
@@ -152,9 +146,7 @@ def dudley_integral(entropy_model, sigma: float) -> float:
         if b <= 0:
             raise ConfigError("exponential-law entropy needs b > 0")
         if r >= 1.0:
-            raise DivergentIntegralError(
-                f"exponent r = {r} makes the entropy integral diverge at 0"
-            )
+            raise DomainError(f"exponent r = {r} makes the entropy integral diverge at 0")
         if r <= 0:
             raise ConfigError("exponential-law entropy needs r > 0")
         return b * sigma ** (1.0 - r) / (1.0 - r)
@@ -172,7 +164,7 @@ def dudley_integral_quadrature(entropy_model, sigma: float, tol: float = 1e-9) -
     else:
         b, r = float(consts["b"]), float(consts["r"])
         if r >= 1.0:
-            raise DivergentIntegralError(f"exponent r = {r} diverges")
+            raise DomainError(f"exponent r = {r} diverges")
         f = lambda x: b * x ** (-r)
     # The integrand is singular only at 0; start just above it and refine.
     lo = min(1e-12, sigma / 2.0)
@@ -182,5 +174,5 @@ def dudley_integral_quadrature(entropy_model, sigma: float, tol: float = 1e-9) -
 def entropy_integral_bound(b: float, r: float, sigma: float) -> float:
     """Closed upper bound sqrt(2) b sigma^{1-r} / (1-r) for exponential entropy."""
     if r >= 1.0:
-        raise DivergentIntegralError(f"exponent r = {r} diverges")
+        raise DomainError(f"exponent r = {r} diverges")
     return math.sqrt(2.0) * b * sigma ** (1.0 - r) / (1.0 - r)

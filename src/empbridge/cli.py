@@ -9,8 +9,10 @@ which appends one pass/fail line per self-check and exits 4 on any failure;
 a config command's checks are the entries that its kind's ``_CHECKS``
 function reads off the result.
 
-Exit codes: 0 success, 2 configuration or domain error, 3 numeric, capacity
-or out-of-memory error, 4 failed check.
+Exit codes: 0 success; 2 an input error: a bad flag or any ``DomainError``,
+the one root of the package's input errors (``main`` also maps a foreign
+ValueError or an OSError, such as an unreadable file, to 2); 3 a
+``NumericError``, ``CapacityError`` or out-of-memory error; 4 failed check.
 """
 
 from __future__ import annotations

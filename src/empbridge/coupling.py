@@ -85,13 +85,7 @@ import numpy as np
 
 from .bridge import conditional_law, extend_from_law, factorize
 from .distributions import Distribution
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DomainError,
-    NumericError,
-    ShapeError,
-)
+from .errors import CapacityError, ConfigError, DomainError, NumericError
 from .function_classes import (
     KINDS, EntropyRegime, FunctionClass, Grid, _monotone_cdf, _orthant, _orthant_mass, build_grid,
     covariance, mean_vector,
@@ -152,7 +146,7 @@ def ot_couple(source: np.ndarray, target: np.ndarray) -> TransportPlan:
     source = np.atleast_2d(np.asarray(source, dtype=float))
     target = np.atleast_2d(np.asarray(target, dtype=float))
     if source.shape != target.shape:
-        raise ShapeError(f"batch shapes differ: {source.shape} vs {target.shape}")
+        raise DomainError(f"batch shapes differ: {source.shape} vs {target.shape}")
     m = source.shape[0]
     if m > OT_EXACT_LIMIT:
         raise CapacityError(f"exact assignment limited to {OT_EXACT_LIMIT} points, got {m}")

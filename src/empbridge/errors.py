@@ -1,20 +1,26 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one root per exit code.
 
-Configuration and validation problems raise ValueError subclasses so they can
-be caught uniformly at the CLI boundary; capacity and numeric failures raise
-RuntimeError subclasses and map to a distinct exit code.
+``DomainError`` (a ValueError) is the root of every error that means the
+input is wrong; the CLI exits 2 on it. ``CapacityError`` and ``NumericError``
+(RuntimeErrors) mean a budget or a tolerance could not be met, not that the
+input was wrong; the CLI exits 3 on them, and a replication that raises one
+is counted as failed rather than ending the run.
+
+A subclass of ``DomainError`` exists only where a caller tells it apart:
+``ConfigError`` names the config field at fault and the config reader
+passes it on unwrapped; the entropy run skips the brackets of a class that
+raises ``UnsupportedOperationError``; the acceptance gate tells a
+``ScheduleInvalidError`` from other domain errors; and the tests tell a
+fit's ``DegenerateFitError`` (data with nothing to fit) from its other
+domain errors, which the entropy run records alike as its fit's error.
 """
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """The input lies outside the domain of the operation (exit 2)."""
 
 
-class ShapeError(ValueError):
-    """Array or vector lengths do not line up."""
-
-
-class ConfigError(ValueError):
+class ConfigError(DomainError):
     """The experiment configuration is malformed or unresolvable."""
 
 
@@ -22,29 +28,17 @@ class ScheduleInvalidError(DomainError):
     """A blocking-schedule constraint is violated."""
 
 
-class DegenerateFitError(ValueError):
+class DegenerateFitError(DomainError):
     """A regression has no information to fit (constant or collapsed data)."""
 
 
-class UnsupportedOperationError(ValueError):
+class UnsupportedOperationError(DomainError):
     """The operation is not defined for this class kind."""
 
 
-class NotACovarianceError(ValueError):
-    """A matrix fails the symmetric positive semi-definite requirement."""
-
-
-class InconsistentCovarianceError(ValueError):
-    """A conditional (Schur complement) law is not a covariance."""
-
-
-class DivergentIntegralError(DomainError):
-    """An entropy integral diverges for the requested parameters."""
-
-
 class CapacityError(RuntimeError):
-    """A configured resource budget would be exceeded; names the budget."""
+    """A configured resource budget would be exceeded; names the budget (exit 3)."""
 
 
 class NumericError(RuntimeError):
-    """Quadrature or linear algebra failed to reach its tolerance."""
+    """Quadrature or linear algebra failed to reach its tolerance (exit 3)."""

@@ -462,7 +462,7 @@ def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
             spec = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if kind is not None and isinstance(spec, dict):
         spec = {**spec, "kind": kind}
@@ -570,8 +570,9 @@ def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
     """Run ``task(rep)`` for every (label, size, task) triple and replication index.
 
     All jobs go out in one pass, through one process pool when
-    ``config.workers`` exceeds one, and come back in (task, rep) order for
-    any worker count. A job is a (task index, rep) pair; the task callables
+    ``config.workers`` exceeds one (of ``config.workers`` processes, but never
+    more than there are jobs), and come back in (task, rep) order for any
+    worker count. A job is a (task index, rep) pair; the task callables
     reach each pool worker once, when it starts. The pool receives the jobs
     heaviest first, by the task's sample count ``size`` (stable among equal
     sizes), so that the largest jobs do not all land in the last chunks; the
@@ -588,10 +589,11 @@ def _replicate(config: ExperimentConfig, tasks: list) -> tuple[list, dict]:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         order = sorted(range(len(jobs)), key=lambda j: -tasks[j // config.reps][1])
+        workers = min(config.workers, len(jobs))
         with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_start_worker, initargs=(callables,)
+            max_workers=workers, initializer=_start_worker, initargs=(callables,)
         ) as pool:
-            chunk = max(1, len(jobs) // (4 * config.workers))
+            chunk = max(1, len(jobs) // (4 * workers))
             outcomes = [None] * len(jobs)
             jobs_in_order = [jobs[j] for j in order]
             heaviest_first = pool.map(_attempt_in_worker, jobs_in_order, chunksize=chunk)
@@ -761,7 +763,7 @@ def run_entropy(config: ExperimentConfig) -> ResultTable:
             "constants": fit.constants,
             "residual": fit.residual,
         }
-    except (DegenerateFitError, DomainError) as exc:
+    except DomainError as exc:
         meta["fit"] = {"error": str(exc)}
     return ResultTable(ENTROPY_HEADER, tuple(rows), meta)
 

@@ -138,6 +138,9 @@ class FunctionClass:
             object.__setattr__(self, "members", canon)
         if self.mesh_size < 1:
             raise ConfigError("mesh size must be >= 1")
+        for key, value in (("mesh_size", self.mesh_size), ("knots", self.knot_count)):
+            if value >= 2**53:  # past the integers a JSON number holds exactly
+                raise ConfigError(f"class {key} must be below 2**53, got {value}")
 
     # -- parameter mesh -----------------------------------------------------
 

@@ -11,11 +11,11 @@ import pytest
 
 import empbridge
 
-from empbridge import cli
+from empbridge import cli, errors
 from empbridge.bounds import BoundConstants
 from empbridge.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from empbridge.distributions import Distribution
-from empbridge.errors import ConfigError
+from empbridge.errors import CapacityError, ConfigError, DomainError, NumericError
 from empbridge.experiments import KINDS, ExperimentConfig
 from empbridge.function_classes import EntropyRegime, FunctionClass
 
@@ -189,6 +189,27 @@ def test_unknown_config_field_is_config_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "couple", "--config", cfg)
     assert code == EXIT_CONFIG
     assert "wibble" in err
+
+
+ERROR_CLASSES = [
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and obj.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_every_error_class_has_one_root_and_its_exit_code(capsys, monkeypatch, error):
+    # DomainError roots every input error (exit 2); CapacityError and
+    # NumericError are the two failures of a valid input (exit 3).
+    roots = [root for root in (DomainError, NumericError, CapacityError) if issubclass(error, root)]
+    assert len(roots) == 1
+
+    def fail(config):
+        raise error("probe")
+
+    monkeypatch.setattr("empbridge.experiments.run", fail)
+    code = EXIT_CONFIG if roots == [DomainError] else EXIT_NUMERIC
+    assert run_cli(capsys, "couple") == (code, "", "error: probe\n")
 
 
 def test_capacity_overflow_is_numeric_error(capsys, tmp_path):
@@ -405,6 +426,30 @@ def test_worker_flag_does_not_change_output(capsys, tmp_path):
     assert serial == pooled
 
 
+def test_pool_never_starts_more_processes_than_jobs(capsys, tmp_path, monkeypatch):
+    # 3 sizes times 2 reps are 6 jobs. A pool of 2**63 processes would fail
+    # in multiprocessing's semaphore; the run starts 6 and prints what one
+    # worker prints.
+    import concurrent.futures
+
+    started = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted(max_workers, **kw):
+        started.append(max_workers)
+        return pool(max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    spec = {"n_grid": [64, 128, 256], "ot_batch": 4, "eval_mesh_size": 9, "reps": 2}
+    cfg = write_config(tmp_path, "approx.json", spec)
+    serial = run_cli(capsys, "approx", "--config", cfg, "--workers", "1")
+    assert serial[0] == EXIT_OK and started == []
+    huge = write_config(tmp_path, "huge.json", {**spec, "workers": 2**63})
+    assert run_cli(capsys, "approx", "--config", huge) == serial
+    assert run_cli(capsys, "approx", "--config", cfg, "--workers", str(2**63)) == serial
+    assert started == [6, 6]
+
+
 def test_format_json_table(capsys, tmp_path):
     cfg = write_config(
         tmp_path,
@@ -511,16 +556,29 @@ NAN = float("nan")
             {"n_grid": [256, 1024], "ot_batch": [8]},
             "per-n ot_batch needs one entry per n_grid value",
         ),
+        (
+            "strong",
+            {"class": {"kind": "intervals", "mesh_size": 2**63}},
+            "class mesh_size must be below 2**53, got 9223372036854775808",
+        ),
+        (
+            "couple",
+            {"class": {"kind": "holder", "knots": 2**63}},
+            "class knots must be below 2**53, got 9223372036854775808",
+        ),
     ],
     ids=[
         "M", "R", "c0", "nu0", "a", "b", "weights", "atoms", "A", "N_grid", "radii", "radii-nan",
-        "t_grid-nan", "ot_batch-zero", "ot_batch-length",
+        "t_grid-nan", "ot_batch-zero", "ot_batch-length", "mesh_size-huge", "knots-huge",
     ],
 )
 def test_nan_and_empty_list_fields_are_config_errors(capsys, tmp_path, command, spec, needle):
     # Rejected when the config is read: a check written as x <= 0 would let
     # NaN through to a run that exits 0 or fails later inside numpy. A batch
-    # below 1, or a per-n batch list of the wrong length, is refused there too.
+    # below 1, a per-n batch list of the wrong length, and a mesh or knot
+    # count of 2**53 or more (past the integers a JSON number holds exactly;
+    # from 2**63 numpy's linspace fails with an IndexError) are refused there
+    # too.
     assert_config_error(capsys, tmp_path, command, spec, needle)
 
 

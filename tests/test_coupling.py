@@ -18,7 +18,6 @@ from empbridge import (
     DomainError,
     NumericError,
     SeedSpec,
-    ShapeError,
     TransportPlan,
     construct_joint,
     ot_couple,
@@ -128,7 +127,7 @@ def test_transport_plan_validation():
         TransportPlan(src, tgt, np.array([0, 0, 2]), 1.0)
     with pytest.raises(DomainError):
         TransportPlan(src, tgt, np.array([0, 1, 2]), 0.5)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match=r"batch shapes differ: \(3, 1\) vs \(4, 1\)"):
         ot_couple(np.zeros((3, 1)), np.zeros((4, 1)))
 
 

@@ -374,6 +374,9 @@ def test_load_config(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    bad.write_bytes(b"\xff\xfe\x00")  # not UTF-8: refused as JSON is
+    with pytest.raises(ConfigError, match="not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        load_config(str(bad))
 
 
 # -- tables and persistence ------------------------------------------------------
