@@ -144,9 +144,9 @@ def schedule_br(kappa, N: int) -> BlockingSchedule:
     if N < 2:
         raise DomainError("need at least N = 2 blocks")
     kf = float(kappa_f)
-    exponents = [k ** (1.0 - kf) for k in range(1, N + 1)]
-    if max(exponents) > _EXP_ARG_LIMIT:
+    if N ** (1.0 - kf) > _EXP_ARG_LIMIT:  # the largest exponent, checked before any is listed
         raise CapacityError(f"schedule with N = {N} blocks overflows the time range")
+    exponents = [k ** (1.0 - kf) for k in range(1, N + 1)]
     t = [1] + [int(math.floor(math.exp(e))) for e in exponents]
     n = [1] + [t[k] - t[k - 1] for k in range(1, N + 1)]
     theta, tau = rate_thm2(kappa_f)

@@ -137,7 +137,7 @@ def vc_moment_bound(
     )
     conditions = [
         ("c > 1", c > 1.0),
-        ("sigma <= 1/(8 c)", sigma <= 1.0 / (8.0 * c)),
+        ("sigma <= 1/(8 c)", c > 0 and sigma <= 1.0 / (8.0 * c)),
         ("log(beta OR 1/sigma) > 0", log_term > 0.0),
         ("M_sup <= sqrt(n sigma^2 / log(beta OR 1/sigma)) / (2 sqrt(v+1))", M_sup <= sup_cap),
     ]
@@ -268,7 +268,11 @@ def error_budget(
     else:
         term1 = zaitsev_grid_tail(n, M, N_eps, delta, constants.C1, constants.C2)
     term2 = 2.0 * math.exp(-constants.A1 * math.sqrt(n) * t / M)
-    term3 = 4.0 * math.exp(-constants.A5 * t * t / (epsilon * epsilon))
+    if epsilon * epsilon > 0:
+        term3 = 4.0 * math.exp(-constants.A5 * t * t / (epsilon * epsilon))
+    else:  # the square underflows below epsilon ~ 1e-162; the ratio's square does not
+        ratio = t / epsilon
+        term3 = 4.0 * math.exp(-constants.A5 * ratio * ratio)
     threshold = constants.A * mu_n + mu + delta + (constants.A + 1.0) * t
     return _report(
         "error-budget",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .function_classes import FunctionClass, covariance
 from .kernels import special
 from .quadrature import adaptive_simpson
@@ -101,7 +101,11 @@ def conditional_law(model: BridgeModel, cross: np.ndarray, marginal: np.ndarray)
         )
     if marginal.shape != (m_new, m_new):
         raise DomainError("marginal covariance shape does not match cross covariance")
-    k_pinv = np.linalg.pinv(model.K, rcond=_PINV_CUT, hermitian=True)
+    try:
+        with np.errstate(over="raise"):
+            k_pinv = np.linalg.pinv(model.K, rcond=_PINV_CUT, hermitian=True)
+    except FloatingPointError as exc:  # a kept eigenvalue below about 1e-308
+        raise NumericError(f"the grid covariance's pseudo-inverse overflows: {exc}") from None
     projector = cross @ k_pinv
     L, w_min = _clamped_factor(marginal - projector @ cross.T)
     if w_min < _SCHUR_FLOOR:

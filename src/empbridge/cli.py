@@ -9,10 +9,11 @@ which appends one pass/fail line per self-check and exits 4 on any failure;
 a config command's checks are the entries that its kind's ``_CHECKS``
 function reads off the result.
 
-Exit codes: 0 success; 2 an input error: a bad flag or any ``DomainError``,
-the one root of the package's input errors (``main`` also maps a foreign
-ValueError or an OSError, such as an unreadable file, to 2); 3 a
-``NumericError``, ``CapacityError`` or out-of-memory error; 4 failed check.
+Exit codes: 0 success; 2 an input error: a bad flag, any ``DomainError``
+(the one root of the package's input errors) or an ``OSError``, such as an
+unreadable file; 3 a ``NumericError``, ``CapacityError`` or ``MemoryError``;
+4 failed check. ``main`` catches nothing else: any other exception, a
+foreign ``ValueError`` from numpy included, is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import CapacityError, ConfigError, NumericError
+from .errors import CapacityError, ConfigError, DomainError, NumericError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,11 +100,17 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (NumericError, CapacityError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, OSError) as exc:
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _describe(exc: BaseException) -> str:
+    """The exception's message or, where it has none (as a MemoryError that
+    the interpreter raises), what failed."""
+    return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
 
 
 def _dispatch(args) -> int:
@@ -218,13 +225,16 @@ def _check_approx(config, table) -> list:
 
     if len(set(table.column("n"))) < 3:
         return [("approx decay rate", False, "need at least 3 sample sizes")]
-    if config.selection.kind == "vc":
+    vc = config.selection.kind == "vc"
+    try:
+        fit = fit_rate(table, "power" if vc else "logpower")
+    except DomainError as exc:  # nothing to fit, as when every discrepancy is 0
+        return [("approx decay rate", False, str(exc))]
+    if vc:
         tau1 = float(rate_vc(config.selection.nu0)[0])
-        fit = fit_rate(table, "power")
         ok = fit.slope <= -0.07
         detail = f"slope {fit.slope:.4f}, need <= -0.07, theory {-tau1:.4f}"
     else:
-        fit = fit_rate(table, "logpower")
         ok = fit.slope < 0
         detail = f"slope {fit.slope:.4f} vs log log n, need < 0"
     return [("approx decay rate", ok, detail)]

@@ -18,6 +18,10 @@ from .errors import ConfigError, DomainError
 from .kernels import special
 
 KINDS = ("uniform", "product-uniform", "beta", "discrete")
+# The most coordinates a law takes: a coupling cuts [0,1]^d into at least 2^d
+# orthant cells, one array axis per coordinate, and numpy broadcasts at most
+# 32 axes (``np.meshgrid`` in ``coupling.orthant_cells``).
+MAX_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,8 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        if self.dim < 1:
-            raise ConfigError("dimension must be >= 1")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ConfigError(f"distribution dim must lie in [1, {MAX_DIM}], got {self.dim}")
         if self.kind in ("uniform", "beta") and self.dim != 1:
             raise ConfigError(f"{self.kind} distribution is one-dimensional")
         if self.kind == "beta" and not (self.a > 0 and self.b > 0):  # NaN fails too
@@ -46,6 +50,8 @@ class Distribution:
             w = np.asarray(self.weights, dtype=float)
             if not np.all(w >= 0):  # NaN fails too
                 raise ConfigError(f"weights must be nonnegative, got {self.weights}")
+            if not np.all(w <= 1.0):  # so that their sum stays within the float range
+                raise ConfigError(f"weights must be at most 1, got {self.weights}")
             if not abs(float(w.sum()) - 1.0) <= 1e-12:
                 raise ConfigError(f"weights sum to {w.sum()}, not 1 within 1e-12")
             pts = self._atom_array()

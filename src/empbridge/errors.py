@@ -1,10 +1,12 @@
 """Exception taxonomy shared across the package: one root per exit code.
 
 ``DomainError`` (a ValueError) is the root of every error that means the
-input is wrong; the CLI exits 2 on it. ``CapacityError`` and ``NumericError``
-(RuntimeErrors) mean a budget or a tolerance could not be met, not that the
-input was wrong; the CLI exits 3 on them, and a replication that raises one
-is counted as failed rather than ending the run.
+input is wrong; the CLI exits 2 on it, and otherwise only on an OSError.
+``CapacityError`` and ``NumericError`` (RuntimeErrors) mean a budget or a
+tolerance could not be met, not that the input was wrong; the CLI exits 3 on
+them (and on a MemoryError), and a replication that raises one is counted as
+failed rather than ending the run. Any other exception, a ValueError that
+numpy raises included, is a bug: the CLI lets it end the run in a traceback.
 
 A subclass of ``DomainError`` exists only where a caller tells it apart:
 ``ConfigError`` names the config field at fault and the config reader

@@ -35,6 +35,7 @@ from .exponents import _as_fraction, rate_br, rate_vc
 from .blocking import block_contexts, path_envelope, run_sequential, schedule_br, schedule_vc
 from .coupling import (
     OT_EXACT_LIMIT,
+    TREE_N_LIMIT,
     check_method,
     construct_joint,
     prepare_coupling,
@@ -396,10 +397,13 @@ class ExperimentConfig:
                     raise ConfigError(f"config field '{block}.{key}' must be a nonempty list")
         # Each test checks a field that the kind reads, and is written so that NaN fails it.
         if self.entropy is not None:
+            # An interval bracketing at radius r has ceil(1 / r^2) brackets,
+            # which r >= 2^-26 keeps below 2^53.
             radii = self.entropy["radii"]
-            if not (all(0 < r < 1 for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
+            within = all(2.0**-26 <= r < 1 for r in radii)
+            if not (within and all(b < a for a, b in zip(radii, radii[1:]))):
                 raise ConfigError(
-                    "config field 'entropy.radii' must decrease strictly within (0, 1), "
+                    "config field 'entropy.radii' must decrease strictly within [2^-26, 1), "
                     f"got {radii}"
                 )
         if self.audit is not None and not all(t > 0 for t in self.audit["t_grid"]):
@@ -408,12 +412,16 @@ class ExperimentConfig:
             )
         if self.reps is not None and self.reps < 1:
             raise ConfigError("replication count must be >= 1")
+        if self.reps is not None and self.reps >= 2**53:  # each is one job of a list
+            raise ConfigError(f"replication count must be below 2**53, got {self.reps}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.n_grid is not None and not self.n_grid:
             raise ConfigError("n grid must be nonempty")
         if self.n_grid is not None and any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n grid must be strictly increasing")
+        if self.out is not None and "\0" in self.out:  # which os.makedirs refuses
+            raise ConfigError(f"config field 'out' holds a NUL character: {self.out!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.workers < 1:
@@ -430,6 +438,11 @@ class ExperimentConfig:
                 quantile = self.kind == "couple" and self.cls.kind == "intervals"
                 object.__setattr__(self, "method", "quantile" if quantile else "exact")
             check_method(self.method, self.cls)
+            if self.n_grid[-1] > TREE_N_LIMIT:  # under exact too, where no draw holds that many
+                raise ConfigError(
+                    f"the {self.method} method takes n up to 2^51 = {TREE_N_LIMIT}, "
+                    f"got n = {self.n_grid[-1]}"
+                )
             if self.method == "exact" and any(int(b) > OT_EXACT_LIMIT for b in batches):
                 raise ConfigError(f"ot_batch entries must be <= {OT_EXACT_LIMIT}")
             if self.eval_mesh_size < 1:
@@ -442,6 +455,9 @@ class ExperimentConfig:
                 raise ConfigError(f"schedule m must be <= {OT_EXACT_LIMIT}, got {m}")
             if mesh_size < 1:
                 raise ConfigError(f"schedule eval_mesh_size must be >= 1, got {mesh_size}")
+            largest = max(self.schedule["N_grid"])
+            if largest >= 2**53:  # a schedule lists its N + 1 blocks
+                raise ConfigError(f"schedule N_grid entries must be below 2**53, got {largest}")
 
     def batch_for(self, i: int) -> int:
         """Transport batch size for the i-th n_grid entry."""
@@ -457,6 +473,8 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
 
 def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
     """The config in a JSON file, checked as a run of ``kind`` if one is given."""
+    if "\0" in path:  # which open() refuses with a ValueError
+        raise ConfigError(f"config path {path!r} holds a NUL character")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)

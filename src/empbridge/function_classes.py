@@ -61,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import MAX_DIM, Distribution
 from .errors import (
     CapacityError,
     ConfigError,
@@ -120,8 +120,8 @@ class FunctionClass:
             object.__setattr__(self, "regime", _default_regime(self.kind))
         if self.kind == "intervals" and self.dim != 1:
             raise ConfigError("interval indicators are one-dimensional")
-        if self.kind == "rectangles" and self.dim < 1:
-            raise ConfigError("rectangles need dim >= 1")
+        if self.kind == "rectangles" and not 1 <= self.dim <= MAX_DIM:
+            raise ConfigError(f"rectangles need dim in [1, {MAX_DIM}], got {self.dim}")
         if self.kind == "holder":
             if not (0 < self.holder_exponent <= 1):
                 raise ConfigError("holder exponent must lie in (0, 1]")
@@ -141,6 +141,10 @@ class FunctionClass:
         for key, value in (("mesh_size", self.mesh_size), ("knots", self.knot_count)):
             if value >= 2**53:  # past the integers a JSON number holds exactly
                 raise ConfigError(f"class {key} must be below 2**53, got {value}")
+        if self.kind == "rectangles" and self._per_axis ** self.dim >= 2**53:
+            raise ConfigError(
+                f"a rectangles mesh of {self._per_axis}^{self.dim} points must number below 2**53"
+            )
 
     # -- parameter mesh -----------------------------------------------------
 
@@ -150,12 +154,17 @@ class FunctionClass:
         if self.kind == "intervals":
             return tuple(self.mesh_array.tolist())
         if self.kind == "rectangles":
-            per_axis = max(2, int(round(self.mesh_size ** (1.0 / self.dim))))
-            axis = np.linspace(0.0, 1.0, per_axis)
+            axis = np.linspace(0.0, 1.0, self._per_axis)
             return tuple(itertools.product(*([tuple(axis)] * self.dim)))
         if self.kind == "holder":
             return self._holder_mesh()
         return self.members
+
+    @property
+    def _per_axis(self) -> int:
+        """The points per axis of a rectangles mesh: at least 2, so that the
+        mesh has at least 2^dim points whatever its ``mesh_size``."""
+        return max(2, int(round(self.mesh_size ** (1.0 / self.dim))))
 
     @cached_property
     def mesh_array(self) -> np.ndarray:
@@ -188,7 +197,7 @@ class FunctionClass:
             step = rng.uniform(-1.0, 1.0, size=len(xs) - 1)
             v = np.concatenate([[rng.uniform(-half, half)], step]).cumsum()
             dv = np.abs(v[:, None] - v[None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf is the bound
                 ratio = np.where(dv > 0, radius * gaps / np.where(dv > 0, dv, 1.0), np.inf)
             scale = min(1.0, float(ratio.min()) * (1.0 - 1e-12))
             v = v * scale
@@ -242,7 +251,10 @@ def regime_grid_bound(regime: EntropyRegime, epsilon: float, M: float) -> float:
             return regime.c0 * M**regime.nu0 * epsilon ** (-regime.nu0)
         except OverflowError:  # a power past the float range
             return math.inf
-    expo = 2.0 ** (2.0 * regime.r0) * regime.b0**2 / epsilon ** (2.0 * regime.r0)
+    try:
+        expo = 2.0 ** (2.0 * regime.r0) * regime.b0**2 / epsilon ** (2.0 * regime.r0)
+    except (OverflowError, ZeroDivisionError):  # a power past the float range, or below it
+        return math.inf
     return math.inf if expo > 700 else math.exp(expo)
 
 
@@ -813,8 +825,13 @@ def _holder_brackets(cls, P, epsilon) -> BracketSet:
     # Piecewise-constant envelopes: quantized cell values with half-width
     # covering within-cell variation (R w^s <= eps/4) plus quantization eps/8.
     s, radius = cls.holder_exponent, cls.holder_radius
-    w_max = (epsilon / (4.0 * radius)) ** (1.0 / s)
-    n_cells = int(math.ceil(1.0 / w_max))
+    try:
+        w_max = (epsilon / (4.0 * radius)) ** (1.0 / s)
+    except OverflowError:  # past the float range, for a small R: one cell
+        w_max = math.inf
+    # A width below 2^-1000 (a small s underflows it to 0) needs more cells
+    # than any budget; its inverse may be inf, which math.ceil refuses.
+    n_cells = max(1, math.ceil(1.0 / w_max)) if w_max > 2.0**-1000 else math.inf
     if n_cells > 1 << 16:
         raise CapacityError(f"holder bracketing needs {n_cells} cells, over the 65536 budget")
     eta = epsilon / 4.0

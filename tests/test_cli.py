@@ -604,6 +604,166 @@ def test_out_of_memory_is_a_numeric_error_without_traceback(tmp_path, child_env)
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_a_memory_error_without_a_message_names_the_failure(capsys, monkeypatch):
+    # The interpreter's own MemoryError carries no message.
+    def exhausted(config):
+        raise MemoryError()
+
+    monkeypatch.setattr("empbridge.experiments.run_couple", exhausted)
+    assert run_cli(capsys, "couple") == (EXIT_NUMERIC, "", "error: out of memory\n")
+
+
+def test_a_foreign_value_error_inside_a_run_propagates(capsys, monkeypatch):
+    # Exit 2 means the input: a ValueError that is not a DomainError is a bug
+    # (a numpy shape mistake, say) and must not pass for a config error.
+    def bug(config):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("empbridge.experiments.run_couple", bug)
+    with pytest.raises(ValueError, match="^bug$"):
+        main(["couple"])
+
+
+# -- inputs that only numpy or the OS refused have their own checks ---------------
+
+CONSTANTS = {"kind": "finite", "members": [["constant", 0.5], ["constant", 0.25]]}
+
+
+@pytest.mark.parametrize(
+    "command, spec, needle",
+    [
+        # os.makedirs: "embedded null byte"
+        ("approx", {"out": "a\u0000b", "n_grid": [64], "ot_batch": 4},
+         "config field 'out' holds a NUL character: 'a\\x00b'"),
+        # Distribution.draw: "array is too big"
+        (
+            "approx",
+            {"n_grid": [64, 2**60], "ot_batch": 4, "method": "exact", "eval_mesh_size": 9},
+            "the exact method takes n up to 2^51 = 2251799813685248, got n = 1152921504606846976",
+        ),
+        # orthant_cells: np.meshgrid's "maximum supported dimension" at 65, and
+        # np.broadcast's RuntimeError (a traceback) from 33 to 64
+        (
+            "couple",
+            {"class": CONSTANTS, "distribution": {"kind": "product-uniform", "dim": 65}},
+            "distribution dim must lie in [1, 32], got 65",
+        ),
+        (
+            "couple",
+            {"class": CONSTANTS, "distribution": {"kind": "product-uniform", "dim": 33}},
+            "distribution dim must lie in [1, 32], got 33",
+        ),
+        # _orthant's np.ones: "Maximum allowed dimension exceeded"
+        (
+            "entropy",
+            {"class": CONSTANTS, "distribution": {"kind": "product-uniform", "dim": 1e308}},
+            "distribution dim must lie in [1, 32], got 1000000000000000010979",
+        ),
+        # A mesh of at least 2^dim points, built until memory runs out
+        (
+            "entropy",
+            {"class": {"kind": "rectangles", "dim": 65, "mesh_size": 1},
+             "distribution": {"kind": "product-uniform", "dim": 65}},
+            "rectangles need dim in [1, 32], got 65",
+        ),
+        (
+            "entropy",
+            {"class": {"kind": "rectangles", "dim": 2, "mesh_size": 2**53 - 1},
+             "distribution": {"kind": "product-uniform", "dim": 2}},
+            "a rectangles mesh of 94906266^2 points must number below 2**53",
+        ),
+        # np.linspace over ceil(1 / r^2) bracket levels: "Maximum allowed size exceeded"
+        ("entropy", {"entropy": {"radii": [0.5, 1e-10]}},
+         "'entropy.radii' must decrease strictly within [2^-26, 1), got (0.5, 1e-10)"),
+        # A job list, or a list of block sizes, built until memory runs out
+        ("approx", {"reps": 2**64, "n_grid": [64], "ot_batch": 4},
+         "replication count must be below 2**53, got 18446744073709551616"),
+        ("strong", {"schedule": {"N_grid": [4, 2**53]}},
+         "schedule N_grid entries must be below 2**53, got 9007199254740992"),
+        # A RuntimeWarning from numpy's sum, then "weights sum to inf"
+        ("couple", {"distribution": {"kind": "discrete", "atoms": [0.25, 0.75],
+                                     "weights": [1e308, 1e308]}},
+         "weights must be at most 1, got (1e+308, 1e+308)"),
+    ],
+    ids=[
+        "out-nul", "exact-n", "dim-65", "dim-33", "dim-1e308", "rectangles-dim",
+        "rectangles-mesh", "radii-tiny", "reps-huge", "N_grid-huge", "weights-huge",
+    ],
+)
+def test_inputs_that_only_numpy_refused_are_config_errors(capsys, tmp_path, command, spec, needle):
+    # Each is refused from its integers before any array exists, so a dim of
+    # 1e308 costs nothing.
+    assert_config_error(capsys, tmp_path, command, spec, needle)
+
+
+def test_a_config_path_holding_a_nul_is_a_config_error(capsys):
+    # open() refuses it with "embedded null byte".
+    err = "error: config path 'a\\x00b' holds a NUL character\n"
+    assert run_cli(capsys, "couple", "--config", "a\0b") == (EXIT_CONFIG, "", err)
+
+
+# case -> (command, config, --check?, exit code, the last stdout line or the
+# error line). Each ended in a traceback, or exited 2 on a valid input, before.
+EXTREMES = {
+    # ZeroDivisionError: epsilon^2 underflows in the error budget's third term
+    "audit-epsilon-subnormal": (
+        "bounds-audit", {"audit": {"epsilon": 5e-324}}, False, EXIT_OK, "]",
+    ),
+    # ZeroDivisionError: the vc-moment gate sigma <= 1/(8 c) at c = 0
+    "audit-c-zero": ("bounds-audit", {"audit": {"c": 0}}, False, EXIT_OK, "]"),
+    # OverflowError: b0^2 in the br covering-count bound
+    "regime-b0-huge": (
+        "couple",
+        {"class": {"kind": "finite", "members": [["interval", 0.5]],
+                   "regime": {"type": "br", "b0": 1e308, "r0": 0.5}}, "method": "exact"},
+        False, EXIT_OK, "}",
+    ),
+    # RuntimeWarning, then exit 2 as an inconsistent joint covariance: a grid
+    # member of mass about 1e-309 has a variance whose inverse overflows
+    "subnormal-mass": (
+        "couple",
+        {"class": {"kind": "finite",
+                   "members": [["rectangle", [0.19, 2.225073858507203e-309, 0.89]]]},
+         "distribution": {"kind": "product-uniform", "dim": 3}},
+        False, EXIT_NUMERIC,
+        "error: the grid covariance's pseudo-inverse overflows: overflow encountered in divide",
+    ),
+    # ZeroDivisionError: a Hoelder bracket cell width that underflows to 0
+    "holder-s-subnormal": (
+        "entropy", {"class": {"kind": "holder", "mesh_size": 3, "s": 5e-324}},
+        False, EXIT_OK, "0.15,3,3,true,",
+    ),
+    # RuntimeWarning from the Hoelder mesh's rescaling ratio
+    "holder-R-huge": (
+        "couple", {"class": {"kind": "holder", "mesh_size": 16, "R": 1e308}}, False, EXIT_OK, "}",
+    ),
+    # A list of 2^40 block exponents built before their largest was checked
+    "br-blocks-huge": (
+        "strong", {"selection": {"type": "br", "r0": 0.75}, "schedule": {"N_grid": [2**40]}},
+        False, EXIT_NUMERIC,
+        "error: schedule with N = 1099511627776 blocks overflows the time range",
+    ),
+    # Exit 2 after the table: a one-point mesh gives sup gaps of 0, whose log
+    # fit has nothing to fit, which is a failed check
+    "approx-check-zero-gaps": (
+        "approx",
+        {"class": {"kind": "intervals", "mesh_size": 1}, "n_grid": [64, 128, 256], "ot_batch": 4,
+         "eval_mesh_size": 9},
+        True, EXIT_CHECK, "check approx decay rate: fail (medians must be positive for a log fit)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREMES))
+def test_extreme_valid_inputs_exit_with_their_code(capsys, tmp_path, case):
+    command, spec, check, code, last = EXTREMES[case]
+    cfg = write_config(tmp_path, "extreme.json", spec)
+    got, out, err = run_cli(capsys, command, "--config", cfg, *(["--check"] if check else []))
+    assert got == code
+    assert (out if code in (EXIT_OK, EXIT_CHECK) else err).splitlines()[-1] == last
+    assert err == "" or err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "field, extra",
     [
